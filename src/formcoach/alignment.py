@@ -1,11 +1,16 @@
 """Temporal alignment and pace analysis.
 
 Candidate and reference sequences are aligned with dynamic time warping over
-the per-frame direction-vector descriptors; the step cost between a candidate
-frame and a reference frame is ``1 - frame_cosine``. Pace is summarized by
-the raw duration ratio, the mean deviation of the warp path from the
-diagonal, and per-phase durations, where phases are segmented at extrema of
-the exercise's primary joint angle.
+their direction-vector descriptors; the step cost between a candidate frame
+and a reference frame is ``1 - frame_cosine``. The m x n cost matrix is a
+masked reduction over the ``(T, P, 2)`` descriptor arrays, computed a block of
+candidate rows at a time, and the accumulated-cost recurrence runs one
+anti-diagonal at a time, since every cell of an anti-diagonal depends only on
+the two before it.
+
+Pace is summarized by the raw duration ratio, the mean deviation of the warp
+path from the diagonal, and per-phase durations, where phases are segmented
+at extrema of the exercise's primary joint angle.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from typing import List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .kinematics import JointVectorField, angle_at, frame_cosine
+from .kinematics import (DescriptorError, JointVectorField, JointVectorSequence,
+                         frame_cosine, mean_cosines, sequence_angles)
 from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
 
 # Moving-average window (frames) used to suppress jitter before locating
@@ -24,6 +30,10 @@ from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
 PHASE_SMOOTH_WINDOW = 5
 
 DEFAULT_MIN_ECCENTRIC_RATIO = 0.6
+
+# Cost-matrix rows are computed in blocks of about this many (cell, pair)
+# products, which bounds the temporaries whatever the sequence lengths.
+_BLOCK_PRODUCTS = 1 << 15
 
 
 class AlignmentError(ValueError):
@@ -73,7 +83,8 @@ def descriptor_cost(a: JointVectorField, b: JointVectorField) -> float:
     return 1.0 - frame_cosine(a, b)
 
 
-def dtw_align(cand: Seq[JointVectorField], ref: Seq[JointVectorField]) -> WarpPath:
+def dtw_align(cand: JointVectorSequence | Seq[JointVectorField],
+              ref: JointVectorSequence | Seq[JointVectorField]) -> WarpPath:
     """Minimal-cost monotone alignment of two descriptor sequences.
 
     Ties are broken deterministically: diagonal step first, then candidate
@@ -81,31 +92,40 @@ def dtw_align(cand: Seq[JointVectorField], ref: Seq[JointVectorField]) -> WarpPa
     """
     if not cand or not ref:
         raise AlignmentError("cannot align empty sequences")
+    cand, ref = JointVectorSequence.of(cand), JointVectorSequence.of(ref)
+    if cand.targeted != ref.targeted:
+        raise DescriptorError(
+            f"mismatched targeted joints: {cand.targeted} vs {ref.targeted}")
     m, n = len(cand), len(ref)
-    cost = np.empty((m, n))
-    for i in range(m):
-        for j in range(n):
-            cost[i, j] = descriptor_cost(cand[i], ref[j])
+    # acc is padded with an infinite row 0 and column 0, so cell (i, j) sits
+    # at acc[i + 1, j + 1] and every cell has three predecessors in range.
+    acc = np.full((m + 1, n + 1), np.inf)
+    rows = max(1, _BLOCK_PRODUCTS // (n * len(cand.pairs)))
+    for r in range(0, m, rows):
+        block = slice(r, r + rows)
+        acc[1 + r:1 + r + rows, 1:] = 1.0 - mean_cosines(
+            cand.vectors[block, None], cand.valid[block, None],
+            ref.vectors, ref.valid)
 
-    acc = np.full((m, n), np.inf)
     # step[i, j]: 0 = diagonal, 1 = candidate advance (from i-1, j),
     # 2 = reference advance (from i, j-1), -1 = origin
-    step = np.full((m, n), -1, dtype=np.int8)
-    acc[0, 0] = cost[0, 0]
-    for i in range(m):
-        for j in range(n):
-            if i == 0 and j == 0:
-                continue
-            best = math.inf
-            chosen = -1
-            if i > 0 and j > 0 and acc[i - 1, j - 1] < best:
-                best, chosen = acc[i - 1, j - 1], 0
-            if i > 0 and acc[i - 1, j] < best:
-                best, chosen = acc[i - 1, j], 1
-            if j > 0 and acc[i, j - 1] < best:
-                best, chosen = acc[i, j - 1], 2
-            acc[i, j] = best + cost[i, j]
-            step[i, j] = chosen
+    padded_step = np.full((m + 1, n + 1), -1, dtype=np.int8)
+    flat, flat_step = acc.ravel(), padded_step.ravel()
+    w = n + 1
+    for d in range(1, m + n - 1):
+        lo, hi = max(0, d - n + 1), min(m - 1, d)
+        # Cells (i, d - i) of this anti-diagonal lie n apart in the flat array.
+        start = (lo + 1) * w + d - lo + 1
+        stop = start + (hi - lo) * n + 1
+        preds = np.stack((flat[start - w - 1:stop - w - 1:n],
+                          flat[start - w:stop - w:n],
+                          flat[start - 1:stop - 1:n]))
+        # argmin takes the first minimum, so ties keep the order diagonal,
+        # candidate advance, reference advance.
+        chosen = preds.argmin(axis=0)
+        flat[start:stop:n] += preds.min(axis=0)
+        flat_step[start:stop:n] = chosen
+    step = padded_step[1:, 1:]
 
     pairs = [(m - 1, n - 1)]
     i, j = m - 1, n - 1
@@ -119,7 +139,7 @@ def dtw_align(cand: Seq[JointVectorField], ref: Seq[JointVectorField]) -> WarpPa
             j -= 1
         pairs.append((i, j))
     pairs.reverse()
-    return WarpPath(pairs=tuple(pairs), cost=float(acc[m - 1, n - 1]))
+    return WarpPath(pairs=tuple(pairs), cost=float(acc[m, n]))
 
 
 @dataclass(frozen=True)
@@ -159,26 +179,17 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
         return x.copy()
     half = window // 2
     csum = np.concatenate([[0.0], np.cumsum(x)])
-    out = np.empty_like(x)
-    for i in range(x.size):
-        lo = max(0, i - half)
-        hi = min(x.size, i + half + 1)
-        out[i] = (csum[hi] - csum[lo]) / (hi - lo)
-    return out
+    i = np.arange(x.size)
+    lo = np.maximum(0, i - half)
+    hi = np.minimum(x.size, i + half + 1)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def primary_angle_series(seq: Sequence, primary_joint: JointId,
                          occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
                          ) -> np.ndarray:
     """Interior angle of the primary joint per frame; NaN where not computable."""
-    out = np.full(len(seq.frames), np.nan)
-    for i, frame in enumerate(seq.frames):
-        occ = frame.occlusion_mask(occlusion_threshold)
-        try:
-            out[i] = angle_at(frame.points, primary_joint, occ)
-        except ValueError:
-            pass
-    return out
+    return sequence_angles(seq, (primary_joint,), occlusion_threshold)[:, 0]
 
 
 def _segment_boundaries(angles: np.ndarray, window: int) -> List[int]:
@@ -227,7 +238,8 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
 
     denom_c = max(tc - 1, 1)
     denom_r = max(tr - 1, 1)
-    dev = np.mean([abs(i / denom_c - j / denom_r) for i, j in path.pairs])
+    ci, ri = np.array(path.pairs).T
+    dev = np.mean(np.abs(ci / denom_c - ri / denom_r))
     warp_deviation = float(min(1.0, 2.0 * dev))
 
     angles = primary_angle_series(ref, primary_joint, occlusion_threshold)

@@ -16,6 +16,10 @@ Mistake localization uses per-joint deviations in [0, 1]: for angle-bearing
 joints the normalized interior-angle difference ``|a_cand - a_ref| / 180``
 against the aligned reference frame, otherwise the mean direction-vector
 dissimilarity ``(1 - cos) / 2`` of the joint's outgoing descriptor vectors.
+
+Joint scores and deviations are masked reductions over the warp path's index
+arrays into the ``(T, P, 2)`` descriptor arrays of both sequences; interior
+angles are computed once per sequence.
 """
 
 from __future__ import annotations
@@ -31,8 +35,9 @@ import numpy as np
 
 from .alignment import PaceProfile, WarpPath, dtw_align, pace_profile
 from .config import CorrectionRule, ExerciseConfig
-from .kinematics import (ANGLE_NEIGHBORS, JointVectorField, joint_angle,
-                         joint_vectors, select_key_joints)
+from .kinematics import (ANGLE_NEIGHBORS, JointVectorSequence, interior_angles,
+                         masked_sum, pair_dots, select_key_joints,
+                         sequence_angles, sequence_descriptors)
 from .normalize import CanonicalSkeleton, normalize_global
 from .skeleton import (Annotation, JointId, Sequence, ValidationError,
                        joint_from_name, write_json_atomic)
@@ -107,29 +112,27 @@ def _global_skeletons(seq: Sequence, occlusion_threshold: float):
     return [normalize_global(f, occlusion_threshold) for f in seq.frames]
 
 
-def _descriptor_fields(skels, frames, targeted):
-    return [joint_vectors(s, targeted, f.frame_id) for s, f in zip(skels, frames)]
+def _describe(skels: Seq[CanonicalSkeleton], seq: Sequence, targeted):
+    """Descriptors and interior angles (NaN where undefined, or for joints
+    without one) of a normalized sequence, over the sorted targeted joints."""
+    points = np.stack([s.points for s in skels])
+    occluded = np.stack([s.occluded for s in skels])
+    desc = sequence_descriptors(points, occluded, targeted,
+                                [f.frame_id for f in seq.frames])
+    return desc, interior_angles(points, desc.targeted, occluded)
 
 
-def _score_from_fields(cand_fields: Seq[JointVectorField],
-                       ref_fields: Seq[JointVectorField],
+def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
                        path: WarpPath) -> float:
-    total = 0.0
-    count = 0
-    for i, j in path.pairs:
-        fc, fr = cand_fields[i], ref_fields[j]
-        if fc.pairs == fr.pairs:
-            dots = np.einsum("ij,ij->i", fc.vectors, fr.vectors)
-        else:
-            rm = fr.vector_map()
-            dots = np.array([float(fc.vectors[k] @ rm[p])
-                             for k, p in enumerate(fc.pairs) if p in rm])
-        dots = np.clip(dots, -1.0, 1.0)
-        total += float(((dots + 1.0) * 0.5).sum())
-        count += dots.size
+    ci, ri = np.array(path.pairs).T
+    dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
+                           ref.vectors[ri], ref.valid[ri])
+    sums, counts = masked_sum((dots + 1.0) * 0.5, both)
+    count = int(counts.sum())
     if count == 0:
         raise ValidationError("no usable targeted joint pairs to score")
-    return 100.0 * total / count
+    # cumsum adds the per-pair sums one after another, like a running total.
+    return 100.0 * float(np.cumsum(sums)[-1]) / count
 
 
 def joint_score(cand: Sequence, ref: Sequence, targeted: Seq[JointId],
@@ -137,9 +140,8 @@ def joint_score(cand: Sequence, ref: Sequence, targeted: Seq[JointId],
     """Joint-alignment score in [0, 100] over an existing warp path."""
     cs = _global_skeletons(cand, occlusion_threshold)
     rs = _global_skeletons(ref, occlusion_threshold)
-    return _score_from_fields(_descriptor_fields(cs, cand.frames, targeted),
-                              _descriptor_fields(rs, ref.frames, targeted),
-                              path)
+    return _score_from_fields(_describe(cs, cand, targeted)[0],
+                              _describe(rs, ref, targeted)[0], path)
 
 
 def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
@@ -152,26 +154,18 @@ def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
 def range_score(cand: Sequence, annotation: Annotation,
                 occlusion_threshold: float = 0.05) -> Optional[float]:
     """Range-of-motion score, or None when no reference ranges are configured."""
-    from .kinematics import angle_at
-
     joints = [j for j in annotation.targeted_joints
               if j in annotation.reference_angles and j in ANGLE_NEIGHBORS]
     if not joints:
         return None
     ratios = []
-    for j in joints:
-        angles = []
-        for frame in cand.frames:
-            occ = frame.occlusion_mask(occlusion_threshold)
-            try:
-                angles.append(angle_at(frame.points, j, occ))
-            except ValueError:
-                continue
+    for j, series in zip(joints, sequence_angles(cand, joints, occlusion_threshold).T):
+        angles = series[~np.isnan(series)]
         if len(angles) < 2:
             continue
         lo, hi = annotation.reference_angles[j]
         ref_span = hi - lo
-        achieved = max(angles) - min(angles)
+        achieved = float(angles.max() - angles.min())
         ratios.append(1.0 if ref_span <= 0 else min(1.0, max(0.0, achieved / ref_span)))
     if not ratios:
         return None
@@ -183,60 +177,54 @@ def range_score(cand: Sequence, annotation: Annotation,
 # ---------------------------------------------------------------------------
 
 def frame_deviations(cand_skels: Seq[CanonicalSkeleton],
-                     ref_skels: Seq[CanonicalSkeleton],
-                     cand_fields: Seq[JointVectorField],
-                     ref_fields: Seq[JointVectorField],
-                     targeted: Seq[JointId],
-                     path: WarpPath,
-                     frame_ids: Seq[str]) -> Tuple[FrameDeviation, ...]:
+                     cand: JointVectorSequence, ref: JointVectorSequence,
+                     cand_angles: np.ndarray, ref_angles: np.ndarray,
+                     path: WarpPath) -> Tuple[FrameDeviation, ...]:
     """Per-candidate-frame, per-targeted-joint deviations in [0, 1].
 
-    When several path pairs touch one candidate frame, deviations are averaged.
+    ``*_angles`` are :func:`_describe`'s interior angles. When several path
+    pairs touch one candidate frame, deviations are averaged.
     """
-    targeted = sorted(JointId(j) for j in targeted)
-    sums: Dict[int, Dict[JointId, List[float]]] = {}
-    ref_maps = [f.vector_map() for f in ref_fields]
-    ref_lens = [f.length_map() for f in ref_fields]
-    cand_maps = [f.vector_map() for f in cand_fields]
-    for i, j in path.pairs:
-        per_joint = sums.setdefault(i, {})
-        for joint in targeted:
-            dev = _joint_deviation(cand_skels[i], ref_skels[j], cand_maps[i],
-                                   ref_maps[j], ref_lens[j], joint)
-            if dev is not None:
-                per_joint.setdefault(joint, []).append(dev)
-    detail = []
-    for i in sorted(sums):
-        devs = {j: float(np.mean(vals)) for j, vals in sorted(sums[i].items())}
-        detail.append(FrameDeviation(
+    ci, ri = np.array(path.pairs).T
+    n_joints = len(cand.targeted)
+    angle_dev = np.abs(cand_angles[ci] - ref_angles[ri]) / 180.0
+    # Without an angle on both sides, fall back on the joint's outgoing pairs
+    # (the pairs are grouped by first joint). Directions of short segments
+    # are ill-conditioned, so each pair is weighted by its reference length.
+    dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
+                           ref.vectors[ri], ref.valid[ri], blas=True)
+    weights = ref.lengths[ri]
+    by_joint = (len(ci), n_joints, n_joints - 1)
+    both = both.reshape(by_joint)
+    num, count = masked_sum((((1.0 - dots) * 0.5) * weights).reshape(by_joint), both)
+    den, _ = masked_sum(weights.reshape(by_joint), both)
+    has_angle = ~np.isnan(angle_dev)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dev = np.where(has_angle, angle_dev, num / den)
+    ok = has_angle | (count > 0)
+
+    # The path visits candidate frames in order, each in one run of pairs;
+    # average each run, grouping runs of equal length.
+    starts = np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
+    runs = np.diff(np.r_[starts, len(ci)])
+    sums = np.empty((len(starts), n_joints))
+    counts = np.empty((len(starts), n_joints), dtype=np.intp)
+    for r in set(runs.tolist()):
+        frames = np.flatnonzero(runs == r)
+        pairs = starts[frames, None] + np.arange(r)
+        sums[frames], counts[frames] = masked_sum(
+            dev[pairs].transpose(0, 2, 1), ok[pairs].transpose(0, 2, 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = (sums / counts).tolist()
+    return tuple(
+        FrameDeviation(
             frame_index=i,
-            frame_id=frame_ids[i],
-            deviations=devs,
+            frame_id=cand.frame_ids[i],
+            deviations={j: means[i][k] for k, j in enumerate(cand.targeted)
+                        if counts[i, k]},
             transform=cand_skels[i].transform.as_tuple(),
-        ))
-    return tuple(detail)
-
-
-def _joint_deviation(cs: CanonicalSkeleton, rs: CanonicalSkeleton,
-                     cand_map, ref_map, ref_len, joint: JointId
-                     ) -> Optional[float]:
-    if joint in ANGLE_NEIGHBORS:
-        try:
-            return abs(joint_angle(cs, joint) - joint_angle(rs, joint)) / 180.0
-        except ValueError:
-            pass
-    # Directions of short segments are ill-conditioned, so weight each
-    # outgoing pair by its reference segment length.
-    dots, weights = [], []
-    for p, v in cand_map.items():
-        if p[0] != joint or p not in ref_map:
-            continue
-        dots.append(float(np.dot(v, ref_map[p])))
-        weights.append(ref_len[p])
-    if not dots or sum(weights) <= 0.0:
-        return None
-    dots = np.clip(np.array(dots), -1.0, 1.0)
-    return float(np.average((1.0 - dots) * 0.5, weights=np.array(weights)))
+        )
+        for i in ci[starts].tolist())
 
 
 def flag_mistakes(frame_detail: Seq[FrameDeviation],
@@ -331,33 +319,31 @@ def assess_pair(cand: Sequence, ref: Sequence,
         targeted = tuple(sorted(select_key_joints(
             ref, config.key_joint_threshold_deg, occl)))
 
-    cand_fields = _descriptor_fields(cand_skels, cand.frames, targeted)
-    ref_fields = _descriptor_fields(ref_skels, ref.frames, targeted)
-    path = dtw_align(cand_fields, ref_fields)
+    cand_desc, cand_angles = _describe(cand_skels, cand, targeted)
+    ref_desc, ref_angles = _describe(ref_skels, ref, targeted)
+    path = dtw_align(cand_desc, ref_desc)
     profile = pace_profile(cand, ref, path, config.phase.primary_joint,
                            config.phase.eccentric_direction,
                            occlusion_threshold=occl)
 
-    jscore = _score_from_fields(cand_fields, ref_fields, path)
+    jscore = _score_from_fields(cand_desc, ref_desc, path)
     pscore = pace_score(profile, config.pace_ratio_weight)
     annotation = Annotation(exercise_id=config.exercise_id,
                             targeted_joints=targeted,
                             reference_angles=dict(config.reference_angles))
     rscore = range_score(cand, annotation, occl)
 
-    frame_ids = [f.frame_id for f in cand.frames]
-    detail = frame_deviations(cand_skels, ref_skels, cand_fields, ref_fields,
-                              targeted, path, frame_ids)
+    detail = frame_deviations(cand_skels, cand_desc, ref_desc, cand_angles,
+                              ref_angles, path)
     phase_ranges = [(p.name, p.cand_range) for p in profile.phases]
     flags = flag_mistakes(detail, config.mistake_threshold, phase_ranges)
 
+    column = {j: k for k, j in enumerate(cand_desc.targeted)}
     angle_ctx: Dict[Tuple[int, JointId], float] = {}
     for flag in flags:
-        try:
-            angle_ctx[(flag.frame_index, flag.joint)] = joint_angle(
-                cand_skels[flag.frame_index], flag.joint)
-        except ValueError:
-            pass
+        angle = cand_angles[flag.frame_index, column[flag.joint]]
+        if not np.isnan(angle):
+            angle_ctx[(flag.frame_index, flag.joint)] = float(angle)
     corrections = textual_feedback(flags, config.rules, angle_ctx)
 
     tag = _CLASS_TAGS.get(cand.class_label, cand.class_label)

@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
@@ -156,24 +155,16 @@ def cmd_assess(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     candidates = [Path(p) for p in args.candidate]
 
-    def run(path: Path) -> Tuple[int, str]:
-        try:
-            return EXIT_OK, _assess_one(path, ref, config, out_dir, aux_model)
-        except FileNotFoundError as e:
-            return EXIT_VALIDATION, f"error: {e}"
-        except DegenerateSkeletonError as e:
-            return EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
-        except (ValidationError, OccludedJointError, ValueError) as e:
-            return EXIT_VALIDATION, f"error: {path}: {e}"
-
-    if args.jobs > 1 and len(candidates) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(run, candidates))
-    else:
-        results = [run(p) for p in candidates]
-
     code = EXIT_OK
-    for rc, line in results:
+    for path in candidates:
+        try:
+            rc, line = EXIT_OK, _assess_one(path, ref, config, out_dir, aux_model)
+        except FileNotFoundError as e:
+            rc, line = EXIT_VALIDATION, f"error: {e}"
+        except DegenerateSkeletonError as e:
+            rc, line = EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
+        except (ValidationError, OccludedJointError, ValueError) as e:
+            rc, line = EXIT_VALIDATION, f"error: {path}: {e}"
         print(line, file=sys.stderr if rc else sys.stdout)
         code = max(code, rc)
     return code
@@ -329,12 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reference", required=True, help="reference keypoint file")
     p.add_argument("--config", required=True, help="exercise config JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["json"], default="json")
     p.add_argument("--aux-model", default=None,
                    help="transformer checkpoint for auxiliary scores")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="assess candidates in parallel")
     p.set_defaults(func=cmd_assess)
 
     p = sub.add_parser("synth", help="generate a synthetic sequence")

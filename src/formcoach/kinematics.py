@@ -1,13 +1,21 @@
 """Joint angles, direction-vector descriptors and key-joint selection.
 
-The per-frame descriptor is the set of unit direction vectors between every
-ordered pair of targeted joints (N*(N-1) vectors for N joints). Comparing two
-frames reduces to the mean cosine similarity over corresponding vectors.
+A sequence's descriptor (:class:`JointVectorSequence`) holds, for each of its
+T frames, the unit direction vectors between every ordered pair of targeted
+joints: a ``(T, P, 2)`` array over P = N*(N-1) pairs for N joints, in a fixed
+pair order, and a ``(T, P)`` validity mask. A pair whose joints are occluded
+or coincide is masked, not dropped, so every frame has the same layout.
+Comparing two frames reduces to the mean cosine similarity over the pairs
+valid in both; :func:`pair_dots` and :func:`masked_sum` are the one kernel
+that does this for a single frame pair, a DTW cost-matrix block or a warp
+path. :class:`JointVectorField` is the one-frame view, holding the valid pairs
+only.
 
 Interior angles use a fixed bone topology: each angle-bearing joint has two
 neighbors (elbow: shoulder/wrist, knee: hip/ankle, shoulder: elbow/same-side
 hip, hip: same-side shoulder/knee). Angles are degrees in [0, 180] and are
-invariant under similarity transforms of the input.
+invariant under similarity transforms of the input. :func:`interior_angles`
+computes them for a whole sequence at once.
 """
 
 from __future__ import annotations
@@ -19,8 +27,8 @@ from typing import Dict, Iterable, List, Mapping, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .normalize import CanonicalSkeleton, normalize_global
-from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, Frame, JointId, Sequence
+from .normalize import CanonicalSkeleton, OccludedJointError, normalize_global
+from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -56,22 +64,61 @@ class DescriptorError(ValueError):
     """Joint-vector descriptor could not be built or compared."""
 
 
+def _norms(v: np.ndarray) -> np.ndarray:
+    # vecdot is the BLAS dot that np.linalg.norm takes for one vector, so
+    # each norm keeps every bit of the one-vector result.
+    return np.sqrt(np.vecdot(v, v))
+
+
+def interior_angles(points: np.ndarray, joints: Seq[JointId],
+                    occluded: np.ndarray | None = None) -> np.ndarray:
+    """Interior angles (degrees) at ``joints`` for points of shape (..., 17, 2).
+
+    Returns shape (..., len(joints)), NaN for a joint without an interior
+    angle, at a zero-length bone and, given an occlusion mask (..., 17),
+    where the joint or one of its neighbors is occluded.
+    """
+    joints = [JointId(j) for j in joints]
+    # A joint without an angle gets itself as both neighbors: its bones have
+    # zero length, so it comes out NaN like any other undefined angle.
+    a, b = (np.array(n, dtype=np.intp) for n in zip(
+        *(ANGLE_NEIGHBORS.get(j, (j, j)) for j in joints)))
+    j = np.array(joints, dtype=np.intp)
+    va = points[..., a, :] - points[..., j, :]
+    vb = points[..., b, :] - points[..., j, :]
+    na, nb = _norms(va), _norms(vb)
+    ok = (na >= COINCIDENT_EPS) & (nb >= COINCIDENT_EPS)
+    if occluded is not None:
+        ok &= ~(occluded[..., j] | occluded[..., a] | occluded[..., b])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cos = np.clip(np.vecdot(va, vb) / (na * nb), -1.0, 1.0)
+    # math.acos rather than np.arccos, whose SIMD form can differ in the
+    # last bit.
+    out = [math.degrees(math.acos(c)) if k else math.nan
+           for c, k in zip(cos.ravel().tolist(), ok.ravel().tolist())]
+    return np.array(out).reshape(ok.shape)
+
+
 def angle_at(points: np.ndarray, joint: JointId,
              occluded: np.ndarray | None = None) -> float:
-    """Interior angle (degrees) at ``joint`` for a (17, 2) point array."""
+    """Interior angle (degrees) at ``joint`` for a (17, 2) point array.
+
+    The scalar form of :func:`interior_angles`, with the same arithmetic
+    (BLAS dot norms and product, ``math.acos``), so both agree bit for bit;
+    it is several times faster on one frame, as in per-frame synthesis.
+    """
     joint = JointId(joint)
     if joint not in ANGLE_NEIGHBORS:
         raise UndefinedAngleError(f"{joint.name.lower()} has no interior angle")
     a, b = ANGLE_NEIGHBORS[joint]
     if occluded is not None and (occluded[joint] or occluded[a] or occluded[b]):
-        from .normalize import OccludedJointError
         raise OccludedJointError(
             f"angle at {joint.name.lower()} needs {a.name.lower()} and "
             f"{b.name.lower()} visible"
         )
     va = points[a] - points[joint]
     vb = points[b] - points[joint]
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
+    na, nb = math.sqrt(np.dot(va, va)), math.sqrt(np.dot(vb, vb))
     if na < COINCIDENT_EPS or nb < COINCIDENT_EPS:
         raise UndefinedAngleError(
             f"degenerate bone at {joint.name.lower()} (zero length)"
@@ -80,9 +127,23 @@ def angle_at(points: np.ndarray, joint: JointId,
     return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
 
 
+def sequence_angles(seq: Sequence, joints: Seq[JointId],
+                    occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
+                    ) -> np.ndarray:
+    """Interior angles (T, len(joints)) on the raw keypoints of a sequence;
+    NaN where not computable."""
+    occluded = np.stack([f.confidence for f in seq.frames]) < occlusion_threshold
+    return interior_angles(seq.points_array(), joints, occluded)
+
+
 def joint_angle(skel: CanonicalSkeleton, joint: JointId) -> float:
     """Interior angle (degrees in [0, 180]) at a joint of a canonical skeleton."""
     return angle_at(skel.points, joint, skel.occluded)
+
+
+def ordered_pairs(targeted: Seq[JointId]) -> Tuple[Tuple[JointId, JointId], ...]:
+    """Every ordered pair of distinct targeted joints, grouped by first joint."""
+    return tuple((a, b) for a in targeted for b in targeted if a != b)
 
 
 @dataclass(frozen=True)
@@ -119,53 +180,156 @@ class JointVectorField:
     def vector_map(self) -> Dict[Tuple[JointId, JointId], np.ndarray]:
         return {p: self.vectors[i] for i, p in enumerate(self.pairs)}
 
-    def length_map(self) -> Dict[Tuple[JointId, JointId], float]:
-        return {p: float(self.lengths[i]) for i, p in enumerate(self.pairs)}
+
+@dataclass(frozen=True)
+class JointVectorSequence:
+    """Direction descriptors of a whole sequence; ``len()`` is its frame count.
+
+    Invalid pairs have zero vectors and lengths.
+    """
+
+    frame_ids: Tuple[str, ...]
+    targeted: Tuple[JointId, ...]                    # sorted
+    pairs: Tuple[Tuple[JointId, JointId], ...]       # ordered_pairs(targeted)
+    vectors: np.ndarray                              # (T, P, 2), unit
+    valid: np.ndarray                                # (T, P) bool
+    lengths: np.ndarray                              # (T, P)
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    @classmethod
+    def of(cls, frames) -> "JointVectorSequence":
+        """``frames`` itself, or the stack of a list of :class:`JointVectorField`."""
+        if isinstance(frames, cls):
+            return frames
+        targeted = frames[0].targeted
+        if any(f.targeted != targeted for f in frames):
+            raise DescriptorError("mismatched targeted joints")
+        pairs = ordered_pairs(targeted)
+        column = {p: k for k, p in enumerate(pairs)}
+        shape = (len(frames), len(pairs))
+        vectors, valid, lengths = np.zeros(shape + (2,)), np.zeros(shape, bool), np.zeros(shape)
+        for t, f in enumerate(frames):
+            try:
+                cols = [column[p] for p in f.pairs]
+            except KeyError as e:
+                raise DescriptorError(f"pair {e} joins untargeted joints") from None
+            vectors[t, cols], valid[t, cols], lengths[t, cols] = f.vectors, True, f.lengths
+        return cls(tuple(f.frame_id for f in frames), targeted, pairs,
+                   vectors, valid, lengths)
 
 
-def joint_vectors(skel: CanonicalSkeleton, targeted: Iterable[JointId],
-                  frame_id: str = "") -> JointVectorField:
-    """Build the N*(N-1) ordered-pair direction descriptor for one frame.
+def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
+                         targeted: Iterable[JointId],
+                         frame_ids: Seq[str]) -> JointVectorSequence:
+    """Build the N*(N-1) ordered-pair direction descriptor of every frame.
 
-    Occluded targeted joints are dropped (reducing N) and coincident pairs
-    are skipped; both are reported, the former via a log warning.
+    ``points`` is (T, 17, 2) canonical, ``occluded`` (T, 17). Pairs with an
+    occluded joint or coincident joints are masked; occluded targeted joints
+    are reported by a log warning per frame. A frame with fewer than two
+    usable joints or no valid pair raises :class:`DescriptorError`.
     """
     requested = tuple(sorted({JointId(j) for j in targeted}))
     if len(requested) < 2:
         raise DescriptorError("need at least 2 targeted joints")
-    usable = [j for j in requested if not skel.occluded[j]]
-    dropped = [j for j in requested if skel.occluded[j]]
-    if dropped:
-        logger.warning("frame %s: dropping occluded targeted joints: %s",
-                       frame_id, ", ".join(j.name.lower() for j in dropped))
-    if len(usable) < 2:
-        raise DescriptorError("fewer than 2 usable targeted joints")
-    pairs: List[Tuple[JointId, JointId]] = []
-    vecs: List[np.ndarray] = []
-    lengths: List[float] = []
-    skipped: List[Tuple[JointId, JointId]] = []
-    for a in usable:
-        for b in usable:
-            if a == b:
-                continue
-            v = skel.points[b] - skel.points[a]
-            n = np.linalg.norm(v)
-            if n < COINCIDENT_EPS:
-                skipped.append((a, b))
-                continue
-            pairs.append((a, b))
-            vecs.append(v / n)
-            lengths.append(float(n))
-    if not pairs:
-        raise DescriptorError("all targeted joint pairs are degenerate")
+    pairs = ordered_pairs(requested)
+    first, second = (np.array(p, dtype=np.intp) for p in zip(*pairs))
+    diff = points[:, second] - points[:, first]
+    norms = _norms(diff)
+    visible = ~occluded
+    valid = visible[:, first] & visible[:, second] & (norms >= COINCIDENT_EPS)
+    usable = visible[:, list(requested)]
+    for t in np.flatnonzero(~usable.all(axis=1) | ~valid.any(axis=1)):
+        dropped = [j for j, ok in zip(requested, usable[t]) if not ok]
+        if dropped:
+            logger.warning("frame %s: dropping occluded targeted joints: %s",
+                           frame_ids[t], ", ".join(j.name.lower() for j in dropped))
+        if usable[t].sum() < 2:
+            raise DescriptorError("fewer than 2 usable targeted joints")
+        if not valid[t].any():
+            raise DescriptorError("all targeted joint pairs are degenerate")
+    vectors = np.divide(diff, norms[..., None], out=np.zeros_like(diff),
+                        where=valid[..., None])
+    return JointVectorSequence(tuple(frame_ids), requested, pairs, vectors,
+                               valid, np.where(valid, norms, 0.0))
+
+
+def joint_vectors(skel: CanonicalSkeleton, targeted: Iterable[JointId],
+                  frame_id: str = "") -> JointVectorField:
+    """The one-frame case of :func:`sequence_descriptors`.
+
+    Occluded targeted joints are dropped (reducing N) and coincident pairs
+    are skipped; both are reported, the former via a log warning.
+    """
+    seq = sequence_descriptors(skel.points[None], skel.occluded[None],
+                               targeted, (frame_id,))
+    valid = seq.valid[0]
     return JointVectorField(
         frame_id=frame_id,
-        targeted=requested,
-        pairs=tuple(pairs),
-        vectors=np.array(vecs),
-        lengths=np.array(lengths),
-        skipped=tuple(skipped),
+        targeted=seq.targeted,
+        pairs=tuple(p for p, ok in zip(seq.pairs, valid) if ok),
+        vectors=seq.vectors[0][valid],
+        lengths=seq.lengths[0][valid],
+        skipped=tuple(p for p, ok in zip(seq.pairs, valid)
+                      if not ok and not skel.occluded[list(p)].any()),
     )
+
+
+def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray, bk: np.ndarray,
+              blas: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+    """Cosines of corresponding pair vectors, clipped to [-1, 1], and the mask
+    of pairs valid in both frames.
+
+    Vectors are (..., P, 2) and masks (..., P); leading axes broadcast. The
+    product is ``x*x' + y*y'`` where both frames have the same valid pairs
+    and ``np.vecdot`` elsewhere, or everywhere with ``blas``. ``vecdot`` is
+    the BLAS dot behind ``np.dot``, which may fuse the multiply and the add.
+    These are the products the per-frame implementation took in each place,
+    so scores and deviations keep every bit.
+    """
+    both = ak & bk
+    if blas:
+        dots = np.vecdot(av, bv)
+    else:
+        dots = av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
+        if not (ak.all() and bk.all()):
+            differ = (ak != bk).any(axis=-1)
+            shape = dots.shape[:-1] + av.shape[-2:]
+            dots[differ] = np.vecdot(np.broadcast_to(av, shape)[differ],
+                                     np.broadcast_to(bv, shape)[differ])
+    return np.clip(dots, -1.0, 1.0, out=dots), both
+
+
+def masked_sum(values: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Sum over the last axis of the entries where ``valid``, and their count.
+
+    Each sum adds its entries in the order ``np.sum`` adds them as a compact
+    1-D array (pairwise from eight terms on), so it equals the per-frame
+    result bit for bit. Rows with masked entries are compacted in groups of
+    equal count.
+    """
+    values = np.ascontiguousarray(values)
+    valid = np.broadcast_to(valid, values.shape)
+    counts = valid.sum(axis=-1)
+    sums = values.sum(axis=-1)
+    partial = counts < values.shape[-1]
+    for k in set(counts[partial].tolist()):
+        rows = counts == k
+        keep = np.argsort(~valid[rows], axis=-1, kind="stable")[:, :k]
+        sums[rows] = np.take_along_axis(values[rows], keep, axis=-1).sum(axis=-1)
+    return sums, counts
+
+
+def mean_cosines(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
+                 bk: np.ndarray) -> np.ndarray:
+    """Mean cosine over the pairs valid in both frames; arguments as for
+    :func:`pair_dots`."""
+    dots, both = pair_dots(av, ak, bv, bk)
+    sums, counts = masked_sum(dots, both)
+    if not counts.all():
+        raise DescriptorError("no common usable joint pairs")
+    return sums / counts
 
 
 def frame_cosine(a: JointVectorField, b: JointVectorField) -> float:
@@ -174,19 +338,9 @@ def frame_cosine(a: JointVectorField, b: JointVectorField) -> float:
     Both fields must target the same joint set; pairs skipped as degenerate
     on either side are excluded from the mean.
     """
-    if a.targeted != b.targeted:
-        raise DescriptorError(
-            f"mismatched targeted joints: {a.targeted} vs {b.targeted}"
-        )
-    if a.pairs == b.pairs:
-        dots = np.einsum("ij,ij->i", a.vectors, b.vectors)
-    else:
-        bm = b.vector_map()
-        common = [i for i, p in enumerate(a.pairs) if p in bm]
-        if not common:
-            raise DescriptorError("no common usable joint pairs")
-        dots = np.array([float(a.vectors[i] @ bm[a.pairs[i]]) for i in common])
-    return float(np.clip(dots, -1.0, 1.0).mean())
+    ab = JointVectorSequence.of([a, b])
+    return float(mean_cosines(ab.vectors[:1], ab.valid[:1],
+                              ab.vectors[1:], ab.valid[1:])[0])
 
 
 def select_key_joints(seq: Sequence,
@@ -195,15 +349,12 @@ def select_key_joints(seq: Sequence,
                       ) -> List[JointId]:
     """Joints whose interior angle deviates >= threshold between the first
     and last frame, sorted by descending deviation."""
-    first = normalize_global(seq.frames[0], occlusion_threshold)
-    last = normalize_global(seq.frames[-1], occlusion_threshold)
-    deviations = []
-    for j in ANGLE_JOINTS:
-        try:
-            d = abs(joint_angle(last, j) - joint_angle(first, j))
-        except ValueError:
-            continue
-        deviations.append((d, j))
+    ends = [normalize_global(f, occlusion_threshold)
+            for f in (seq.frames[0], seq.frames[-1])]
+    first, last = interior_angles(np.stack([s.points for s in ends]), ANGLE_JOINTS,
+                                  np.stack([s.occluded for s in ends])).tolist()
+    deviations = [(abs(b - a), j) for a, b, j in zip(first, last, ANGLE_JOINTS)
+                  if not math.isnan(a - b)]
     if not deviations:
         raise DescriptorError("no joint angle computable in first/last frame")
     deviations.sort(key=lambda t: (-t[0], t[1]))
@@ -219,15 +370,9 @@ def rom_check(seq: Sequence,
     Occluded joints are skipped. An empty result means every checked angle
     stayed inside its limits.
     """
-    flagged = []
-    for frame in seq.frames:
-        occ = frame.occlusion_mask(occlusion_threshold)
-        for j, (lo, hi) in limits.items():
-            j = JointId(j)
-            try:
-                ang = angle_at(frame.points, j, occ)
-            except ValueError:
-                continue
-            if ang < lo or ang > hi:
-                flagged.append((frame.frame_id, j, ang))
-    return flagged
+    joints = [JointId(j) for j in limits]
+    angles = sequence_angles(seq, joints, occlusion_threshold).tolist()
+    return [(frame.frame_id, j, ang)
+            for frame, row in zip(seq.frames, angles)
+            for j, ang, (lo, hi) in zip(joints, row, limits.values())
+            if ang < lo or ang > hi]

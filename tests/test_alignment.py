@@ -11,7 +11,7 @@ from formcoach.normalize import normalize_global
 from formcoach.skeleton import JointId, Sequence
 from formcoach.synth import InjectedError, MotionSpec, generate
 
-from test_normalize import random_frame
+from test_normalize import frame_from_points, random_frame
 
 
 def random_fields(rng, n, joints=(JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
@@ -21,6 +21,39 @@ def random_fields(rng, n, joints=(JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
         skel = normalize_global(random_frame(rng))
         fields.append(joint_vectors(skel, joints, frame_id=f"f{i}"))
     return fields
+
+
+OCCLUSION_JOINTS = (JointId.NOSE, JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
+                    JointId.LEFT_ANKLE)
+
+
+def occluded_fields(rng, n, joints=OCCLUSION_JOINTS):
+    """Fields over four joints (twelve pairs); on about a third of the
+    frames one targeted joint is occluded."""
+    fields = []
+    for i in range(n):
+        frame = random_frame(rng)
+        conf = np.ones(17)
+        if rng.random() < 0.35:
+            conf[joints[int(rng.integers(len(joints)))]] = 0.0
+        skel = normalize_global(frame_from_points(frame.points, conf))
+        fields.append(joint_vectors(skel, joints, frame_id=f"f{i}"))
+    return fields
+
+
+def explicit_cell_cost(c, r):
+    """1 - mean cosine over the pairs present in both frames, pair by pair."""
+    ref_map = r.vector_map()
+    cosines = [float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0))
+               for p, v in zip(c.pairs, c.vectors) if p in ref_map]
+    return 1.0 - sum(cosines) / len(cosines)
+
+
+def two_joint_field(vectors):
+    joints = (JointId.NOSE, JointId.LEFT_EYE)
+    return JointVectorField(frame_id="t", targeted=joints,
+                            pairs=((joints[0], joints[1]), (joints[1], joints[0])),
+                            vectors=np.array(vectors))
 
 
 def brute_force_cost(cost):
@@ -95,6 +128,40 @@ class TestDtwAlign:
         for i, j in path.pairs:
             visits[j] = visits.get(j, 0) + 1
         assert all(v == 2 for v in visits.values())
+
+    def test_equal_costs_prefer_diagonal(self):
+        # Identical static frames: every cell costs exactly 0, so each step
+        # is a tie and the path shows the tie-break order.
+        frame = random_fields(np.random.default_rng(7), 1)[0]
+        path = dtw_align([frame] * 5, [frame] * 3)
+        assert path.pairs == ((0, 0), (1, 0), (2, 0), (3, 1), (4, 2))
+        path = dtw_align([frame] * 3, [frame] * 5)
+        assert path.pairs == ((0, 0), (0, 1), (0, 2), (1, 3), (2, 4))
+
+    def test_tie_prefers_candidate_advance_over_reference_advance(self):
+        # cand A B A against ref A C A: cos(A, B) = cos(A, C) = 0.5 exactly
+        # and B, C point apart, so the diagonal through (1, 1) is dearer and
+        # (2, 2) is reached from (1, 2) and (2, 1) at equal cost.
+        s = math.sqrt(3.0) / 2.0
+        a = two_joint_field([[1.0, 0.0], [-1.0, 0.0]])
+        b = two_joint_field([[0.5, s], [-0.5, -s]])
+        c = two_joint_field([[0.5, -s], [-0.5, s]])
+        path = dtw_align([a, b, a], [a, c, a])
+        assert path.pairs == ((0, 0), (0, 1), (1, 2), (2, 2))
+        assert path.cost == 1.0
+
+    def test_masked_cells_match_explicit_loop(self):
+        # Targeted joints occluded at random: DTW cells whose frames keep
+        # different pair sets average over the common pairs only.
+        rng = np.random.default_rng(8)
+        for _ in range(25):
+            m, n = (int(k) for k in rng.integers(2, 8, 2))
+            cand = occluded_fields(rng, m)
+            ref = occluded_fields(rng, n)
+            cost = np.array([[explicit_cell_cost(c, r) for r in ref]
+                             for c in cand])
+            path = dtw_align(cand, ref)
+            assert path.cost == pytest.approx(brute_force_cost(cost), abs=1e-12)
 
     def test_cost_symmetry_and_path_transpose(self):
         rng = np.random.default_rng(4)

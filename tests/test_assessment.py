@@ -29,6 +29,19 @@ def make_pair(template="press", n_frames=32, cand_errors=(), noise=0.0,
     return cand, ref, cfg
 
 
+def occlude_at_random(seq, rng, joints, share=0.3):
+    """Copy of ``seq`` with one of ``joints`` occluded on about ``share`` of
+    the frames."""
+    frames = []
+    for frame in seq.frames:
+        if rng.random() < share:
+            conf = frame.confidence.copy()
+            conf[joints[int(rng.integers(len(joints)))]] = 0.0
+            frame = replace(frame, confidence=conf)
+        frames.append(frame)
+    return replace(seq, frames=tuple(frames))
+
+
 class TestJointScore:
     def test_identity_is_100(self):
         cand, ref, cfg = make_pair()
@@ -54,6 +67,28 @@ class TestJointScore:
                 count += 1
         expected = 100.0 * total / count
         assert joint_score(cand, ref, targeted, path) == pytest.approx(expected)
+
+    def test_occluded_joints_match_explicit_loop(self):
+        # Path pairs whose frames keep different pair sets score over the
+        # common pairs only.
+        cand, ref, cfg = make_pair(template="squat", noise=1.0, seed=4)
+        rng = np.random.default_rng(10)
+        hidden = (J.LEFT_KNEE, J.LEFT_ANKLE, J.RIGHT_ANKLE)
+        cand, ref = (occlude_at_random(s, rng, hidden) for s in (cand, ref))
+        targeted = cfg.targeted_joints
+        cf = [joint_vectors(normalize_global(f), targeted) for f in cand.frames]
+        rf = [joint_vectors(normalize_global(f), targeted) for f in ref.frames]
+        path = dtw_align(cf, rf)
+        total, count = 0.0, 0
+        for i, j in path.pairs:
+            ref_map = rf[j].vector_map()
+            for p, v in zip(cf[i].pairs, cf[i].vectors):
+                if p in ref_map:
+                    total += (float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0)) + 1.0) / 2.0
+                    count += 1
+        assert count < len(path) * len(targeted) * (len(targeted) - 1)
+        assert joint_score(cand, ref, targeted, path) == pytest.approx(
+            100.0 * total / count, abs=1e-10)
 
     def test_wrong_scores_below_correct(self):
         # directionality only: a clean repeat outscores a distorted one

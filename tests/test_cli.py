@@ -1,0 +1,73 @@
+"""End-to-end test of ``formcoach assess`` on a small synthetic squat pair.
+
+The candidate carries a 45 degree left-knee offset and one frame with an
+occluded left ankle. The written report must match, byte for byte, the golden
+report in ``tests/data``, so any change to scores, deviations, flags or
+corrections on this input shows here.
+
+The golden report holds full-precision floats, and some of them come from the
+BLAS dot product, which may fuse multiply and add depending on the BLAS build
+and the CPU. The file was written with NumPy 2.4.6 and OpenBLAS 0.3.31 on an
+x86-64 CPU with FMA (AVX-512). On another NumPy/BLAS build or CPU, a byte
+mismatch in the last digits is not by itself a regression: compare the warp
+path, flags and corrections first.
+"""
+
+import json
+from dataclasses import replace
+from pathlib import Path
+
+from formcoach import cli
+from formcoach.assessment import load_report, report_to_dict
+from formcoach.config import save_exercise_config
+from formcoach.skeleton import JointId, Sequence, save_sequence
+from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
+
+GOLDEN_REPORT = Path(__file__).parent / "data" / "assess_squat_report.json"
+OCCLUDED_FRAME = 9
+
+
+def write_inputs(directory: Path):
+    spec = MotionSpec(template="squat", n_frames=24, noise_std=0.5,
+                      injected_errors=(InjectedError(
+                          kind="angle_offset_deg", magnitude=45.0,
+                          joint=JointId.LEFT_KNEE),))
+    cand, _ = generate(spec, seed=3)
+    ref, ann = generate(MotionSpec(template="squat", n_frames=24), seed=3)
+    frames = list(cand.frames)
+    conf = frames[OCCLUDED_FRAME].confidence.copy()
+    conf[JointId.LEFT_ANKLE] = 0.0
+    frames[OCCLUDED_FRAME] = replace(frames[OCCLUDED_FRAME], confidence=conf)
+    cand = Sequence(exercise_id=cand.exercise_id, class_label=cand.class_label,
+                    frames=frames, fps_hint=cand.fps_hint)
+    save_sequence(cand, directory / "cand.sequence.json")
+    save_sequence(ref, directory / "ref.sequence.json")
+    save_exercise_config(exercise_config("squat", ann),
+                         directory / "squat.config.json")
+
+
+def run_assess(tmp_path: Path) -> tuple:
+    write_inputs(tmp_path)
+    out = tmp_path / "out"
+    rc = cli.main(["assess",
+                   "--candidate", str(tmp_path / "cand.sequence.json"),
+                   "--reference", str(tmp_path / "ref.sequence.json"),
+                   "--config", str(tmp_path / "squat.config.json"),
+                   "--out", str(out)])
+    return rc, out
+
+
+def test_assess_writes_golden_report_and_aids(tmp_path):
+    rc, out = run_assess(tmp_path)
+    assert rc == cli.EXIT_OK
+
+    report_path = out / "cand_report.json"
+    doc = json.loads(report_path.read_text())
+    assert report_to_dict(load_report(report_path)) == doc
+
+    index = json.loads((out / "cand_aids_index.json").read_text())
+    assert index, "the knee offset should raise at least one visual aid"
+    for entry in index:
+        assert (out / entry["file"]).is_file()
+
+    assert report_path.read_bytes() == GOLDEN_REPORT.read_bytes()
