@@ -4,8 +4,9 @@ from .skeleton import (Annotation, Frame, JointId, Sequence, ValidationError,
                        load_annotation, load_sequence, save_annotation,
                        save_sequence)
 from .normalize import (CanonicalSkeleton, DegenerateSkeletonError,
-                        NormalizationTransform, OccludedJointError, invert,
-                        normalize_global, normalize_local, torso_length)
+                        NormalizationTransform, OccludedJointError,
+                        normalize_global, normalize_local, normalize_sequence,
+                        torso_length)
 from .kinematics import (JointVectorField, frame_cosine, joint_angle,
                          joint_vectors, rom_check, select_key_joints)
 from .alignment import (PaceProfile, Phase, WarpPath, detect_fast_eccentric,

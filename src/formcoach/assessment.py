@@ -17,9 +17,11 @@ joints the normalized interior-angle difference ``|a_cand - a_ref| / 180``
 against the aligned reference frame, otherwise the mean direction-vector
 dissimilarity ``(1 - cos) / 2`` of the joint's outgoing descriptor vectors.
 
-Joint scores and deviations are masked reductions over the warp path's index
-arrays into the ``(T, P, 2)`` descriptor arrays of both sequences; interior
-angles are computed once per sequence.
+Each sequence is normalized with one :func:`normalize_sequence` call into
+``(T, 17, 2)`` canonical points and a ``(T, 17)`` occlusion mask. Joint scores
+and deviations are masked reductions over the warp path's index arrays into
+the ``(T, P, 2)`` descriptor arrays of both sequences; interior angles are
+computed once per sequence.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .config import CorrectionRule, ExerciseConfig
 from .kinematics import (ANGLE_NEIGHBORS, JointVectorSequence, interior_angles,
                          masked_sum, pair_dots, select_key_joints,
                          sequence_angles, sequence_descriptors)
-from .normalize import CanonicalSkeleton, normalize_global
+from .normalize import normalize_sequence
 from .skeleton import (Annotation, JointId, Sequence, ValidationError,
                        joint_from_name, write_json_atomic)
 
@@ -108,15 +110,22 @@ class AssessmentReport:
 # Scores
 # ---------------------------------------------------------------------------
 
-def _global_skeletons(seq: Sequence, occlusion_threshold: float):
-    return [normalize_global(f, occlusion_threshold) for f in seq.frames]
+def _normalize(seq: Sequence, occlusion_threshold: float):
+    """Canonical points (T, 17, 2), occlusion mask (T, 17) and report
+    transforms (T, 6) of a globally normalized sequence."""
+    occluded = seq.occlusion_mask(occlusion_threshold)
+    points, theta, scale, center = normalize_sequence(
+        seq.points_array(), occluded, [f.frame_id for f in seq.frames])
+    zero = np.zeros_like(theta)
+    # columns in NormalizationTransform.as_tuple order; translation is zero
+    return points, occluded, np.column_stack((theta, zero, zero, scale, center))
 
 
-def _describe(skels: Seq[CanonicalSkeleton], seq: Sequence, targeted):
+def _describe(seq: Sequence, normalized, targeted):
     """Descriptors and interior angles (NaN where undefined, or for joints
-    without one) of a normalized sequence, over the sorted targeted joints."""
-    points = np.stack([s.points for s in skels])
-    occluded = np.stack([s.occluded for s in skels])
+    without one) of a sequence and its :func:`_normalize` result, over the
+    sorted targeted joints."""
+    points, occluded, _ = normalized
     desc = sequence_descriptors(points, occluded, targeted,
                                 [f.frame_id for f in seq.frames])
     return desc, interior_angles(points, desc.targeted, occluded)
@@ -131,17 +140,15 @@ def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
     count = int(counts.sum())
     if count == 0:
         raise ValidationError("no usable targeted joint pairs to score")
-    # cumsum adds the per-pair sums one after another, like a running total.
-    return 100.0 * float(np.cumsum(sums)[-1]) / count
+    return 100.0 * float(sums.sum()) / count
 
 
 def joint_score(cand: Sequence, ref: Sequence, targeted: Seq[JointId],
                 path: WarpPath, occlusion_threshold: float = 0.05) -> float:
     """Joint-alignment score in [0, 100] over an existing warp path."""
-    cs = _global_skeletons(cand, occlusion_threshold)
-    rs = _global_skeletons(ref, occlusion_threshold)
-    return _score_from_fields(_describe(cs, cand, targeted)[0],
-                              _describe(rs, ref, targeted)[0], path)
+    cand_desc, ref_desc = (_describe(seq, _normalize(seq, occlusion_threshold),
+                                     targeted)[0] for seq in (cand, ref))
+    return _score_from_fields(cand_desc, ref_desc, path)
 
 
 def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
@@ -176,14 +183,16 @@ def range_score(cand: Sequence, annotation: Annotation,
 # Frame detail and mistake flags
 # ---------------------------------------------------------------------------
 
-def frame_deviations(cand_skels: Seq[CanonicalSkeleton],
+def frame_deviations(transforms: np.ndarray,
                      cand: JointVectorSequence, ref: JointVectorSequence,
                      cand_angles: np.ndarray, ref_angles: np.ndarray,
                      path: WarpPath) -> Tuple[FrameDeviation, ...]:
     """Per-candidate-frame, per-targeted-joint deviations in [0, 1].
 
-    ``*_angles`` are :func:`_describe`'s interior angles. When several path
-    pairs touch one candidate frame, deviations are averaged.
+    ``transforms`` holds each candidate frame's normalization transform in
+    ``NormalizationTransform.as_tuple`` order, shape (T, 6); ``*_angles`` are
+    :func:`_describe`'s interior angles. When several path pairs touch one
+    candidate frame, deviations are averaged.
     """
     ci, ri = np.array(path.pairs).T
     n_joints = len(cand.targeted)
@@ -192,7 +201,7 @@ def frame_deviations(cand_skels: Seq[CanonicalSkeleton],
     # (the pairs are grouped by first joint). Directions of short segments
     # are ill-conditioned, so each pair is weighted by its reference length.
     dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
-                           ref.vectors[ri], ref.valid[ri], blas=True)
+                           ref.vectors[ri], ref.valid[ri])
     weights = ref.lengths[ri]
     by_joint = (len(ci), n_joints, n_joints - 1)
     both = both.reshape(by_joint)
@@ -203,28 +212,21 @@ def frame_deviations(cand_skels: Seq[CanonicalSkeleton],
         dev = np.where(has_angle, angle_dev, num / den)
     ok = has_angle | (count > 0)
 
-    # The path visits candidate frames in order, each in one run of pairs;
-    # average each run, grouping runs of equal length.
+    # A warp path visits candidate frames 0, 1, ... in order, each in one run
+    # of pairs, so run i belongs to candidate frame i.
     starts = np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
-    runs = np.diff(np.r_[starts, len(ci)])
-    sums = np.empty((len(starts), n_joints))
-    counts = np.empty((len(starts), n_joints), dtype=np.intp)
-    for r in set(runs.tolist()):
-        frames = np.flatnonzero(runs == r)
-        pairs = starts[frames, None] + np.arange(r)
-        sums[frames], counts[frames] = masked_sum(
-            dev[pairs].transpose(0, 2, 1), ok[pairs].transpose(0, 2, 1))
+    sums = np.add.reduceat(np.where(ok, dev, 0.0), starts)
+    counts = np.add.reduceat(ok, starts, dtype=np.intp)
     with np.errstate(divide="ignore", invalid="ignore"):
         means = (sums / counts).tolist()
     return tuple(
         FrameDeviation(
             frame_index=i,
             frame_id=cand.frame_ids[i],
-            deviations={j: means[i][k] for k, j in enumerate(cand.targeted)
-                        if counts[i, k]},
-            transform=cand_skels[i].transform.as_tuple(),
+            deviations={j: row[k] for k, j in enumerate(cand.targeted) if n[k]},
+            transform=tuple(transforms[i].tolist()),
         )
-        for i in ci[starts].tolist())
+        for i, (row, n) in enumerate(zip(means, counts.tolist())))
 
 
 def flag_mistakes(frame_detail: Seq[FrameDeviation],
@@ -302,16 +304,14 @@ class AssessmentResult:
     path: WarpPath
     profile: PaceProfile
     flags: Tuple[MistakeFlag, ...]
-    cand_skels: Tuple[CanonicalSkeleton, ...]
-    ref_skels: Tuple[CanonicalSkeleton, ...]
 
 
 def assess_pair(cand: Sequence, ref: Sequence,
                 config: ExerciseConfig) -> AssessmentResult:
     """Run the full rule-based pipeline for one candidate/reference pair."""
     occl = config.occlusion_threshold
-    cand_skels = _global_skeletons(cand, occl)
-    ref_skels = _global_skeletons(ref, occl)
+    cand_norm = _normalize(cand, occl)
+    ref_norm = _normalize(ref, occl)
 
     if config.targeted_joints:
         targeted = tuple(sorted(config.targeted_joints))
@@ -319,8 +319,8 @@ def assess_pair(cand: Sequence, ref: Sequence,
         targeted = tuple(sorted(select_key_joints(
             ref, config.key_joint_threshold_deg, occl)))
 
-    cand_desc, cand_angles = _describe(cand_skels, cand, targeted)
-    ref_desc, ref_angles = _describe(ref_skels, ref, targeted)
+    cand_desc, cand_angles = _describe(cand, cand_norm, targeted)
+    ref_desc, ref_angles = _describe(ref, ref_norm, targeted)
     path = dtw_align(cand_desc, ref_desc)
     profile = pace_profile(cand, ref, path, config.phase.primary_joint,
                            config.phase.eccentric_direction,
@@ -333,7 +333,7 @@ def assess_pair(cand: Sequence, ref: Sequence,
                             reference_angles=dict(config.reference_angles))
     rscore = range_score(cand, annotation, occl)
 
-    detail = frame_deviations(cand_skels, cand_desc, ref_desc, cand_angles,
+    detail = frame_deviations(cand_norm[2], cand_desc, ref_desc, cand_angles,
                               ref_angles, path)
     phase_ranges = [(p.name, p.cand_range) for p in profile.phases]
     flags = flag_mistakes(detail, config.mistake_threshold, phase_ranges)
@@ -357,9 +357,7 @@ def assess_pair(cand: Sequence, ref: Sequence,
         frame_detail=detail,
     )
     return AssessmentResult(report=report, targeted=targeted, path=path,
-                            profile=profile, flags=tuple(flags),
-                            cand_skels=tuple(cand_skels),
-                            ref_skels=tuple(ref_skels))
+                            profile=profile, flags=tuple(flags))
 
 
 # ---------------------------------------------------------------------------

@@ -24,18 +24,6 @@ BODY_CLASSES = ("Upper", "Lower", "Both")
 # mistake flag.
 DEFAULT_MISTAKE_THRESHOLD = 0.25
 
-# Anatomical ROM defaults (configuration values, not claims); override per
-# exercise.
-DEFAULT_ROM_LIMITS: Dict[JointId, Tuple[float, float]] = {
-    JointId.LEFT_KNEE: (0.0, 160.0),
-    JointId.RIGHT_KNEE: (0.0, 160.0),
-    JointId.LEFT_ELBOW: (0.0, 160.0),
-    JointId.RIGHT_ELBOW: (0.0, 160.0),
-    JointId.LEFT_HIP: (0.0, 130.0),
-    JointId.RIGHT_HIP: (0.0, 130.0),
-}
-
-
 @dataclass(frozen=True)
 class PhaseConfig:
     """How to segment the repetition and judge its tempo."""

@@ -6,16 +6,17 @@ joints: a ``(T, P, 2)`` array over P = N*(N-1) pairs for N joints, in a fixed
 pair order, and a ``(T, P)`` validity mask. A pair whose joints are occluded
 or coincide is masked, not dropped, so every frame has the same layout.
 Comparing two frames reduces to the mean cosine similarity over the pairs
-valid in both; :func:`pair_dots` and :func:`masked_sum` are the one kernel
-that does this for a single frame pair, a DTW cost-matrix block or a warp
-path. :class:`JointVectorField` is the one-frame view, holding the valid pairs
-only.
+valid in both; :func:`pair_dots` (one ``x*x' + y*y'`` product) and
+:func:`masked_sum` (a zero-filled sum and a count) are the one kernel that
+does this for a single frame pair, a DTW cost-matrix block or a warp path.
+:class:`JointVectorField` is the one-frame view, holding the valid pairs only.
 
 Interior angles use a fixed bone topology: each angle-bearing joint has two
 neighbors (elbow: shoulder/wrist, knee: hip/ankle, shoulder: elbow/same-side
 hip, hip: same-side shoulder/knee). Angles are degrees in [0, 180] and are
 invariant under similarity transforms of the input. :func:`interior_angles`
-computes them for a whole sequence at once.
+computes them for a whole sequence at once, with the arithmetic of the
+one-frame :func:`angle_at`, so the two agree bit for bit.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .normalize import CanonicalSkeleton, OccludedJointError, normalize_global
+from .normalize import CanonicalSkeleton, OccludedJointError, normalize_sequence
 from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
 
 logger = logging.getLogger(__name__)
@@ -65,8 +66,8 @@ class DescriptorError(ValueError):
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    # vecdot is the BLAS dot that np.linalg.norm takes for one vector, so
-    # each norm keeps every bit of the one-vector result.
+    # vecdot is the BLAS dot behind np.dot, which angle_at takes for its
+    # norms, so interior_angles agrees with it bit for bit.
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -92,8 +93,8 @@ def interior_angles(points: np.ndarray, joints: Seq[JointId],
         ok &= ~(occluded[..., j] | occluded[..., a] | occluded[..., b])
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.clip(np.vecdot(va, vb) / (na * nb), -1.0, 1.0)
-    # math.acos rather than np.arccos, whose SIMD form can differ in the
-    # last bit.
+    # math.acos, as in angle_at: np.arccos's SIMD form can differ from it in
+    # the last bit.
     out = [math.degrees(math.acos(c)) if k else math.nan
            for c, k in zip(cos.ravel().tolist(), ok.ravel().tolist())]
     return np.array(out).reshape(ok.shape)
@@ -132,8 +133,8 @@ def sequence_angles(seq: Sequence, joints: Seq[JointId],
                     ) -> np.ndarray:
     """Interior angles (T, len(joints)) on the raw keypoints of a sequence;
     NaN where not computable."""
-    occluded = np.stack([f.confidence for f in seq.frames]) < occlusion_threshold
-    return interior_angles(seq.points_array(), joints, occluded)
+    return interior_angles(seq.points_array(), joints,
+                           seq.occlusion_mask(occlusion_threshold))
 
 
 def joint_angle(skel: CanonicalSkeleton, joint: JointId) -> float:
@@ -227,7 +228,8 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
 
     ``points`` is (T, 17, 2) canonical, ``occluded`` (T, 17). Pairs with an
     occluded joint or coincident joints are masked; occluded targeted joints
-    are reported by a log warning per frame. A frame with fewer than two
+    are reported by one log warning per sequence, naming each joint with the
+    frames it was dropped from. A frame with fewer than two
     usable joints or no valid pair raises :class:`DescriptorError`.
     """
     requested = tuple(sorted({JointId(j) for j in targeted}))
@@ -240,15 +242,19 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
     visible = ~occluded
     valid = visible[:, first] & visible[:, second] & (norms >= COINCIDENT_EPS)
     usable = visible[:, list(requested)]
-    for t in np.flatnonzero(~usable.all(axis=1) | ~valid.any(axis=1)):
-        dropped = [j for j, ok in zip(requested, usable[t]) if not ok]
-        if dropped:
-            logger.warning("frame %s: dropping occluded targeted joints: %s",
-                           frame_ids[t], ", ".join(j.name.lower() for j in dropped))
-        if usable[t].sum() < 2:
-            raise DescriptorError("fewer than 2 usable targeted joints")
-        if not valid[t].any():
-            raise DescriptorError("all targeted joint pairs are degenerate")
+    if not usable.all():
+        dropped = "; ".join(
+            f"{j.name.lower()} in frames "
+            + ", ".join(frame_ids[t] for t in np.flatnonzero(~ok).tolist())
+            for j, ok in zip(requested, usable.T) if not ok.all())
+        logger.warning("dropping occluded targeted joints: %s", dropped)
+    few = usable.sum(axis=1) < 2
+    bad = few | ~valid.any(axis=1)
+    if bad.any():
+        t = int(bad.argmax())
+        raise DescriptorError(f"frame {frame_ids[t]!r}: " + (
+            "fewer than 2 usable targeted joints" if few[t]
+            else "all targeted joint pairs are degenerate"))
     vectors = np.divide(diff, norms[..., None], out=np.zeros_like(diff),
                         where=valid[..., None])
     return JointVectorSequence(tuple(frame_ids), requested, pairs, vectors,
@@ -276,49 +282,20 @@ def joint_vectors(skel: CanonicalSkeleton, targeted: Iterable[JointId],
     )
 
 
-def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray, bk: np.ndarray,
-              blas: bool = False) -> Tuple[np.ndarray, np.ndarray]:
-    """Cosines of corresponding pair vectors, clipped to [-1, 1], and the mask
-    of pairs valid in both frames.
+def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
+              bk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Cosines ``x*x' + y*y'`` of corresponding pair vectors, clipped to
+    [-1, 1], and the mask of pairs valid in both frames.
 
-    Vectors are (..., P, 2) and masks (..., P); leading axes broadcast. The
-    product is ``x*x' + y*y'`` where both frames have the same valid pairs
-    and ``np.vecdot`` elsewhere, or everywhere with ``blas``. ``vecdot`` is
-    the BLAS dot behind ``np.dot``, which may fuse the multiply and the add.
-    These are the products the per-frame implementation took in each place,
-    so scores and deviations keep every bit.
+    Vectors are (..., P, 2) and masks (..., P); leading axes broadcast.
     """
-    both = ak & bk
-    if blas:
-        dots = np.vecdot(av, bv)
-    else:
-        dots = av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
-        if not (ak.all() and bk.all()):
-            differ = (ak != bk).any(axis=-1)
-            shape = dots.shape[:-1] + av.shape[-2:]
-            dots[differ] = np.vecdot(np.broadcast_to(av, shape)[differ],
-                                     np.broadcast_to(bv, shape)[differ])
-    return np.clip(dots, -1.0, 1.0, out=dots), both
+    dots = av[..., 0] * bv[..., 0] + av[..., 1] * bv[..., 1]
+    return np.clip(dots, -1.0, 1.0, out=dots), ak & bk
 
 
 def masked_sum(values: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Sum over the last axis of the entries where ``valid``, and their count.
-
-    Each sum adds its entries in the order ``np.sum`` adds them as a compact
-    1-D array (pairwise from eight terms on), so it equals the per-frame
-    result bit for bit. Rows with masked entries are compacted in groups of
-    equal count.
-    """
-    values = np.ascontiguousarray(values)
-    valid = np.broadcast_to(valid, values.shape)
-    counts = valid.sum(axis=-1)
-    sums = values.sum(axis=-1)
-    partial = counts < values.shape[-1]
-    for k in set(counts[partial].tolist()):
-        rows = counts == k
-        keep = np.argsort(~valid[rows], axis=-1, kind="stable")[:, :k]
-        sums[rows] = np.take_along_axis(values[rows], keep, axis=-1).sum(axis=-1)
-    return sums, counts
+    """Sum over the last axis of the entries where ``valid``, and their count."""
+    return np.where(valid, values, 0.0).sum(axis=-1), valid.sum(axis=-1)
 
 
 def mean_cosines(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
@@ -349,10 +326,11 @@ def select_key_joints(seq: Sequence,
                       ) -> List[JointId]:
     """Joints whose interior angle deviates >= threshold between the first
     and last frame, sorted by descending deviation."""
-    ends = [normalize_global(f, occlusion_threshold)
-            for f in (seq.frames[0], seq.frames[-1])]
-    first, last = interior_angles(np.stack([s.points for s in ends]), ANGLE_JOINTS,
-                                  np.stack([s.occluded for s in ends])).tolist()
+    ends = (seq.frames[0], seq.frames[-1])
+    occluded = np.stack([f.occlusion_mask(occlusion_threshold) for f in ends])
+    points = normalize_sequence(np.stack([f.points for f in ends]), occluded,
+                                [f.frame_id for f in ends])[0]
+    first, last = interior_angles(points, ANGLE_JOINTS, occluded).tolist()
     deviations = [(abs(b - a), j) for a, b, j in zip(first, last, ANGLE_JOINTS)
                   if not math.isnan(a - b)]
     if not deviations:

@@ -15,13 +15,18 @@ axis flip. The body center is the intersection of the diagonals of the
 bounding box computed in the torso-aligned (rotated) frame over non-occluded
 joints: computing the box after rotation is what makes the result exactly
 invariant under similarity transforms of the input.
+
+:func:`normalize_sequence` normalizes a whole ``(T, 17, 2)`` sequence with its
+``(T, 17)`` occlusion mask at once; :func:`normalize_global`,
+:func:`normalize_local` and :func:`torso_length` are one-frame cases of the
+same torso and rotation helpers.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -35,26 +40,24 @@ GEOM_TOL = 1e-9
 
 
 class DegenerateSkeletonError(ValueError):
-    """Frame unusable for normalization (collapsed torso or too few joints)."""
+    """Frame unusable for normalization (collapsed torso)."""
 
 
 class OccludedJointError(ValueError):
     """A joint required by the operation is occluded."""
 
 
-def _rot(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _rot(theta) -> np.ndarray:
+    """Rotation matrices of shape (..., 2, 2) for angles of any shape."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack((np.stack((c, -s), -1), np.stack((s, c), -1)), -2)
 
 
-def _wrap_angle(theta: float) -> float:
-    """Wrap to (-pi, pi]."""
-    theta = math.fmod(theta, 2.0 * math.pi)
-    if theta <= -math.pi:
-        theta += 2.0 * math.pi
-    elif theta > math.pi:
-        theta -= 2.0 * math.pi
-    return theta
+def _wrap_angle(theta):
+    """Wrap angles of any shape to (-pi, pi]."""
+    theta = np.fmod(theta, 2.0 * math.pi)
+    theta = np.where(theta <= -math.pi, theta + 2.0 * math.pi, theta)
+    return np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ class NormalizationTransform:
     def __post_init__(self):
         if not (self.scale > 0.0) or not math.isfinite(self.scale):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "theta", _wrap_angle(float(self.theta)))
+        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
         object.__setattr__(
             self, "translation", (float(self.translation[0]), float(self.translation[1]))
@@ -94,43 +97,10 @@ class NormalizationTransform:
         out = (pts - np.array(self.translation)) / self.scale
         return out @ _rot(-self.theta).T + np.array(self.center)
 
-    def matrix(self) -> np.ndarray:
-        """The 3x3 homogeneous matrix equal to the factored transform chain."""
-        M = (
-            _translation_matrix(self.translation)
-            @ _scale_matrix(self.scale)
-            @ _rotation_matrix(self.theta)
-            @ _translation_matrix((-self.center[0], -self.center[1]))
-        )
-        return M
-
     def as_tuple(self) -> Tuple[float, float, float, float, float, float]:
         """(theta, dx, dy, s, cx, cy) — the report serialization order."""
         return (self.theta, self.translation[0], self.translation[1],
                 self.scale, self.center[0], self.center[1])
-
-
-def _translation_matrix(d) -> np.ndarray:
-    M = np.eye(3)
-    M[0, 2], M[1, 2] = d[0], d[1]
-    return M
-
-
-def _rotation_matrix(theta: float) -> np.ndarray:
-    M = np.eye(3)
-    M[:2, :2] = _rot(theta)
-    return M
-
-
-def _scale_matrix(s: float) -> np.ndarray:
-    M = np.eye(3)
-    M[0, 0] = M[1, 1] = s
-    return M
-
-
-def invert(transform: NormalizationTransform, point) -> np.ndarray:
-    """Map a canonical point back into pixel space (module-level convenience)."""
-    return transform.invert(np.asarray(point, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -152,84 +122,90 @@ class CanonicalSkeleton:
         object.__setattr__(self, "occluded", occ)
 
 
-def _midpoints(points: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    shoulder_mid = 0.5 * (points[JointId.LEFT_SHOULDER] + points[JointId.RIGHT_SHOULDER])
-    hip_mid = 0.5 * (points[JointId.LEFT_HIP] + points[JointId.RIGHT_HIP])
-    return shoulder_mid, hip_mid
-
-
 _TORSO_JOINTS = (JointId.LEFT_SHOULDER, JointId.RIGHT_SHOULDER,
                  JointId.LEFT_HIP, JointId.RIGHT_HIP)
+
+
+def _torso(points: np.ndarray, occluded: np.ndarray,
+           frame_ids: Seq[str]) -> Tuple[np.ndarray, np.ndarray]:
+    """Torso lengths (T,) and upright rotations (T,) of (T, 17, 2) points.
+
+    The torso runs from the hip midpoint to the shoulder midpoint, and the
+    rotation maps it onto canonical +y. Raises for the first frame whose
+    torso joints are occluded or whose torso is degenerate.
+    """
+    hidden = occluded[:, _TORSO_JOINTS]
+    ls, rs, lh, rh = (points[:, j] for j in _TORSO_JOINTS)
+    torso = 0.5 * (ls + rs) - 0.5 * (lh + rh)
+    length = np.linalg.norm(torso, axis=-1)
+    bad = hidden.any(axis=1) | (length < TORSO_EPS)
+    if bad.any():
+        t = int(bad.argmax())
+        if hidden[t].any():
+            names = ", ".join(j.name.lower() for j, h in zip(_TORSO_JOINTS, hidden[t]) if h)
+            raise OccludedJointError(
+                f"frame {frame_ids[t]!r}: torso joints occluded: {names}")
+        raise DegenerateSkeletonError(
+            f"frame {frame_ids[t]!r}: torso length {length[t]:.3g} px is degenerate")
+    return length, _wrap_angle(0.5 * math.pi - np.arctan2(torso[:, 1], torso[:, 0]))
+
+
+def normalize_sequence(points: np.ndarray, occluded: np.ndarray,
+                       frame_ids: Seq[str]
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Center, upright and unit-torso-scale every frame of a sequence.
+
+    ``points`` is (T, 17, 2) pixels and ``occluded`` (T, 17). Returns the
+    canonical points (T, 17, 2) and each frame's transform as arrays: theta
+    (T,), scale (T,) and center (T, 2), with zero translation. The body
+    center is the diagonal intersection of the bounding box over
+    non-occluded joints, taken in the torso-aligned frame. The first frame
+    that cannot be normalized raises, naming its id.
+    """
+    length, theta = _torso(points, occluded, frame_ids)
+    rot = _rot(theta)
+    rotated = points @ rot.mT
+    hidden = occluded[..., None]
+    box = 0.5 * (np.where(hidden, np.inf, rotated).min(axis=1)
+                 + np.where(hidden, -np.inf, rotated).max(axis=1))
+    center = (box[:, None] @ rot)[:, 0]
+    scale = 1.0 / length
+    canonical = (points - center[:, None]) @ rot.mT * scale[:, None, None]
+    return canonical, theta, scale, center
 
 
 def torso_length(frame: Frame,
                  occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> float:
     """Pixel distance between the shoulder midpoint and the hip midpoint."""
     occ = frame.occlusion_mask(occlusion_threshold)
-    hidden = [j.name.lower() for j in _TORSO_JOINTS if occ[j]]
-    if hidden:
-        raise OccludedJointError(
-            f"frame {frame.frame_id!r}: torso joints occluded: {', '.join(hidden)}"
-        )
-    shoulder_mid, hip_mid = _midpoints(frame.points)
-    length = float(np.linalg.norm(shoulder_mid - hip_mid))
-    if length < TORSO_EPS:
-        raise DegenerateSkeletonError(
-            f"frame {frame.frame_id!r}: torso length {length:.3g} px is degenerate"
-        )
-    return length
-
-
-def _upright_theta(points: np.ndarray) -> float:
-    """Rotation that maps the hip->shoulder vector onto canonical +y."""
-    shoulder_mid, hip_mid = _midpoints(points)
-    u = shoulder_mid - hip_mid
-    return _wrap_angle(0.5 * math.pi - math.atan2(u[1], u[0]))
-
-
-def _base_transform(frame: Frame, occlusion_threshold: float):
-    """Shared rotation/scale step; returns (theta, scale, occlusion mask)."""
-    occ = frame.occlusion_mask(occlusion_threshold)
-    length = torso_length(frame, occlusion_threshold)
-    theta = _upright_theta(frame.points)
-    return theta, 1.0 / length, occ
+    return float(_torso(frame.points[None], occ[None], (frame.frame_id,))[0][0])
 
 
 def normalize_global(frame: Frame,
                      occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
                      ) -> CanonicalSkeleton:
-    """Center, upright and unit-torso-scale a frame.
-
-    The body center is the diagonal intersection of the bounding box over
-    non-occluded joints, taken in the torso-aligned frame.
-    """
-    theta, scale, occ = _base_transform(frame, occlusion_threshold)
-    visible = frame.points[~occ]
-    if visible.shape[0] < 3:
-        raise DegenerateSkeletonError(
-            f"frame {frame.frame_id!r}: fewer than 3 non-occluded joints"
-        )
-    rotated = visible @ _rot(theta).T
-    box_center_rot = 0.5 * (rotated.min(axis=0) + rotated.max(axis=0))
-    center = box_center_rot @ _rot(-theta).T
-    transform = NormalizationTransform(theta=theta, scale=scale,
-                                       center=(center[0], center[1]))
-    return CanonicalSkeleton(points=transform.apply(frame.points),
-                             occluded=occ, transform=transform)
+    """The one-frame case of :func:`normalize_sequence`."""
+    occ = frame.occlusion_mask(occlusion_threshold)
+    points, theta, scale, center = normalize_sequence(frame.points[None], occ[None],
+                                                      (frame.frame_id,))
+    transform = NormalizationTransform(theta=theta[0], scale=float(scale[0]),
+                                       center=(center[0, 0], center[0, 1]))
+    return CanonicalSkeleton(points=points[0], occluded=occ, transform=transform)
 
 
 def normalize_local(frame: Frame, root: JointId,
                     occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
                     ) -> CanonicalSkeleton:
     """As :func:`normalize_global` but anchor ``root`` at the origin."""
-    theta, scale, occ = _base_transform(frame, occlusion_threshold)
+    occ = frame.occlusion_mask(occlusion_threshold)
+    length, theta = _torso(frame.points[None], occ[None], (frame.frame_id,))
     root = JointId(root)
     if occ[root]:
         raise OccludedJointError(
             f"frame {frame.frame_id!r}: root joint {root.name.lower()} is occluded"
         )
     center = frame.points[root]
-    transform = NormalizationTransform(theta=theta, scale=scale,
+    transform = NormalizationTransform(theta=theta[0], scale=1.0 / float(length[0]),
                                        center=(center[0], center[1]))
     return CanonicalSkeleton(points=transform.apply(frame.points),
                              occluded=occ, transform=transform)

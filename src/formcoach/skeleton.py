@@ -162,6 +162,10 @@ class Sequence:
         """Stack all frame points into a (T, 17, 2) array."""
         return np.stack([f.points for f in self.frames])
 
+    def occlusion_mask(self, threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> np.ndarray:
+        """Boolean (T, 17) mask, True where the joint is considered occluded."""
+        return np.stack([f.confidence for f in self.frames]) < threshold
+
 
 @dataclass
 class Annotation:

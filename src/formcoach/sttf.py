@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .normalize import normalize_global
+from .normalize import normalize_sequence
 from .skeleton import (Annotation, Sequence, ValidationError,
                        write_text_atomic)
 
@@ -302,16 +302,20 @@ class STTFModel:
             raise ValueError("non-finite values in model input")
         return x, single
 
-    def spatial_features(self, x) -> np.ndarray:
-        """Per-joint features after the spatial stack, shape (B, T, J, D)."""
-        x, single = self._check_input(x)
+    def _spatial(self, x: np.ndarray) -> np.ndarray:
+        """Spatial stack over checked input (B, T, J, 2) -> (B, T, J, D)."""
         b, t, j, _ = x.shape
         d = self.config.d_model
         tok = self.joint_embed.forward(x) + self.spatial_pos.value
         h = tok.reshape(b * t, j, d)
         for blk in self.spatial_blocks:
             h = blk.forward(h)
-        h = h.reshape(b, t, j, d)
+        return h.reshape(b, t, j, d)
+
+    def spatial_features(self, x) -> np.ndarray:
+        """Per-joint features after the spatial stack, shape (B, T, J, D)."""
+        x, single = self._check_input(x)
+        h = self._spatial(x)
         return h[0] if single else h
 
     def forward(self, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -323,11 +327,7 @@ class STTFModel:
         b, t, j, _ = x.shape
         d = self.config.d_model
 
-        tok = self.joint_embed.forward(x) + self.spatial_pos.value
-        h = tok.reshape(b * t, j, d)
-        for blk in self.spatial_blocks:
-            h = blk.forward(h)
-        h = h.reshape(b, t, j * d)
+        h = self._spatial(x).reshape(b, t, j * d)
         f = self.flatten_proj.forward(h) + self.temporal_pos.value
         for blk in self.temporal_blocks:
             f = blk.forward(f)
@@ -519,8 +519,9 @@ def sequence_to_model_input(seq: Sequence, seq_len: int,
                             occlusion_threshold: float = 0.05) -> np.ndarray:
     """Normalize every frame globally and resample to ``seq_len`` frames by
     linear interpolation of canonical coordinates over timestamps."""
-    canon = np.stack([normalize_global(f, occlusion_threshold).points
-                      for f in seq.frames])
+    canon = normalize_sequence(seq.points_array(),
+                               seq.occlusion_mask(occlusion_threshold),
+                               [f.frame_id for f in seq.frames])[0]
     times = seq.timestamps
     grid = np.linspace(times[0], times[-1], seq_len)
     out = np.empty((seq_len, canon.shape[1], 2))

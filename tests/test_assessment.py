@@ -1,3 +1,4 @@
+import logging
 import math
 from dataclasses import replace
 
@@ -291,6 +292,21 @@ class TestAssessPair:
         r = assess_pair(cand, ref, cfg).report
         assert any(c.text == "Abduct arm" for c in r.corrections)
         assert all(c.frame_ids for c in r.corrections)
+
+    def test_occluded_joint_warning_is_one_record_per_sequence(self, caplog):
+        cand, ref, cfg = make_pair(template="squat")
+        frames = list(cand.frames)
+        hidden = (3, 10, 17)
+        for t in hidden:
+            conf = frames[t].confidence.copy()
+            conf[J.LEFT_ANKLE] = 0.0
+            frames[t] = replace(frames[t], confidence=conf)
+        with caplog.at_level(logging.WARNING, logger="formcoach"):
+            assess_pair(replace(cand, frames=tuple(frames)), ref, cfg)
+        assert len(caplog.records) == 1
+        message = caplog.records[0].getMessage()
+        assert "left_ankle" in message
+        assert all(frames[t].frame_id in message for t in hidden)
 
     def test_class_tag_echoed(self):
         cand, ref, cfg = make_pair(seed=9)

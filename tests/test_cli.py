@@ -5,12 +5,14 @@ occluded left ankle. The written report must match, byte for byte, the golden
 report in ``tests/data``, so any change to scores, deviations, flags or
 corrections on this input shows here.
 
-The golden report holds full-precision floats, and some of them come from the
-BLAS dot product, which may fuse multiply and add depending on the BLAS build
-and the CPU. The file was written with NumPy 2.4.6 and OpenBLAS 0.3.31 on an
-x86-64 CPU with FMA (AVX-512). On another NumPy/BLAS build or CPU, a byte
-mismatch in the last digits is not by itself a regression: compare the warp
-path, flags and corrections first.
+The golden report holds full-precision floats. The pair kernel's products
+are plain ``x*x' + y*y'``, but other steps still use routines whose last bits
+may depend on the NumPy/BLAS build and the CPU: the BLAS dot behind the
+descriptor and interior-angle norms, the matrix products of normalization,
+and NumPy's vectorized cos, sin and arctan2. The file was written with NumPy
+2.4.6 and OpenBLAS 0.3.31 on an x86-64 CPU with AVX-512. On another build or
+CPU, a byte mismatch in the last digits is not by itself a regression:
+compare the warp path, flags and corrections first.
 """
 
 import json

@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formcoach.normalize import (CanonicalSkeleton, DegenerateSkeletonError,
                                  NormalizationTransform, OccludedJointError,
-                                 invert, normalize_global, normalize_local,
-                                 torso_length)
+                                 normalize_global, normalize_local,
+                                 normalize_sequence, torso_length)
 from formcoach.skeleton import Frame, JointId
 
 TOL = 1e-9
@@ -165,7 +166,7 @@ class TestTransform:
 
     def test_translation_only(self):
         tr = NormalizationTransform(theta=0.0, scale=1.0, center=(5.0, 7.0))
-        assert np.allclose(invert(tr, (0.0, 0.0)), [5.0, 7.0])
+        assert np.allclose(tr.invert(np.array([0.0, 0.0])), [5.0, 7.0])
 
     def test_roundtrip_many_points(self):
         rng = np.random.default_rng(11)
@@ -183,21 +184,74 @@ class TestTransform:
         with pytest.raises(ValueError):
             NormalizationTransform(theta=0.0, scale=0.0, center=(0, 0))
 
-    def test_matrix_matches_factored_blocks(self):
-        # scale*R*(p - c) + d must equal the composed homogeneous chain
-        rng = np.random.default_rng(12)
-        for _ in range(20):
-            tr = NormalizationTransform(
-                theta=rng.uniform(-math.pi, math.pi),
-                scale=rng.uniform(0.1, 5.0),
-                center=tuple(rng.uniform(-100, 100, 2)),
-                translation=tuple(rng.uniform(-2, 2, 2)),
-            )
-            M = tr.matrix()
-            p = rng.uniform(-200, 200, 2)
-            via_matrix = (M @ np.array([p[0], p[1], 1.0]))[:2]
-            assert np.abs(via_matrix - tr.apply(p)).max() < 1e-12
-
     def test_theta_wrapped(self):
         tr = NormalizationTransform(theta=3 * math.pi, scale=1.0, center=(0, 0))
         assert -math.pi < tr.theta <= math.pi
+
+
+TORSO = (JointId.LEFT_SHOULDER, JointId.RIGHT_SHOULDER,
+         JointId.LEFT_HIP, JointId.RIGHT_HIP)
+
+similarities = st.tuples(st.floats(0.2, 5.0), st.floats(-math.pi, math.pi),
+                         st.tuples(st.floats(-500, 500), st.floats(-500, 500)))
+
+
+@st.composite
+def frame_stacks(draw, min_frames=1):
+    """(T, 17, 2) points, each frame a random skeleton under its own
+    similarity transform, and a (T, 17) mask occluding random non-torso
+    joints."""
+    n = draw(st.integers(min_frames, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    points = np.stack([similarity(random_frame(rng).points, *draw(similarities))
+                       for _ in range(n)])
+    occluded = np.array(draw(st.lists(st.booleans(), min_size=17 * n,
+                                      max_size=17 * n))).reshape(n, 17)
+    occluded[:, TORSO] = False
+    return points, occluded
+
+
+def stack_frames(points, occluded):
+    return [frame_from_points(p, np.where(o, 0.0, 1.0), f"f{t}")
+            for t, (p, o) in enumerate(zip(points, occluded))]
+
+
+class TestNormalizeSequence:
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks())
+    def test_matches_per_frame_normalize_global(self, stack):
+        points, occluded = stack
+        frames = stack_frames(points, occluded)
+        canon, theta, scale, center = normalize_sequence(
+            points, occluded, [f.frame_id for f in frames])
+        for t, frame in enumerate(frames):
+            skel = normalize_global(frame)
+            assert np.abs(canon[t] - skel.points).max() <= 1e-12
+            got = (theta[t], 0.0, 0.0, scale[t], center[t, 0], center[t, 1])
+            assert np.abs(np.subtract(got, skel.transform.as_tuple())).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(), similarities)
+    def test_invariant_under_similarity_of_the_stack(self, stack, moved_by):
+        points, occluded = stack
+        ids = [f"f{t}" for t in range(len(points))]
+        base = normalize_sequence(points, occluded, ids)[0]
+        moved = normalize_sequence(similarity(points, *moved_by), occluded, ids)[0]
+        assert np.abs(moved - base).max() < TOL
+
+    @settings(max_examples=60, deadline=None)
+    @given(frame_stacks(min_frames=2), st.data())
+    def test_first_occluded_torso_frame_raises(self, stack, data):
+        points, occluded = stack
+        n = len(points)
+        k = data.draw(st.integers(0, n - 2))
+        later = data.draw(st.integers(k + 1, n - 1))
+        for t in (k, later):
+            occluded[t, data.draw(st.sampled_from(TORSO))] = True
+        frames = stack_frames(points, occluded)
+        with pytest.raises(OccludedJointError) as per_frame:
+            for frame in frames:
+                normalize_global(frame)
+        with pytest.raises(OccludedJointError, match=f"frame 'f{k}'") as err:
+            normalize_sequence(points, occluded, [f.frame_id for f in frames])
+        assert str(err.value) == str(per_frame.value)
