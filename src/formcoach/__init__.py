@@ -8,9 +8,8 @@ from .normalize import (CanonicalSkeleton, DegenerateSkeletonError,
                         normalize_global, normalize_local, normalize_sequence,
                         torso_length)
 from .kinematics import (JointVectorField, frame_cosine, joint_angle,
-                         joint_vectors, rom_check, select_key_joints)
-from .alignment import (PaceProfile, Phase, WarpPath, detect_fast_eccentric,
-                        dtw_align, pace_profile)
+                         joint_vectors, select_key_joints)
+from .alignment import PaceProfile, Phase, WarpPath, dtw_align, pace_profile
 from .assessment import (AssessmentReport, AssessmentResult, Correction,
                          MistakeFlag, assess_pair, flag_mistakes, joint_score,
                          load_report, pace_score, range_score, save_report,

@@ -15,9 +15,8 @@ at extrema of the exercise's primary joint angle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence as Seq, Tuple
+from typing import List, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
 # Moving-average window (frames) used to suppress jitter before locating
 # phase extrema.
 PHASE_SMOOTH_WINDOW = 5
-
-DEFAULT_MIN_ECCENTRIC_RATIO = 0.6
 
 # Cost-matrix rows are computed in blocks of about this many (cell, pair)
 # products, which bounds the temporaries whatever the sequence lengths.
@@ -73,9 +70,6 @@ class WarpPath:
             if j == ref_index:
                 return i
         raise IndexError(f"reference index {ref_index} not on path")
-
-    def transpose(self) -> "WarpPath":
-        return WarpPath(pairs=tuple((j, i) for i, j in self.pairs), cost=self.cost)
 
 
 def descriptor_cost(a: JointVectorField, b: JointVectorField) -> float:
@@ -152,12 +146,6 @@ class Phase:
     cand_seconds: float
     ref_seconds: float
 
-    @property
-    def duration_ratio(self) -> float:
-        if self.ref_seconds <= 0.0:
-            return math.inf
-        return self.cand_seconds / self.ref_seconds
-
 
 @dataclass(frozen=True)
 class PaceProfile:
@@ -166,10 +154,6 @@ class PaceProfile:
     duration_ratio: float     # candidate duration / reference duration
     warp_deviation: float     # in [0, 1]; 0 = perfectly diagonal path
     phases: Tuple[Phase, ...]
-
-    @property
-    def phase_durations(self) -> List[Tuple[str, float, float]]:
-        return [(p.name, p.cand_seconds, p.ref_seconds) for p in self.phases]
 
 
 def moving_average(values: np.ndarray, window: int) -> np.ndarray:
@@ -183,13 +167,6 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     lo = np.maximum(0, i - half)
     hi = np.minimum(x.size, i + half + 1)
     return (csum[hi] - csum[lo]) / (hi - lo)
-
-
-def primary_angle_series(seq: Sequence, primary_joint: JointId,
-                         occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                         ) -> np.ndarray:
-    """Interior angle of the primary joint per frame; NaN where not computable."""
-    return sequence_angles(seq, (primary_joint,), occlusion_threshold)[:, 0]
 
 
 def _segment_boundaries(angles: np.ndarray, window: int) -> List[int]:
@@ -242,7 +219,7 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     dev = np.mean(np.abs(ci / denom_c - ri / denom_r))
     warp_deviation = float(min(1.0, 2.0 * dev))
 
-    angles = primary_angle_series(ref, primary_joint, occlusion_threshold)
+    angles = sequence_angles(ref, (primary_joint,), occlusion_threshold)[:, 0]
     if np.isnan(angles).any():
         interior = []
     else:
@@ -279,9 +256,3 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     return PaceProfile(duration_ratio=float(duration_ratio),
                        warp_deviation=warp_deviation, phases=tuple(phases))
 
-
-def detect_fast_eccentric(profile: PaceProfile,
-                          min_ratio: float = DEFAULT_MIN_ECCENTRIC_RATIO
-                          ) -> List[str]:
-    """Names of phases performed faster than ``min_ratio`` of reference time."""
-    return [p.name for p in profile.phases if p.duration_ratio < min_ratio]

@@ -26,11 +26,9 @@ computed once per sequence.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 
 import numpy as np
@@ -41,8 +39,8 @@ from .kinematics import (ANGLE_NEIGHBORS, JointVectorSequence, interior_angles,
                          masked_sum, pair_dots, select_key_joints,
                          sequence_angles, sequence_descriptors)
 from .normalize import normalize_sequence
-from .skeleton import (Annotation, JointId, Sequence, ValidationError,
-                       joint_from_name, write_json_atomic)
+from .skeleton import (JointId, Sequence, ValidationError, joint_from_name,
+                       read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 
@@ -158,11 +156,12 @@ def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
     return 100.0 * (ratio_weight * ratio_term + (1.0 - ratio_weight) * shape_term)
 
 
-def range_score(cand: Sequence, annotation: Annotation,
+def range_score(cand: Sequence, targeted: Seq[JointId],
+                reference_angles: Mapping[JointId, Tuple[float, float]],
                 occlusion_threshold: float = 0.05) -> Optional[float]:
-    """Range-of-motion score, or None when no reference ranges are configured."""
-    joints = [j for j in annotation.targeted_joints
-              if j in annotation.reference_angles and j in ANGLE_NEIGHBORS]
+    """Range-of-motion score over the ``targeted`` joints that have a
+    reference range and an interior angle, or None when there are none."""
+    joints = [j for j in targeted if j in reference_angles and j in ANGLE_NEIGHBORS]
     if not joints:
         return None
     ratios = []
@@ -170,7 +169,7 @@ def range_score(cand: Sequence, annotation: Annotation,
         angles = series[~np.isnan(series)]
         if len(angles) < 2:
             continue
-        lo, hi = annotation.reference_angles[j]
+        lo, hi = reference_angles[j]
         ref_span = hi - lo
         achieved = float(angles.max() - angles.min())
         ratios.append(1.0 if ref_span <= 0 else min(1.0, max(0.0, achieved / ref_span)))
@@ -328,10 +327,7 @@ def assess_pair(cand: Sequence, ref: Sequence,
 
     jscore = _score_from_fields(cand_desc, ref_desc, path)
     pscore = pace_score(profile, config.pace_ratio_weight)
-    annotation = Annotation(exercise_id=config.exercise_id,
-                            targeted_joints=targeted,
-                            reference_angles=dict(config.reference_angles))
-    rscore = range_score(cand, annotation, occl)
+    rscore = range_score(cand, targeted, config.reference_angles, occl)
 
     detail = frame_deviations(cand_norm[2], cand_desc, ref_desc, cand_angles,
                               ref_angles, path)
@@ -396,11 +392,7 @@ def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
 
 
 def load_report(path: os.PathLike | str) -> AssessmentReport:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path)
     required = ("name", "class", "joint", "pace", "range", "correction")
     for key in required:
         if key not in doc:

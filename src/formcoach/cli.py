@@ -26,13 +26,14 @@ from typing import Dict, List, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from . import sttf
-from .assessment import (AssessmentResult, assess_pair, load_report,
-                         report_to_dict, save_report)
+from .alignment import AlignmentError
+from .assessment import AssessmentResult, assess_pair, load_report, save_report
 from .config import ExerciseConfig, load_exercise_config
 from .correction import VisualAid, build_aid, local_root_for, render_svg
+from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError, normalize_local
 from .skeleton import (Sequence, ValidationError, joint_from_name, load_annotation,
-                       load_sequence, save_annotation, save_sequence,
+                       load_sequence, read_json, save_annotation, save_sequence,
                        write_json_atomic, write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
@@ -163,7 +164,8 @@ def cmd_assess(args) -> int:
             rc, line = EXIT_VALIDATION, f"error: {e}"
         except DegenerateSkeletonError as e:
             rc, line = EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
-        except (ValidationError, OccludedJointError, ValueError) as e:
+        except (ValidationError, OccludedJointError, DescriptorError,
+                AlignmentError) as e:
             rc, line = EXIT_VALIDATION, f"error: {path}: {e}"
         print(line, file=sys.stderr if rc else sys.stdout)
         code = max(code, rc)
@@ -171,12 +173,7 @@ def cmd_assess(args) -> int:
 
 
 def _motion_spec_from_file(path: Path) -> MotionSpec:
-    try:
-        doc = json.loads(path.read_text())
-    except FileNotFoundError:
-        raise
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path)
     if not isinstance(doc, dict) or "template" not in doc:
         raise ValidationError(f"{path}: motion spec needs a 'template' key")
     errors = tuple(
@@ -291,7 +288,7 @@ def cmd_score_model(args) -> int:
     except DegenerateSkeletonError as e:
         print(f"error: degenerate data: {e}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ValidationError, ValueError) as e:
+    except (ValidationError, OccludedJointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     if args.report:

@@ -7,16 +7,13 @@ tests (and users) can pin every constant.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Optional, Tuple
 
 from .kinematics import DEFAULT_KEY_JOINT_THRESHOLD_DEG
-from .alignment import DEFAULT_MIN_ECCENTRIC_RATIO
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       joint_from_name, write_json_atomic)
+                       joint_from_name, read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 
@@ -30,7 +27,6 @@ class PhaseConfig:
 
     primary_joint: JointId
     eccentric_direction: str = "decreasing"   # "decreasing" | "increasing"
-    min_ratio: float = DEFAULT_MIN_ECCENTRIC_RATIO
 
     def __post_init__(self):
         object.__setattr__(self, "primary_joint", JointId(self.primary_joint))
@@ -39,8 +35,6 @@ class PhaseConfig:
                 f"eccentric_direction must be decreasing/increasing, "
                 f"got {self.eccentric_direction!r}"
             )
-        if self.min_ratio <= 0:
-            raise ValidationError("min_ratio must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,6 @@ class ExerciseConfig:
     phase: PhaseConfig
     targeted_joints: Optional[Tuple[JointId, ...]] = None   # None -> auto-select
     reference_angles: Dict[JointId, Tuple[float, float]] = field(default_factory=dict)
-    rom_limits: Dict[JointId, Tuple[float, float]] = field(default_factory=dict)
     key_joint_threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG
     mistake_threshold: float = DEFAULT_MISTAKE_THRESHOLD
     occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
@@ -103,8 +96,10 @@ class ExerciseConfig:
             self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
         self.reference_angles = {JointId(j): (float(a), float(b))
                                  for j, (a, b) in self.reference_angles.items()}
-        self.rom_limits = {JointId(j): (float(a), float(b))
-                           for j, (a, b) in self.rom_limits.items()}
+        for j, (lo, hi) in self.reference_angles.items():
+            if lo > hi:
+                raise ValidationError(
+                    f"reference_angles[{j.name.lower()}]: min {lo} > max {hi}")
         for thr_name in ("key_joint_threshold_deg", "mistake_threshold",
                          "occlusion_threshold"):
             if getattr(self, thr_name) < 0:
@@ -129,7 +124,6 @@ def config_to_dict(cfg: ExerciseConfig) -> dict:
         "targeted_joints": None if cfg.targeted_joints is None else
                            [j.name.lower() for j in cfg.targeted_joints],
         "reference_angles": _angles_to_json(cfg.reference_angles),
-        "rom_limits": _angles_to_json(cfg.rom_limits),
         "key_joint_threshold_deg": cfg.key_joint_threshold_deg,
         "mistake_threshold": cfg.mistake_threshold,
         "occlusion_threshold": cfg.occlusion_threshold,
@@ -137,7 +131,6 @@ def config_to_dict(cfg: ExerciseConfig) -> dict:
         "phase": {
             "primary_joint": cfg.phase.primary_joint.name.lower(),
             "eccentric_direction": cfg.phase.eccentric_direction,
-            "min_ratio": cfg.phase.min_ratio,
         },
         "rules": [
             {
@@ -158,11 +151,7 @@ def save_exercise_config(cfg: ExerciseConfig, path: os.PathLike | str) -> None:
 
 
 def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path)
     if not isinstance(doc, dict) or "exercise_id" not in doc or "phase" not in doc:
         raise ValidationError(f"{path}: not an exercise config file")
     ph = doc["phase"]
@@ -173,12 +162,10 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
         phase=PhaseConfig(
             primary_joint=joint_from_name(ph["primary_joint"]),
             eccentric_direction=ph.get("eccentric_direction", "decreasing"),
-            min_ratio=float(ph.get("min_ratio", DEFAULT_MIN_ECCENTRIC_RATIO)),
         ),
         targeted_joints=None if targeted is None else
                         tuple(joint_from_name(n) for n in targeted),
         reference_angles=_angles_from_json(doc.get("reference_angles", {})),
-        rom_limits=_angles_from_json(doc.get("rom_limits", {})),
         key_joint_threshold_deg=float(doc.get("key_joint_threshold_deg",
                                               DEFAULT_KEY_JOINT_THRESHOLD_DEG)),
         mistake_threshold=float(doc.get("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD)),

@@ -13,9 +13,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Sequence as Seq, Tuple
-
-import numpy as np
+from typing import Iterable, List, Mapping, Optional, Tuple
 
 from .normalize import CanonicalSkeleton, NormalizationTransform
 from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, Frame, JointId

@@ -24,7 +24,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence as Seq, Tuple
+from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -338,19 +338,3 @@ def select_key_joints(seq: Sequence,
     deviations.sort(key=lambda t: (-t[0], t[1]))
     return [j for d, j in deviations if d >= threshold_deg]
 
-
-def rom_check(seq: Sequence,
-              limits: Mapping[JointId, Tuple[float, float]],
-              occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-              ) -> List[Tuple[str, JointId, float]]:
-    """Flag every (frame, joint) whose interior angle leaves its ROM interval.
-
-    Occluded joints are skipped. An empty result means every checked angle
-    stayed inside its limits.
-    """
-    joints = [JointId(j) for j in limits]
-    angles = sequence_angles(seq, joints, occlusion_threshold).tolist()
-    return [(frame.frame_id, j, ang)
-            for frame, row in zip(seq.frames, angles)
-            for j, ang, (lo, hi) in zip(joints, row, limits.values())
-            if ang < lo or ang > hi]

@@ -34,9 +34,6 @@ from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, Frame, JointId, N_JOINTS
 
 # Minimum usable torso length in pixels.
 TORSO_EPS = 1e-6
-# Tolerance for geometric assertions (headroom over rounding of a few
-# composed 64-bit transforms).
-GEOM_TOL = 1e-9
 
 
 class DegenerateSkeletonError(ValueError):

@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence as Seq, Tuple
+from typing import Mapping, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -174,7 +174,6 @@ class Annotation:
     exercise_id: str
     targeted_joints: Tuple[JointId, ...] = ()
     reference_angles: dict = field(default_factory=dict)   # JointId -> (min_deg, max_deg)
-    rom_limits: dict = field(default_factory=dict)         # JointId -> (min_deg, max_deg)
     per_frame_mistakes: Tuple[Tuple[str, JointId, str], ...] = ()
     scores: Optional[Tuple[float, float, float]] = None    # (joint, pace, range) 0-100
 
@@ -182,15 +181,11 @@ class Annotation:
         self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
         self.reference_angles = {JointId(j): (float(a), float(b))
                                  for j, (a, b) in self.reference_angles.items()}
-        self.rom_limits = {JointId(j): (float(a), float(b))
-                           for j, (a, b) in self.rom_limits.items()}
-        for table_name, table in (("reference_angles", self.reference_angles),
-                                  ("rom_limits", self.rom_limits)):
-            for j, (lo, hi) in table.items():
-                if lo > hi:
-                    raise ValidationError(
-                        f"{table_name}[{j.name.lower()}]: min {lo} > max {hi}"
-                    )
+        for j, (lo, hi) in self.reference_angles.items():
+            if lo > hi:
+                raise ValidationError(
+                    f"reference_angles[{j.name.lower()}]: min {lo} > max {hi}"
+                )
         self.per_frame_mistakes = tuple(
             (str(fid), JointId(j), str(note)) for fid, j, note in self.per_frame_mistakes
         )
@@ -236,23 +231,42 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 # "t" may be omitted when "fps" is given; it is synthesized as index / fps.
 # ---------------------------------------------------------------------------
 
+def read_json(path: os.PathLike | str):
+    """Parse a JSON file, raising :class:`ValidationError` if it is not JSON
+    text (a decode error or bytes that are not text)."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+
+
+def _number(value, where: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where}: {value!r} is not a number") from None
+
+
+def _parse_row(row, frame_idx: int, name: str) -> Tuple[float, float, float]:
+    """One ``[x, y, conf]`` keypoint row as floats."""
+    if not isinstance(row, (list, tuple)) or len(row) != 3:
+        raise ValidationError(f"frame {frame_idx}: keypoint {name!r} must be [x, y, conf]")
+    try:
+        return float(row[0]), float(row[1]), float(row[2])
+    except (TypeError, ValueError):
+        raise ValidationError(f"frame {frame_idx}: keypoint {name!r} must be "
+                              f"[x, y, conf] numbers, got {row!r}") from None
+
+
 def _parse_keypoints(kp, frame_idx: int) -> Tuple[np.ndarray, np.ndarray]:
-    points = np.zeros((N_JOINTS, 2))
-    conf = np.zeros(N_JOINTS)
     if isinstance(kp, Mapping):
-        seen = set()
+        rows = [None] * N_JOINTS
         for name, row in kp.items():
             j = joint_from_name(name)
-            if j in seen:
+            if rows[j] is not None:
                 raise ValidationError(f"frame {frame_idx}: duplicate joint {name!r}")
-            seen.add(j)
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ValidationError(
-                    f"frame {frame_idx}: keypoint {name!r} must be [x, y, conf]"
-                )
-            points[j] = (float(row[0]), float(row[1]))
-            conf[j] = float(row[2])
-        missing = [n for n in JOINT_NAMES if _NAME_TO_JOINT[n] not in seen]
+            rows[j] = _parse_row(row, frame_idx, name)
+        missing = [n for n, row in zip(JOINT_NAMES, rows) if row is None]
         if missing:
             raise ValidationError(
                 f"frame {frame_idx}: missing joint(s) {', '.join(missing)}"
@@ -262,29 +276,21 @@ def _parse_keypoints(kp, frame_idx: int) -> Tuple[np.ndarray, np.ndarray]:
             raise ValidationError(
                 f"frame {frame_idx}: expected 17 keypoints, got {len(kp)}"
             )
-        for j, row in enumerate(kp):
-            if not isinstance(row, (list, tuple)) or len(row) != 3:
-                raise ValidationError(
-                    f"frame {frame_idx}: keypoint {j} must be [x, y, conf]"
-                )
-            points[j] = (float(row[0]), float(row[1]))
-            conf[j] = float(row[2])
+        rows = [_parse_row(row, frame_idx, name) for row, name in zip(kp, JOINT_NAMES)]
     else:
         raise ValidationError(f"frame {frame_idx}: keypoints must be a list or mapping")
-    return points, conf
+    rows = np.array(rows)
+    return rows[:, :2], rows[:, 2]
 
 
 def load_sequence(path: os.PathLike | str) -> Sequence:
     """Load and validate a keypoint file.
 
     Raises :class:`ValidationError` with the offending frame index on
-    malformed input, missing joints or non-monotone timestamps.
+    malformed input, values that are not numbers, missing joints or
+    non-monotone timestamps.
     """
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path)
     if not isinstance(doc, Mapping):
         raise ValidationError(f"{path}: top level must be an object")
     for key in ("exercise_id", "class", "frames"):
@@ -292,7 +298,7 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
             raise ValidationError(f"{path}: missing required key {key!r}")
     fps = doc.get("fps")
     if fps is not None:
-        fps = float(fps)
+        fps = _number(fps, f"{path}: fps")
     frames = []
     raw_frames = doc["frames"]
     if not isinstance(raw_frames, list):
@@ -302,7 +308,7 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
             raise ValidationError(f"frame {i}: must be an object with 'keypoints'")
         points, conf = _parse_keypoints(rf["keypoints"], i)
         if "t" in rf and rf["t"] is not None:
-            t = float(rf["t"])
+            t = _number(rf["t"], f"frame {i}: t")
         elif fps:
             t = i / fps
         else:
@@ -311,14 +317,6 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
             )
         frame_id = str(rf.get("id", f"f{i:04d}"))
         frames.append(Frame(frame_id=frame_id, timestamp=t, points=points, confidence=conf))
-    # Re-check monotonicity here to report the frame index before Sequence
-    # construction aggregates the error.
-    for i in range(1, len(frames)):
-        if frames[i].timestamp <= frames[i - 1].timestamp:
-            raise ValidationError(
-                f"frame {i}: timestamp {frames[i].timestamp} is not greater "
-                f"than previous {frames[i - 1].timestamp}"
-            )
     return Sequence(
         exercise_id=str(doc["exercise_id"]),
         class_label=str(doc["class"]),
@@ -361,8 +359,6 @@ def annotation_to_dict(ann: Annotation) -> dict:
         "targeted_joints": [j.name.lower() for j in ann.targeted_joints],
         "reference_angles": {j.name.lower(): [lo, hi]
                              for j, (lo, hi) in ann.reference_angles.items()},
-        "rom_limits": {j.name.lower(): [lo, hi]
-                       for j, (lo, hi) in ann.rom_limits.items()},
         "per_frame_mistakes": [
             {"frame_id": fid, "joint": j.name.lower(), "note": note}
             for fid, j, note in ann.per_frame_mistakes
@@ -377,11 +373,7 @@ def save_annotation(ann: Annotation, path: os.PathLike | str) -> None:
 
 
 def load_annotation(path: os.PathLike | str) -> Annotation:
-    path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+    doc = read_json(path)
     if not isinstance(doc, Mapping) or "exercise_id" not in doc:
         raise ValidationError(f"{path}: not an annotation file")
     scores = doc.get("scores")
@@ -392,8 +384,6 @@ def load_annotation(path: os.PathLike | str) -> Annotation:
         targeted_joints=tuple(joint_from_name(n) for n in doc.get("targeted_joints", [])),
         reference_angles={joint_from_name(n): (v[0], v[1])
                           for n, v in doc.get("reference_angles", {}).items()},
-        rom_limits={joint_from_name(n): (v[0], v[1])
-                    for n, v in doc.get("rom_limits", {}).items()},
         per_frame_mistakes=tuple(
             (m["frame_id"], joint_from_name(m["joint"]), m.get("note", ""))
             for m in doc.get("per_frame_mistakes", [])

@@ -21,14 +21,13 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass
-from pathlib import Path
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
 from .normalize import normalize_sequence
-from .skeleton import (Annotation, Sequence, ValidationError,
-                       write_text_atomic)
+from .skeleton import (N_JOINTS, Annotation, Sequence, ValidationError,
+                       read_json, write_text_atomic)
 
 _INIT_STD = 0.02
 _LN_EPS = 1e-5
@@ -265,25 +264,12 @@ class STTFModel:
         out += self.score_head.params() + self.mistake_head.params()
         return out
 
-    @property
-    def n_params(self) -> int:
-        return sum(p.value.size for p in self.parameters())
-
     def zero_grads(self) -> None:
         for p in self.parameters():
             p.grad[...] = 0.0
 
     def get_flat(self) -> np.ndarray:
         return np.concatenate([p.value.ravel() for p in self.parameters()])
-
-    def set_flat(self, vec: np.ndarray) -> None:
-        off = 0
-        for p in self.parameters():
-            n = p.value.size
-            p.value[...] = vec[off:off + n].reshape(p.value.shape)
-            off += n
-        if off != vec.size:
-            raise ValueError(f"flat vector size {vec.size} != {off} parameters")
 
     # -- forward / backward -------------------------------------------------
 
@@ -311,12 +297,6 @@ class STTFModel:
         for blk in self.spatial_blocks:
             h = blk.forward(h)
         return h.reshape(b, t, j, d)
-
-    def spatial_features(self, x) -> np.ndarray:
-        """Per-joint features after the spatial stack, shape (B, T, J, D)."""
-        x, single = self._check_input(x)
-        h = self._spatial(x)
-        return h[0] if single else h
 
     def forward(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """Scores in [0, 1] (shape (3,)) and per-frame mistake logits (T,).
@@ -365,15 +345,6 @@ class STTFModel:
         dtok = dh.reshape(b, t, j, d)
         self.spatial_pos.grad += dtok.sum(axis=(0, 1))
         return self.joint_embed.backward(dtok)
-
-    def attention_maps(self) -> Dict[str, np.ndarray]:
-        """Attention probabilities of the last forward pass, per block."""
-        maps = {}
-        for i, blk in enumerate(self.spatial_blocks):
-            maps[f"spatial.{i}"] = blk.attn.probs
-        for i, blk in enumerate(self.temporal_blocks):
-            maps[f"temporal.{i}"] = blk.attn.probs
-        return maps
 
 
 # ---------------------------------------------------------------------------
@@ -577,19 +548,27 @@ def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
 
 
 def load_checkpoint(path: os.PathLike | str) -> STTFModel:
-    doc = json.loads(Path(path).read_text())
-    if doc.get("format") != _CHECKPOINT_FORMAT:
+    doc = read_json(path)
+    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValidationError(f"{path}: not an STTF checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
         raise ValidationError(f"{path}: unsupported checkpoint version "
                               f"{doc.get('version')}")
-    model = STTFModel(STTFConfig(**doc["config"]))
-    stored = doc["params"]
+    try:
+        model = STTFModel(STTFConfig(**doc["config"]))
+        stored = doc["params"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"{path}: malformed checkpoint ({e!r})") from e
+    if (model.config.n_joints, model.config.n_scores) != (N_JOINTS, 3):
+        raise ValidationError(f"{path}: checkpoint is not a 17-joint, 3-score model")
     for p in model.parameters():
         if p.name not in stored:
             raise ValidationError(f"{path}: checkpoint missing {p.name}")
         entry = stored[p.name]
-        arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as e:
+            raise ValidationError(f"{path}: malformed {p.name} ({e!r})") from e
         if arr.shape != p.value.shape:
             raise ValidationError(
                 f"{path}: {p.name} has shape {arr.shape}, expected {p.value.shape}"

@@ -20,14 +20,14 @@ Error injection:
   by ``1 - magnitude`` (0.5 removes half the range of motion).
 
 ``generate`` also emits the matching ground-truth annotation: targeted
-joints, reference angle ranges measured on the clean sampled trajectory, ROM
-limits, and the frames where injections were active.
+joints, reference angle ranges measured on the clean sampled trajectory and
+the frames where injections were active.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 
 import numpy as np
@@ -133,7 +133,6 @@ class _Template:
     targeted: Tuple[JointId, ...]
     primary: JointId
     eccentric_direction: str
-    rom_limits: Dict[JointId, Tuple[float, float]]
 
 
 TEMPLATES: Dict[str, _Template] = {
@@ -159,10 +158,6 @@ TEMPLATES: Dict[str, _Template] = {
                   JointId.RIGHT_KNEE, JointId.LEFT_ANKLE, JointId.RIGHT_ANKLE),
         primary=JointId.LEFT_KNEE,
         eccentric_direction="decreasing",
-        rom_limits={
-            JointId.LEFT_KNEE: (30.0, 180.0), JointId.RIGHT_KNEE: (30.0, 180.0),
-            JointId.LEFT_HIP: (40.0, 180.0), JointId.RIGHT_HIP: (40.0, 180.0),
-        },
     ),
     "press": _Template(
         name="press",
@@ -182,10 +177,6 @@ TEMPLATES: Dict[str, _Template] = {
                   JointId.LEFT_WRIST, JointId.RIGHT_WRIST),
         primary=JointId.LEFT_ELBOW,
         eccentric_direction="decreasing",
-        rom_limits={
-            JointId.LEFT_ELBOW: (20.0, 180.0), JointId.RIGHT_ELBOW: (20.0, 180.0),
-            JointId.LEFT_SHOULDER: (0.0, 180.0), JointId.RIGHT_SHOULDER: (0.0, 180.0),
-        },
     ),
     "pull": _Template(
         name="pull",
@@ -205,10 +196,6 @@ TEMPLATES: Dict[str, _Template] = {
                   JointId.LEFT_WRIST, JointId.RIGHT_WRIST),
         primary=JointId.LEFT_ELBOW,
         eccentric_direction="increasing",
-        rom_limits={
-            JointId.LEFT_ELBOW: (20.0, 180.0), JointId.RIGHT_ELBOW: (20.0, 180.0),
-            JointId.LEFT_SHOULDER: (0.0, 180.0), JointId.RIGHT_SHOULDER: (0.0, 180.0),
-        },
     ),
 }
 
@@ -442,7 +429,6 @@ def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
         exercise_id=template.name,
         targeted_joints=template.targeted,
         reference_angles=reference_angles,
-        rom_limits=dict(template.rom_limits),
         per_frame_mistakes=tuple(mistakes),
     )
     return seq, annotation
@@ -461,7 +447,6 @@ def exercise_config(template_name: str,
                           eccentric_direction=template.eccentric_direction),
         targeted_joints=template.targeted,
         reference_angles=dict(annotation.reference_angles) if annotation else {},
-        rom_limits=dict(template.rom_limits),
     )
     kwargs.update(overrides)
     return ExerciseConfig(**kwargs)

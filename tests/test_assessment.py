@@ -13,7 +13,7 @@ from formcoach.assessment import (AssessmentReport, Correction, FrameDeviation,
 from formcoach.config import CorrectionRule
 from formcoach.kinematics import joint_vectors
 from formcoach.normalize import normalize_global
-from formcoach.skeleton import Annotation, JointId, ValidationError
+from formcoach.skeleton import JointId, ValidationError
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
 
 J = JointId
@@ -130,31 +130,27 @@ class TestPaceScore:
 class TestRangeScore:
     def test_full_range_scores_100(self):
         cand, ref, cfg = make_pair(template="squat")
-        ann = Annotation(exercise_id="squat", targeted_joints=cfg.targeted_joints,
-                         reference_angles=dict(cfg.reference_angles))
-        assert range_score(cand, ann) == pytest.approx(100.0, abs=1e-6)
+        assert range_score(cand, cfg.targeted_joints, cfg.reference_angles
+                           ) == pytest.approx(100.0, abs=1e-6)
 
     def test_truncated_knee_scores_half(self):
         cand, ref, cfg = make_pair(
             template="squat",
             cand_errors=(InjectedError(kind="rom_truncation_fraction",
                                        magnitude=0.5, joint=J.LEFT_KNEE),))
-        ann = Annotation(
-            exercise_id="squat", targeted_joints=(J.LEFT_KNEE,),
-            reference_angles={J.LEFT_KNEE: cfg.reference_angles[J.LEFT_KNEE]})
-        assert range_score(cand, ann) == pytest.approx(50.0, abs=5.0)
+        reference = {J.LEFT_KNEE: cfg.reference_angles[J.LEFT_KNEE]}
+        assert range_score(cand, (J.LEFT_KNEE,), reference
+                           ) == pytest.approx(50.0, abs=5.0)
 
     def test_no_reference_ranges_not_applicable(self):
         cand, _, _ = make_pair()
-        ann = Annotation(exercise_id="press", targeted_joints=(J.LEFT_ELBOW,))
-        assert range_score(cand, ann) is None
+        assert range_score(cand, (J.LEFT_ELBOW,), {}) is None
 
     def test_overachieved_range_clamped(self):
         cand, _, cfg = make_pair(template="squat")
         lo, hi = cfg.reference_angles[J.LEFT_KNEE]
-        ann = Annotation(exercise_id="squat", targeted_joints=(J.LEFT_KNEE,),
-                         reference_angles={J.LEFT_KNEE: (lo, lo + (hi - lo) / 2)})
-        assert range_score(cand, ann) == pytest.approx(100.0)
+        reference = {J.LEFT_KNEE: (lo, lo + (hi - lo) / 2)}
+        assert range_score(cand, (J.LEFT_KNEE,), reference) == pytest.approx(100.0)
 
 
 def detail(devs_by_frame):

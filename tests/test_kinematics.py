@@ -6,7 +6,8 @@ import pytest
 from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
                                   JointVectorField, UndefinedAngleError,
                                   angle_at, frame_cosine, joint_angle,
-                                  joint_vectors, rom_check, select_key_joints)
+                                  joint_vectors, select_key_joints,
+                                  sequence_angles)
 from formcoach.normalize import normalize_global
 from formcoach.skeleton import Frame, JointId, Sequence
 from formcoach.synth import MotionSpec, generate
@@ -203,28 +204,10 @@ class TestSelectKeyJoints:
         assert select_key_joints(a, 10.0) == select_key_joints(b, 10.0)
 
 
-class TestRomCheck:
-    def test_all_inside(self):
-        seq, ann = generate(MotionSpec(template="squat", n_frames=12), seed=4)
-        assert rom_check(seq, ann.rom_limits) == []
-
-    def test_flags_outside(self):
-        seq, _ = generate(MotionSpec(template="squat", n_frames=12), seed=5)
-        limits = {JointId.LEFT_KNEE: (0.0, 120.0)}  # squat knee reaches 175
-        flagged = rom_check(seq, limits)
-        assert flagged and all(j == JointId.LEFT_KNEE for _, j, _ in flagged)
-        assert all(a > 120.0 for _, _, a in flagged)
-
-    def test_matches_brute_scan(self):
-        rng = np.random.default_rng(6)
+class TestSequenceAngles:
+    def test_matches_angle_at_bit_for_bit(self):
         seq, _ = generate(MotionSpec(template="press", n_frames=14,
                                      noise_std=2.0), seed=7)
-        limits = {j: tuple(sorted(rng.uniform(40, 170, 2))) for j in ANGLE_JOINTS}
-        got = set(rom_check(seq, limits))
-        expected = set()
-        for frame in seq.frames:
-            for j, (lo, hi) in limits.items():
-                ang = angle_at(frame.points, j)
-                if ang < lo or ang > hi:
-                    expected.add((frame.frame_id, j, ang))
-        assert got == expected
+        expected = [[angle_at(frame.points, j) for j in ANGLE_JOINTS]
+                    for frame in seq.frames]
+        assert sequence_angles(seq, ANGLE_JOINTS).tolist() == expected

@@ -132,6 +132,37 @@ class TestSequenceFileIO:
         with pytest.raises(ValidationError, match="frame 1"):
             load_sequence(path)
 
+    @pytest.mark.parametrize("bad", [None, "abc", [1.0]],
+                             ids=["null", "string", "list"])
+    @pytest.mark.parametrize("mapping", [False, True], ids=["rows", "mapping"])
+    def test_non_number_keypoint_names_frame_and_joint(self, tmp_path, bad,
+                                                         mapping):
+        rows = keypoint_rows()
+        rows[JointId.LEFT_KNEE][2 if mapping else 0] = bad
+        path = tmp_path / "s.json"
+        write_minimal_file(path, [
+            {"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
+            {"id": "b", "t": 0.1,
+             "keypoints": dict(zip(JOINT_NAMES, rows)) if mapping else rows},
+        ])
+        with pytest.raises(ValidationError, match="frame 1: keypoint 'left_knee'"):
+            load_sequence(path)
+
+    @pytest.mark.parametrize("bad", ["abc", [1.0]], ids=["string", "list"])
+    def test_non_number_timestamp_and_fps(self, tmp_path, bad):
+        path = tmp_path / "s.json"
+        write_minimal_file(path, [
+            {"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
+            {"id": "b", "t": bad, "keypoints": keypoint_rows()},
+        ])
+        with pytest.raises(ValidationError, match="frame 1: t"):
+            load_sequence(path)
+        doc = json.loads(path.read_text())
+        doc["fps"], doc["frames"][1]["t"] = bad, 0.1
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match="fps"):
+            load_sequence(path)
+
     def test_mapping_keypoints_reordered(self, tmp_path):
         path = tmp_path / "s.json"
         kp = {name: [float(i), float(i * 2), 1.0]
@@ -186,7 +217,6 @@ class TestAnnotationIO:
             exercise_id="squat",
             targeted_joints=(JointId.LEFT_KNEE, JointId.LEFT_HIP),
             reference_angles={JointId.LEFT_KNEE: (90.0, 175.0)},
-            rom_limits={JointId.LEFT_KNEE: (30.0, 180.0)},
             per_frame_mistakes=(("f0001", JointId.LEFT_KNEE, "test"),),
             scores=(80.0, 90.0, 70.0),
         )

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -80,10 +82,10 @@ class TestForward:
     def test_attention_rows_sum_to_one(self):
         model = STTFModel(SMALL)
         model.forward(random_input(SMALL))
-        maps = model.attention_maps()
-        assert maps
-        for probs in maps.values():
-            assert np.allclose(probs.sum(axis=-1), 1.0, atol=1e-6)
+        blocks = model.spatial_blocks + model.temporal_blocks
+        assert blocks
+        for blk in blocks:
+            assert np.allclose(blk.attn.probs.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_spatial_equivariance_without_positional(self):
         model = STTFModel(SMALL)
@@ -91,8 +93,8 @@ class TestForward:
         x = random_input(SMALL)
         rng = np.random.default_rng(3)
         perm = rng.permutation(SMALL.n_joints)
-        base = model.spatial_features(x)
-        permuted = model.spatial_features(x[:, perm, :])
+        base = model._spatial(x[None])[0]
+        permuted = model._spatial(x[None, :, perm, :])[0]
         assert np.allclose(permuted, base[:, perm, :], atol=1e-12)
 
 
@@ -260,4 +262,28 @@ class TestCheckpoint:
         path = tmp_path / "x.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("text", ['{"format": "formcoach-st', "[1, 2]", "\xff"],
+                             ids=["truncated", "list", "not-utf8"])
+    def test_invalid_json_is_validation_error(self, tmp_path, text):
+        from formcoach.skeleton import ValidationError
+        path = tmp_path / "x.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ValidationError, match="x.json"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_heads", 3, "malformed checkpoint"),
+        ("n_joints", 16, "17-joint"),
+        ("n_scores", 2, "3-score"),
+    ], ids=["heads", "joints", "scores"])
+    def test_invalid_config_is_validation_error(self, tmp_path, key, value, match):
+        from formcoach.skeleton import ValidationError
+        path = tmp_path / "model.json"
+        save_checkpoint(STTFModel(SMALL), path)
+        doc = json.loads(path.read_text())
+        doc["config"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError, match=match):
             load_checkpoint(path)
