@@ -1,9 +1,10 @@
 """End-to-end test of ``formcoach assess`` on a small synthetic squat pair.
 
 The candidate carries a 45 degree left-knee offset and one frame with an
-occluded left ankle. The written report must match, byte for byte, the golden
-report in ``tests/data``, so any change to scores, deviations, flags or
-corrections on this input shows here.
+occluded left ankle. The written report, the aids index and every SVG must
+match, byte for byte, the golden files in ``tests/data``, so any change to
+scores, deviations, flags, corrections or correction arrows on this input
+shows here.
 
 The golden report holds full-precision floats. The pair kernel's products
 are plain ``x*x' + y*y'``, but other steps still use routines whose last bits
@@ -26,6 +27,7 @@ from formcoach.skeleton import JointId, Sequence, save_sequence
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "assess_squat_report.json"
+GOLDEN_AIDS = Path(__file__).parent / "data" / "assess_squat_aids"
 OCCLUDED_FRAME = 9
 
 
@@ -73,3 +75,7 @@ def test_assess_writes_golden_report_and_aids(tmp_path):
         assert (out / entry["file"]).is_file()
 
     assert report_path.read_bytes() == GOLDEN_REPORT.read_bytes()
+    written = sorted(p.name for p in out.iterdir() if p.name != report_path.name)
+    assert written == sorted(p.name for p in GOLDEN_AIDS.iterdir())
+    for name in written:
+        assert (out / name).read_bytes() == (GOLDEN_AIDS / name).read_bytes(), name
