@@ -38,7 +38,7 @@ from .config import CorrectionRule, ExerciseConfig
 from .kinematics import (ANGLE_NEIGHBORS, JointVectorSequence, interior_angles,
                          masked_sum, pair_dots, select_key_joints,
                          sequence_angles, sequence_descriptors)
-from .normalize import normalize_sequence
+from .normalize import Pose, normalize_sequence
 from .skeleton import (JointId, Sequence, ValidationError, joint_from_name,
                        read_json, write_json_atomic)
 
@@ -109,24 +109,26 @@ class AssessmentReport:
 # ---------------------------------------------------------------------------
 
 def _normalize(seq: Sequence, occlusion_threshold: float):
-    """Canonical points (T, 17, 2), occlusion mask (T, 17) and report
-    transforms (T, 6) of a globally normalized sequence."""
+    """Canonical points (T, 17, 2), report transforms (T, 6) and the
+    :class:`Pose` of a globally normalized sequence."""
+    pixels = seq.points_array()
     occluded = seq.occlusion_mask(occlusion_threshold)
     points, theta, scale, center = normalize_sequence(
-        seq.points_array(), occluded, [f.frame_id for f in seq.frames])
+        pixels, occluded, [f.frame_id for f in seq.frames])
     zero = np.zeros_like(theta)
     # columns in NormalizationTransform.as_tuple order; translation is zero
-    return points, occluded, np.column_stack((theta, zero, zero, scale, center))
+    return (points, np.column_stack((theta, zero, zero, scale, center)),
+            Pose(pixels, occluded, theta, scale))
 
 
 def _describe(seq: Sequence, normalized, targeted):
     """Descriptors and interior angles (NaN where undefined, or for joints
     without one) of a sequence and its :func:`_normalize` result, over the
     sorted targeted joints."""
-    points, occluded, _ = normalized
-    desc = sequence_descriptors(points, occluded, targeted,
+    points, _, pose = normalized
+    desc = sequence_descriptors(points, pose.occluded, targeted,
                                 [f.frame_id for f in seq.frames])
-    return desc, interior_angles(points, desc.targeted, occluded)
+    return desc, interior_angles(points, desc.targeted, pose.occluded)
 
 
 def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
@@ -303,6 +305,8 @@ class AssessmentResult:
     path: WarpPath
     profile: PaceProfile
     flags: Tuple[MistakeFlag, ...]
+    cand_pose: Pose
+    ref_pose: Pose
 
 
 def assess_pair(cand: Sequence, ref: Sequence,
@@ -329,7 +333,7 @@ def assess_pair(cand: Sequence, ref: Sequence,
     pscore = pace_score(profile, config.pace_ratio_weight)
     rscore = range_score(cand, targeted, config.reference_angles, occl)
 
-    detail = frame_deviations(cand_norm[2], cand_desc, ref_desc, cand_angles,
+    detail = frame_deviations(cand_norm[1], cand_desc, ref_desc, cand_angles,
                               ref_angles, path)
     phase_ranges = [(p.name, p.cand_range) for p in profile.phases]
     flags = flag_mistakes(detail, config.mistake_threshold, phase_ranges)
@@ -353,7 +357,8 @@ def assess_pair(cand: Sequence, ref: Sequence,
         frame_detail=detail,
     )
     return AssessmentResult(report=report, targeted=targeted, path=path,
-                            profile=profile, flags=tuple(flags))
+                            profile=profile, flags=tuple(flags),
+                            cand_pose=cand_norm[2], ref_pose=ref_norm[2])
 
 
 # ---------------------------------------------------------------------------

@@ -21,17 +21,15 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
-
-import numpy as np
+from typing import Dict, Optional, Sequence as Seq, Tuple
 
 from . import sttf
 from .alignment import AlignmentError
 from .assessment import AssessmentResult, assess_pair, load_report, save_report
 from .config import ExerciseConfig, load_exercise_config
-from .correction import VisualAid, build_aid, local_root_for, render_svg
+from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
-from .normalize import DegenerateSkeletonError, OccludedJointError, normalize_local
+from .normalize import DegenerateSkeletonError, OccludedJointError
 from .skeleton import (Sequence, ValidationError, joint_from_name, load_annotation,
                        load_sequence, read_json, save_annotation, save_sequence,
                        write_json_atomic, write_text_atomic)
@@ -43,47 +41,21 @@ EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
 
-def build_frame_aids(cand: Sequence, ref: Sequence, result: AssessmentResult,
-                     config: ExerciseConfig) -> List[VisualAid]:
-    """One visual aid per flagged candidate frame, arrows per flagged joint."""
-    by_frame: Dict[int, list] = {}
-    for flag in result.flags:
-        by_frame.setdefault(flag.frame_index, []).append(flag)
+def build_frame_aids(cand: Sequence, result: AssessmentResult,
+                     config: ExerciseConfig) -> Dict[int, VisualAid]:
+    """One visual aid per flagged candidate frame, keyed by the frame's index;
+    each flagged joint points at the first reference frame aligned to it."""
     captions = {}
     for corr in result.report.corrections:
         captions.setdefault(corr.joint, corr.text)
     ref_for_cand = {}
     for i, j in result.path.pairs:
         ref_for_cand.setdefault(i, j)
-
-    aids = []
-    for idx in sorted(by_frame):
-        cand_frame = cand.frames[idx]
-        ref_frame = ref.frames[ref_for_cand[idx]]
-        by_root: Dict = {}
-        for flag in by_frame[idx]:
-            root = local_root_for(flag.joint, config.body_class)
-            by_root.setdefault(root, []).append(flag.joint)
-        arrows = []
-        texts = []
-        for root in sorted(by_root):
-            try:
-                cand_local = normalize_local(cand_frame, root,
-                                             config.occlusion_threshold)
-                ref_local = normalize_local(ref_frame, root,
-                                            config.occlusion_threshold)
-            except (DegenerateSkeletonError, OccludedJointError):
-                continue
-            part = build_aid(cand_frame, cand_local.transform, ref_local,
-                             by_root[root], captions,
-                             occlusion_threshold=config.occlusion_threshold)
-            arrows.extend(part.arrows)
-            if part.caption:
-                texts.append(part.caption)
-        arrows.sort(key=lambda a: a.joint)
-        aids.append(VisualAid(frame_id=cand_frame.frame_id,
-                              arrows=tuple(arrows), caption="; ".join(texts)))
-    return aids
+    flagged = [(f.frame_index, f.joint, ref_for_cand[f.frame_index])
+               for f in result.flags]
+    return build_aid(result.cand_pose, result.ref_pose,
+                     [f.frame_id for f in cand.frames], flagged,
+                     config.body_class, captions)
 
 
 def _aux_scores(model: "sttf.STTFModel", seq: Sequence,
@@ -113,12 +85,12 @@ def _assess_one(cand_path: Path, ref: Sequence, config: ExerciseConfig,
             stem = stem[: -len(suffix)]
     save_report(report, out_dir / f"{stem}_report.json")
 
-    aids = build_frame_aids(cand, ref, result, config)
+    pose = result.cand_pose
     index = []
-    for aid in aids:
+    for i, aid in build_frame_aids(cand, result, config).items():
         name = f"{stem}_{aid.frame_id}_aid.svg"
-        frame = next(f for f in cand.frames if f.frame_id == aid.frame_id)
-        write_text_atomic(out_dir / name, render_svg(aid, frame))
+        write_text_atomic(out_dir / name,
+                          render_svg(aid, pose.points[i], pose.occluded[i]))
         index.append({
             "frame_id": aid.frame_id,
             "file": name,
@@ -219,7 +191,7 @@ def cmd_synth(args) -> int:
 def _load_train_config(path: Optional[str], args) -> Tuple[sttf.STTFConfig, int, float]:
     doc = {}
     if path:
-        doc = json.loads(Path(path).read_text())
+        doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValidationError(f"{path}: training config must be an object")
     cfg_fields = {f for f in sttf.STTFConfig.__dataclass_fields__}

@@ -13,7 +13,7 @@ from typing import Dict, Optional, Tuple
 
 from .kinematics import DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       joint_from_name, read_json, write_json_atomic)
+                       _number, joint_from_name, read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 
@@ -156,6 +156,10 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
         raise ValidationError(f"{path}: not an exercise config file")
     ph = doc["phase"]
     targeted = doc.get("targeted_joints")
+
+    def number(key: str, default: float) -> float:
+        return _number(doc.get(key, default), f"{path}: {key}")
+
     return ExerciseConfig(
         exercise_id=str(doc["exercise_id"]),
         body_class=str(doc.get("class", "Both")),
@@ -166,12 +170,11 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
         targeted_joints=None if targeted is None else
                         tuple(joint_from_name(n) for n in targeted),
         reference_angles=_angles_from_json(doc.get("reference_angles", {})),
-        key_joint_threshold_deg=float(doc.get("key_joint_threshold_deg",
-                                              DEFAULT_KEY_JOINT_THRESHOLD_DEG)),
-        mistake_threshold=float(doc.get("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD)),
-        occlusion_threshold=float(doc.get("occlusion_threshold",
-                                          DEFAULT_OCCLUSION_THRESHOLD)),
-        pace_ratio_weight=float(doc.get("pace_ratio_weight", 0.5)),
+        key_joint_threshold_deg=number("key_joint_threshold_deg",
+                                       DEFAULT_KEY_JOINT_THRESHOLD_DEG),
+        mistake_threshold=number("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD),
+        occlusion_threshold=number("occlusion_threshold", DEFAULT_OCCLUSION_THRESHOLD),
+        pace_ratio_weight=number("pace_ratio_weight", 0.5),
         rules=tuple(
             CorrectionRule(
                 joint=joint_from_name(r["joint"]),

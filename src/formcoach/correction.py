@@ -5,7 +5,8 @@ Reference joint positions are taken in canonical space (local normalization
 rooted at the same-side shoulder for upper-limb joints, same-side hip for
 lower-limb joints) and mapped back into candidate pixels through the inverse
 of the candidate frame's transform, so an arrow expresses a limb-relative
-correction, not whole-body translation.
+correction, not whole-body translation. Both use the torso rotation and scale
+that :func:`~formcoach.normalize.normalize_sequence` found for each frame.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .normalize import CanonicalSkeleton, NormalizationTransform
-from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, Frame, JointId
+import numpy as np
+
+from .normalize import Pose, _rot
+from .skeleton import JointId
 
 logger = logging.getLogger(__name__)
 
@@ -97,39 +100,51 @@ class VisualAid:
         object.__setattr__(self, "arrows", tuple(self.arrows))
 
 
-def build_aid(cand_frame: Frame,
-              cand_transform: NormalizationTransform,
-              ref_skel: CanonicalSkeleton,
-              flagged: Iterable[JointId],
+def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
+              flagged: Sequence[Tuple[int, JointId, int]],
+              body_class: str = "Both",
               captions: Optional[Mapping[JointId, str]] = None,
-              min_arrow_px: float = MIN_ARROW_PX,
-              occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-              ) -> VisualAid:
-    """Arrows from candidate joints to the reference positions for one frame.
+              min_arrow_px: float = MIN_ARROW_PX) -> Dict[int, VisualAid]:
+    """One aid per flagged candidate frame, keyed by the frame's index.
 
-    ``ref_skel`` must be normalized with the same convention used to build
-    ``cand_transform``. Occluded flagged joints are skipped with a warning;
-    arrows under ``min_arrow_px`` are suppressed.
+    ``flagged`` holds (candidate frame, joint, reference frame) triples. An
+    arrow runs from the candidate joint to the reference joint's position
+    relative to the :func:`local_root_for` root, anchored at the candidate's
+    root. Each root is a torso joint, which a :class:`Pose` has visible in
+    every frame. Occluded flagged joints are skipped with one warning;
+    arrows under ``min_arrow_px`` are dropped. Captions follow root, then
+    joint order.
     """
     captions = captions or {}
-    occ = cand_frame.occlusion_mask(occlusion_threshold)
-    arrows: List[Arrow] = []
-    texts: List[str] = []
-    for joint in sorted({JointId(j) for j in flagged}):
-        if occ[joint] or ref_skel.occluded[joint]:
-            logger.warning("frame %s: flagged joint %s occluded, skipping arrow",
-                           cand_frame.frame_id, joint.name.lower())
-            continue
-        tail = cand_frame.points[joint]
-        head = cand_transform.invert(ref_skel.points[joint])
-        arrow = Arrow(joint=joint, tail=(tail[0], tail[1]), head=(head[0], head[1]))
-        if arrow.length < min_arrow_px:
-            continue
-        arrows.append(arrow)
-        if joint in captions:
-            texts.append(captions[joint])
-    return VisualAid(frame_id=cand_frame.frame_id, arrows=tuple(arrows),
-                     caption="; ".join(texts))
+    rows = sorted({(i, local_root_for(j, body_class), JointId(j), k)
+                   for i, j, k in flagged})
+    i, r, j, k = np.array(rows, dtype=np.intp).reshape(-1, 4).T
+    hidden = cand.occluded[i, j] | ref.occluded[k, j]
+    if hidden.any():
+        logger.warning("skipping arrows for occluded flagged joints: %s", "; ".join(
+            f"{JointId(joint).name.lower()} in frames "
+            + ", ".join(frame_ids[t] for t in i[hidden & (j == joint)].tolist())
+            for joint in np.unique(j[hidden]).tolist()))
+    i, r, j, k = (a[~hidden] for a in (i, r, j, k))
+    # One (17, 2) @ (2, 2) product per arrow, as in normalize_local: a
+    # one-row product takes another BLAS kernel and may round differently.
+    local = ((ref.points[k] - ref.points[k, r, None]) @ _rot(ref.theta[k]).mT
+             * ref.scale[k, None, None])[np.arange(len(k)), j]
+    heads = ((local / cand.scale[i, None])[:, None] @ _rot(-cand.theta[i]).mT)[:, 0]
+    heads += cand.points[i, r]
+
+    arrows: Dict[int, List[Arrow]] = {f: [] for f, _, _ in flagged}
+    texts: Dict[int, List[str]] = {f: [] for f, _, _ in flagged}
+    for f, joint, tail, head in zip(i.tolist(), j.tolist(), cand.points[i, j], heads):
+        arrow = Arrow(joint=joint, tail=tail, head=head)
+        if arrow.length >= min_arrow_px:
+            arrows[f].append(arrow)
+            if joint in captions:
+                texts[f].append(captions[joint])
+    return {f: VisualAid(frame_id=frame_ids[f],
+                         arrows=sorted(arrows[f], key=lambda a: a.joint),
+                         caption="; ".join(texts[f]))
+            for f in sorted(arrows)}
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +163,16 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(aid: VisualAid, skeleton: Frame,
-               canvas: Tuple[int, int] = (640, 480),
-               occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> str:
+def render_svg(aid: VisualAid, points: np.ndarray, occluded: np.ndarray,
+               canvas: Tuple[int, int] = (640, 480)) -> str:
     """Render the candidate skeleton plus correction arrows as an SVG document.
 
-    Output is deterministic: the same aid and skeleton produce byte-identical
-    text. Content outside the canvas is clipped by the SVG viewport.
+    ``points`` is the frame's (17, 2) pixels and ``occluded`` its (17,)
+    occlusion row; occluded joints and their limbs are not drawn. Output is
+    deterministic: the same input produces byte-identical text. Content
+    outside the canvas is clipped by the SVG viewport.
     """
     w, h = int(canvas[0]), int(canvas[1])
-    occ = skeleton.occlusion_mask(occlusion_threshold)
     lines: List[str] = []
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '
@@ -174,9 +189,9 @@ def render_svg(aid: VisualAid, skeleton: Frame,
 
     lines.append(f'  <g {_SVG_STYLE["limb"]}>')
     for a, b in LIMBS:
-        if occ[a] or occ[b]:
+        if occluded[a] or occluded[b]:
             continue
-        pa, pb = skeleton.points[a], skeleton.points[b]
+        pa, pb = points[a], points[b]
         lines.append(
             f'    <line x1="{_fmt(pa[0])}" y1="{_fmt(pa[1])}" '
             f'x2="{_fmt(pb[0])}" y2="{_fmt(pb[1])}"/>'
@@ -185,9 +200,9 @@ def render_svg(aid: VisualAid, skeleton: Frame,
 
     lines.append(f'  <g {_SVG_STYLE["joint"]}>')
     for j in JointId:
-        if occ[j]:
+        if occluded[j]:
             continue
-        p = skeleton.points[j]
+        p = points[j]
         lines.append(f'    <circle cx="{_fmt(p[0])}" cy="{_fmt(p[1])}" r="4"/>')
     lines.append("  </g>")
 

@@ -7,7 +7,7 @@ positions are comparable across recordings.
 
 The per-frame transform is an invertible similarity map
 
-    canonical = s * R(theta) @ (pixel - center) + d
+    canonical = s * R(theta) @ (pixel - center)
 
 Image y points down, canonical y points up; the rotation maps the
 hip-midpoint -> shoulder-midpoint vector onto +y directly, which absorbs the
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence as Seq, Tuple
+from typing import NamedTuple, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -61,43 +61,33 @@ def _wrap_angle(theta):
 class NormalizationTransform:
     """Similarity map from pixel space to canonical space.
 
-    ``apply(p) = scale * R(theta) @ (p - center) + translation``.
+    ``apply(p) = scale * R(theta) @ (p - center)``.
     """
 
     theta: float                        # radians in (-pi, pi]
     scale: float                        # 1 / torso length in pixels
     center: Tuple[float, float]         # pixels
-    translation: Tuple[float, float] = (0.0, 0.0)  # canonical units
 
     def __post_init__(self):
         if not (self.scale > 0.0) or not math.isfinite(self.scale):
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
         object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-        object.__setattr__(
-            self, "translation", (float(self.translation[0]), float(self.translation[1]))
-        )
-
-    @staticmethod
-    def identity() -> "NormalizationTransform":
-        return NormalizationTransform(theta=0.0, scale=1.0, center=(0.0, 0.0))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Map pixel points (.., 2) into canonical space."""
         pts = np.asarray(points, dtype=np.float64)
-        out = (pts - np.array(self.center)) @ _rot(self.theta).T * self.scale
-        return out + np.array(self.translation)
+        return (pts - np.array(self.center)) @ _rot(self.theta).T * self.scale
 
     def invert(self, points: np.ndarray) -> np.ndarray:
         """Map canonical points (.., 2) back to pixels."""
         pts = np.asarray(points, dtype=np.float64)
-        out = (pts - np.array(self.translation)) / self.scale
-        return out @ _rot(-self.theta).T + np.array(self.center)
+        return pts / self.scale @ _rot(-self.theta).T + np.array(self.center)
 
     def as_tuple(self) -> Tuple[float, float, float, float, float, float]:
-        """(theta, dx, dy, s, cx, cy) — the report serialization order."""
-        return (self.theta, self.translation[0], self.translation[1],
-                self.scale, self.center[0], self.center[1])
+        """(theta, dx, dy, s, cx, cy) — the report serialization order, with
+        the translation dx, dy always zero."""
+        return (self.theta, 0.0, 0.0, self.scale, self.center[0], self.center[1])
 
 
 @dataclass(frozen=True)
@@ -169,6 +159,16 @@ def normalize_sequence(points: np.ndarray, occluded: np.ndarray,
     scale = 1.0 / length
     canonical = (points - center[:, None]) @ rot.mT * scale[:, None, None]
     return canonical, theta, scale, center
+
+
+class Pose(NamedTuple):
+    """A sequence in pixels with the occlusion mask and the per-frame torso
+    rotation and scale that :func:`normalize_sequence` found for it."""
+
+    points: np.ndarray      # (T, 17, 2) pixels
+    occluded: np.ndarray    # (T, 17) bool
+    theta: np.ndarray       # (T,) radians
+    scale: np.ndarray       # (T,) 1 / torso length in pixels
 
 
 def torso_length(frame: Frame,

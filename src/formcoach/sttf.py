@@ -55,6 +55,9 @@ class STTFConfig:
             raise ValueError("d_model must be divisible by n_heads")
         if self.seq_len < 2:
             raise ValueError("seq_len must be >= 2")
+        if (self.n_joints, self.n_scores) != (N_JOINTS, 3):
+            raise ValueError(f"n_joints={self.n_joints}, n_scores={self.n_scores}: "
+                             f"only a 17-joint, 3-score model is supported")
 
 
 class Param:
@@ -559,8 +562,6 @@ def load_checkpoint(path: os.PathLike | str) -> STTFModel:
         stored = doc["params"]
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"{path}: malformed checkpoint ({e!r})") from e
-    if (model.config.n_joints, model.config.n_scores) != (N_JOINTS, 3):
-        raise ValidationError(f"{path}: checkpoint is not a 17-joint, 3-score model")
     for p in model.parameters():
         if p.name not in stored:
             raise ValidationError(f"{path}: checkpoint missing {p.name}")

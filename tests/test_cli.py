@@ -79,3 +79,28 @@ def test_assess_writes_golden_report_and_aids(tmp_path):
     assert written == sorted(p.name for p in GOLDEN_AIDS.iterdir())
     for name in written:
         assert (out / name).read_bytes() == (GOLDEN_AIDS / name).read_bytes(), name
+
+
+def test_svgs_use_config_occlusion_threshold(tmp_path):
+    """A joint below the config's occlusion threshold, but above the default
+    one, is left out of the SVGs as it is left out of the assessment."""
+    write_inputs(tmp_path)
+    config_path = tmp_path / "squat.config.json"
+    config = json.loads(config_path.read_text())
+    config["occlusion_threshold"] = 0.5
+    config_path.write_text(json.dumps(config))
+    cand_path = tmp_path / "cand.sequence.json"
+    cand = json.loads(cand_path.read_text())
+    for frame in cand["frames"]:
+        frame["keypoints"][JointId.NOSE][2] = 0.3
+    cand_path.write_text(json.dumps(cand))
+
+    out = tmp_path / "out"
+    rc = cli.main(["assess", "--candidate", str(cand_path),
+                   "--reference", str(tmp_path / "ref.sequence.json"),
+                   "--config", str(config_path), "--out", str(out)])
+    assert rc == cli.EXIT_OK
+    index = json.loads((out / "cand_aids_index.json").read_text())
+    assert index
+    for entry in index:
+        assert (out / entry["file"]).read_text().count("<circle") == 16

@@ -12,6 +12,8 @@ import pytest
 from formcoach import cli, sttf
 from formcoach.alignment import AlignmentError
 from formcoach.kinematics import DescriptorError
+from formcoach.skeleton import save_annotation, save_sequence
+from formcoach.synth import MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
 from test_sttf import SMALL
@@ -34,6 +36,35 @@ def test_null_coordinate_exits_2_naming_frame(tmp_path, capsys, which):
     path.write_text(json.dumps(doc))
     assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
     assert "frame 4: keypoint 'left_knee'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["key_joint_threshold_deg", "mistake_threshold",
+                                 "occlusion_threshold", "pace_ratio_weight"])
+def test_non_number_config_value_exits_2(tmp_path, capsys, key):
+    write_inputs(tmp_path)
+    path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc[key] = "abc"
+    path.write_text(json.dumps(doc))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert f"{key}: 'abc' is not a number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, match", [
+    ("n_joints", 16, "17-joint"),
+    ("n_scores", 2, "3-score"),
+], ids=["joints", "scores"])
+def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match):
+    seq, ann = generate(MotionSpec(template="squat", n_frames=12), seed=0)
+    save_sequence(seq, tmp_path / "squat.sequence.json")
+    save_annotation(ann, tmp_path / "squat.annotation.json")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"d_model": 8, "n_heads": 2, "seq_len": 8,
+                                  "epochs": 1, key: value}))
+    argv = ["train", "--dataset", str(tmp_path), "--config", str(config),
+            "--checkpoint-out", str(tmp_path / "model.json")]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert match in capsys.readouterr().err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):

@@ -161,7 +161,7 @@ class TestNormalizeLocal:
 
 class TestTransform:
     def test_identity(self):
-        tr = NormalizationTransform.identity()
+        tr = NormalizationTransform(theta=0.0, scale=1.0, center=(0.0, 0.0))
         assert np.allclose(tr.invert(np.array([1.0, 2.0])), [1.0, 2.0])
 
     def test_translation_only(self):
@@ -175,7 +175,6 @@ class TestTransform:
                 theta=rng.uniform(-math.pi, math.pi),
                 scale=rng.uniform(0.01, 10.0),
                 center=tuple(rng.uniform(-300, 300, 2)),
-                translation=tuple(rng.uniform(-2, 2, 2)),
             )
             px = rng.uniform(-1000, 1000, (50, 2))
             assert np.abs(tr.invert(tr.apply(px)) - px).max() < TOL
