@@ -11,9 +11,9 @@ from .kinematics import (JointVectorField, frame_cosine, joint_angle,
                          joint_vectors, select_key_joints)
 from .alignment import PaceProfile, Phase, WarpPath, dtw_align, pace_profile
 from .assessment import (AssessmentReport, AssessmentResult, Correction,
-                         MistakeFlag, assess_pair, flag_mistakes, joint_score,
-                         load_report, pace_score, range_score, save_report,
-                         textual_feedback)
+                         MistakeFlag, Prepared, assess_pair, flag_mistakes,
+                         load_report, pace_score, prepare, range_score,
+                         save_report, textual_feedback)
 from .config import (CorrectionRule, ExerciseConfig, PhaseConfig,
                      load_exercise_config, save_exercise_config)
 from .correction import Arrow, VisualAid, build_aid, local_root_for, render_svg

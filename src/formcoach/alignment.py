@@ -21,8 +21,8 @@ from typing import List, Sequence as Seq, Tuple
 import numpy as np
 
 from .kinematics import (DescriptorError, JointVectorField, JointVectorSequence,
-                         frame_cosine, mean_cosines, sequence_angles)
-from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
+                         frame_cosine, mean_cosines)
+from .skeleton import Sequence
 
 # Moving-average window (frames) used to suppress jitter before locating
 # phase extrema.
@@ -63,13 +63,6 @@ class WarpPath:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def candidate_for_reference(self, ref_index: int) -> int:
-        """First candidate index aligned with the given reference index."""
-        for i, j in self.pairs:
-            if j == ref_index:
-                return i
-        raise IndexError(f"reference index {ref_index} not on path")
 
 
 def descriptor_cost(a: JointVectorField, b: JointVectorField) -> float:
@@ -169,14 +162,13 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
     return (csum[hi] - csum[lo]) / (hi - lo)
 
 
-def _segment_boundaries(angles: np.ndarray, window: int) -> List[int]:
-    """Interior extrema indices of the smoothed angle series.
+def _segment_boundaries(smoothed: np.ndarray) -> List[int]:
+    """Interior extrema indices of a smoothed angle series.
 
     Plateaus are tolerated: an extremum whose neighborhood ties exactly (e.g.
     a symmetric trajectory sampled on an even grid) is placed at the plateau
     midpoint.
     """
-    smoothed = moving_average(angles, window)
     diffs = np.diff(smoothed)
     nonzero = np.nonzero(np.sign(diffs))[0]
     boundaries = []
@@ -197,42 +189,34 @@ def _phase_name(direction: float, eccentric_direction: str) -> str:
 
 
 def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
-                 primary_joint: JointId,
-                 eccentric_direction: str = "decreasing",
-                 smooth_window: int = PHASE_SMOOTH_WINDOW,
-                 occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                 ) -> PaceProfile:
+                 primary_angles: np.ndarray,
+                 eccentric_direction: str = "decreasing") -> PaceProfile:
     """Pace summary of ``cand`` against ``ref`` under a given warp path.
 
-    Phases are segmented on the reference's primary-angle extrema and mapped
-    onto the candidate through the path; if the angle is monotone (or not
-    computable) the whole repetition is a single "full" phase.
+    Phases are segmented on the extrema of ``primary_angles``, the (T,)
+    series of the reference's primary joint angle, and mapped onto the
+    candidate through the path; if the angle is monotone (or not computable
+    in some frame) the whole repetition is a single "full" phase.
     """
     tc, tr = len(cand.frames), len(ref.frames)
     if path.pairs[-1] != (tc - 1, tr - 1):
         raise AlignmentError("warp path does not span both sequences")
-    duration_ratio = cand.duration / ref.duration
-
-    denom_c = max(tc - 1, 1)
-    denom_r = max(tr - 1, 1)
     ci, ri = np.array(path.pairs).T
-    dev = np.mean(np.abs(ci / denom_c - ri / denom_r))
+    dev = np.mean(np.abs(ci / (tc - 1) - ri / (tr - 1)))
+    duration_ratio = float(cand.duration / ref.duration)
     warp_deviation = float(min(1.0, 2.0 * dev))
 
-    angles = sequence_angles(ref, (primary_joint,), occlusion_threshold)[:, 0]
-    if np.isnan(angles).any():
-        interior = []
-    else:
-        interior = _segment_boundaries(angles, smooth_window)
-
+    smoothed = moving_average(primary_angles, PHASE_SMOOTH_WINDOW)
+    interior = [] if np.isnan(primary_angles).any() else _segment_boundaries(smoothed)
     if not interior:
         phases = (Phase(name="full", cand_range=(0, tc - 1), ref_range=(0, tr - 1),
                         cand_seconds=cand.duration, ref_seconds=ref.duration),)
-        return PaceProfile(duration_ratio=float(duration_ratio),
+        return PaceProfile(duration_ratio=duration_ratio,
                            warp_deviation=warp_deviation, phases=phases)
 
-    smoothed = moving_average(angles, smooth_window)
     bounds = [0] + interior + [tr - 1]
+    # the first candidate frame aligned with each reference frame
+    first_cand = {j: i for i, j in reversed(path.pairs)}
     phases = []
     name_counts: dict = {}
     ct = cand.timestamps
@@ -244,8 +228,7 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
         name_counts[name] = name_counts.get(name, 0) + 1
         if name_counts[name] > 1:
             name = f"{name}_{name_counts[name]}"
-        c0 = path.candidate_for_reference(r0)
-        c1 = path.candidate_for_reference(r1)
+        c0, c1 = first_cand[r0], first_cand[r1]
         phases.append(Phase(
             name=name,
             cand_range=(c0, c1),
@@ -253,6 +236,5 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
             cand_seconds=float(ct[c1] - ct[c0]),
             ref_seconds=float(rt[r1] - rt[r0]),
         ))
-    return PaceProfile(duration_ratio=float(duration_ratio),
+    return PaceProfile(duration_ratio=duration_ratio,
                        warp_deviation=warp_deviation, phases=tuple(phases))
-

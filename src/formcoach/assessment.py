@@ -17,11 +17,12 @@ joints the normalized interior-angle difference ``|a_cand - a_ref| / 180``
 against the aligned reference frame, otherwise the mean direction-vector
 dissimilarity ``(1 - cos) / 2`` of the joint's outgoing descriptor vectors.
 
-Each sequence is normalized with one :func:`normalize_sequence` call into
-``(T, 17, 2)`` canonical points and a ``(T, 17)`` occlusion mask. Joint scores
-and deviations are masked reductions over the warp path's index arrays into
-the ``(T, P, 2)`` descriptor arrays of both sequences; interior angles are
-computed once per sequence.
+:func:`prepare` does the work on one sequence, once: one
+:func:`normalize_sequence` call, key-joint selection for a reference whose
+config names none, the ``(T, P, 2)`` descriptors and the interior angles.
+The CLI prepares the reference once for all its candidates; the pairwise
+stages of :func:`assess_pair` only read prepared arrays, with masked
+reductions over the warp path's index arrays.
 """
 
 from __future__ import annotations
@@ -35,9 +36,8 @@ import numpy as np
 
 from .alignment import PaceProfile, WarpPath, dtw_align, pace_profile
 from .config import CorrectionRule, ExerciseConfig
-from .kinematics import (ANGLE_NEIGHBORS, JointVectorSequence, interior_angles,
-                         masked_sum, pair_dots, select_key_joints,
-                         sequence_angles, sequence_descriptors)
+from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
+                         pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
 from .skeleton import (JointId, Sequence, ValidationError, joint_from_name,
                        read_json, write_json_atomic)
@@ -108,27 +108,43 @@ class AssessmentReport:
 # Scores
 # ---------------------------------------------------------------------------
 
-def _normalize(seq: Sequence, occlusion_threshold: float):
-    """Canonical points (T, 17, 2), report transforms (T, 6) and the
-    :class:`Pose` of a globally normalized sequence."""
+@dataclass(frozen=True)
+class Prepared:
+    """A sequence with everything the pairwise stages read of it."""
+
+    seq: Sequence
+    pose: Pose
+    transforms: np.ndarray          # (T, 6) in NormalizationTransform.as_tuple order
+    targeted: Tuple[JointId, ...]   # sorted
+    desc: JointVectorSequence
+    angles: np.ndarray              # (T, N) canonical interior angles at targeted
+    raw_angles: np.ndarray          # (T, N) the same on the raw keypoints; range
+    primary_angles: np.ndarray      # (T,) raw angle at the primary joint; pace
+
+
+def prepare(seq: Sequence, config: ExerciseConfig,
+            targeted: Optional[Seq[JointId]] = None) -> Prepared:
+    """Normalize and describe one sequence over ``targeted``, by default the
+    config's targeted joints or, if it names none, the key joints selected
+    from the sequence's own first and last frames. Angles are NaN where
+    undefined, occluded or for joints without one."""
     pixels = seq.points_array()
-    occluded = seq.occlusion_mask(occlusion_threshold)
-    points, theta, scale, center = normalize_sequence(
-        pixels, occluded, [f.frame_id for f in seq.frames])
-    zero = np.zeros_like(theta)
-    # columns in NormalizationTransform.as_tuple order; translation is zero
-    return (points, np.column_stack((theta, zero, zero, scale, center)),
-            Pose(pixels, occluded, theta, scale))
-
-
-def _describe(seq: Sequence, normalized, targeted):
-    """Descriptors and interior angles (NaN where undefined, or for joints
-    without one) of a sequence and its :func:`_normalize` result, over the
-    sorted targeted joints."""
-    points, _, pose = normalized
-    desc = sequence_descriptors(points, pose.occluded, targeted,
-                                [f.frame_id for f in seq.frames])
-    return desc, interior_angles(points, desc.targeted, pose.occluded)
+    occluded = seq.occlusion_mask(config.occlusion_threshold)
+    frame_ids = [f.frame_id for f in seq.frames]
+    points, theta, scale, center = normalize_sequence(pixels, occluded, frame_ids)
+    if targeted is None:
+        targeted = config.targeted_joints or select_key_joints(
+            points, occluded, config.key_joint_threshold_deg)
+    targeted = tuple(sorted(targeted))
+    desc = sequence_descriptors(points, occluded, targeted, frame_ids)
+    raw = interior_angles(pixels, targeted + (config.phase.primary_joint,), occluded)
+    zero = np.zeros_like(theta)    # the transforms' translation
+    return Prepared(
+        seq=seq, pose=Pose(pixels, occluded, theta, scale),
+        transforms=np.column_stack((theta, zero, zero, scale, center)),
+        targeted=targeted, desc=desc,
+        angles=interior_angles(points, desc.targeted, occluded),
+        raw_angles=raw[:, :-1], primary_angles=raw[:, -1])
 
 
 def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
@@ -143,14 +159,6 @@ def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
     return 100.0 * float(sums.sum()) / count
 
 
-def joint_score(cand: Sequence, ref: Sequence, targeted: Seq[JointId],
-                path: WarpPath, occlusion_threshold: float = 0.05) -> float:
-    """Joint-alignment score in [0, 100] over an existing warp path."""
-    cand_desc, ref_desc = (_describe(seq, _normalize(seq, occlusion_threshold),
-                                     targeted)[0] for seq in (cand, ref))
-    return _score_from_fields(cand_desc, ref_desc, path)
-
-
 def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
     """Pace score in [0, 100] from duration ratio and warp deviation."""
     ratio_term = max(0.0, 1.0 - abs(math.log2(profile.duration_ratio)))
@@ -158,22 +166,21 @@ def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
     return 100.0 * (ratio_weight * ratio_term + (1.0 - ratio_weight) * shape_term)
 
 
-def range_score(cand: Sequence, targeted: Seq[JointId],
-                reference_angles: Mapping[JointId, Tuple[float, float]],
-                occlusion_threshold: float = 0.05) -> Optional[float]:
-    """Range-of-motion score over the ``targeted`` joints that have a
-    reference range and an interior angle, or None when there are none."""
-    joints = [j for j in targeted if j in reference_angles and j in ANGLE_NEIGHBORS]
-    if not joints:
-        return None
+def range_score(angles: np.ndarray, targeted: Seq[JointId],
+                reference_angles: Mapping[JointId, Tuple[float, float]]
+                ) -> Optional[float]:
+    """Range-of-motion score from the (T, len(targeted)) interior angles of
+    the candidate's raw keypoints, over the ``targeted`` joints that have a
+    reference range and an angle in at least two frames, or None when there
+    are none."""
     ratios = []
-    for j, series in zip(joints, sequence_angles(cand, joints, occlusion_threshold).T):
-        angles = series[~np.isnan(series)]
-        if len(angles) < 2:
+    for j, series in zip(targeted, angles.T):
+        series = series[~np.isnan(series)]
+        if j not in reference_angles or len(series) < 2:
             continue
         lo, hi = reference_angles[j]
         ref_span = hi - lo
-        achieved = float(angles.max() - angles.min())
+        achieved = float(series.max() - series.min())
         ratios.append(1.0 if ref_span <= 0 else min(1.0, max(0.0, achieved / ref_span)))
     if not ratios:
         return None
@@ -184,20 +191,16 @@ def range_score(cand: Sequence, targeted: Seq[JointId],
 # Frame detail and mistake flags
 # ---------------------------------------------------------------------------
 
-def frame_deviations(transforms: np.ndarray,
-                     cand: JointVectorSequence, ref: JointVectorSequence,
-                     cand_angles: np.ndarray, ref_angles: np.ndarray,
+def frame_deviations(cand_prep: Prepared, ref_prep: Prepared,
                      path: WarpPath) -> Tuple[FrameDeviation, ...]:
-    """Per-candidate-frame, per-targeted-joint deviations in [0, 1].
-
-    ``transforms`` holds each candidate frame's normalization transform in
-    ``NormalizationTransform.as_tuple`` order, shape (T, 6); ``*_angles`` are
-    :func:`_describe`'s interior angles. When several path pairs touch one
-    candidate frame, deviations are averaged.
+    """Per-candidate-frame, per-targeted-joint deviations in [0, 1], with
+    each frame's transform. When several path pairs touch one candidate
+    frame, deviations are averaged.
     """
+    cand, ref = cand_prep.desc, ref_prep.desc
     ci, ri = np.array(path.pairs).T
     n_joints = len(cand.targeted)
-    angle_dev = np.abs(cand_angles[ci] - ref_angles[ri]) / 180.0
+    angle_dev = np.abs(cand_prep.angles[ci] - ref_prep.angles[ri]) / 180.0
     # Without an angle on both sides, fall back on the joint's outgoing pairs
     # (the pairs are grouped by first joint). Directions of short segments
     # are ill-conditioned, so each pair is weighted by its reference length.
@@ -225,7 +228,7 @@ def frame_deviations(transforms: np.ndarray,
             frame_index=i,
             frame_id=cand.frame_ids[i],
             deviations={j: row[k] for k, j in enumerate(cand.targeted) if n[k]},
-            transform=tuple(transforms[i].tolist()),
+            transform=tuple(cand_prep.transforms[i].tolist()),
         )
         for i, (row, n) in enumerate(zip(means, counts.tolist())))
 
@@ -272,8 +275,9 @@ def textual_feedback(flags: Seq[MistakeFlag],
                      ) -> List[Correction]:
     """Deterministic correction texts for a set of flags.
 
-    The first matching rule wins; a flag with no rule yields a generic
-    message naming the joint. Flags sharing (joint, message) are merged into
+    The first matching rule wins; an angle predicate matches no flag whose
+    angle is missing or NaN; a flag with no rule yields a generic message
+    naming the joint. Flags sharing (joint, message) are merged into
     one correction citing all their key frames.
     """
     angles = angles or {}
@@ -301,54 +305,38 @@ class AssessmentResult:
     """Report plus the intermediates later stages (aids, CLI) need."""
 
     report: AssessmentReport
-    targeted: Tuple[JointId, ...]
     path: WarpPath
-    profile: PaceProfile
     flags: Tuple[MistakeFlag, ...]
     cand_pose: Pose
     ref_pose: Pose
 
 
-def assess_pair(cand: Sequence, ref: Sequence,
+def assess_pair(cand: Sequence, ref: Prepared,
                 config: ExerciseConfig) -> AssessmentResult:
-    """Run the full rule-based pipeline for one candidate/reference pair."""
-    occl = config.occlusion_threshold
-    cand_norm = _normalize(cand, occl)
-    ref_norm = _normalize(ref, occl)
+    """Run the pairwise pipeline for one candidate against a reference
+    prepared with the same ``config``."""
+    cand = prepare(cand, config, ref.targeted)
+    path = dtw_align(cand.desc, ref.desc)
+    profile = pace_profile(cand.seq, ref.seq, path, ref.primary_angles,
+                           config.phase.eccentric_direction)
 
-    if config.targeted_joints:
-        targeted = tuple(sorted(config.targeted_joints))
-    else:
-        targeted = tuple(sorted(select_key_joints(
-            ref, config.key_joint_threshold_deg, occl)))
-
-    cand_desc, cand_angles = _describe(cand, cand_norm, targeted)
-    ref_desc, ref_angles = _describe(ref, ref_norm, targeted)
-    path = dtw_align(cand_desc, ref_desc)
-    profile = pace_profile(cand, ref, path, config.phase.primary_joint,
-                           config.phase.eccentric_direction,
-                           occlusion_threshold=occl)
-
-    jscore = _score_from_fields(cand_desc, ref_desc, path)
+    jscore = _score_from_fields(cand.desc, ref.desc, path)
     pscore = pace_score(profile, config.pace_ratio_weight)
-    rscore = range_score(cand, targeted, config.reference_angles, occl)
+    rscore = range_score(cand.raw_angles, cand.targeted, config.reference_angles)
 
-    detail = frame_deviations(cand_norm[1], cand_desc, ref_desc, cand_angles,
-                              ref_angles, path)
+    detail = frame_deviations(cand, ref, path)
     phase_ranges = [(p.name, p.cand_range) for p in profile.phases]
     flags = flag_mistakes(detail, config.mistake_threshold, phase_ranges)
 
-    column = {j: k for k, j in enumerate(cand_desc.targeted)}
-    angle_ctx: Dict[Tuple[int, JointId], float] = {}
-    for flag in flags:
-        angle = cand_angles[flag.frame_index, column[flag.joint]]
-        if not np.isnan(angle):
-            angle_ctx[(flag.frame_index, flag.joint)] = float(angle)
-    corrections = textual_feedback(flags, config.rules, angle_ctx)
+    column = {j: k for k, j in enumerate(cand.desc.targeted)}
+    corrections = textual_feedback(flags, config.rules, {
+        (f.frame_index, f.joint): float(cand.angles[f.frame_index, column[f.joint]])
+        for f in flags})
 
-    tag = _CLASS_TAGS.get(cand.class_label, cand.class_label)
+    seq = cand.seq
+    tag = _CLASS_TAGS.get(seq.class_label, seq.class_label)
     report = AssessmentReport(
-        name=f"{cand.exercise_id}({tag})",
+        name=f"{seq.exercise_id}({tag})",
         body_class=config.body_class,
         joint_score=jscore,
         pace_score=pscore,
@@ -356,9 +344,8 @@ def assess_pair(cand: Sequence, ref: Sequence,
         corrections=tuple(corrections),
         frame_detail=detail,
     )
-    return AssessmentResult(report=report, targeted=targeted, path=path,
-                            profile=profile, flags=tuple(flags),
-                            cand_pose=cand_norm[2], ref_pose=ref_norm[2])
+    return AssessmentResult(report=report, path=path, flags=tuple(flags),
+                            cand_pose=cand.pose, ref_pose=ref.pose)
 
 
 # ---------------------------------------------------------------------------

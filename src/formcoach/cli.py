@@ -13,26 +13,32 @@ Subcommands:
 
 Exit codes: 0 success, 2 validation error, 3 degenerate input data,
 4 training divergence.
+
+``assess`` prepares the reference once, before it loads any candidate. An
+unusable reference fails the call with one error naming the reference file;
+an unusable candidate fails only itself, naming its file.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence as Seq, Tuple
 
 from . import sttf
 from .alignment import AlignmentError
-from .assessment import AssessmentResult, assess_pair, load_report, save_report
+from .assessment import (AssessmentResult, Prepared, assess_pair, load_report,
+                         prepare, save_report)
 from .config import ExerciseConfig, load_exercise_config
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (Sequence, ValidationError, joint_from_name, load_annotation,
-                       load_sequence, read_json, save_annotation, save_sequence,
-                       write_json_atomic, write_text_atomic)
+from .skeleton import (Sequence, ValidationError, _number, joint_from_name,
+                       load_annotation, load_sequence, read_json, save_annotation,
+                       save_sequence, write_json_atomic, write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -70,7 +76,7 @@ def _aux_scores(model: "sttf.STTFModel", seq: Sequence,
     }
 
 
-def _assess_one(cand_path: Path, ref: Sequence, config: ExerciseConfig,
+def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
                 out_dir: Path, aux_model) -> str:
     cand = load_sequence(cand_path)
     result = assess_pair(cand, ref, config)
@@ -105,40 +111,39 @@ def _assess_one(cand_path: Path, ref: Sequence, config: ExerciseConfig,
             f"range={rng}  correction={corr or '-'}")
 
 
+def _guarded(path, step) -> Tuple[int, object]:
+    """``(EXIT_OK, step())``, or the exit code and the error line of a
+    documented failure of ``step`` on the input file ``path``."""
+    try:
+        return EXIT_OK, step()
+    except FileNotFoundError as e:
+        return EXIT_VALIDATION, f"error: {e}"
+    except DegenerateSkeletonError as e:
+        return EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
+    except (ValidationError, OccludedJointError, DescriptorError,
+            AlignmentError) as e:
+        return EXIT_VALIDATION, f"error: {path}: {e}"
+
+
 def cmd_assess(args) -> int:
     try:
         config = load_exercise_config(args.config)
-        ref = load_sequence(args.reference)
-    except FileNotFoundError as e:
+        aux_model = sttf.load_checkpoint(args.aux_model) if args.aux_model else None
+    except (FileNotFoundError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ValidationError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-
-    aux_model = None
-    if args.aux_model:
-        try:
-            aux_model = sttf.load_checkpoint(args.aux_model)
-        except (FileNotFoundError, ValidationError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
+    rc, ref = _guarded(f"reference {args.reference}",
+                       lambda: prepare(load_sequence(args.reference), config))
+    if rc:
+        print(ref, file=sys.stderr)
+        return rc
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    candidates = [Path(p) for p in args.candidate]
-
     code = EXIT_OK
-    for path in candidates:
-        try:
-            rc, line = EXIT_OK, _assess_one(path, ref, config, out_dir, aux_model)
-        except FileNotFoundError as e:
-            rc, line = EXIT_VALIDATION, f"error: {e}"
-        except DegenerateSkeletonError as e:
-            rc, line = EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
-        except (ValidationError, OccludedJointError, DescriptorError,
-                AlignmentError) as e:
-            rc, line = EXIT_VALIDATION, f"error: {path}: {e}"
+    for path in map(Path, args.candidate):
+        rc, line = _guarded(
+            path, lambda: _assess_one(path, ref, config, out_dir, aux_model))
         print(line, file=sys.stderr if rc else sys.stdout)
         code = max(code, rc)
     return code
@@ -199,16 +204,21 @@ def _load_train_config(path: Optional[str], args) -> Tuple[sttf.STTFConfig, int,
     if args.seed is not None:
         cfg_kwargs["seed"] = args.seed
     config = sttf.STTFConfig(**cfg_kwargs)
-    epochs = args.epochs if args.epochs is not None else int(doc.get("epochs", 50))
-    lr = args.lr if args.lr is not None else float(doc.get("lr", 1e-2))
-    return config, epochs, lr
+    epochs = _number(args.epochs if args.epochs is not None
+                     else doc.get("epochs", 50), "epochs")
+    lr = _number(args.lr if args.lr is not None else doc.get("lr", 1e-2), "lr")
+    if not (epochs >= 1 and epochs.is_integer()):
+        raise ValidationError(f"epochs must be a positive integer, got {epochs:g}")
+    if not (lr > 0 and math.isfinite(lr)):
+        raise ValidationError(f"lr must be positive and finite, got {lr:g}")
+    return config, int(epochs), lr
 
 
 def cmd_train(args) -> int:
     dataset_dir = Path(args.dataset)
     try:
         config, epochs, lr = _load_train_config(args.config, args)
-    except (FileNotFoundError, ValidationError, TypeError, ValueError) as e:
+    except (FileNotFoundError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
@@ -252,17 +262,14 @@ def cmd_train(args) -> int:
 def cmd_score_model(args) -> int:
     try:
         model = sttf.load_checkpoint(args.checkpoint)
-        seq = load_sequence(args.sequence)
-        aux = _aux_scores(model, seq, args.occlusion_threshold)
-    except FileNotFoundError as e:
+    except (FileNotFoundError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except DegenerateSkeletonError as e:
-        print(f"error: degenerate data: {e}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (ValidationError, OccludedJointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    rc, aux = _guarded(args.sequence, lambda: _aux_scores(
+        model, load_sequence(args.sequence), args.occlusion_threshold))
+    if rc:
+        print(aux, file=sys.stderr)
+        return rc
     if args.report:
         try:
             report = load_report(args.report)

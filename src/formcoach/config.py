@@ -13,7 +13,8 @@ from typing import Dict, Optional, Tuple
 
 from .kinematics import DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       _number, joint_from_name, read_json, write_json_atomic)
+                       _angle_table, _key, _list, _number, joint_from_name,
+                       read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 
@@ -113,10 +114,6 @@ def _angles_to_json(table: Dict[JointId, Tuple[float, float]]) -> dict:
     return {j.name.lower(): [lo, hi] for j, (lo, hi) in table.items()}
 
 
-def _angles_from_json(obj: dict) -> Dict[JointId, Tuple[float, float]]:
-    return {joint_from_name(n): (float(v[0]), float(v[1])) for n, v in obj.items()}
-
-
 def config_to_dict(cfg: ExerciseConfig) -> dict:
     return {
         "exercise_id": cfg.exercise_id,
@@ -160,30 +157,31 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
     def number(key: str, default: float) -> float:
         return _number(doc.get(key, default), f"{path}: {key}")
 
+    rules = []
+    for i, r in enumerate(_list(doc.get("rules", []), f"{path}: rules")):
+        where = f"{path}: rules[{i}]"
+        rules.append(CorrectionRule(
+            joint=joint_from_name(_key(r, "joint", where)),
+            message=str(_key(r, "message", where)),
+            phase=r.get("phase"),
+            **{k: _number(r[k], f"{where}.{k}")
+               for k in ("angle_above", "angle_below", "deviation_above")
+               if r.get(k) is not None}))
     return ExerciseConfig(
         exercise_id=str(doc["exercise_id"]),
         body_class=str(doc.get("class", "Both")),
         phase=PhaseConfig(
-            primary_joint=joint_from_name(ph["primary_joint"]),
+            primary_joint=joint_from_name(_key(ph, "primary_joint", f"{path}: phase")),
             eccentric_direction=ph.get("eccentric_direction", "decreasing"),
         ),
-        targeted_joints=None if targeted is None else
-                        tuple(joint_from_name(n) for n in targeted),
-        reference_angles=_angles_from_json(doc.get("reference_angles", {})),
+        targeted_joints=None if targeted is None else tuple(
+            joint_from_name(n) for n in _list(targeted, f"{path}: targeted_joints")),
+        reference_angles=_angle_table(doc.get("reference_angles", {}),
+                                      f"{path}: reference_angles"),
         key_joint_threshold_deg=number("key_joint_threshold_deg",
                                        DEFAULT_KEY_JOINT_THRESHOLD_DEG),
         mistake_threshold=number("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD),
         occlusion_threshold=number("occlusion_threshold", DEFAULT_OCCLUSION_THRESHOLD),
         pace_ratio_weight=number("pace_ratio_weight", 0.5),
-        rules=tuple(
-            CorrectionRule(
-                joint=joint_from_name(r["joint"]),
-                message=str(r["message"]),
-                angle_above=r.get("angle_above"),
-                angle_below=r.get("angle_below"),
-                deviation_above=r.get("deviation_above"),
-                phase=r.get("phase"),
-            )
-            for r in doc.get("rules", [])
-        ),
+        rules=tuple(rules),
     )

@@ -28,8 +28,8 @@ from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .normalize import CanonicalSkeleton, OccludedJointError, normalize_sequence
-from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, JointId, Sequence
+from .normalize import CanonicalSkeleton, OccludedJointError
+from .skeleton import JointId
 
 logger = logging.getLogger(__name__)
 
@@ -126,15 +126,6 @@ def angle_at(points: np.ndarray, joint: JointId,
         )
     cos = float(np.dot(va, vb) / (na * nb))
     return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
-
-
-def sequence_angles(seq: Sequence, joints: Seq[JointId],
-                    occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                    ) -> np.ndarray:
-    """Interior angles (T, len(joints)) on the raw keypoints of a sequence;
-    NaN where not computable."""
-    return interior_angles(seq.points_array(), joints,
-                           seq.occlusion_mask(occlusion_threshold))
 
 
 def joint_angle(skel: CanonicalSkeleton, joint: JointId) -> float:
@@ -320,21 +311,17 @@ def frame_cosine(a: JointVectorField, b: JointVectorField) -> float:
                               ab.vectors[1:], ab.valid[1:])[0])
 
 
-def select_key_joints(seq: Sequence,
-                      threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG,
-                      occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
+def select_key_joints(points: np.ndarray, occluded: np.ndarray,
+                      threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG
                       ) -> List[JointId]:
     """Joints whose interior angle deviates >= threshold between the first
-    and last frame, sorted by descending deviation."""
-    ends = (seq.frames[0], seq.frames[-1])
-    occluded = np.stack([f.occlusion_mask(occlusion_threshold) for f in ends])
-    points = normalize_sequence(np.stack([f.points for f in ends]), occluded,
-                                [f.frame_id for f in ends])[0]
-    first, last = interior_angles(points, ANGLE_JOINTS, occluded).tolist()
+    and last frame of canonical points (T, 17, 2) with their occlusion mask
+    (T, 17), sorted by descending deviation."""
+    first, last = interior_angles(points[[0, -1]], ANGLE_JOINTS,
+                                  occluded[[0, -1]]).tolist()
     deviations = [(abs(b - a), j) for a, b, j in zip(first, last, ANGLE_JOINTS)
                   if not math.isnan(a - b)]
     if not deviations:
         raise DescriptorError("no joint angle computable in first/last frame")
     deviations.sort(key=lambda t: (-t[0], t[1]))
     return [j for d, j in deviations if d >= threshold_deg]
-

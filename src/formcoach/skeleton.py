@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Mapping, Optional, Sequence as Seq, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -60,7 +60,7 @@ _NAME_TO_JOINT = {name: JointId(i) for i, name in enumerate(JOINT_NAMES)}
 def joint_from_name(name: str) -> JointId:
     try:
         return _NAME_TO_JOINT[name.lower()]
-    except KeyError:
+    except (AttributeError, KeyError):
         raise ValidationError(f"unknown joint name {name!r}") from None
 
 
@@ -247,6 +247,29 @@ def _number(value, where: str) -> float:
         raise ValidationError(f"{where}: {value!r} is not a number") from None
 
 
+def _key(obj, key: str, where: str):
+    """``obj[key]`` of a JSON object; a :class:`ValidationError` naming
+    ``where`` if ``obj`` is not an object or lacks the key."""
+    if not isinstance(obj, Mapping) or key not in obj:
+        raise ValidationError(f"{where}: must be an object with key {key!r}")
+    return obj[key]
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ValidationError(f"{where}: must be a list, got {value!r}")
+    return value
+
+
+def _angle_table(obj, where: str) -> Dict[JointId, Tuple[float, float]]:
+    """A ``{joint_name: [min_deg, max_deg]}`` JSON object."""
+    if not (isinstance(obj, Mapping) and all(
+            isinstance(v, list) and len(v) == 2 for v in obj.values())):
+        raise ValidationError(f"{where}: must map joint names to [min, max]")
+    return {joint_from_name(n): tuple(_number(x, f"{where}.{n}") for x in v)
+            for n, v in obj.items()}
+
+
 def _parse_row(row, frame_idx: int, name: str) -> Tuple[float, float, float]:
     """One ``[x, y, conf]`` keypoint row as floats."""
     if not isinstance(row, (list, tuple)) or len(row) != 3:
@@ -378,15 +401,20 @@ def load_annotation(path: os.PathLike | str) -> Annotation:
         raise ValidationError(f"{path}: not an annotation file")
     scores = doc.get("scores")
     if scores is not None:
-        scores = (float(scores["joint"]), float(scores["pace"]), float(scores["range"]))
+        scores = tuple(_number(_key(scores, k, f"{path}: scores"), f"{path}: scores.{k}")
+                       for k in ("joint", "pace", "range"))
+    mistakes = []
+    for i, m in enumerate(_list(doc.get("per_frame_mistakes", []),
+                                f"{path}: per_frame_mistakes")):
+        where = f"{path}: per_frame_mistakes[{i}]"
+        mistakes.append((_key(m, "frame_id", where),
+                         joint_from_name(_key(m, "joint", where)), m.get("note", "")))
     return Annotation(
         exercise_id=str(doc["exercise_id"]),
-        targeted_joints=tuple(joint_from_name(n) for n in doc.get("targeted_joints", [])),
-        reference_angles={joint_from_name(n): (v[0], v[1])
-                          for n, v in doc.get("reference_angles", {}).items()},
-        per_frame_mistakes=tuple(
-            (m["frame_id"], joint_from_name(m["joint"]), m.get("note", ""))
-            for m in doc.get("per_frame_mistakes", [])
-        ),
+        targeted_joints=tuple(joint_from_name(n) for n in _list(
+            doc.get("targeted_joints", []), f"{path}: targeted_joints")),
+        reference_angles=_angle_table(doc.get("reference_angles", {}),
+                                      f"{path}: reference_angles"),
+        per_frame_mistakes=tuple(mistakes),
         scores=scores,
     )

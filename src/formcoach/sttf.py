@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence as Seq, Tuple
@@ -38,6 +39,11 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
+# Smallest allowed value of each STTFConfig field.
+_CONFIG_MINIMUM = {"d_model": 1, "n_heads": 1, "spatial_layers": 0, "temporal_layers": 0,
+                   "seq_len": 2, "n_joints": 1, "n_scores": 1, "mlp_ratio": 1, "seed": 0}
+
+
 @dataclass(frozen=True)
 class STTFConfig:
     d_model: int = 32
@@ -51,13 +57,17 @@ class STTFConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, minimum in _CONFIG_MINIMUM.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < minimum):
+                raise ValidationError(
+                    f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.d_model % self.n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
-        if self.seq_len < 2:
-            raise ValueError("seq_len must be >= 2")
+            raise ValidationError("d_model must be divisible by n_heads")
         if (self.n_joints, self.n_scores) != (N_JOINTS, 3):
-            raise ValueError(f"n_joints={self.n_joints}, n_scores={self.n_scores}: "
-                             f"only a 17-joint, 3-score model is supported")
+            raise ValidationError(f"n_joints={self.n_joints}, n_scores={self.n_scores}: "
+                                  f"only a 17-joint, 3-score model is supported")
 
 
 class Param:

@@ -6,7 +6,7 @@ import pytest
 from formcoach.alignment import (AlignmentError, WarpPath, dtw_align,
                                  moving_average, pace_profile)
 from formcoach.assessment import pace_score
-from formcoach.kinematics import JointVectorField, joint_vectors
+from formcoach.kinematics import JointVectorField, interior_angles, joint_vectors
 from formcoach.normalize import normalize_global
 from formcoach.skeleton import JointId, Sequence
 from formcoach.synth import InjectedError, MotionSpec, generate
@@ -191,6 +191,12 @@ class TestMovingAverage:
             assert out[i] == pytest.approx(x[lo:hi].mean())
 
 
+def knee_angles(seq):
+    """The raw left-knee angle series that pace segments phases on."""
+    return interior_angles(seq.points_array(), (JointId.LEFT_KNEE,),
+                           seq.occlusion_mask())[:, 0]
+
+
 class TestPaceProfile:
     def test_identity(self):
         seq, _ = generate(MotionSpec(template="squat", n_frames=20), seed=0)
@@ -198,7 +204,7 @@ class TestPaceProfile:
         fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
                                     JointId.LEFT_HIP]) for s in skels]
         path = dtw_align(fields, fields)
-        profile = pace_profile(seq, seq, path, JointId.LEFT_KNEE)
+        profile = pace_profile(seq, seq, path, knee_angles(seq))
         assert profile.duration_ratio == 1.0
         assert profile.warp_deviation == 0.0
         for p in profile.phases:
@@ -215,7 +221,7 @@ class TestPaceProfile:
         fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
                   for s in skels]
         path = dtw_align(fields, fields)
-        profile = pace_profile(cand, ref, path, JointId.LEFT_KNEE)
+        profile = pace_profile(cand, ref, path, knee_angles(ref))
         assert profile.duration_ratio == 0.5
         assert profile.warp_deviation == 0.0
         assert pace_score(profile) == 50.0
@@ -228,7 +234,7 @@ class TestPaceProfile:
         fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
                   for s in skels]
         path = dtw_align(fields, fields)
-        profile = pace_profile(half, half, path, JointId.LEFT_KNEE)
+        profile = pace_profile(half, half, path, knee_angles(half))
         assert [p.name for p in profile.phases] == ["full"]
 
     def test_fast_eccentric_phase_duration(self):
@@ -243,7 +249,7 @@ class TestPaceProfile:
         fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
                                     JointId.LEFT_HIP]) for s in skels]
         path = dtw_align(fields, fields)
-        profile = pace_profile(cand, ref, path, JointId.LEFT_KNEE)
+        profile = pace_profile(cand, ref, path, knee_angles(ref))
         ecc = next(p for p in profile.phases if p.name == "eccentric")
         assert ecc.cand_seconds / ecc.ref_seconds == pytest.approx(0.5, abs=0.05)
 

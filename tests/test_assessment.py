@@ -8,10 +8,10 @@ import pytest
 from formcoach.alignment import PaceProfile, Phase, WarpPath, dtw_align
 from formcoach.assessment import (AssessmentReport, Correction, FrameDeviation,
                                   MistakeFlag, assess_pair, flag_mistakes,
-                                  joint_score, load_report, pace_score,
+                                  load_report, pace_score, prepare,
                                   range_score, save_report, textual_feedback)
 from formcoach.config import CorrectionRule
-from formcoach.kinematics import joint_vectors
+from formcoach.kinematics import interior_angles, joint_vectors
 from formcoach.normalize import normalize_global
 from formcoach.skeleton import JointId, ValidationError
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
@@ -30,6 +30,18 @@ def make_pair(template="press", n_frames=32, cand_errors=(), noise=0.0,
     return cand, ref, cfg
 
 
+def assess(cand, ref, cfg):
+    """:func:`assess_pair` against a reference prepared for this call."""
+    return assess_pair(cand, prepare(ref, cfg), cfg)
+
+
+def raw_range_score(cand, targeted, reference):
+    """:func:`range_score` over the interior angles of ``cand``'s raw
+    keypoints."""
+    angles = interior_angles(cand.points_array(), targeted, cand.occlusion_mask())
+    return range_score(angles, targeted, reference)
+
+
 def occlude_at_random(seq, rng, joints, share=0.3):
     """Copy of ``seq`` with one of ``joints`` occluded on about ``share`` of
     the frames."""
@@ -46,7 +58,7 @@ def occlude_at_random(seq, rng, joints, share=0.3):
 class TestJointScore:
     def test_identity_is_100(self):
         cand, ref, cfg = make_pair()
-        res = assess_pair(cand, cand, cfg)
+        res = assess(cand, cand, cfg)
         assert res.report.joint_score == pytest.approx(100.0, abs=1e-6)
 
     def test_matches_brute_force_over_pairs(self):
@@ -67,7 +79,9 @@ class TestJointScore:
                 total += (cos + 1.0) / 2.0
                 count += 1
         expected = 100.0 * total / count
-        assert joint_score(cand, ref, targeted, path) == pytest.approx(expected)
+        res = assess(cand, ref, cfg)
+        assert res.path.pairs == path.pairs
+        assert res.report.joint_score == pytest.approx(expected)
 
     def test_occluded_joints_match_explicit_loop(self):
         # Path pairs whose frames keep different pair sets score over the
@@ -88,7 +102,9 @@ class TestJointScore:
                     total += (float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0)) + 1.0) / 2.0
                     count += 1
         assert count < len(path) * len(targeted) * (len(targeted) - 1)
-        assert joint_score(cand, ref, targeted, path) == pytest.approx(
+        res = assess(cand, ref, cfg)
+        assert res.path.pairs == path.pairs
+        assert res.report.joint_score == pytest.approx(
             100.0 * total / count, abs=1e-10)
 
     def test_wrong_scores_below_correct(self):
@@ -97,8 +113,8 @@ class TestJointScore:
         wrong, _, _ = make_pair(cand_errors=(
             InjectedError(kind="angle_offset_deg", magnitude=35.0,
                           joint=J.LEFT_ELBOW),), noise=0.5, seed=3)
-        s_clean = assess_pair(clean, ref, cfg).report.joint_score
-        s_wrong = assess_pair(wrong, ref, cfg).report.joint_score
+        s_clean = assess(clean, ref, cfg).report.joint_score
+        s_wrong = assess(wrong, ref, cfg).report.joint_score
         assert s_wrong < s_clean
 
 
@@ -130,8 +146,8 @@ class TestPaceScore:
 class TestRangeScore:
     def test_full_range_scores_100(self):
         cand, ref, cfg = make_pair(template="squat")
-        assert range_score(cand, cfg.targeted_joints, cfg.reference_angles
-                           ) == pytest.approx(100.0, abs=1e-6)
+        assert raw_range_score(cand, cfg.targeted_joints, cfg.reference_angles
+                               ) == pytest.approx(100.0, abs=1e-6)
 
     def test_truncated_knee_scores_half(self):
         cand, ref, cfg = make_pair(
@@ -139,18 +155,18 @@ class TestRangeScore:
             cand_errors=(InjectedError(kind="rom_truncation_fraction",
                                        magnitude=0.5, joint=J.LEFT_KNEE),))
         reference = {J.LEFT_KNEE: cfg.reference_angles[J.LEFT_KNEE]}
-        assert range_score(cand, (J.LEFT_KNEE,), reference
-                           ) == pytest.approx(50.0, abs=5.0)
+        assert raw_range_score(cand, (J.LEFT_KNEE,), reference
+                               ) == pytest.approx(50.0, abs=5.0)
 
     def test_no_reference_ranges_not_applicable(self):
         cand, _, _ = make_pair()
-        assert range_score(cand, (J.LEFT_ELBOW,), {}) is None
+        assert raw_range_score(cand, (J.LEFT_ELBOW,), {}) is None
 
     def test_overachieved_range_clamped(self):
         cand, _, cfg = make_pair(template="squat")
         lo, hi = cfg.reference_angles[J.LEFT_KNEE]
         reference = {J.LEFT_KNEE: (lo, lo + (hi - lo) / 2)}
-        assert range_score(cand, (J.LEFT_KNEE,), reference) == pytest.approx(100.0)
+        assert raw_range_score(cand, (J.LEFT_KNEE,), reference) == pytest.approx(100.0)
 
 
 def detail(devs_by_frame):
@@ -247,7 +263,7 @@ class TestAssessPair:
     def test_self_assessment_identity(self):
         for template in ("squat", "press", "pull"):
             cand, _, cfg = make_pair(template=template, seed=5)
-            res = assess_pair(cand, cand, cfg)
+            res = assess(cand, cand, cfg)
             r = res.report
             assert r.joint_score == pytest.approx(100.0, abs=1e-6)
             assert r.pace_score == pytest.approx(100.0, abs=1e-6)
@@ -261,7 +277,7 @@ class TestAssessPair:
             cand_errors=(InjectedError(kind="angle_offset_deg", magnitude=45.0,
                                        joint=J.LEFT_ELBOW),
                          InjectedError(kind="speed_factor", magnitude=3.0),))
-        r = assess_pair(cand, ref, cfg).report
+        r = assess(cand, ref, cfg).report
         for v in (r.joint_score, r.pace_score, r.range_score):
             assert 0.0 <= v <= 100.0
 
@@ -274,7 +290,7 @@ class TestAssessPair:
             cand, _ = generate(MotionSpec(template="squat", n_frames=32,
                                           noise_std=0.2, injected_errors=errs),
                                seed=7)
-            scores.append(assess_pair(cand, ref, cfg).report.joint_score)
+            scores.append(assess(cand, ref, cfg).report.joint_score)
         assert all(b <= a + 1e-9 for a, b in zip(scores, scores[1:]))
 
     def test_rule_table_produces_named_correction(self):
@@ -285,7 +301,7 @@ class TestAssessPair:
             mistake_threshold=0.07,
             rules=(CorrectionRule(joint=J.LEFT_ELBOW, message="Abduct arm",
                                   deviation_above=0.05),))
-        r = assess_pair(cand, ref, cfg).report
+        r = assess(cand, ref, cfg).report
         assert any(c.text == "Abduct arm" for c in r.corrections)
         assert all(c.frame_ids for c in r.corrections)
 
@@ -298,7 +314,7 @@ class TestAssessPair:
             conf[J.LEFT_ANKLE] = 0.0
             frames[t] = replace(frames[t], confidence=conf)
         with caplog.at_level(logging.WARNING, logger="formcoach"):
-            assess_pair(replace(cand, frames=tuple(frames)), ref, cfg)
+            assess(replace(cand, frames=tuple(frames)), ref, cfg)
         assert len(caplog.records) == 1
         message = caplog.records[0].getMessage()
         assert "left_ankle" in message
@@ -306,12 +322,12 @@ class TestAssessPair:
 
     def test_class_tag_echoed(self):
         cand, ref, cfg = make_pair(seed=9)
-        assert assess_pair(cand, ref, cfg).report.name == "press(GT)"
+        assert assess(cand, ref, cfg).report.name == "press(GT)"
         wrong, _ = generate(MotionSpec(
             template="press", n_frames=32,
             injected_errors=(InjectedError(kind="speed_factor", magnitude=2.0),)),
             seed=9)
-        assert assess_pair(wrong, ref, cfg).report.name == "press(W)"
+        assert assess(wrong, ref, cfg).report.name == "press(W)"
 
 
 class TestReportIO:

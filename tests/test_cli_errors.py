@@ -6,13 +6,15 @@ being reported as exit 2.
 """
 
 import json
+import shutil
 
 import pytest
 
-from formcoach import cli, sttf
+from formcoach import assessment, cli, sttf
 from formcoach.alignment import AlignmentError
 from formcoach.kinematics import DescriptorError
-from formcoach.skeleton import save_annotation, save_sequence
+from formcoach.normalize import normalize_sequence
+from formcoach.skeleton import JointId, save_annotation, save_sequence
 from formcoach.synth import MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
@@ -38,6 +40,83 @@ def test_null_coordinate_exits_2_naming_frame(tmp_path, capsys, which):
     assert "frame 4: keypoint 'left_knee'" in capsys.readouterr().err
 
 
+def write_train_inputs(tmp_path, **config):
+    """A one-example dataset and a small training config; returns the argv
+    of a ``train`` call on them."""
+    seq, ann = generate(MotionSpec(template="squat", n_frames=12), seed=0)
+    save_sequence(seq, tmp_path / "squat.sequence.json")
+    save_annotation(ann, tmp_path / "squat.annotation.json")
+    path = tmp_path / "train.json"
+    path.write_text(json.dumps({"d_model": 8, "n_heads": 2, "seq_len": 8,
+                                "epochs": 1, **config}))
+    return ["train", "--dataset", str(tmp_path), "--config", str(path),
+            "--checkpoint-out", str(tmp_path / "model.json")]
+
+
+def assess_three_ways(tmp_path):
+    """``assess`` of the candidate written under three names; returns the
+    exit code and the output directory."""
+    cands = []
+    for k in range(3):
+        path = tmp_path / f"cand{k}.sequence.json"
+        shutil.copy(tmp_path / "cand.sequence.json", path)
+        cands.append(str(path))
+    out = tmp_path / "out"
+    rc = cli.main(["assess", "--candidate", *cands,
+                   "--reference", str(tmp_path / "ref.sequence.json"),
+                   "--config", str(tmp_path / "squat.config.json"),
+                   "--out", str(out)])
+    return rc, out
+
+
+def edit_reference_frame(tmp_path, frame, edit):
+    path = tmp_path / "ref.sequence.json"
+    doc = json.loads(path.read_text())
+    edit(doc["frames"][frame]["keypoints"])
+    path.write_text(json.dumps(doc))
+
+
+def hide_left_hip(keypoints):
+    keypoints[JointId.LEFT_HIP][2] = 0.0
+
+
+def collapse_torso(keypoints):
+    for j in (JointId.RIGHT_SHOULDER, JointId.LEFT_HIP, JointId.RIGHT_HIP):
+        keypoints[j][:2] = keypoints[JointId.LEFT_SHOULDER][:2]
+
+
+@pytest.mark.parametrize("edit, code", [
+    (hide_left_hip, cli.EXIT_VALIDATION),
+    (collapse_torso, cli.EXIT_DEGENERATE),
+], ids=["occluded-torso", "degenerate"])
+def test_bad_reference_fails_once_naming_it(tmp_path, capsys, edit, code):
+    write_inputs(tmp_path)
+    edit_reference_frame(tmp_path, 2, edit)
+    rc, out = assess_three_ways(tmp_path)
+    assert rc == code
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert str(tmp_path / "ref.sequence.json") in lines[0]
+    assert "reference" in lines[0]
+    assert not any(f"cand{k}.sequence.json" in lines[0] for k in range(3))
+    assert captured.out == ""
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_assess_normalizes_the_reference_once(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return normalize_sequence(*args)
+    monkeypatch.setattr(assessment, "normalize_sequence", counted)
+    rc, _ = assess_three_ways(tmp_path)
+    assert rc == cli.EXIT_OK
+    assert len(calls) == 4
+
+
 @pytest.mark.parametrize("key", ["key_joint_threshold_deg", "mistake_threshold",
                                  "occlusion_threshold", "pace_ratio_weight"])
 def test_non_number_config_value_exits_2(tmp_path, capsys, key):
@@ -55,16 +134,74 @@ def test_non_number_config_value_exits_2(tmp_path, capsys, key):
     ("n_scores", 2, "3-score"),
 ], ids=["joints", "scores"])
 def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match):
-    seq, ann = generate(MotionSpec(template="squat", n_frames=12), seed=0)
-    save_sequence(seq, tmp_path / "squat.sequence.json")
-    save_annotation(ann, tmp_path / "squat.annotation.json")
-    config = tmp_path / "train.json"
-    config.write_text(json.dumps({"d_model": 8, "n_heads": 2, "seq_len": 8,
-                                  "epochs": 1, key: value}))
-    argv = ["train", "--dataset", str(tmp_path), "--config", str(config),
-            "--checkpoint-out", str(tmp_path / "model.json")]
+    argv = write_train_inputs(tmp_path, **{key: value})
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, extra, field", [
+    ({"n_heads": 0}, (), "n_heads"),
+    ({"d_model": 0}, (), "d_model"),
+    ({"seq_len": 8.5}, (), "seq_len"),
+    ({"spatial_layers": -1}, (), "spatial_layers"),
+    ({"seed": -1}, (), "seed"),
+    ({"epochs": 0}, (), "epochs"),
+    ({}, ("--epochs", "0"), "epochs"),
+    ({"lr": 0}, (), "lr"),
+    ({"lr": "fast"}, (), "lr"),
+], ids=["heads", "width", "seq-len", "layers", "seed", "epochs", "epochs-flag",
+        "lr", "lr-text"])
+def test_bad_training_config_exits_2(tmp_path, capsys, config, extra, field):
+    argv = write_train_inputs(tmp_path, **config)
+    assert cli.main([*argv, *extra]) == cli.EXIT_VALIDATION
+    assert field in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_bare_value_error_in_train_escapes(tmp_path, monkeypatch):
+    argv = write_train_inputs(tmp_path)
+    assert cli.main(argv) == cli.EXIT_OK
+
+    def fail(*args):
+        raise ValueError("a bug, not bad input")
+    monkeypatch.setattr(cli, "_load_train_config", fail)
+    with pytest.raises(ValueError, match="a bug"):
+        cli.main(argv)
+
+
+@pytest.mark.parametrize("file, key, value, expected", [
+    ("annotation", "scores", {"joint": 50.0, "range": 50.0}, "pace"),
+    ("annotation", "scores", {"joint": "high", "pace": 50.0, "range": 50.0},
+     "scores.joint"),
+    ("annotation", "per_frame_mistakes", [{"joint": "left_knee"}], "frame_id"),
+    ("annotation", "reference_angles", {"left_knee": [60.0, "x"]},
+     "reference_angles.left_knee"),
+    ("annotation", "targeted_joints", 5, "targeted_joints"),
+    ("config", "phase", {"eccentric_direction": "decreasing"}, "primary_joint"),
+    ("config", "phase", 3, "phase"),
+    ("config", "rules", [{"joint": "left_knee"}], "message"),
+    ("config", "reference_angles", {"left_knee": ["x", 170.0]},
+     "reference_angles.left_knee"),
+    ("config", "rules", [{"joint": "left_knee", "message": "m", "angle_above": "x"}],
+     "rules[0].angle_above"),
+], ids=["scores-missing", "score-text", "mistake-frame", "annotation-angle",
+        "targeted-not-list", "phase-joint", "phase-number", "rule-message",
+        "config-angle", "rule-angle-text"])
+def test_malformed_annotation_or_config_exits_2(tmp_path, capsys, file, key, value,
+                                                expected):
+    if file == "annotation":
+        argv = write_train_inputs(tmp_path)
+        path = tmp_path / "squat.annotation.json"
+    else:
+        write_inputs(tmp_path)
+        argv = assess_argv(tmp_path)
+        path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert str(path) in err and expected in err
 
 
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
@@ -93,6 +230,17 @@ def test_bare_value_error_in_assess_escapes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "assess_pair", fail)
     with pytest.raises(ValueError, match="a bug"):
         run_assess(tmp_path)
+
+
+def test_degenerate_sequence_in_score_model_exits_3_naming_it(tmp_path, capsys):
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    path = tmp_path / "ref.sequence.json"
+    edit_reference_frame(tmp_path, 2, collapse_torso)
+    argv = ["score-model", "--checkpoint", str(ckpt), "--sequence", str(path)]
+    assert cli.main(argv) == cli.EXIT_DEGENERATE
+    assert f"degenerate data in {path}: frame 'f0002'" in capsys.readouterr().err
 
 
 def test_bare_value_error_in_score_model_escapes(tmp_path, monkeypatch):

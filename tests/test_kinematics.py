@@ -5,10 +5,9 @@ import pytest
 
 from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
                                   JointVectorField, UndefinedAngleError,
-                                  angle_at, frame_cosine, joint_angle,
-                                  joint_vectors, select_key_joints,
-                                  sequence_angles)
-from formcoach.normalize import normalize_global
+                                  angle_at, frame_cosine, interior_angles,
+                                  joint_angle, joint_vectors, select_key_joints)
+from formcoach.normalize import normalize_global, normalize_sequence
 from formcoach.skeleton import Frame, JointId, Sequence
 from formcoach.synth import MotionSpec, generate
 
@@ -153,6 +152,15 @@ class TestFrameCosine:
             frame_cosine(a, b)
 
 
+def key_joints(seq, threshold_deg):
+    """:func:`select_key_joints` over ``seq`` normalized with one
+    :func:`normalize_sequence` call."""
+    occluded = seq.occlusion_mask()
+    points = normalize_sequence(seq.points_array(), occluded,
+                                [f.frame_id for f in seq.frames])[0]
+    return select_key_joints(points, occluded, threshold_deg)
+
+
 class TestSelectKeyJoints:
     def test_static_sequence_empty(self):
         seq, _ = generate(MotionSpec(template="squat", n_frames=10,
@@ -160,7 +168,7 @@ class TestSelectKeyJoints:
                                                     JointId.RIGHT_KNEE: 0,
                                                     JointId.LEFT_HIP: 0,
                                                     JointId.RIGHT_HIP: 0}), seed=0)
-        assert select_key_joints(seq, threshold_deg=15.0) == []
+        assert key_joints(seq, threshold_deg=15.0) == []
 
     def test_squat_flexes_knees_and_hips(self):
         seq, _ = generate(MotionSpec(template="squat", n_frames=31,
@@ -171,7 +179,7 @@ class TestSelectKeyJoints:
         # use the descending half-repetition so first/last frames differ
         half = Sequence(exercise_id=seq.exercise_id, class_label=seq.class_label,
                         frames=seq.frames[:16], fps_hint=seq.fps_hint)
-        selected = set(select_key_joints(half, threshold_deg=15.0))
+        selected = set(key_joints(half, threshold_deg=15.0))
         assert selected == {JointId.LEFT_KNEE, JointId.RIGHT_KNEE,
                             JointId.LEFT_HIP, JointId.RIGHT_HIP}
 
@@ -179,13 +187,13 @@ class TestSelectKeyJoints:
         seq, _ = generate(MotionSpec(template="press", n_frames=16), seed=1)
         half = Sequence(exercise_id="p", class_label="correct",
                         frames=seq.frames[:8], fps_hint=None)
-        assert set(select_key_joints(half, threshold_deg=0.0)) == set(ANGLE_JOINTS)
+        assert set(key_joints(half, threshold_deg=0.0)) == set(ANGLE_JOINTS)
 
     def test_sorted_by_descending_deviation(self):
         seq, _ = generate(MotionSpec(template="squat", n_frames=21), seed=2)
         half = Sequence(exercise_id="s", class_label="correct",
                         frames=seq.frames[:11], fps_hint=None)
-        joints = select_key_joints(half, threshold_deg=5.0)
+        joints = key_joints(half, threshold_deg=5.0)
         first = normalize_global(half.frames[0])
         last = normalize_global(half.frames[-1])
         devs = [abs(joint_angle(last, j) - joint_angle(first, j)) for j in joints]
@@ -201,7 +209,7 @@ class TestSelectKeyJoints:
             for f in half_frames)
         a = Sequence(exercise_id="x", class_label="correct", frames=half_frames)
         b = Sequence(exercise_id="x", class_label="correct", frames=moved)
-        assert select_key_joints(a, 10.0) == select_key_joints(b, 10.0)
+        assert key_joints(a, 10.0) == key_joints(b, 10.0)
 
 
 class TestSequenceAngles:
@@ -210,4 +218,5 @@ class TestSequenceAngles:
                                      noise_std=2.0), seed=7)
         expected = [[angle_at(frame.points, j) for j in ANGLE_JOINTS]
                     for frame in seq.frames]
-        assert sequence_angles(seq, ANGLE_JOINTS).tolist() == expected
+        assert interior_angles(seq.points_array(), ANGLE_JOINTS,
+                               seq.occlusion_mask()).tolist() == expected
