@@ -3,12 +3,9 @@
 from .skeleton import (Annotation, Frame, JointId, Sequence, ValidationError,
                        load_annotation, load_sequence, save_annotation,
                        save_sequence)
-from .normalize import (CanonicalSkeleton, DegenerateSkeletonError,
-                        NormalizationTransform, OccludedJointError,
-                        normalize_global, normalize_local, normalize_sequence,
-                        torso_length)
-from .kinematics import (JointVectorField, frame_cosine, joint_angle,
-                         joint_vectors, select_key_joints)
+from .normalize import (DegenerateSkeletonError, OccludedJointError,
+                        normalize_sequence)
+from .kinematics import select_key_joints
 from .alignment import PaceProfile, Phase, WarpPath, dtw_align, pace_profile
 from .assessment import (AssessmentReport, AssessmentResult, Correction,
                          MistakeFlag, Prepared, assess_pair, flag_mistakes,

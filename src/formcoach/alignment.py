@@ -1,12 +1,20 @@
 """Temporal alignment and pace analysis.
 
 Candidate and reference sequences are aligned with dynamic time warping over
-their direction-vector descriptors; the step cost between a candidate frame
-and a reference frame is ``1 - frame_cosine``. The m x n cost matrix is a
-masked reduction over the ``(T, P, 2)`` descriptor arrays, computed a block of
-candidate rows at a time, and the accumulated-cost recurrence runs one
-anti-diagonal at a time, since every cell of an anti-diagonal depends only on
-the two before it.
+their direction-vector descriptors (:class:`JointVectorSequence`). The step
+cost between candidate frame i and reference frame j is
+
+    cost(i, j) = 1 - (1 / |P_ij|) * sum over p in P_ij of clip(u_ip . v_jp, -1, 1)
+
+where u_ip and v_jp are the unit vectors of pair p and P_ij is the set of
+pairs valid in both frames. The path minimizes the accumulated cost
+
+    acc(i, j) = cost(i, j) + min(acc(i-1, j-1), acc(i-1, j), acc(i, j-1))
+
+from (0, 0) to (m-1, n-1). The m x n cost matrix is a masked reduction over
+the ``(T, P, 2)`` descriptor arrays, computed a block of candidate rows at a
+time, and the accumulated-cost recurrence runs one anti-diagonal at a time,
+since every cell of an anti-diagonal depends only on the two before it.
 
 Pace is summarized by the raw duration ratio, the mean deviation of the warp
 path from the diagonal, and per-phase durations, where phases are segmented
@@ -16,12 +24,11 @@ at extrema of the exercise's primary joint angle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence as Seq, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .kinematics import (DescriptorError, JointVectorField, JointVectorSequence,
-                         frame_cosine, mean_cosines)
+from .kinematics import DescriptorError, JointVectorSequence, mean_cosines
 from .skeleton import Sequence
 
 # Moving-average window (frames) used to suppress jitter before locating
@@ -65,13 +72,7 @@ class WarpPath:
         return len(self.pairs)
 
 
-def descriptor_cost(a: JointVectorField, b: JointVectorField) -> float:
-    """DTW step cost between two frames: 1 - mean cosine similarity."""
-    return 1.0 - frame_cosine(a, b)
-
-
-def dtw_align(cand: JointVectorSequence | Seq[JointVectorField],
-              ref: JointVectorSequence | Seq[JointVectorField]) -> WarpPath:
+def dtw_align(cand: JointVectorSequence, ref: JointVectorSequence) -> WarpPath:
     """Minimal-cost monotone alignment of two descriptor sequences.
 
     Ties are broken deterministically: diagonal step first, then candidate
@@ -79,7 +80,6 @@ def dtw_align(cand: JointVectorSequence | Seq[JointVectorField],
     """
     if not cand or not ref:
         raise AlignmentError("cannot align empty sequences")
-    cand, ref = JointVectorSequence.of(cand), JointVectorSequence.of(ref)
     if cand.targeted != ref.targeted:
         raise DescriptorError(
             f"mismatched targeted joints: {cand.targeted} vs {ref.targeted}")

@@ -114,7 +114,9 @@ class Prepared:
 
     seq: Sequence
     pose: Pose
-    transforms: np.ndarray          # (T, 6) in NormalizationTransform.as_tuple order
+    # (T, 6) per-frame columns theta, dx, dy, scale, cx, cy of the report's
+    # canonical = scale * R(theta) @ (pixel - (cx, cy)) + (dx, dy); dx = dy = 0
+    transforms: np.ndarray
     targeted: Tuple[JointId, ...]   # sorted
     desc: JointVectorSequence
     angles: np.ndarray              # (T, N) canonical interior angles at targeted

@@ -16,7 +16,8 @@ Exit codes: 0 success, 2 validation error, 3 degenerate input data,
 
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call with one error naming the reference file;
-an unusable candidate fails only itself, naming its file.
+an unusable candidate fails only itself, naming its file. ``train`` stops at
+the first unusable dataset sequence, naming its file.
 """
 
 from __future__ import annotations
@@ -32,13 +33,14 @@ from . import sttf
 from .alignment import AlignmentError
 from .assessment import (AssessmentResult, Prepared, assess_pair, load_report,
                          prepare, save_report)
-from .config import ExerciseConfig, load_exercise_config
+from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (Sequence, ValidationError, _number, joint_from_name,
-                       load_annotation, load_sequence, read_json, save_annotation,
-                       save_sequence, write_json_atomic, write_text_atomic)
+from .skeleton import (Sequence, ValidationError, _key, _list, _number,
+                       joint_from_name, load_annotation, load_sequence, read_json,
+                       save_annotation, save_sequence, write_json_atomic,
+                       write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -151,25 +153,36 @@ def cmd_assess(args) -> int:
 
 def _motion_spec_from_file(path: Path) -> MotionSpec:
     doc = read_json(path)
-    if not isinstance(doc, dict) or "template" not in doc:
-        raise ValidationError(f"{path}: motion spec needs a 'template' key")
-    errors = tuple(
-        InjectedError(
+    template = _key(doc, "template", f"{path}: motion spec")
+
+    def number(key: str, default: float) -> float:
+        return _number(doc.get(key, default), f"{path}: {key}")
+
+    errors = []
+    for i, e in enumerate(_list(doc.get("injected_errors", []),
+                                f"{path}: injected_errors")):
+        where = f"{path}: injected_errors[{i}]"
+        magnitude = _number(_key(e, "magnitude", where), f"{where}.magnitude")
+        errors.append(InjectedError(
             kind=e.get("type", e.get("kind")),
-            magnitude=float(e["magnitude"]),
+            magnitude=magnitude,
             joint=None if e.get("joint") is None else joint_from_name(e["joint"]),
             phase=e.get("phase", "all"),
-        )
-        for e in doc.get("injected_errors", [])
-    )
+        ))
+    amplitudes = doc.get("amplitude_deg", {})
+    if not isinstance(amplitudes, dict):
+        raise ValidationError(f"{path}: amplitude_deg must map joint names to degrees")
+    n_frames = number("n_frames", 48)
+    if not n_frames.is_integer():
+        raise ValidationError(f"{path}: n_frames must be an integer, got {n_frames:g}")
     return MotionSpec(
-        template=doc["template"],
-        n_frames=int(doc.get("n_frames", 48)),
-        fps=float(doc.get("fps", 30.0)),
-        amplitude_deg={joint_from_name(k): float(v)
-                       for k, v in doc.get("amplitude_deg", {}).items()} or None,
-        noise_std=float(doc.get("noise_std", 0.0)),
-        injected_errors=errors,
+        template=str(template),
+        n_frames=int(n_frames),
+        fps=number("fps", 30.0),
+        amplitude_deg={joint_from_name(k): _number(v, f"{path}: amplitude_deg.{k}")
+                       for k, v in amplitudes.items()} or None,
+        noise_std=number("noise_std", 0.0),
+        injected_errors=tuple(errors),
         class_label=doc.get("class_label"),
     )
 
@@ -181,7 +194,7 @@ def cmd_synth(args) -> int:
     except FileNotFoundError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (ValidationError, KeyError) as e:
+    except ValidationError as e:
         print(f"error: invalid motion spec: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     out_dir = Path(args.out)
@@ -214,6 +227,15 @@ def _load_train_config(path: Optional[str], args) -> Tuple[sttf.STTFConfig, int,
     return config, int(epochs), lr
 
 
+def _training_example(seq_path: Path, ann_path: Path, seq_len: int) -> tuple:
+    """(model input, target scores, per-frame labels) of one dataset pair."""
+    seq = load_sequence(seq_path)
+    ann = load_annotation(ann_path)
+    x = sttf.sequence_to_model_input(seq, seq_len)
+    t_scores, labels = sttf.targets_from_annotation(seq, ann, seq_len)
+    return x, t_scores, labels
+
+
 def cmd_train(args) -> int:
     dataset_dir = Path(args.dataset)
     try:
@@ -222,21 +244,16 @@ def cmd_train(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    seq_files = sorted(dataset_dir.glob("*.sequence.json"))
     dataset = []
-    try:
-        for sf in seq_files:
-            af = sf.with_name(sf.name.replace(".sequence.json", ".annotation.json"))
-            if not af.exists():
-                continue
-            seq = load_sequence(sf)
-            ann = load_annotation(af)
-            x = sttf.sequence_to_model_input(seq, config.seq_len)
-            t_scores, labels = sttf.targets_from_annotation(seq, ann, config.seq_len)
-            dataset.append((x, t_scores, labels))
-    except (ValidationError, DegenerateSkeletonError, OccludedJointError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    for sf in sorted(dataset_dir.glob("*.sequence.json")):
+        af = sf.with_name(sf.name.replace(".sequence.json", ".annotation.json"))
+        if not af.exists():
+            continue
+        rc, example = _guarded(sf, lambda: _training_example(sf, af, config.seq_len))
+        if rc:
+            print(example, file=sys.stderr)
+            return rc
+        dataset.append(example)
     if not dataset:
         print(f"error: no sequence/annotation pairs in {dataset_dir}",
               file=sys.stderr)
@@ -261,6 +278,7 @@ def cmd_train(args) -> int:
 
 def cmd_score_model(args) -> int:
     try:
+        require_threshold(args.occlusion_threshold, "--occlusion-threshold")
         model = sttf.load_checkpoint(args.checkpoint)
     except (FileNotFoundError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)

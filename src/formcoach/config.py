@@ -7,6 +7,7 @@ tests (and users) can pin every constant.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -21,6 +22,13 @@ BODY_CLASSES = ("Upper", "Lower", "Both")
 # Threshold on per-joint deviation above which a local maximum becomes a
 # mistake flag.
 DEFAULT_MISTAKE_THRESHOLD = 0.25
+
+
+def require_threshold(value: float, name: str) -> None:
+    """Raise a :class:`ValidationError` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
+
 
 @dataclass(frozen=True)
 class PhaseConfig:
@@ -103,8 +111,7 @@ class ExerciseConfig:
                     f"reference_angles[{j.name.lower()}]: min {lo} > max {hi}")
         for thr_name in ("key_joint_threshold_deg", "mistake_threshold",
                          "occlusion_threshold"):
-            if getattr(self, thr_name) < 0:
-                raise ValidationError(f"{thr_name} must be non-negative")
+            require_threshold(getattr(self, thr_name), thr_name)
         if not 0.0 <= self.pace_ratio_weight <= 1.0:
             raise ValidationError("pace_ratio_weight must be in [0, 1]")
         self.rules = tuple(self.rules)

@@ -126,8 +126,8 @@ def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
             + ", ".join(frame_ids[t] for t in i[hidden & (j == joint)].tolist())
             for joint in np.unique(j[hidden]).tolist()))
     i, r, j, k = (a[~hidden] for a in (i, r, j, k))
-    # One (17, 2) @ (2, 2) product per arrow, as in normalize_local: a
-    # one-row product takes another BLAS kernel and may round differently.
+    # One (17, 2) @ (2, 2) product per arrow: a one-row product takes another
+    # BLAS kernel and may round differently, which would move arrow heads.
     local = ((ref.points[k] - ref.points[k, r, None]) @ _rot(ref.theta[k]).mT
              * ref.scale[k, None, None])[np.arange(len(k)), j]
     heads = ((local / cand.scale[i, None])[:, None] @ _rot(-cand.theta[i]).mT)[:, 0]

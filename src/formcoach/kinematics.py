@@ -9,14 +9,12 @@ Comparing two frames reduces to the mean cosine similarity over the pairs
 valid in both; :func:`pair_dots` (one ``x*x' + y*y'`` product) and
 :func:`masked_sum` (a zero-filled sum and a count) are the one kernel that
 does this for a single frame pair, a DTW cost-matrix block or a warp path.
-:class:`JointVectorField` is the one-frame view, holding the valid pairs only.
 
 Interior angles use a fixed bone topology: each angle-bearing joint has two
 neighbors (elbow: shoulder/wrist, knee: hip/ankle, shoulder: elbow/same-side
 hip, hip: same-side shoulder/knee). Angles are degrees in [0, 180] and are
 invariant under similarity transforms of the input. :func:`interior_angles`
-computes them for a whole sequence at once, with the arithmetic of the
-one-frame :func:`angle_at`, so the two agree bit for bit.
+computes them for any stack of frames, one frame included.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .normalize import CanonicalSkeleton, OccludedJointError
 from .skeleton import JointId
 
 logger = logging.getLogger(__name__)
@@ -57,17 +54,13 @@ DEFAULT_KEY_JOINT_THRESHOLD_DEG = 15.0
 COINCIDENT_EPS = 1e-9
 
 
-class UndefinedAngleError(ValueError):
-    """The joint has no interior angle in the bone topology."""
-
-
 class DescriptorError(ValueError):
     """Joint-vector descriptor could not be built or compared."""
 
 
 def _norms(v: np.ndarray) -> np.ndarray:
-    # vecdot is the BLAS dot behind np.dot, which angle_at takes for its
-    # norms, so interior_angles agrees with it bit for bit.
+    # vecdot is a BLAS dot; a plain sum of squares may round the last bit
+    # differently and so move report and synthesized angle floats.
     return np.sqrt(np.vecdot(v, v))
 
 
@@ -93,84 +86,16 @@ def interior_angles(points: np.ndarray, joints: Seq[JointId],
         ok &= ~(occluded[..., j] | occluded[..., a] | occluded[..., b])
     with np.errstate(divide="ignore", invalid="ignore"):
         cos = np.clip(np.vecdot(va, vb) / (na * nb), -1.0, 1.0)
-    # math.acos, as in angle_at: np.arccos's SIMD form can differ from it in
-    # the last bit.
+    # math.acos per element: np.arccos's SIMD form can differ from it in the
+    # last bit, which would move report floats and synth's reference ranges.
     out = [math.degrees(math.acos(c)) if k else math.nan
            for c, k in zip(cos.ravel().tolist(), ok.ravel().tolist())]
     return np.array(out).reshape(ok.shape)
 
 
-def angle_at(points: np.ndarray, joint: JointId,
-             occluded: np.ndarray | None = None) -> float:
-    """Interior angle (degrees) at ``joint`` for a (17, 2) point array.
-
-    The scalar form of :func:`interior_angles`, with the same arithmetic
-    (BLAS dot norms and product, ``math.acos``), so both agree bit for bit;
-    it is several times faster on one frame, as in per-frame synthesis.
-    """
-    joint = JointId(joint)
-    if joint not in ANGLE_NEIGHBORS:
-        raise UndefinedAngleError(f"{joint.name.lower()} has no interior angle")
-    a, b = ANGLE_NEIGHBORS[joint]
-    if occluded is not None and (occluded[joint] or occluded[a] or occluded[b]):
-        raise OccludedJointError(
-            f"angle at {joint.name.lower()} needs {a.name.lower()} and "
-            f"{b.name.lower()} visible"
-        )
-    va = points[a] - points[joint]
-    vb = points[b] - points[joint]
-    na, nb = math.sqrt(np.dot(va, va)), math.sqrt(np.dot(vb, vb))
-    if na < COINCIDENT_EPS or nb < COINCIDENT_EPS:
-        raise UndefinedAngleError(
-            f"degenerate bone at {joint.name.lower()} (zero length)"
-        )
-    cos = float(np.dot(va, vb) / (na * nb))
-    return math.degrees(math.acos(max(-1.0, min(1.0, cos))))
-
-
-def joint_angle(skel: CanonicalSkeleton, joint: JointId) -> float:
-    """Interior angle (degrees in [0, 180]) at a joint of a canonical skeleton."""
-    return angle_at(skel.points, joint, skel.occluded)
-
-
 def ordered_pairs(targeted: Seq[JointId]) -> Tuple[Tuple[JointId, JointId], ...]:
     """Every ordered pair of distinct targeted joints, grouped by first joint."""
     return tuple((a, b) for a in targeted for b in targeted if a != b)
-
-
-@dataclass(frozen=True)
-class JointVectorField:
-    """Unit direction vectors between ordered pairs of targeted joints.
-
-    ``lengths`` keeps the pre-normalization segment lengths; short segments
-    have ill-conditioned directions and downstream consumers may weight by
-    them.
-    """
-
-    frame_id: str
-    targeted: Tuple[JointId, ...]                    # as requested (sorted)
-    pairs: Tuple[Tuple[JointId, JointId], ...]       # pairs actually present
-    vectors: np.ndarray                              # (len(pairs), 2), unit
-    lengths: np.ndarray = None                       # (len(pairs),)
-    skipped: Tuple[Tuple[JointId, JointId], ...] = ()  # degenerate pairs
-
-    def __post_init__(self):
-        vec = np.array(self.vectors, dtype=np.float64)
-        vec = vec.reshape(len(self.pairs), 2)
-        vec.flags.writeable = False
-        object.__setattr__(self, "vectors", vec)
-        if self.lengths is None:
-            lengths = np.ones(len(self.pairs))
-        else:
-            lengths = np.array(self.lengths, dtype=np.float64).reshape(len(self.pairs))
-        lengths.flags.writeable = False
-        object.__setattr__(self, "lengths", lengths)
-        object.__setattr__(self, "targeted", tuple(sorted(JointId(j) for j in self.targeted)))
-        object.__setattr__(self, "pairs",
-                           tuple((JointId(a), JointId(b)) for a, b in self.pairs))
-
-    def vector_map(self) -> Dict[Tuple[JointId, JointId], np.ndarray]:
-        return {p: self.vectors[i] for i, p in enumerate(self.pairs)}
 
 
 @dataclass(frozen=True)
@@ -189,27 +114,6 @@ class JointVectorSequence:
 
     def __len__(self) -> int:
         return len(self.frame_ids)
-
-    @classmethod
-    def of(cls, frames) -> "JointVectorSequence":
-        """``frames`` itself, or the stack of a list of :class:`JointVectorField`."""
-        if isinstance(frames, cls):
-            return frames
-        targeted = frames[0].targeted
-        if any(f.targeted != targeted for f in frames):
-            raise DescriptorError("mismatched targeted joints")
-        pairs = ordered_pairs(targeted)
-        column = {p: k for k, p in enumerate(pairs)}
-        shape = (len(frames), len(pairs))
-        vectors, valid, lengths = np.zeros(shape + (2,)), np.zeros(shape, bool), np.zeros(shape)
-        for t, f in enumerate(frames):
-            try:
-                cols = [column[p] for p in f.pairs]
-            except KeyError as e:
-                raise DescriptorError(f"pair {e} joins untargeted joints") from None
-            vectors[t, cols], valid[t, cols], lengths[t, cols] = f.vectors, True, f.lengths
-        return cls(tuple(f.frame_id for f in frames), targeted, pairs,
-                   vectors, valid, lengths)
 
 
 def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
@@ -252,27 +156,6 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
                                valid, np.where(valid, norms, 0.0))
 
 
-def joint_vectors(skel: CanonicalSkeleton, targeted: Iterable[JointId],
-                  frame_id: str = "") -> JointVectorField:
-    """The one-frame case of :func:`sequence_descriptors`.
-
-    Occluded targeted joints are dropped (reducing N) and coincident pairs
-    are skipped; both are reported, the former via a log warning.
-    """
-    seq = sequence_descriptors(skel.points[None], skel.occluded[None],
-                               targeted, (frame_id,))
-    valid = seq.valid[0]
-    return JointVectorField(
-        frame_id=frame_id,
-        targeted=seq.targeted,
-        pairs=tuple(p for p, ok in zip(seq.pairs, valid) if ok),
-        vectors=seq.vectors[0][valid],
-        lengths=seq.lengths[0][valid],
-        skipped=tuple(p for p, ok in zip(seq.pairs, valid)
-                      if not ok and not skel.occluded[list(p)].any()),
-    )
-
-
 def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
               bk: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Cosines ``x*x' + y*y'`` of corresponding pair vectors, clipped to
@@ -298,17 +181,6 @@ def mean_cosines(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
     if not counts.all():
         raise DescriptorError("no common usable joint pairs")
     return sums / counts
-
-
-def frame_cosine(a: JointVectorField, b: JointVectorField) -> float:
-    """Mean cosine similarity over corresponding direction vectors, in [-1, 1].
-
-    Both fields must target the same joint set; pairs skipped as degenerate
-    on either side are excluded from the mean.
-    """
-    ab = JointVectorSequence.of([a, b])
-    return float(mean_cosines(ab.vectors[:1], ab.valid[:1],
-                              ab.vectors[1:], ab.valid[1:])[0])
 
 
 def select_key_joints(points: np.ndarray, occluded: np.ndarray,

@@ -1,36 +1,33 @@
 """Skeleton normalization into a canonical comparison space.
 
-Global normalization rotates the torso upright (+y), scales to unit torso
-length and moves the body center to the origin; local normalization keeps the
-same rotation and scale but anchors a chosen root joint at the origin so limb
-positions are comparable across recordings.
-
-The per-frame transform is an invertible similarity map
+:func:`normalize_sequence` normalizes a whole sequence at once: ``(T, 17, 2)``
+pixel points with their ``(T, 17)`` occlusion mask. Each frame is rotated so
+its torso points up (+y), scaled to unit torso length and moved so its body
+center sits at the origin. Its transform is the similarity map
 
     canonical = s * R(theta) @ (pixel - center)
 
-Image y points down, canonical y points up; the rotation maps the
-hip-midpoint -> shoulder-midpoint vector onto +y directly, which absorbs the
-axis flip. The body center is the intersection of the diagonals of the
-bounding box computed in the torso-aligned (rotated) frame over non-occluded
-joints: computing the box after rotation is what makes the result exactly
-invariant under similarity transforms of the input.
+with ``R(theta) = [[cos, -sin], [sin, cos]]`` and ``s = 1 / torso length``.
+The torso runs from the hip midpoint to the shoulder midpoint. Image y points
+down, canonical y points up; the rotation maps the torso onto +y directly,
+which absorbs the axis flip. The body center is the intersection of the
+diagonals of the bounding box of the non-occluded joints, taken in the
+rotated frame: computing the box after rotation is what makes the result
+exactly invariant under similarity transforms of the input.
 
-:func:`normalize_sequence` normalizes a whole ``(T, 17, 2)`` sequence with its
-``(T, 17)`` occlusion mask at once; :func:`normalize_global`,
-:func:`normalize_local` and :func:`torso_length` are one-frame cases of the
-same torso and rotation helpers.
+Local normalization keeps a frame's rotation and scale but puts a root joint
+at the origin instead of the body center; :func:`~formcoach.correction.build_aid`
+applies it from the :class:`Pose` to place correction arrows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .skeleton import DEFAULT_OCCLUSION_THRESHOLD, Frame, JointId, N_JOINTS
+from .skeleton import JointId
 
 # Minimum usable torso length in pixels.
 TORSO_EPS = 1e-6
@@ -55,58 +52,6 @@ def _wrap_angle(theta):
     theta = np.fmod(theta, 2.0 * math.pi)
     theta = np.where(theta <= -math.pi, theta + 2.0 * math.pi, theta)
     return np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
-
-
-@dataclass(frozen=True)
-class NormalizationTransform:
-    """Similarity map from pixel space to canonical space.
-
-    ``apply(p) = scale * R(theta) @ (p - center)``.
-    """
-
-    theta: float                        # radians in (-pi, pi]
-    scale: float                        # 1 / torso length in pixels
-    center: Tuple[float, float]         # pixels
-
-    def __post_init__(self):
-        if not (self.scale > 0.0) or not math.isfinite(self.scale):
-            raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        object.__setattr__(self, "theta", float(_wrap_angle(self.theta)))
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map pixel points (.., 2) into canonical space."""
-        pts = np.asarray(points, dtype=np.float64)
-        return (pts - np.array(self.center)) @ _rot(self.theta).T * self.scale
-
-    def invert(self, points: np.ndarray) -> np.ndarray:
-        """Map canonical points (.., 2) back to pixels."""
-        pts = np.asarray(points, dtype=np.float64)
-        return pts / self.scale @ _rot(-self.theta).T + np.array(self.center)
-
-    def as_tuple(self) -> Tuple[float, float, float, float, float, float]:
-        """(theta, dx, dy, s, cx, cy) — the report serialization order, with
-        the translation dx, dy always zero."""
-        return (self.theta, 0.0, 0.0, self.scale, self.center[0], self.center[1])
-
-
-@dataclass(frozen=True)
-class CanonicalSkeleton:
-    """A frame's joints expressed in canonical space, with occlusion flags."""
-
-    points: np.ndarray        # (17, 2) canonical units
-    occluded: np.ndarray      # (17,) bool
-    transform: NormalizationTransform
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        occ = np.array(self.occluded, dtype=bool)
-        if pts.shape != (N_JOINTS, 2) or occ.shape != (N_JOINTS,):
-            raise ValueError("canonical skeleton must hold 17 joints")
-        pts.flags.writeable = False
-        occ.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "occluded", occ)
 
 
 _TORSO_JOINTS = (JointId.LEFT_SHOULDER, JointId.RIGHT_SHOULDER,
@@ -169,40 +114,3 @@ class Pose(NamedTuple):
     occluded: np.ndarray    # (T, 17) bool
     theta: np.ndarray       # (T,) radians
     scale: np.ndarray       # (T,) 1 / torso length in pixels
-
-
-def torso_length(frame: Frame,
-                 occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> float:
-    """Pixel distance between the shoulder midpoint and the hip midpoint."""
-    occ = frame.occlusion_mask(occlusion_threshold)
-    return float(_torso(frame.points[None], occ[None], (frame.frame_id,))[0][0])
-
-
-def normalize_global(frame: Frame,
-                     occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                     ) -> CanonicalSkeleton:
-    """The one-frame case of :func:`normalize_sequence`."""
-    occ = frame.occlusion_mask(occlusion_threshold)
-    points, theta, scale, center = normalize_sequence(frame.points[None], occ[None],
-                                                      (frame.frame_id,))
-    transform = NormalizationTransform(theta=theta[0], scale=float(scale[0]),
-                                       center=(center[0, 0], center[0, 1]))
-    return CanonicalSkeleton(points=points[0], occluded=occ, transform=transform)
-
-
-def normalize_local(frame: Frame, root: JointId,
-                    occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                    ) -> CanonicalSkeleton:
-    """As :func:`normalize_global` but anchor ``root`` at the origin."""
-    occ = frame.occlusion_mask(occlusion_threshold)
-    length, theta = _torso(frame.points[None], occ[None], (frame.frame_id,))
-    root = JointId(root)
-    if occ[root]:
-        raise OccludedJointError(
-            f"frame {frame.frame_id!r}: root joint {root.name.lower()} is occluded"
-        )
-    center = frame.points[root]
-    transform = NormalizationTransform(theta=theta[0], scale=1.0 / float(length[0]),
-                                       center=(center[0], center[1]))
-    return CanonicalSkeleton(points=transform.apply(frame.points),
-                             occluded=occ, transform=transform)

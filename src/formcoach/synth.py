@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from .config import ExerciseConfig, PhaseConfig
-from .kinematics import ANGLE_NEIGHBORS, angle_at
+from .kinematics import ANGLE_NEIGHBORS, interior_angles
 from .skeleton import Annotation, Frame, JointId, Sequence, ValidationError
 
 PX_PER_UNIT = 100.0
@@ -108,10 +108,10 @@ class MotionSpec:
     def __post_init__(self):
         if self.n_frames < MIN_FRAMES:
             raise ValidationError(f"n_frames must be >= {MIN_FRAMES}")
-        if self.fps <= 0:
-            raise ValidationError("fps must be positive")
-        if self.noise_std < 0:
-            raise ValidationError("noise_std must be >= 0")
+        if not (0 < self.fps < math.inf):
+            raise ValidationError("fps must be positive and finite")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValidationError("noise_std must be finite and >= 0")
         object.__setattr__(self, "injected_errors", tuple(self.injected_errors))
         if self.amplitude_deg is not None:
             amp = {JointId(k) if not isinstance(k, str) else _joint_key(k): float(v)
@@ -309,42 +309,24 @@ def _frame_phases(template: _Template, u: np.ndarray) -> List[str]:
     return labels
 
 
-def _apply_angle_offset(points: List[np.ndarray], clean_angles: List[float],
-                        joint: JointId, magnitude: float,
-                        active: Seq[bool]) -> None:
-    """Rotate ``joint`` about its parent so its interior angle changes by
-    exactly ``magnitude`` degrees on active frames; distal joints translate.
+def _apply_angle_offset(points: np.ndarray, joint: JointId, magnitude: float,
+                        active: np.ndarray) -> np.ndarray:
+    """``points`` (T, 17, 2) with ``joint`` rotated about its parent so its
+    interior angle changes by exactly ``magnitude`` degrees on the
+    ``active`` frames; distal joints translate with it.
     """
     parent = _OFFSET_PARENT[joint]
-    descendants = _OFFSET_DESCENDANTS[joint]
-
-    def rotated(pts: np.ndarray, deg: float) -> np.ndarray:
-        out = pts.copy()
-        pivot = pts[parent]
-        new_j = pivot + _rot2(pts[joint] - pivot, deg)
-        shift = new_j - pts[joint]
-        out[joint] = new_j
-        for d in descendants:
-            out[d] = pts[d] + shift
-        return out
-
+    clean = interior_angles(points, (joint,))[:, 0]
+    bone = points[active, joint] - points[active, parent]
     for sign in (-1.0, 1.0):
-        ok = True
-        candidate = []
-        for i, pts in enumerate(points):
-            if not active[i]:
-                candidate.append(pts)
-                continue
-            new_pts = rotated(pts, sign * magnitude)
-            delta = abs(angle_at(new_pts, joint) - clean_angles[i])
-            if abs(delta - abs(magnitude)) > 1e-6:
-                ok = False
-                break
-            candidate.append(new_pts)
-        if ok:
-            for i in range(len(points)):
-                points[i] = candidate[i]
-            return
+        out = points.copy()
+        out[active, joint] = points[active, parent] + _rot2(bone.T, sign * magnitude).T
+        shift = out[active, joint] - points[active, joint]
+        for d in _OFFSET_DESCENDANTS[joint]:
+            out[active, d] += shift
+        delta = np.abs(interior_angles(out, (joint,))[:, 0] - clean)
+        if np.all(np.abs(delta - abs(magnitude))[active] <= 1e-6):
+            return out
     raise ValidationError(
         f"angle offset {magnitude} deg on {joint.name.lower()} is not "
         f"realizable over this trajectory"
@@ -376,19 +358,18 @@ def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
     phases = _frame_phases(template, u)
 
     clean_angle_sets = _trajectory_angles(template, spec, u, apply_rom=False)
-    clean_points = [_fk_points(a) for a in clean_angle_sets]
+    clean_points = np.stack([_fk_points(a) for a in clean_angle_sets])
 
     injected_angle_sets = _trajectory_angles(template, spec, u, apply_rom=True)
-    points = [_fk_points(a) for a in injected_angle_sets]
+    points = np.stack([_fk_points(a) for a in injected_angle_sets])
 
     mistakes: List[Tuple[str, JointId, str]] = []
     frame_ids = [f"f{i:04d}" for i in range(n)]
 
     for err in spec.injected_errors:
         if err.kind == "angle_offset_deg":
-            active = [err.phase == "all" or phases[i] == err.phase for i in range(n)]
-            pre = [angle_at(points[i], err.joint) for i in range(n)]
-            _apply_angle_offset(points, pre, err.joint, err.magnitude, active)
+            active = np.array([err.phase in ("all", p) for p in phases])
+            points = _apply_angle_offset(points, err.joint, err.magnitude, active)
             for i in range(n):
                 if active[i]:
                     mistakes.append((frame_ids[i], err.joint,
@@ -405,7 +386,7 @@ def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
                                      f"speed_factor={err.magnitude:g}"))
 
     rng = np.random.default_rng(seed)
-    px = np.stack(points) * PX_PER_UNIT + np.array(PX_ORIGIN)
+    px = points * PX_PER_UNIT + np.array(PX_ORIGIN)
     if spec.noise_std > 0:
         px = px + rng.normal(0.0, spec.noise_std, px.shape)
 
@@ -419,12 +400,10 @@ def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
     seq = Sequence(exercise_id=template.name, class_label=class_label,
                    frames=frames, fps_hint=spec.fps)
 
-    reference_angles = {}
-    for j in template.targeted:
-        if j not in ANGLE_NEIGHBORS:
-            continue
-        series = [angle_at(p, j) for p in clean_points]
-        reference_angles[j] = (min(series), max(series))
+    angle_joints = [j for j in template.targeted if j in ANGLE_NEIGHBORS]
+    clean_angles = interior_angles(clean_points, angle_joints)
+    reference_angles = {j: (float(series.min()), float(series.max()))
+                        for j, series in zip(angle_joints, clean_angles.T)}
     annotation = Annotation(
         exercise_id=template.name,
         targeted_joints=template.targeted,

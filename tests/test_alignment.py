@@ -6,54 +6,58 @@ import pytest
 from formcoach.alignment import (AlignmentError, WarpPath, dtw_align,
                                  moving_average, pace_profile)
 from formcoach.assessment import pace_score
-from formcoach.kinematics import JointVectorField, interior_angles, joint_vectors
-from formcoach.normalize import normalize_global
+from formcoach.kinematics import (JointVectorSequence, interior_angles,
+                                  ordered_pairs, sequence_descriptors)
+from formcoach.normalize import normalize_sequence
 from formcoach.skeleton import JointId, Sequence
 from formcoach.synth import InjectedError, MotionSpec, generate
 
-from test_normalize import frame_from_points, random_frame
+import reference
+from test_normalize import random_frame
+
+WRIST_NOSE = (JointId.LEFT_WRIST, JointId.RIGHT_WRIST, JointId.NOSE)
 
 
-def random_fields(rng, n, joints=(JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
-                                  JointId.NOSE)):
-    fields = []
-    for i in range(n):
-        skel = normalize_global(random_frame(rng))
-        fields.append(joint_vectors(skel, joints, frame_id=f"f{i}"))
-    return fields
+def describe(points, occluded, joints):
+    """The descriptors of a (T, 17, 2) stack after normalization."""
+    ids = [f"f{t}" for t in range(len(points))]
+    canonical = normalize_sequence(points, occluded, ids)[0]
+    return sequence_descriptors(canonical, occluded, joints, ids)
 
 
 OCCLUSION_JOINTS = (JointId.NOSE, JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
                     JointId.LEFT_ANKLE)
 
 
-def occluded_fields(rng, n, joints=OCCLUSION_JOINTS):
-    """Fields over four joints (twelve pairs); on about a third of the
-    frames one targeted joint is occluded."""
-    fields = []
-    for i in range(n):
-        frame = random_frame(rng)
-        conf = np.ones(17)
-        if rng.random() < 0.35:
-            conf[joints[int(rng.integers(len(joints)))]] = 0.0
-        skel = normalize_global(frame_from_points(frame.points, conf))
-        fields.append(joint_vectors(skel, joints, frame_id=f"f{i}"))
-    return fields
+def random_fields(rng, n, joints=WRIST_NOSE, occlude=()):
+    """Descriptors of ``n`` random skeletons, and the reference oracle's
+    descriptors of the same frames; on about a third of the frames one of
+    ``occlude`` is occluded."""
+    points, occluded = np.empty((n, 17, 2)), np.zeros((n, 17), bool)
+    for t in range(n):
+        points[t] = random_frame(rng).points
+        if occlude and rng.random() < 0.35:
+            occluded[t, occlude[int(rng.integers(len(occlude)))]] = True
+    return (describe(points, occluded, joints),
+            reference.frame_descriptors(list(zip(points, occluded)), joints))
 
 
-def explicit_cell_cost(c, r):
-    """1 - mean cosine over the pairs present in both frames, pair by pair."""
-    ref_map = r.vector_map()
-    cosines = [float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0))
-               for p, v in zip(c.pairs, c.vectors) if p in ref_map]
-    return 1.0 - sum(cosines) / len(cosines)
+def take(desc, rows):
+    """The frames ``rows`` of a descriptor sequence, in that order."""
+    return JointVectorSequence(tuple(desc.frame_ids[t] for t in rows), desc.targeted,
+                               desc.pairs, desc.vectors[rows], desc.valid[rows],
+                               desc.lengths[rows])
 
 
-def two_joint_field(vectors):
+def two_joint_sequence(*frames):
+    """Descriptors over two joints from hand-chosen unit vectors, one
+    (a->b, b->a) pair of vectors per frame."""
     joints = (JointId.NOSE, JointId.LEFT_EYE)
-    return JointVectorField(frame_id="t", targeted=joints,
-                            pairs=((joints[0], joints[1]), (joints[1], joints[0])),
-                            vectors=np.array(vectors))
+    vectors = np.array(frames, dtype=float)
+    shape = vectors.shape[:2]
+    return JointVectorSequence(tuple(f"f{t}" for t in range(len(frames))), joints,
+                               ordered_pairs(joints), vectors, np.ones(shape, bool),
+                               np.ones(shape))
 
 
 def brute_force_cost(cost):
@@ -78,11 +82,6 @@ def brute_force_cost(cost):
     return best[0]
 
 
-def cost_matrix(cand, ref):
-    from formcoach.alignment import descriptor_cost
-    return np.array([[descriptor_cost(c, r) for r in ref] for c in cand])
-
-
 class TestWarpPathInvariants:
     def test_must_start_at_origin(self):
         with pytest.raises(AlignmentError):
@@ -99,29 +98,30 @@ class TestWarpPathInvariants:
 
 class TestDtwAlign:
     def test_identical_sequences_diagonal(self):
-        fields = random_fields(np.random.default_rng(0), 6)
+        fields, _ = random_fields(np.random.default_rng(0), 6)
         path = dtw_align(fields, fields)
         assert path.pairs == tuple((i, i) for i in range(6))
         assert path.cost == pytest.approx(0.0, abs=1e-12)
 
     def test_empty_input(self):
-        fields = random_fields(np.random.default_rng(1), 3)
+        fields, _ = random_fields(np.random.default_rng(1), 3)
         with pytest.raises(AlignmentError):
-            dtw_align([], fields)
+            dtw_align(take(fields, []), fields)
 
     def test_brute_force_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(60):
             m, n = rng.integers(2, 9, 2)
-            cand = random_fields(rng, int(m))
-            ref = random_fields(rng, int(n))
+            cand, cand_ref = random_fields(rng, int(m))
+            ref, ref_ref = random_fields(rng, int(n))
             path = dtw_align(cand, ref)
             assert path.pairs[-1] == (m - 1, n - 1)
-            assert path.cost == brute_force_cost(cost_matrix(cand, ref))
+            cost = np.array(reference.cost_matrix(cand_ref, ref_ref))
+            assert path.cost == pytest.approx(brute_force_cost(cost), abs=1e-12)
 
     def test_duplicated_frames_visit_each_ref_twice(self):
-        fields = random_fields(np.random.default_rng(3), 4)
-        doubled = [f for f in fields for _ in range(2)]
+        fields, _ = random_fields(np.random.default_rng(3), 4)
+        doubled = take(fields, [t for t in range(4) for _ in range(2)])
         path = dtw_align(doubled, fields)
         assert path.cost == pytest.approx(0.0, abs=1e-12)
         visits = {}
@@ -132,10 +132,10 @@ class TestDtwAlign:
     def test_equal_costs_prefer_diagonal(self):
         # Identical static frames: every cell costs exactly 0, so each step
         # is a tie and the path shows the tie-break order.
-        frame = random_fields(np.random.default_rng(7), 1)[0]
-        path = dtw_align([frame] * 5, [frame] * 3)
+        frame, _ = random_fields(np.random.default_rng(7), 1)
+        path = dtw_align(take(frame, [0] * 5), take(frame, [0] * 3))
         assert path.pairs == ((0, 0), (1, 0), (2, 0), (3, 1), (4, 2))
-        path = dtw_align([frame] * 3, [frame] * 5)
+        path = dtw_align(take(frame, [0] * 3), take(frame, [0] * 5))
         assert path.pairs == ((0, 0), (0, 1), (0, 2), (1, 3), (2, 4))
 
     def test_tie_prefers_candidate_advance_over_reference_advance(self):
@@ -143,10 +143,10 @@ class TestDtwAlign:
         # and B, C point apart, so the diagonal through (1, 1) is dearer and
         # (2, 2) is reached from (1, 2) and (2, 1) at equal cost.
         s = math.sqrt(3.0) / 2.0
-        a = two_joint_field([[1.0, 0.0], [-1.0, 0.0]])
-        b = two_joint_field([[0.5, s], [-0.5, -s]])
-        c = two_joint_field([[0.5, -s], [-0.5, s]])
-        path = dtw_align([a, b, a], [a, c, a])
+        a = [[1.0, 0.0], [-1.0, 0.0]]
+        b = [[0.5, s], [-0.5, -s]]
+        c = [[0.5, -s], [-0.5, s]]
+        path = dtw_align(two_joint_sequence(a, b, a), two_joint_sequence(a, c, a))
         assert path.pairs == ((0, 0), (0, 1), (1, 2), (2, 2))
         assert path.cost == 1.0
 
@@ -156,18 +156,17 @@ class TestDtwAlign:
         rng = np.random.default_rng(8)
         for _ in range(25):
             m, n = (int(k) for k in rng.integers(2, 8, 2))
-            cand = occluded_fields(rng, m)
-            ref = occluded_fields(rng, n)
-            cost = np.array([[explicit_cell_cost(c, r) for r in ref]
-                             for c in cand])
+            cand, cand_ref = random_fields(rng, m, OCCLUSION_JOINTS, OCCLUSION_JOINTS)
+            ref, ref_ref = random_fields(rng, n, OCCLUSION_JOINTS, OCCLUSION_JOINTS)
+            cost = np.array(reference.cost_matrix(cand_ref, ref_ref))
             path = dtw_align(cand, ref)
             assert path.cost == pytest.approx(brute_force_cost(cost), abs=1e-12)
 
     def test_cost_symmetry_and_path_transpose(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            cand = random_fields(rng, int(rng.integers(2, 7)))
-            ref = random_fields(rng, int(rng.integers(2, 7)))
+            cand, _ = random_fields(rng, int(rng.integers(2, 7)))
+            ref, _ = random_fields(rng, int(rng.integers(2, 7)))
             fwd = dtw_align(cand, ref)
             rev = dtw_align(ref, cand)
             assert fwd.cost == pytest.approx(rev.cost, abs=1e-12)
@@ -191,6 +190,10 @@ class TestMovingAverage:
             assert out[i] == pytest.approx(x[lo:hi].mean())
 
 
+def sequence_fields(seq, joints):
+    return describe(seq.points_array(), seq.occlusion_mask(), joints)
+
+
 def knee_angles(seq):
     """The raw left-knee angle series that pace segments phases on."""
     return interior_angles(seq.points_array(), (JointId.LEFT_KNEE,),
@@ -200,9 +203,8 @@ def knee_angles(seq):
 class TestPaceProfile:
     def test_identity(self):
         seq, _ = generate(MotionSpec(template="squat", n_frames=20), seed=0)
-        skels = [normalize_global(f) for f in seq.frames]
-        fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
-                                    JointId.LEFT_HIP]) for s in skels]
+        fields = sequence_fields(seq, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
+                                       JointId.LEFT_HIP])
         path = dtw_align(fields, fields)
         profile = pace_profile(seq, seq, path, knee_angles(seq))
         assert profile.duration_ratio == 1.0
@@ -217,9 +219,7 @@ class TestPaceProfile:
                                    kind="speed_factor", magnitude=2.0),),
                                class_label="correct")
         cand, _ = generate(fast_spec, seed=1)
-        skels = [normalize_global(f) for f in ref.frames]
-        fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
-                  for s in skels]
+        fields = sequence_fields(ref, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
         path = dtw_align(fields, fields)
         profile = pace_profile(cand, ref, path, knee_angles(ref))
         assert profile.duration_ratio == 0.5
@@ -230,9 +230,7 @@ class TestPaceProfile:
         seq, _ = generate(MotionSpec(template="squat", n_frames=20), seed=2)
         half = Sequence(exercise_id="s", class_label="correct",
                         frames=seq.frames[:10])
-        skels = [normalize_global(f) for f in half.frames]
-        fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
-                  for s in skels]
+        fields = sequence_fields(half, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE])
         path = dtw_align(fields, fields)
         profile = pace_profile(half, half, path, knee_angles(half))
         assert [p.name for p in profile.phases] == ["full"]
@@ -245,9 +243,8 @@ class TestPaceProfile:
                               phase="eccentric"),),
                           class_label="wrong")
         cand, _ = generate(spec, seed=3)
-        skels = [normalize_global(f) for f in ref.frames]
-        fields = [joint_vectors(s, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
-                                    JointId.LEFT_HIP]) for s in skels]
+        fields = sequence_fields(ref, [JointId.LEFT_KNEE, JointId.LEFT_ANKLE,
+                                       JointId.LEFT_HIP])
         path = dtw_align(fields, fields)
         profile = pace_profile(cand, ref, path, knee_angles(ref))
         ecc = next(p for p in profile.phases if p.name == "eccentric")

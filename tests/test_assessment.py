@@ -5,16 +5,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from formcoach.alignment import PaceProfile, Phase, WarpPath, dtw_align
+from formcoach.alignment import PaceProfile
 from formcoach.assessment import (AssessmentReport, Correction, FrameDeviation,
                                   MistakeFlag, assess_pair, flag_mistakes,
                                   load_report, pace_score, prepare,
                                   range_score, save_report, textual_feedback)
 from formcoach.config import CorrectionRule
-from formcoach.kinematics import interior_angles, joint_vectors
-from formcoach.normalize import normalize_global
+from formcoach.kinematics import interior_angles
 from formcoach.skeleton import JointId, ValidationError
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
+
+import reference
 
 J = JointId
 
@@ -42,6 +43,15 @@ def raw_range_score(cand, targeted, reference):
     return range_score(angles, targeted, reference)
 
 
+def reference_alignment(cand, ref, targeted):
+    """The reference oracle's descriptors of both sequences and the path of
+    its DTW between them."""
+    cf, rf = (reference.frame_descriptors(
+        [(f.points, f.occlusion_mask()) for f in seq.frames], targeted)
+        for seq in (cand, ref))
+    return cf, rf, reference.dtw(reference.cost_matrix(cf, rf))[1]
+
+
 def occlude_at_random(seq, rng, joints, share=0.3):
     """Copy of ``seq`` with one of ``joints`` occluded on about ``share`` of
     the frames."""
@@ -65,22 +75,15 @@ class TestJointScore:
         cand, ref, cfg = make_pair(cand_errors=(
             InjectedError(kind="angle_offset_deg", magnitude=25.0,
                           joint=J.LEFT_ELBOW),))
-        targeted = cfg.targeted_joints
-        cs = [normalize_global(f) for f in cand.frames]
-        rs = [normalize_global(f) for f in ref.frames]
-        cf = [joint_vectors(s, targeted) for s in cs]
-        rf = [joint_vectors(s, targeted) for s in rs]
-        path = dtw_align(cf, rf)
+        cf, rf, path = reference_alignment(cand, ref, cfg.targeted_joints)
         total, count = 0.0, 0
-        for i, j in path.pairs:
-            ref_map = rf[j].vector_map()
-            for p, v in zip(cf[i].pairs, cf[i].vectors):
-                cos = float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0))
+        for i, j in path:
+            for cos in reference.cosines(cf[i], rf[j]):
                 total += (cos + 1.0) / 2.0
                 count += 1
         expected = 100.0 * total / count
         res = assess(cand, ref, cfg)
-        assert res.path.pairs == path.pairs
+        assert res.path.pairs == path
         assert res.report.joint_score == pytest.approx(expected)
 
     def test_occluded_joints_match_explicit_loop(self):
@@ -91,19 +94,15 @@ class TestJointScore:
         hidden = (J.LEFT_KNEE, J.LEFT_ANKLE, J.RIGHT_ANKLE)
         cand, ref = (occlude_at_random(s, rng, hidden) for s in (cand, ref))
         targeted = cfg.targeted_joints
-        cf = [joint_vectors(normalize_global(f), targeted) for f in cand.frames]
-        rf = [joint_vectors(normalize_global(f), targeted) for f in ref.frames]
-        path = dtw_align(cf, rf)
+        cf, rf, path = reference_alignment(cand, ref, targeted)
         total, count = 0.0, 0
-        for i, j in path.pairs:
-            ref_map = rf[j].vector_map()
-            for p, v in zip(cf[i].pairs, cf[i].vectors):
-                if p in ref_map:
-                    total += (float(np.clip(np.dot(v, ref_map[p]), -1.0, 1.0)) + 1.0) / 2.0
-                    count += 1
+        for i, j in path:
+            for cos in reference.cosines(cf[i], rf[j]):
+                total += (cos + 1.0) / 2.0
+                count += 1
         assert count < len(path) * len(targeted) * (len(targeted) - 1)
         res = assess(cand, ref, cfg)
-        assert res.path.pairs == path.pairs
+        assert res.path.pairs == path
         assert res.report.joint_score == pytest.approx(
             100.0 * total / count, abs=1e-10)
 

@@ -256,3 +256,68 @@ def test_bare_value_error_in_score_model_escapes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_aux_scores", fail)
     with pytest.raises(ValueError, match="a bug"):
         cli.main(argv)
+
+
+@pytest.mark.parametrize("where, value", [
+    ("mistake_threshold", "NaN"),
+    ("occlusion_threshold", "NaN"),
+    ("key_joint_threshold_deg", "Infinity"),
+    ("mistake_threshold", "-1"),
+    ("--occlusion-threshold", "nan"),
+    ("--occlusion-threshold", "-1"),
+], ids=["mistake-nan", "occlusion-nan", "key-joint-inf", "mistake-negative",
+        "score-model-nan", "score-model-negative"])
+def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
+    write_inputs(tmp_path)
+    if where.startswith("--"):
+        ckpt = tmp_path / "model.json"
+        sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+        argv = ["score-model", "--checkpoint", str(ckpt),
+                "--sequence", str(tmp_path / "cand.sequence.json"), where, value]
+    else:
+        path = tmp_path / "squat.config.json"
+        doc = json.loads(path.read_text())
+        doc[where] = float(value)
+        path.write_text(json.dumps(doc))
+        argv = assess_argv(tmp_path)
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"{where} must be finite and non-negative" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("spec, expected", [
+    ({"injected_errors": [{"type": "angle_offset_deg", "magnitude": "x",
+                           "joint": "left_knee"}]}, "injected_errors[0].magnitude"),
+    ({"n_frames": "abc"}, "n_frames: 'abc' is not a number"),
+    ({"n_frames": 12.5}, "n_frames must be an integer"),
+    ({"injected_errors": [3]}, "injected_errors[0]"),
+    ({"injected_errors": {"type": "speed_factor"}}, "injected_errors"),
+    ({"amplitude_deg": {"left_knee": None}}, "amplitude_deg.left_knee"),
+    ({"amplitude_deg": [80]}, "amplitude_deg"),
+    ({"noise_std": "NaN"}, "noise_std"),
+    ({"template": ["squat"]}, "unknown template"),
+], ids=["magnitude-text", "frames-text", "frames-fraction", "error-not-object",
+        "errors-not-list", "amplitude-null", "amplitudes-not-object", "noise-nan",
+        "template-list"])
+def test_bad_motion_spec_exits_2(tmp_path, capsys, spec, expected):
+    path = tmp_path / "spec.json"
+    doc = {"template": "squat", "n_frames": 12, **spec}
+    path.write_text(json.dumps(doc).replace('"NaN"', "NaN"))
+    out = tmp_path / "out"
+    assert cli.main(["synth", "--spec", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid motion spec") and expected in err
+    assert not out.exists()
+
+
+def test_degenerate_training_sequence_exits_3_naming_it(tmp_path, capsys):
+    argv = write_train_inputs(tmp_path)
+    path = tmp_path / "squat.sequence.json"
+    doc = json.loads(path.read_text())
+    collapse_torso(doc["frames"][2]["keypoints"])
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == cli.EXIT_DEGENERATE
+    assert f"degenerate data in {path}: frame 'f0002'" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()

@@ -4,20 +4,12 @@ import numpy as np
 
 from formcoach.correction import (Arrow, LIMBS, VisualAid, build_aid,
                                   local_root_for, render_svg)
-from formcoach.normalize import Pose, normalize_local, normalize_sequence
 from formcoach.skeleton import JointId
 
-from test_normalize import frame_from_points, random_frame, similarity
+import reference
+from test_normalize import frame_from_points, pose_of, random_frame, similarity
 
 J = JointId
-
-
-def pose_of(*frames):
-    points = np.stack([f.points for f in frames])
-    occluded = np.stack([f.occlusion_mask() for f in frames])
-    _, theta, scale, _ = normalize_sequence(points, occluded,
-                                            [f.frame_id for f in frames])
-    return Pose(points, occluded, theta, scale)
 
 
 def aid_for(cand, ref, joints, **kwargs):
@@ -69,22 +61,22 @@ class TestBuildAid:
         rng = np.random.default_rng(1)
         for _ in range(20):
             f = random_frame(rng)
-            cand_local = normalize_local(f, J.LEFT_SHOULDER)
+            local = reference.local_frame(f.points, J.LEFT_SHOULDER)
+            elbow = reference.to_canonical([f.points[J.LEFT_ELBOW]], *local)[0]
             v = rng.uniform(-0.5, 0.5, 2)
-            tr = cand_local.transform
             ref_pts = f.points.copy()
-            ref_pts[J.LEFT_ELBOW] = tr.invert(cand_local.points[J.LEFT_ELBOW] + v)
+            ref_pts[J.LEFT_ELBOW] = reference.to_pixels(elbow + v, *local)
             # the reference is the offset candidate seen at another size,
             # angle and place
             ref = frame_from_points(similarity(ref_pts, 1.7, 0.6, (40.0, -25.0)))
             aid = aid_for(f, ref, [J.LEFT_ELBOW], min_arrow_px=0.0)
             arrow = aid.arrows[0]
             got = np.array(arrow.head) - np.array(arrow.tail)
-            expected = (tr.invert(cand_local.points[J.LEFT_ELBOW] + v)
-                        - tr.invert(cand_local.points[J.LEFT_ELBOW]))
+            expected = (np.array(reference.to_pixels(elbow + v, *local))
+                        - reference.to_pixels(elbow, *local))
             assert np.abs(got - expected).max() < 1e-6
 
-    def test_matches_local_normalization_bit_for_bit(self):
+    def test_matches_reference_arrow_heads(self):
         rng = np.random.default_rng(12)
         for body_class in ("Upper", "Lower", "Both"):
             cand, ref = random_frame(rng), random_frame(rng)
@@ -95,9 +87,8 @@ class TestBuildAid:
             assert [a.joint for a in aid.arrows] == joints
             for arrow in aid.arrows:
                 root = local_root_for(arrow.joint, body_class)
-                head = normalize_local(cand, root).transform.invert(
-                    normalize_local(ref, root).points[arrow.joint])
-                assert arrow.head == tuple(head)
+                head = reference.arrow_head(cand.points, ref.points, arrow.joint, root)
+                assert np.abs(np.subtract(arrow.head, head)).max() <= 1e-9
                 assert arrow.tail == tuple(cand.points[arrow.joint])
 
     def test_short_arrows_suppressed(self):

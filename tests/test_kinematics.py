@@ -3,22 +3,39 @@ import math
 import numpy as np
 import pytest
 
+from formcoach.alignment import dtw_align
 from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
-                                  JointVectorField, UndefinedAngleError,
-                                  angle_at, frame_cosine, interior_angles,
-                                  joint_angle, joint_vectors, select_key_joints)
-from formcoach.normalize import normalize_global, normalize_sequence
+                                  interior_angles, mean_cosines,
+                                  select_key_joints, sequence_descriptors)
+from formcoach.normalize import normalize_sequence
 from formcoach.skeleton import Frame, JointId, Sequence
 from formcoach.synth import MotionSpec, generate
 
-from test_normalize import frame_from_points, random_frame, similarity
+import reference
+from test_normalize import (frame_from_points, normalize_frame, random_frame,
+                            similarity)
 
 
-def make_field(vectors, joints=(JointId.NOSE, JointId.LEFT_EYE)):
-    """Two-joint field with hand-chosen unit vectors."""
-    pairs = ((joints[0], joints[1]), (joints[1], joints[0]))
-    return JointVectorField(frame_id="t", targeted=joints, pairs=pairs,
-                            vectors=np.array(vectors, dtype=float))
+def angle(points, joint):
+    """:func:`interior_angles` at one joint of one (17, 2) frame."""
+    return float(interior_angles(points[None], (joint,))[0, 0])
+
+
+def describe(frame, targeted):
+    """:func:`sequence_descriptors` of one frame after normalization."""
+    return sequence_descriptors(normalize_frame(frame)[0][None],
+                                frame.occlusion_mask()[None], targeted,
+                                (frame.frame_id,))
+
+
+def two_pair(*vectors):
+    """The (1, 2, 2) vectors and (1, 2) mask of one two-joint frame with
+    hand-chosen unit vectors."""
+    return np.array([vectors], dtype=float), np.ones((1, 2), bool)
+
+
+def cosine(a, b):
+    return float(mean_cosines(*a, *b)[0])
 
 
 class TestJointAngle:
@@ -31,11 +48,11 @@ class TestJointAngle:
 
     def test_straight_arm(self):
         pts = self.build((0, 0), (1, 0), (2, 0))
-        assert angle_at(pts, JointId.LEFT_ELBOW) == pytest.approx(180.0)
+        assert angle(pts, JointId.LEFT_ELBOW) == pytest.approx(180.0)
 
     def test_right_angle_elbow(self):
         pts = self.build((0, 0), (1, 0), (1, 1))
-        assert angle_at(pts, JointId.LEFT_ELBOW) == pytest.approx(90.0)
+        assert angle(pts, JointId.LEFT_ELBOW) == pytest.approx(90.0)
 
     def test_law_of_cosines_oracle(self):
         rng = np.random.default_rng(0)
@@ -49,90 +66,84 @@ class TestJointAngle:
             expected = math.degrees(
                 math.acos(np.clip((a * a + b * b - c * c) / (2 * a * b), -1, 1)))
             pts = self.build(s, e, w)
-            assert angle_at(pts, JointId.LEFT_ELBOW) == pytest.approx(expected, abs=1e-9)
+            assert angle(pts, JointId.LEFT_ELBOW) == pytest.approx(expected, abs=1e-9)
 
     def test_end_joint_has_no_angle(self):
-        pts = np.zeros((17, 2))
-        with pytest.raises(UndefinedAngleError):
-            angle_at(pts, JointId.LEFT_WRIST)
+        pts = random_frame(np.random.default_rng(2)).points
+        assert math.isnan(angle(pts, JointId.LEFT_WRIST))
+        assert not math.isnan(angle(pts, JointId.LEFT_ELBOW))
 
     def test_similarity_invariance(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             f = random_frame(rng)
-            skel = normalize_global(f)
             moved = frame_from_points(
                 similarity(f.points, rng.uniform(0.3, 4), rng.uniform(-3, 3),
                            rng.uniform(-100, 100, 2)))
-            skel2 = normalize_global(moved)
-            for j in ANGLE_JOINTS:
-                assert joint_angle(skel2, j) == pytest.approx(
-                    joint_angle(skel, j), abs=1e-7)
+            base = interior_angles(normalize_frame(f)[0], ANGLE_JOINTS)
+            again = interior_angles(normalize_frame(moved)[0], ANGLE_JOINTS)
+            assert np.abs(again - base).max() < 1e-7
 
 
 class TestJointVectors:
     def test_two_joints_two_vectors(self):
-        skel = normalize_global(random_frame(np.random.default_rng(2)))
-        field = joint_vectors(skel, [JointId.LEFT_WRIST, JointId.RIGHT_WRIST])
-        assert len(field.pairs) == 2
-        assert np.allclose(field.vectors[0], -field.vectors[1])
+        desc = describe(random_frame(np.random.default_rng(2)),
+                        [JointId.LEFT_WRIST, JointId.RIGHT_WRIST])
+        assert desc.valid.sum() == 2
+        assert np.allclose(desc.vectors[0, 0], -desc.vectors[0, 1])
 
     def test_four_joints_twelve_vectors(self):
-        skel = normalize_global(random_frame(np.random.default_rng(3)))
         targeted = [JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
                     JointId.LEFT_ELBOW, JointId.RIGHT_ELBOW]
-        field = joint_vectors(skel, targeted)
-        assert len(field.pairs) == 12
-        assert np.allclose(np.linalg.norm(field.vectors, axis=1), 1.0, atol=1e-9)
+        desc = describe(random_frame(np.random.default_rng(3)), targeted)
+        assert desc.valid.sum() == 12
+        assert np.allclose(np.linalg.norm(desc.vectors[0], axis=1), 1.0, atol=1e-9)
 
     def test_count_is_n_times_n_minus_one(self):
         rng = np.random.default_rng(4)
         joints = list(JointId)
         for n in (2, 3, 5, 8, 17):
-            skel = normalize_global(random_frame(rng))
-            field = joint_vectors(skel, joints[:n])
-            assert len(field.pairs) == n * (n - 1)
+            desc = describe(random_frame(rng), joints[:n])
+            assert desc.valid.sum() == n * (n - 1)
 
     def test_coincident_pair_skipped(self):
         f = random_frame(np.random.default_rng(5))
         pts = f.points.copy()
         pts[JointId.RIGHT_WRIST] = pts[JointId.LEFT_WRIST]
-        skel = normalize_global(frame_from_points(pts))
-        field = joint_vectors(skel, [JointId.LEFT_WRIST, JointId.RIGHT_WRIST,
-                                     JointId.NOSE])
-        assert (JointId.LEFT_WRIST, JointId.RIGHT_WRIST) in field.skipped
-        assert len(field.pairs) == 4
+        desc = describe(frame_from_points(pts), [JointId.LEFT_WRIST,
+                                                 JointId.RIGHT_WRIST, JointId.NOSE])
+        valid = dict(zip(desc.pairs, desc.valid[0]))
+        assert not valid[(JointId.LEFT_WRIST, JointId.RIGHT_WRIST)]
+        assert sum(valid.values()) == 4
 
     def test_occluded_joint_dropped(self):
         f = random_frame(np.random.default_rng(6))
         conf = np.ones(17)
         conf[JointId.NOSE] = 0.0
-        skel = normalize_global(frame_from_points(f.points, conf))
-        field = joint_vectors(skel, [JointId.NOSE, JointId.LEFT_WRIST,
-                                     JointId.RIGHT_WRIST])
-        assert len(field.pairs) == 2
+        desc = describe(frame_from_points(f.points, conf),
+                        [JointId.NOSE, JointId.LEFT_WRIST, JointId.RIGHT_WRIST])
+        assert desc.valid.sum() == 2
 
     def test_fewer_than_two(self):
-        skel = normalize_global(random_frame(np.random.default_rng(7)))
         with pytest.raises(DescriptorError):
-            joint_vectors(skel, [JointId.NOSE])
+            describe(random_frame(np.random.default_rng(7)), [JointId.NOSE])
 
 
 class TestFrameCosine:
     def test_identical_fields(self):
-        skel = normalize_global(random_frame(np.random.default_rng(8)))
-        f = joint_vectors(skel, list(JointId)[:6])
-        assert frame_cosine(f, f) == pytest.approx(1.0)
+        desc = describe(random_frame(np.random.default_rng(8)), list(JointId)[:6])
+        a = desc.vectors, desc.valid
+        assert cosine(a, a) == pytest.approx(1.0)
 
     def test_negated_fields(self):
-        a = make_field([[1.0, 0.0], [-1.0, 0.0]])
-        b = make_field([[-1.0, 0.0], [1.0, 0.0]])
-        assert frame_cosine(a, b) == pytest.approx(-1.0)
+        a = two_pair([1.0, 0.0], [-1.0, 0.0])
+        b = two_pair([-1.0, 0.0], [1.0, 0.0])
+        assert cosine(a, b) == pytest.approx(-1.0)
 
     def test_one_pair_rotated_90(self):
-        a = make_field([[1.0, 0.0], [-1.0, 0.0]])
-        b = make_field([[1.0, 0.0], [0.0, 1.0]])
-        assert frame_cosine(a, b) == pytest.approx(0.5)  # mean of {1, 0}
+        a = two_pair([1.0, 0.0], [-1.0, 0.0])
+        b = two_pair([1.0, 0.0], [0.0, 1.0])
+        assert cosine(a, b) == pytest.approx(0.5)  # mean of {1, 0}
 
     def test_symmetric_and_bounded(self):
         rng = np.random.default_rng(9)
@@ -141,15 +152,16 @@ class TestFrameCosine:
             v1 /= np.linalg.norm(v1, axis=1, keepdims=True)
             v2 = rng.normal(size=(2, 2))
             v2 /= np.linalg.norm(v2, axis=1, keepdims=True)
-            a, b = make_field(v1), make_field(v2)
-            assert frame_cosine(a, b) == pytest.approx(frame_cosine(b, a))
-            assert -1.0 <= frame_cosine(a, b) <= 1.0
+            a, b = two_pair(*v1), two_pair(*v2)
+            assert cosine(a, b) == pytest.approx(cosine(b, a))
+            assert -1.0 <= cosine(a, b) <= 1.0
 
     def test_mismatched_joint_sets(self):
-        a = make_field([[1, 0], [-1, 0]])
-        b = make_field([[1, 0], [-1, 0]], joints=(JointId.NOSE, JointId.RIGHT_EYE))
+        f = random_frame(np.random.default_rng(10))
+        a = describe(f, (JointId.NOSE, JointId.LEFT_EYE))
+        b = describe(f, (JointId.NOSE, JointId.RIGHT_EYE))
         with pytest.raises(DescriptorError):
-            frame_cosine(a, b)
+            dtw_align(a, b)
 
 
 def key_joints(seq, threshold_deg):
@@ -194,9 +206,10 @@ class TestSelectKeyJoints:
         half = Sequence(exercise_id="s", class_label="correct",
                         frames=seq.frames[:11], fps_hint=None)
         joints = key_joints(half, threshold_deg=5.0)
-        first = normalize_global(half.frames[0])
-        last = normalize_global(half.frames[-1])
-        devs = [abs(joint_angle(last, j) - joint_angle(first, j)) for j in joints]
+        first, last = (reference.normalize(f.points, f.occlusion_mask())[0]
+                       for f in (half.frames[0], half.frames[-1]))
+        devs = [abs(reference.interior_angle(last, j)
+                    - reference.interior_angle(first, j)) for j in joints]
         assert devs == sorted(devs, reverse=True)
 
     def test_invariant_under_similarity(self):
@@ -213,10 +226,10 @@ class TestSelectKeyJoints:
 
 
 class TestSequenceAngles:
-    def test_matches_angle_at_bit_for_bit(self):
+    def test_matches_reference_angles(self):
         seq, _ = generate(MotionSpec(template="press", n_frames=14,
                                      noise_std=2.0), seed=7)
-        expected = [[angle_at(frame.points, j) for j in ANGLE_JOINTS]
+        expected = [[reference.interior_angle(frame.points, j) for j in ANGLE_JOINTS]
                     for frame in seq.frames]
-        assert interior_angles(seq.points_array(), ANGLE_JOINTS,
-                               seq.occlusion_mask()).tolist() == expected
+        got = interior_angles(seq.points_array(), ANGLE_JOINTS, seq.occlusion_mask())
+        assert np.abs(got - np.array(expected)).max() <= 1e-9

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from formcoach.normalize import (CanonicalSkeleton, DegenerateSkeletonError,
-                                 NormalizationTransform, OccludedJointError,
-                                 normalize_global, normalize_local,
-                                 normalize_sequence, torso_length)
+from formcoach.correction import build_aid
+from formcoach.normalize import (DegenerateSkeletonError, OccludedJointError,
+                                 Pose, normalize_sequence)
 from formcoach.skeleton import Frame, JointId
+
+import reference
 
 TOL = 1e-9
 
@@ -32,6 +33,19 @@ def similarity(pts, scale, theta, t):
     c, s = math.cos(theta), math.sin(theta)
     R = np.array([[c, -s], [s, c]])
     return scale * (pts @ R.T) + np.asarray(t)
+
+
+def normalize_frame(frame):
+    """:func:`normalize_sequence` of one frame: its canonical (17, 2) points,
+    theta, scale and (2,) center."""
+    canon, theta, scale, center = normalize_sequence(
+        frame.points[None], frame.occlusion_mask()[None], (frame.frame_id,))
+    return canon[0], float(theta[0]), float(scale[0]), center[0]
+
+
+def torso_length(frame):
+    """The torso length in pixels: the reciprocal of the frame's scale."""
+    return 1.0 / normalize_frame(frame)[2]
 
 
 class TestTorsoLength:
@@ -70,22 +84,19 @@ class TestNormalizeGlobal:
         # A skeleton already expressed in canonical form (unit torso, hip->
         # shoulder along +y, box centered) maps through the identity.
         rng = np.random.default_rng(2)
-        canon = normalize_global(random_frame(rng)).points
-        again = normalize_global(frame_from_points(canon))
-        tr = again.transform
-        assert abs(tr.theta) < TOL
-        assert tr.scale == pytest.approx(1.0, abs=TOL)
-        assert np.abs(np.array(tr.center)) .max() < 1e-6
-        assert np.abs(again.points - canon).max() < TOL
+        canon = normalize_frame(random_frame(rng))[0]
+        points, theta, scale, center = normalize_frame(frame_from_points(canon))
+        assert abs(theta) < TOL
+        assert scale == pytest.approx(1.0, abs=TOL)
+        assert np.abs(center).max() < 1e-6
+        assert np.abs(points - canon).max() < TOL
 
     def test_unit_torso_and_upright(self):
         rng = np.random.default_rng(3)
         for _ in range(30):
-            skel = normalize_global(random_frame(rng))
-            sm = 0.5 * (skel.points[JointId.LEFT_SHOULDER]
-                        + skel.points[JointId.RIGHT_SHOULDER])
-            hm = 0.5 * (skel.points[JointId.LEFT_HIP]
-                        + skel.points[JointId.RIGHT_HIP])
+            points = normalize_frame(random_frame(rng))[0]
+            sm = 0.5 * (points[JointId.LEFT_SHOULDER] + points[JointId.RIGHT_SHOULDER])
+            hm = 0.5 * (points[JointId.LEFT_HIP] + points[JointId.RIGHT_HIP])
             torso = sm - hm
             assert np.linalg.norm(torso) == pytest.approx(1.0, abs=TOL)
             assert abs(torso[0]) < TOL and torso[1] > 0
@@ -94,18 +105,18 @@ class TestNormalizeGlobal:
         rng = np.random.default_rng(4)
         for _ in range(100):
             f = random_frame(rng)
-            base = normalize_global(f).points
+            base = normalize_frame(f)[0]
             k = rng.uniform(0.2, 5.0)
             theta = rng.uniform(-math.pi, math.pi)
             t = rng.uniform(-500, 500, 2)
             moved = frame_from_points(similarity(f.points, k, theta, t))
-            assert np.abs(normalize_global(moved).points - base).max() < TOL
+            assert np.abs(normalize_frame(moved)[0] - base).max() < TOL
 
     def test_rotated_scaled_example(self):
         rng = np.random.default_rng(5)
         f = random_frame(rng)
         moved = frame_from_points(similarity(f.points, 3.0, math.pi / 2, (10, -40)))
-        diff = np.abs(normalize_global(moved).points - normalize_global(f).points)
+        diff = np.abs(normalize_frame(moved)[0] - normalize_frame(f)[0])
         assert diff.max() < TOL
 
     def test_too_few_visible_joints(self):
@@ -117,7 +128,7 @@ class TestNormalizeGlobal:
         # torso is visible (4 joints >= 3) so this normalizes; drop to 2
         conf[JointId.LEFT_SHOULDER] = 0.0
         with pytest.raises((DegenerateSkeletonError, OccludedJointError)):
-            normalize_global(frame_from_points(f.points, conf))
+            normalize_frame(frame_from_points(f.points, conf))
 
     def test_occluded_joints_excluded_from_box(self):
         rng = np.random.default_rng(7)
@@ -127,65 +138,99 @@ class TestNormalizeGlobal:
         pts[JointId.NOSE] = (0.0, 0.0)
         conf = np.ones(17)
         conf[JointId.NOSE] = 0.0
-        with_outlier = normalize_global(frame_from_points(pts, conf))
+        with_outlier = normalize_frame(frame_from_points(pts, conf))[0]
         pts2 = f.points.copy()
         pts2[JointId.NOSE] = pts2[JointId.LEFT_EYE]
         conf2 = np.ones(17)
         conf2[JointId.NOSE] = 0.0
-        without = normalize_global(frame_from_points(pts2, conf2))
-        assert np.abs(with_outlier.points[1:] - without.points[1:]).max() < TOL
+        without = normalize_frame(frame_from_points(pts2, conf2))[0]
+        assert np.abs(with_outlier[1:] - without[1:]).max() < TOL
+
+
+def pose_of(*frames):
+    """The :class:`Pose` of a stack of frames."""
+    points = np.stack([f.points for f in frames])
+    occluded = np.stack([f.occlusion_mask() for f in frames])
+    _, theta, scale, _ = normalize_sequence(points, occluded,
+                                            [f.frame_id for f in frames])
+    return Pose(points, occluded, theta, scale)
+
+
+def aid_head(cand, ref, joint, body_class):
+    """The head of the one arrow :func:`build_aid` draws for ``joint`` of
+    candidate frame ``cand`` against reference frame ``ref``."""
+    aid = build_aid(pose_of(cand), pose_of(ref), [cand.frame_id], [(0, joint, 0)],
+                    body_class, min_arrow_px=0.0)[0]
+    (arrow,) = aid.arrows
+    return np.array(arrow.head)
 
 
 class TestNormalizeLocal:
+    """Local normalization: the global rotation and scale about a root
+    joint, as :func:`build_aid` applies it to place arrow heads."""
+
     def test_root_at_origin(self):
+        # a flagged root joint sits at its own root, so its arrow is empty
         rng = np.random.default_rng(8)
-        for root in (JointId.LEFT_SHOULDER, JointId.RIGHT_HIP, JointId.LEFT_WRIST):
-            skel = normalize_local(random_frame(rng), root)
-            assert np.abs(skel.points[root]).max() < TOL
+        for root, body_class in ((JointId.LEFT_SHOULDER, "Upper"),
+                                 (JointId.RIGHT_HIP, "Lower")):
+            cand, ref = random_frame(rng), random_frame(rng)
+            assert np.array_equal(aid_head(cand, ref, root, body_class),
+                                  cand.points[root])
 
     def test_camera_distance_invariance(self):
         rng = np.random.default_rng(9)
-        f = random_frame(rng)
-        near = normalize_local(f, JointId.LEFT_SHOULDER)
-        far = normalize_local(frame_from_points(f.points * 0.3 + 100.0),
-                              JointId.LEFT_SHOULDER)
-        assert np.abs(near.points - far.points).max() < TOL
+        f, ref = random_frame(rng), random_frame(rng)
+        near = aid_head(f, ref, JointId.LEFT_ELBOW, "Upper")
+        far = aid_head(f, frame_from_points(ref.points * 0.3 + 100.0),
+                       JointId.LEFT_ELBOW, "Upper")
+        assert np.abs(near - far).max() < TOL
 
-    def test_occluded_root(self):
-        f = random_frame(np.random.default_rng(10))
-        conf = np.ones(17)
-        conf[JointId.LEFT_WRIST] = 0.0
-        with pytest.raises(OccludedJointError, match="left_wrist"):
-            normalize_local(frame_from_points(f.points, conf), JointId.LEFT_WRIST)
+
+def square_torso(offset=(0.0, 0.0)):
+    """A frame whose unit torso points along +y with its box centered on
+    ``offset``: every other joint sits at the offset."""
+    pts = np.zeros((17, 2))
+    pts[JointId.LEFT_SHOULDER] = (-0.5, 0.5)
+    pts[JointId.RIGHT_SHOULDER] = (0.5, 0.5)
+    pts[JointId.LEFT_HIP] = (-0.5, -0.5)
+    pts[JointId.RIGHT_HIP] = (0.5, -0.5)
+    return frame_from_points(pts + np.asarray(offset))
 
 
 class TestTransform:
+    """The per-frame transform that :func:`normalize_sequence` returns:
+    ``canonical = scale * R(theta) @ (pixel - center)``."""
+
     def test_identity(self):
-        tr = NormalizationTransform(theta=0.0, scale=1.0, center=(0.0, 0.0))
-        assert np.allclose(tr.invert(np.array([1.0, 2.0])), [1.0, 2.0])
+        f = square_torso()
+        points, theta, scale, center = normalize_frame(f)
+        assert (theta, scale) == (0.0, 1.0)
+        assert np.array_equal(center, [0.0, 0.0])
+        assert np.allclose(points, f.points)
 
     def test_translation_only(self):
-        tr = NormalizationTransform(theta=0.0, scale=1.0, center=(5.0, 7.0))
-        assert np.allclose(tr.invert(np.array([0.0, 0.0])), [5.0, 7.0])
+        points, theta, scale, center = normalize_frame(square_torso((5.0, 7.0)))
+        assert (theta, scale) == (0.0, 1.0)
+        assert np.allclose(center, [5.0, 7.0])
+        assert np.allclose(points, square_torso().points)
 
     def test_roundtrip_many_points(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
-            tr = NormalizationTransform(
-                theta=rng.uniform(-math.pi, math.pi),
-                scale=rng.uniform(0.01, 10.0),
-                center=tuple(rng.uniform(-300, 300, 2)),
-            )
-            px = rng.uniform(-1000, 1000, (50, 2))
-            assert np.abs(tr.invert(tr.apply(px)) - px).max() < TOL
-
-    def test_rejects_bad_scale(self):
-        with pytest.raises(ValueError):
-            NormalizationTransform(theta=0.0, scale=0.0, center=(0, 0))
+            f = frame_from_points(similarity(
+                random_frame(rng).points, rng.uniform(0.01, 10.0),
+                rng.uniform(-math.pi, math.pi), rng.uniform(-300, 300, 2)))
+            points, theta, scale, center = normalize_frame(f)
+            c, s = math.cos(theta), math.sin(theta)
+            pixels = points / scale @ np.array([[c, -s], [s, c]]) + center
+            assert np.abs(pixels - f.points).max() < TOL
 
     def test_theta_wrapped(self):
-        tr = NormalizationTransform(theta=3 * math.pi, scale=1.0, center=(0, 0))
-        assert -math.pi < tr.theta <= math.pi
+        rng = np.random.default_rng(12)
+        for turn in np.linspace(-3 * math.pi, 3 * math.pi, 37):
+            f = frame_from_points(similarity(random_frame(rng).points, 1.0, turn, (0, 0)))
+            assert -math.pi < normalize_frame(f)[1] <= math.pi
 
 
 TORSO = (JointId.LEFT_SHOULDER, JointId.RIGHT_SHOULDER,
@@ -218,16 +263,15 @@ def stack_frames(points, occluded):
 class TestNormalizeSequence:
     @settings(max_examples=60, deadline=None)
     @given(frame_stacks())
-    def test_matches_per_frame_normalize_global(self, stack):
+    def test_matches_per_frame_reference(self, stack):
         points, occluded = stack
-        frames = stack_frames(points, occluded)
         canon, theta, scale, center = normalize_sequence(
-            points, occluded, [f.frame_id for f in frames])
-        for t, frame in enumerate(frames):
-            skel = normalize_global(frame)
-            assert np.abs(canon[t] - skel.points).max() <= 1e-12
-            got = (theta[t], 0.0, 0.0, scale[t], center[t, 0], center[t, 1])
-            assert np.abs(np.subtract(got, skel.transform.as_tuple())).max() <= 1e-12
+            points, occluded, [f"f{t}" for t in range(len(points))])
+        for t, (p, o) in enumerate(zip(points, occluded)):
+            expected, ref_theta, ref_scale, (cx, cy) = reference.normalize(p, o)
+            assert np.abs(canon[t] - expected).max() <= 1e-12
+            got = (theta[t], scale[t], center[t, 0], center[t, 1])
+            assert np.abs(np.subtract(got, (ref_theta, ref_scale, cx, cy))).max() <= 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(frame_stacks(), similarities)
@@ -250,7 +294,7 @@ class TestNormalizeSequence:
         frames = stack_frames(points, occluded)
         with pytest.raises(OccludedJointError) as per_frame:
             for frame in frames:
-                normalize_global(frame)
+                normalize_frame(frame)
         with pytest.raises(OccludedJointError, match=f"frame 'f{k}'") as err:
             normalize_sequence(points, occluded, [f.frame_id for f in frames])
         assert str(err.value) == str(per_frame.value)

@@ -209,9 +209,9 @@ class TestSequencePrep:
         seq, _ = generate(MotionSpec(template="press", n_frames=20), seed=0)
         x = sequence_to_model_input(seq, 12)
         assert x.shape == (12, 17, 2)
-        from formcoach.normalize import normalize_global
-        first = normalize_global(seq.frames[0]).points
-        last = normalize_global(seq.frames[-1]).points
+        from test_normalize import normalize_frame
+        first = normalize_frame(seq.frames[0])[0]
+        last = normalize_frame(seq.frames[-1])[0]
         assert np.allclose(x[0], first)
         assert np.allclose(x[-1], last)
 

@@ -3,12 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from formcoach.kinematics import angle_at
+from formcoach.kinematics import interior_angles
 from formcoach.skeleton import JointId, ValidationError
 from formcoach.synth import (InjectedError, MotionSpec, TEMPLATES,
                              exercise_config, generate)
 
 J = JointId
+
+
+def angles(seq, joint):
+    """The interior angle series of ``joint`` over the frames of ``seq``."""
+    return interior_angles(seq.points_array(), (joint,))[:, 0].tolist()
 
 
 class TestMotionSpecValidation:
@@ -57,10 +62,8 @@ class TestGenerate:
                           joint=J.LEFT_ELBOW),))
         seq, _ = generate(spec, seed=0)
         clean, _ = generate(replace(spec, injected_errors=()), seed=0)
-        for f, g in zip(seq.frames, clean.frames):
-            delta = abs(angle_at(f.points, J.LEFT_ELBOW)
-                        - angle_at(g.points, J.LEFT_ELBOW))
-            assert delta == pytest.approx(30.0, abs=0.01)
+        for a, b in zip(angles(seq, J.LEFT_ELBOW), angles(clean, J.LEFT_ELBOW)):
+            assert abs(a - b) == pytest.approx(30.0, abs=0.01)
 
     def test_angle_offset_moves_joint_not_parent(self):
         spec = MotionSpec(template="squat", n_frames=12, injected_errors=(
@@ -93,9 +96,9 @@ class TestGenerate:
         clean, _ = generate(replace(spec, injected_errors=()), seed=2)
         flagged = {fid for fid, j, _ in ann.per_frame_mistakes}
         assert 0 < len(flagged) < 20
-        for f, g in zip(seq.frames, clean.frames):
-            delta = abs(angle_at(f.points, J.LEFT_KNEE)
-                        - angle_at(g.points, J.LEFT_KNEE))
+        for f, a, b in zip(seq.frames, angles(seq, J.LEFT_KNEE),
+                           angles(clean, J.LEFT_KNEE)):
+            delta = abs(a - b)
             if f.frame_id in flagged:
                 assert delta == pytest.approx(25.0, abs=0.01)
             else:
@@ -106,8 +109,8 @@ class TestGenerate:
             InjectedError(kind="rom_truncation_fraction", magnitude=0.5,
                           joint=J.LEFT_KNEE),))
         seq, ann = generate(spec, seed=3)
-        angles = [angle_at(f.points, J.LEFT_KNEE) for f in seq.frames]
-        achieved = max(angles) - min(angles)
+        knee = angles(seq, J.LEFT_KNEE)
+        achieved = max(knee) - min(knee)
         lo, hi = ann.reference_angles[J.LEFT_KNEE]
         assert achieved == pytest.approx((hi - lo) / 2.0, rel=1e-6)
 
@@ -123,9 +126,9 @@ class TestGenerate:
     def test_annotation_reference_angles_match_clean_trajectory(self):
         seq, ann = generate(MotionSpec(template="pull", n_frames=18), seed=4)
         for j, (lo, hi) in ann.reference_angles.items():
-            angles = [angle_at(f.points, j) for f in seq.frames]
-            assert min(angles) == pytest.approx(lo, abs=1e-6)
-            assert max(angles) == pytest.approx(hi, abs=1e-6)
+            series = angles(seq, j)
+            assert min(series) == pytest.approx(lo, abs=1e-6)
+            assert max(series) == pytest.approx(hi, abs=1e-6)
 
     def test_noise_applied_after_injection(self):
         spec = MotionSpec(template="press", n_frames=10, noise_std=1.5)
