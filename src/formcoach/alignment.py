@@ -4,17 +4,20 @@ Candidate and reference sequences are aligned with dynamic time warping over
 their direction-vector descriptors (:class:`JointVectorSequence`). The step
 cost between candidate frame i and reference frame j is
 
-    cost(i, j) = 1 - (1 / |P_ij|) * sum over p in P_ij of clip(u_ip . v_jp, -1, 1)
+    cost(i, j) = max(0, 1 - (1 / |P_ij|) * sum over p in P_ij of u_ip . v_jp)
 
 where u_ip and v_jp are the unit vectors of pair p and P_ij is the set of
 pairs valid in both frames. The path minimizes the accumulated cost
 
     acc(i, j) = cost(i, j) + min(acc(i-1, j-1), acc(i-1, j), acc(i, j-1))
 
-from (0, 0) to (m-1, n-1). The m x n cost matrix is a masked reduction over
-the ``(T, P, 2)`` descriptor arrays, computed a block of candidate rows at a
-time, and the accumulated-cost recurrence runs one anti-diagonal at a time,
-since every cell of an anti-diagonal depends only on the two before it.
+from (0, 0) to (m-1, n-1). Invalid pairs have zero vectors, so the m x n cost
+matrix is two GEMMs over the ``(T, 2P)`` flattened descriptors and the
+``(T, P)`` masks: one for the pair sums and one for the common-pair counts,
+a block of candidate rows at a time. The clamp at 0 keeps the rounding of a
+sum of unit cosines from making a cost negative. The accumulated-cost
+recurrence runs one anti-diagonal at a time, since every cell of an
+anti-diagonal depends only on the two before it.
 
 Pace is summarized by the raw duration ratio, the mean deviation of the warp
 path from the diagonal, and per-phase durations, where phases are segmented
@@ -28,16 +31,16 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kinematics import DescriptorError, JointVectorSequence, mean_cosines
+from .kinematics import DescriptorError, JointVectorSequence
 from .skeleton import Sequence
 
 # Moving-average window (frames) used to suppress jitter before locating
 # phase extrema.
 PHASE_SMOOTH_WINDOW = 5
 
-# Cost-matrix rows are computed in blocks of about this many (cell, pair)
-# products, which bounds the temporaries whatever the sequence lengths.
-_BLOCK_PRODUCTS = 1 << 15
+# Cost-matrix rows are computed this many candidate frames at a time, which
+# keeps the GEMM temporaries a small multiple of one row of the accumulator.
+_BLOCK_ROWS = 64
 
 
 class AlignmentError(ValueError):
@@ -87,44 +90,47 @@ def dtw_align(cand: JointVectorSequence, ref: JointVectorSequence) -> WarpPath:
     # acc is padded with an infinite row 0 and column 0, so cell (i, j) sits
     # at acc[i + 1, j + 1] and every cell has three predecessors in range.
     acc = np.full((m + 1, n + 1), np.inf)
-    rows = max(1, _BLOCK_PRODUCTS // (n * len(cand.pairs)))
-    for r in range(0, m, rows):
-        block = slice(r, r + rows)
-        acc[1 + r:1 + r + rows, 1:] = 1.0 - mean_cosines(
-            cand.vectors[block, None], cand.valid[block, None],
-            ref.vectors, ref.valid)
+    a, b = cand.vectors.reshape(m, -1), ref.vectors.reshape(n, -1).T
+    a_valid = cand.valid.astype(np.float64)
+    b_valid = ref.valid.astype(np.float64).T
+    for r in range(0, m, _BLOCK_ROWS):
+        rows = slice(r, r + _BLOCK_ROWS)
+        counts = a_valid[rows] @ b_valid
+        if not counts.all():
+            raise DescriptorError("no common usable joint pairs")
+        cost = a[rows] @ b
+        cost /= counts
+        np.subtract(1.0, cost, out=cost)
+        acc[1 + r:1 + r + _BLOCK_ROWS, 1:] = np.maximum(cost, 0.0, out=cost)
 
-    # step[i, j]: 0 = diagonal, 1 = candidate advance (from i-1, j),
-    # 2 = reference advance (from i, j-1), -1 = origin
-    padded_step = np.full((m + 1, n + 1), -1, dtype=np.int8)
-    flat, flat_step = acc.ravel(), padded_step.ravel()
-    w = n + 1
+    flat, w = acc.ravel(), n + 1
+    low = np.empty(min(m, n))
     for d in range(1, m + n - 1):
         lo, hi = max(0, d - n + 1), min(m - 1, d)
         # Cells (i, d - i) of this anti-diagonal lie n apart in the flat array.
         start = (lo + 1) * w + d - lo + 1
         stop = start + (hi - lo) * n + 1
-        preds = np.stack((flat[start - w - 1:stop - w - 1:n],
-                          flat[start - w:stop - w:n],
-                          flat[start - 1:stop - 1:n]))
-        # argmin takes the first minimum, so ties keep the order diagonal,
-        # candidate advance, reference advance.
-        chosen = preds.argmin(axis=0)
-        flat[start:stop:n] += preds.min(axis=0)
-        flat_step[start:stop:n] = chosen
-    step = padded_step[1:, 1:]
+        best = low[:hi - lo + 1]
+        np.minimum(flat[start - w - 1:stop - w - 1:n], flat[start - w:stop - w:n],
+                   out=best)
+        np.minimum(best, flat[start - 1:stop - 1:n], out=best)
+        flat[start:stop:n] += best
 
+    # Walk back from (m-1, n-1), i and j indexing the padded acc, each time
+    # to the cheapest predecessor. A later one wins only when strictly
+    # cheaper, so ties keep the order diagonal, candidate advance, reference
+    # advance.
     pairs = [(m - 1, n - 1)]
-    i, j = m - 1, n - 1
-    while (i, j) != (0, 0):
-        s = step[i, j]
-        if s == 0:
+    i, j = m, n
+    while (i, j) != (1, 1):
+        diagonal, from_cand, from_ref = acc[i - 1, j - 1], acc[i - 1, j], acc[i, j - 1]
+        if diagonal <= from_cand and diagonal <= from_ref:
             i, j = i - 1, j - 1
-        elif s == 1:
+        elif from_cand <= from_ref:
             i -= 1
         else:
             j -= 1
-        pairs.append((i, j))
+        pairs.append((i - 1, j - 1))
     pairs.reverse()
     return WarpPath(pairs=tuple(pairs), cost=float(acc[m, n]))
 

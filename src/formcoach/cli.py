@@ -17,13 +17,16 @@ Exit codes: 0 success, 2 validation error, 3 degenerate input data,
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call with one error naming the reference file;
 an unusable candidate fails only itself, naming its file. ``train`` stops at
-the first unusable dataset sequence, naming its file.
+the first unusable dataset sequence, naming its file. Warnings name the file
+they concern in the same way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import logging
 import math
 import sys
 from pathlib import Path
@@ -113,11 +116,34 @@ def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
             f"range={rng}  correction={corr or '-'}")
 
 
+# The loggers whose warnings are about one input sequence.
+_SEQUENCE_LOGGERS = (logging.getLogger("formcoach.kinematics"),
+                     logging.getLogger("formcoach.correction"))
+
+
+@contextlib.contextmanager
+def _warnings_naming(path):
+    """Prefix ``path`` to the sequence warnings logged inside the block."""
+    def name(record: logging.LogRecord) -> bool:
+        record.msg, record.args = f"{path}: {record.getMessage()}", ()
+        return True
+
+    for logger in _SEQUENCE_LOGGERS:
+        logger.addFilter(name)
+    try:
+        yield
+    finally:
+        for logger in _SEQUENCE_LOGGERS:
+            logger.removeFilter(name)
+
+
 def _guarded(path, step) -> Tuple[int, object]:
     """``(EXIT_OK, step())``, or the exit code and the error line of a
-    documented failure of ``step`` on the input file ``path``."""
+    documented failure of ``step`` on the input file ``path``. The warnings
+    ``step`` logs name ``path`` too."""
     try:
-        return EXIT_OK, step()
+        with _warnings_naming(path):
+            return EXIT_OK, step()
     except FileNotFoundError as e:
         return EXIT_VALIDATION, f"error: {e}"
     except DegenerateSkeletonError as e:

@@ -8,7 +8,8 @@ or coincide is masked, not dropped, so every frame has the same layout.
 Comparing two frames reduces to the mean cosine similarity over the pairs
 valid in both; :func:`pair_dots` (one ``x*x' + y*y'`` product) and
 :func:`masked_sum` (a zero-filled sum and a count) are the one kernel that
-does this for a single frame pair, a DTW cost-matrix block or a warp path.
+does this along a warp path. The DTW cost matrix compares every frame pair
+at once, as GEMMs over the same zero-filled vectors (see ``alignment``).
 
 Interior angles use a fixed bone topology: each angle-bearing joint has two
 neighbors (elbow: shoulder/wrist, knee: hip/ankle, shoulder: elbow/same-side
@@ -170,17 +171,6 @@ def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
 def masked_sum(values: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Sum over the last axis of the entries where ``valid``, and their count."""
     return np.where(valid, values, 0.0).sum(axis=-1), valid.sum(axis=-1)
-
-
-def mean_cosines(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,
-                 bk: np.ndarray) -> np.ndarray:
-    """Mean cosine over the pairs valid in both frames; arguments as for
-    :func:`pair_dots`."""
-    dots, both = pair_dots(av, ak, bv, bk)
-    sums, counts = masked_sum(dots, both)
-    if not counts.all():
-        raise DescriptorError("no common usable joint pairs")
-    return sums / counts
 
 
 def select_key_joints(points: np.ndarray, occluded: np.ndarray,

@@ -4,7 +4,10 @@ A recorded performance is a :class:`Sequence` of :class:`Frame` objects, each
 holding the 17 COCO keypoints in pixel coordinates with per-joint confidence.
 Keypoint files are JSON produced upstream by a pose estimator; this module
 validates them on load and writes them back losslessly (floats keep full
-decimal precision, so ``load(save(x)) == x`` exactly).
+decimal precision, so ``load(save(x)) == x`` exactly). A file whose frames
+all hold 17 numeric ``[x, y, conf]`` rows and a numeric ``t`` is converted
+and checked as whole arrays; any other file, and any file that fails those
+checks, is read frame by frame, so each error names its frame and joint.
 
 Low-confidence joints are treated as occluded and skipped by downstream
 geometry instead of being interpolated.
@@ -102,6 +105,16 @@ class Frame:
             raise ValidationError(f"frame {self.frame_id!r}: invalid timestamp")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "confidence", conf)
+
+    @classmethod
+    def _from_checked(cls, frame_id: str, timestamp: float, points: np.ndarray,
+                 confidence: np.ndarray) -> "Frame":
+        """A frame from values that already pass ``__post_init__``'s checks:
+        read-only float64 arrays of the right shapes and ranges."""
+        frame = object.__new__(cls)
+        frame.__dict__.update(frame_id=frame_id, timestamp=timestamp,
+                              points=points, confidence=confidence)
+        return frame
 
     def occlusion_mask(self, threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> np.ndarray:
         """Boolean (17,) mask, True where the joint is considered occluded."""
@@ -306,6 +319,43 @@ def _parse_keypoints(kp, frame_idx: int) -> Tuple[np.ndarray, np.ndarray]:
     return rows[:, :2], rows[:, 2]
 
 
+def _numeric(values: list, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+    """``values`` as a float64 array of ``shape``, or None unless they are
+    numbers (booleans included, as ``float`` takes them) nested to it."""
+    try:
+        arr = np.array(values)
+    except ValueError:    # ragged nesting
+        return None
+    if arr.shape != shape or arr.dtype.kind not in "biuf":
+        return None
+    return arr.astype(np.float64, copy=False)
+
+
+def _frames_in_bulk(raw_frames: list) -> Optional[Tuple[Frame, ...]]:
+    """The frames of a file in which every frame has 17 ``[x, y, conf]``
+    number rows and a number ``t``, converted with one ``np.array`` each and
+    checked as arrays; None if any frame is otherwise or fails a check."""
+    try:
+        keypoints = [rf["keypoints"] for rf in raw_frames]
+        times = [rf["t"] for rf in raw_frames]
+    except (TypeError, KeyError):
+        return None
+    rows = _numeric(keypoints, (len(raw_frames), N_JOINTS, 3))
+    t = _numeric(times, (len(raw_frames),))
+    if rows is None or t is None:
+        return None
+    points = np.ascontiguousarray(rows[..., :2])
+    conf = np.ascontiguousarray(rows[..., 2])
+    # NaN fails every comparison, so the range checks also reject it.
+    if not (np.isfinite(points).all() and ((conf >= 0.0) & (conf <= 1.0)).all()
+            and (np.isfinite(t) & (t >= 0.0)).all()):
+        return None
+    points.flags.writeable = conf.flags.writeable = False
+    return tuple(
+        Frame._from_checked(str(rf.get("id", f"f{i:04d}")), ti, pi, ci)
+        for i, (rf, ti, pi, ci) in enumerate(zip(raw_frames, t.tolist(), points, conf)))
+
+
 def load_sequence(path: os.PathLike | str) -> Sequence:
     """Load and validate a keypoint file.
 
@@ -322,10 +372,24 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
     fps = doc.get("fps")
     if fps is not None:
         fps = _number(fps, f"{path}: fps")
-    frames = []
     raw_frames = doc["frames"]
     if not isinstance(raw_frames, list):
         raise ValidationError(f"{path}: 'frames' must be a list")
+    frames = _frames_in_bulk(raw_frames)
+    if frames is None:
+        frames = _frames_one_by_one(raw_frames, fps)
+    return Sequence(
+        exercise_id=str(doc["exercise_id"]),
+        class_label=str(doc["class"]),
+        frames=frames,
+        fps_hint=fps,
+    )
+
+
+def _frames_one_by_one(raw_frames: list, fps: Optional[float]) -> Tuple[Frame, ...]:
+    """The frames of a file parsed and checked one at a time, raising at the
+    first bad frame with its index."""
+    frames = []
     for i, rf in enumerate(raw_frames):
         if not isinstance(rf, Mapping) or "keypoints" not in rf:
             raise ValidationError(f"frame {i}: must be an object with 'keypoints'")
@@ -340,12 +404,7 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
             )
         frame_id = str(rf.get("id", f"f{i:04d}"))
         frames.append(Frame(frame_id=frame_id, timestamp=t, points=points, confidence=conf))
-    return Sequence(
-        exercise_id=str(doc["exercise_id"]),
-        class_label=str(doc["class"]),
-        frames=tuple(frames),
-        fps_hint=fps,
-    )
+    return tuple(frames)
 
 
 def sequence_to_dict(seq: Sequence) -> dict:

@@ -520,7 +520,9 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
     """Training targets: scores in [0, 1] and per-resampled-frame labels.
 
     Uses annotated scores when present; otherwise a sequence with any
-    annotated mistakes targets 0.0 and a clean one targets 1.0.
+    annotated mistakes targets 0.0 and a clean one targets 1.0. A mistake on
+    a frame id the sequence lacks raises :class:`ValidationError`: the
+    annotation belongs to another recording.
     """
     if ann.scores is not None:
         t_scores = np.array(ann.scores, dtype=np.float64) / 100.0
@@ -535,7 +537,8 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
         for fid, _joint, _note in ann.per_frame_mistakes:
             t = by_id.get(fid)
             if t is None:
-                continue
+                raise ValidationError(
+                    f"annotated mistake on frame {fid!r}, which the sequence lacks")
             labels[int(np.argmin(np.abs(grid - t)))] = 1.0
     return t_scores, labels
 

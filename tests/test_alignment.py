@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from formcoach.alignment import (AlignmentError, WarpPath, dtw_align,
                                  moving_average, pace_profile)
 from formcoach.assessment import pace_score
-from formcoach.kinematics import (JointVectorSequence, interior_angles,
-                                  ordered_pairs, sequence_descriptors)
+from formcoach.kinematics import (DescriptorError, JointVectorSequence,
+                                  interior_angles, ordered_pairs,
+                                  sequence_descriptors)
 from formcoach.normalize import normalize_sequence
 from formcoach.skeleton import JointId, Sequence
 from formcoach.synth import InjectedError, MotionSpec, generate
@@ -161,6 +163,67 @@ class TestDtwAlign:
             cost = np.array(reference.cost_matrix(cand_ref, ref_ref))
             path = dtw_align(cand, ref)
             assert path.cost == pytest.approx(brute_force_cost(cost), abs=1e-12)
+
+    def test_oracle_across_row_blocks(self):
+        # The cost matrix is computed 64 candidate rows at a time; these
+        # lengths stop one row short of a block edge, on it, one row past it
+        # and past two edges.
+        rng = np.random.default_rng(11)
+        for m in (63, 64, 65, 130):
+            cand, cand_ref = random_fields(rng, m, OCCLUSION_JOINTS, OCCLUSION_JOINTS)
+            ref, ref_ref = random_fields(rng, 5, OCCLUSION_JOINTS, OCCLUSION_JOINTS)
+            cost = reference.cost_matrix(cand_ref, ref_ref)
+            path = dtw_align(cand, ref)
+            want_cost, want_pairs = reference.dtw(cost)
+            assert path.pairs == want_pairs
+            assert path.cost == pytest.approx(want_cost, abs=1e-12)
+            two = [row[:2] for row in cost]
+            path = dtw_align(cand, take(ref, [0, 1]))
+            assert path.cost == pytest.approx(brute_force_cost(np.array(two)),
+                                              abs=1e-12)
+
+    def test_no_common_pair_in_a_later_block(self):
+        # Candidate frame 100 (second row block) keeps only pair a->b and
+        # reference frame 2 only b->a: that one cell has nothing to compare.
+        cand = two_joint_sequence(*[[[1.0, 0.0], [-1.0, 0.0]]] * 130)
+        ref = two_joint_sequence(*[[[1.0, 0.0], [-1.0, 0.0]]] * 4)
+        cand.vectors[100, 1] = 0.0
+        cand.valid[100, 1] = False
+        ref.vectors[2, 0] = 0.0
+        ref.valid[2, 0] = False
+        with pytest.raises(DescriptorError, match="no common usable joint pairs"):
+            dtw_align(cand, ref)
+
+    def test_long_identity_is_diagonal(self):
+        fields, _ = random_fields(np.random.default_rng(12), 150)
+        path = dtw_align(fields, fields)
+        assert path.pairs == tuple((i, i) for i in range(150))
+        assert 0.0 <= path.cost <= 1e-12
+
+    def test_peak_memory_stays_near_the_accumulator(self):
+        # The GEMMs run on row blocks, so their temporaries stay small next
+        # to the (m + 1) x (n + 1) accumulated costs: a whole-matrix product
+        # would add two more matrices of that size.
+        rng = np.random.default_rng(13)
+        m, n = 299, 300
+        joints = tuple(JointId)[:6]
+        pairs = ordered_pairs(joints)
+
+        def descriptors(t):
+            v = rng.normal(size=(t, len(pairs), 2))
+            v /= np.linalg.norm(v, axis=-1, keepdims=True)
+            return JointVectorSequence(tuple(f"f{k}" for k in range(t)), joints,
+                                       pairs, v, np.ones((t, len(pairs)), bool),
+                                       np.ones((t, len(pairs))))
+
+        cand, ref = descriptors(m), descriptors(n)
+        tracemalloc.start()
+        try:
+            dtw_align(cand, ref)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * (m + 1) * (n + 1)
 
     def test_cost_symmetry_and_path_transpose(self):
         rng = np.random.default_rng(4)

@@ -17,10 +17,11 @@ compare the warp path, flags and corrections first.
 """
 
 import json
+import logging
 from dataclasses import replace
 from pathlib import Path
 
-from formcoach import cli
+from formcoach import cli, correction
 from formcoach.assessment import load_report, report_to_dict
 from formcoach.config import save_exercise_config
 from formcoach.skeleton import JointId, Sequence, save_sequence
@@ -104,3 +105,32 @@ def test_svgs_use_config_occlusion_threshold(tmp_path):
     assert index
     for entry in index:
         assert (out / entry["file"]).read_text().count("<circle") == 16
+
+
+def test_warnings_name_their_file(tmp_path, caplog):
+    """The candidate's occluded ankle and one hidden in the reference are
+    reported under their own files; a warning logged outside a file's step
+    is left as it is."""
+    write_inputs(tmp_path)
+    ref_path = tmp_path / "ref.sequence.json"
+    ref = json.loads(ref_path.read_text())
+    ref["frames"][5]["keypoints"][JointId.LEFT_ANKLE][2] = 0.0
+    ref_path.write_text(json.dumps(ref))
+    with caplog.at_level(logging.WARNING, logger="formcoach"):
+        rc = cli.main(["assess",
+                       "--candidate", str(tmp_path / "cand.sequence.json"),
+                       "--reference", str(ref_path),
+                       "--config", str(tmp_path / "squat.config.json"),
+                       "--out", str(tmp_path / "out")])
+        cli._guarded("other.json", lambda: correction.logger.warning(
+            "skipping arrows for occluded flagged joints: %s", "left_knee in frames f1"))
+        correction.logger.warning("outside")
+    assert rc == cli.EXIT_OK
+    assert [r.getMessage() for r in caplog.records] == [
+        f"reference {ref_path}: dropping occluded targeted joints: "
+        "left_ankle in frames f0005",
+        f"{tmp_path / 'cand.sequence.json'}: dropping occluded targeted joints: "
+        f"left_ankle in frames f{OCCLUDED_FRAME:04d}",
+        "other.json: skipping arrows for occluded flagged joints: "
+        "left_knee in frames f1",
+        "outside"]

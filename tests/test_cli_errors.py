@@ -321,3 +321,15 @@ def test_degenerate_training_sequence_exits_3_naming_it(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_DEGENERATE
     assert f"degenerate data in {path}: frame 'f0002'" in capsys.readouterr().err
     assert not (tmp_path / "model.json").exists()
+
+
+def test_training_mistake_on_absent_frame_exits_2_naming_it(tmp_path, capsys):
+    argv = write_train_inputs(tmp_path)
+    path = tmp_path / "squat.annotation.json"
+    doc = json.loads(path.read_text())
+    doc["per_frame_mistakes"] = [{"frame_id": "g0003", "joint": "left_knee"}]
+    path.write_text(json.dumps(doc))
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'squat.sequence.json'}: " in err and "'g0003'" in err
+    assert not (tmp_path / "model.json").exists()

@@ -5,7 +5,7 @@ import pytest
 
 from formcoach.alignment import dtw_align
 from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
-                                  interior_angles, mean_cosines,
+                                  interior_angles, masked_sum, pair_dots,
                                   select_key_joints, sequence_descriptors)
 from formcoach.normalize import normalize_sequence
 from formcoach.skeleton import Frame, JointId, Sequence
@@ -35,7 +35,10 @@ def two_pair(*vectors):
 
 
 def cosine(a, b):
-    return float(mean_cosines(*a, *b)[0])
+    """The mean cosine over the pairs valid in both of two one-frame
+    (vectors, mask) descriptors."""
+    sums, counts = masked_sum(*pair_dots(*a, *b))
+    return float(sums[0] / counts[0])
 
 
 class TestJointAngle:

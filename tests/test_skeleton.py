@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from formcoach.skeleton import (Annotation, Frame, JointId, Sequence,
-                                ValidationError, JOINT_NAMES, load_annotation,
+                                ValidationError, JOINT_NAMES, _frames_in_bulk,
+                                _frames_one_by_one, load_annotation,
                                 load_sequence, save_annotation, save_sequence)
+from formcoach.synth import InjectedError, MotionSpec, generate
 
 
 def make_frame(i, jitter=0.0):
@@ -209,6 +211,85 @@ class TestSequenceFileIO:
         path.write_text("not json {")
         with pytest.raises(ValidationError):
             load_sequence(path)
+
+
+class TestBulkLoad:
+    """Files of 17 number rows and a number ``t`` per frame load as whole
+    arrays; every other file takes the frame-by-frame path."""
+
+    def frames_of(self, tmp_path, frames):
+        """Write ``frames`` as a 30 fps file; its path and the frames read
+        back from it."""
+        path = tmp_path / "s.json"
+        doc = {"exercise_id": "mini", "class": "correct", "fps": 30.0,
+               "frames": frames}
+        path.write_text(json.dumps(doc))
+        return path, json.loads(path.read_text())["frames"]
+
+    def test_array_path_equals_frame_by_frame(self, tmp_path):
+        for seed, template in enumerate(("squat", "press", "pull")):
+            seq, _ = generate(MotionSpec(
+                template=template, n_frames=40 + seed, noise_std=1.0,
+                injected_errors=(InjectedError(kind="angle_offset_deg",
+                                               magnitude=30.0,
+                                               joint=JointId.LEFT_ELBOW),)),
+                seed=seed)
+            path = tmp_path / f"{template}.json"
+            save_sequence(seq, path)
+            raw = json.loads(path.read_text())["frames"]
+            bulk = _frames_in_bulk(raw)
+            assert bulk is not None
+            assert bulk == _frames_one_by_one(raw, None)
+            assert load_sequence(path) == seq
+            assert not any(f.points.flags.writeable or f.confidence.flags.writeable
+                           for f in bulk)
+
+    def test_integers_and_booleans_load_as_floats(self, tmp_path):
+        rows = [[j, 2 * j, j % 2 == 0] for j in range(17)]
+        rows[3][2] = 1
+        _, raw = self.frames_of(tmp_path, [
+            {"id": "a", "t": 0, "keypoints": rows},
+            {"id": "b", "t": 1, "keypoints": rows},
+        ])
+        bulk = _frames_in_bulk(raw)
+        assert bulk is not None
+        assert bulk == _frames_one_by_one(raw, 30.0)
+        assert [type(f.timestamp) for f in bulk] == [float, float]
+        assert bulk[1].points.dtype == bulk[1].confidence.dtype == np.float64
+        assert bulk[1].confidence[:4].tolist() == [1.0, 0.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("change", [
+        lambda f: f[1]["keypoints"][4].__setitem__(0, "4.5"),
+        lambda f: f[1].__setitem__("keypoints", dict(zip(JOINT_NAMES,
+                                                         f[1]["keypoints"]))),
+        lambda f: [rf.pop("t") for rf in f],
+        lambda f: f[0].__setitem__("t", None),
+        lambda f: f[1]["keypoints"][4].__setitem__(1, 2 ** 70),
+    ], ids=["string-number", "mapping", "fps-timestamps", "null-t", "big-int"])
+    def test_other_files_take_the_frame_by_frame_path(self, tmp_path, change):
+        frames = [{"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
+                  {"id": "b", "t": 0.1, "keypoints": keypoint_rows()}]
+        change(frames)
+        path, raw = self.frames_of(tmp_path, frames)
+        assert _frames_in_bulk(raw) is None
+        assert load_sequence(path).frames == _frames_one_by_one(raw, 30.0)
+
+    @pytest.mark.parametrize("row, t, message", [
+        ([1.0, 2.0, 1.5], 0.1, "frame 'b': confidence outside [0, 1]"),
+        ([float("nan"), 2.0, 1.0], 0.1, "frame 'b': non-finite coordinates"),
+        ([1.0, 2.0, 1.0], -0.1, "frame 'b': invalid timestamp"),
+    ], ids=["confidence", "nan", "negative-t"])
+    def test_invalid_values_keep_the_per_frame_message(self, tmp_path, row, t,
+                                                       message):
+        rows = keypoint_rows()
+        rows[5] = row
+        path, _ = self.frames_of(tmp_path, [
+            {"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
+            {"id": "b", "t": t, "keypoints": rows},
+        ])
+        with pytest.raises(ValidationError) as err:
+            load_sequence(path)
+        assert str(err.value) == message
 
 
 class TestAnnotationIO:

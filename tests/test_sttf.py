@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from formcoach import sttf
-from formcoach.skeleton import JointId
+from formcoach.skeleton import JointId, ValidationError
 from formcoach.sttf import (STTFConfig, STTFModel, TrainingDivergedError,
                             compute_gradients, gradient_check, load_checkpoint,
                             loss, save_checkpoint, sequence_to_model_input,
@@ -228,6 +228,12 @@ class TestSequencePrep:
         ts2, labels2 = targets_from_annotation(bad, bad_ann, 12)
         assert np.array_equal(ts2, np.zeros(3))
         assert labels2.sum() == 12  # offset active in every frame
+
+    def test_mistake_on_absent_frame_rejected(self):
+        seq, ann = generate(MotionSpec(template="press", n_frames=12), seed=3)
+        ann.per_frame_mistakes = (("g0003", JointId.LEFT_ELBOW, "elbow"),)
+        with pytest.raises(ValidationError, match="frame 'g0003'"):
+            targets_from_annotation(seq, ann, 8)
 
     def test_annotated_scores_used(self):
         seq, ann = generate(MotionSpec(template="press", n_frames=20), seed=2)
