@@ -114,6 +114,7 @@ class Prepared:
 
     seq: Sequence
     pose: Pose
+    canonical: np.ndarray           # (T, 17, 2) normalize_sequence's points
     # (T, 6) per-frame columns theta, dx, dy, scale, cx, cy of the report's
     # canonical = scale * R(theta) @ (pixel - (cx, cy)) + (dx, dy); dx = dy = 0
     transforms: np.ndarray
@@ -142,7 +143,7 @@ def prepare(seq: Sequence, config: ExerciseConfig,
     raw = interior_angles(pixels, targeted + (config.phase.primary_joint,), occluded)
     zero = np.zeros_like(theta)    # the transforms' translation
     return Prepared(
-        seq=seq, pose=Pose(pixels, occluded, theta, scale),
+        seq=seq, pose=Pose(pixels, occluded, theta, scale), canonical=points,
         transforms=np.column_stack((theta, zero, zero, scale, center)),
         targeted=targeted, desc=desc,
         angles=interior_angles(points, desc.targeted, occluded),
@@ -309,8 +310,8 @@ class AssessmentResult:
     report: AssessmentReport
     path: WarpPath
     flags: Tuple[MistakeFlag, ...]
-    cand_pose: Pose
-    ref_pose: Pose
+    cand: Prepared
+    ref: Prepared
 
 
 def assess_pair(cand: Sequence, ref: Prepared,
@@ -347,7 +348,7 @@ def assess_pair(cand: Sequence, ref: Prepared,
         frame_detail=detail,
     )
     return AssessmentResult(report=report, path=path, flags=tuple(flags),
-                            cand_pose=cand.pose, ref_pose=ref.pose)
+                            cand=cand, ref=ref)
 
 
 # ---------------------------------------------------------------------------

@@ -64,15 +64,12 @@ def build_frame_aids(cand: Sequence, result: AssessmentResult,
         ref_for_cand.setdefault(i, j)
     flagged = [(f.frame_index, f.joint, ref_for_cand[f.frame_index])
                for f in result.flags]
-    return build_aid(result.cand_pose, result.ref_pose,
+    return build_aid(result.cand.pose, result.ref.pose,
                      [f.frame_id for f in cand.frames], flagged,
                      config.body_class, captions)
 
 
-def _aux_scores(model: "sttf.STTFModel", seq: Sequence,
-                occlusion_threshold: float) -> Dict[str, float]:
-    x = sttf.sequence_to_model_input(seq, model.config.seq_len,
-                                     occlusion_threshold)
+def _aux_scores(model: "sttf.STTFModel", x) -> Dict[str, float]:
     scores, _logits = model.forward(x)
     return {
         "joint": float(scores[0]) * 100.0,
@@ -87,8 +84,8 @@ def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
     result = assess_pair(cand, ref, config)
     report = result.report
     if aux_model is not None:
-        report.aux_scores = _aux_scores(aux_model, cand,
-                                        config.occlusion_threshold)
+        report.aux_scores = _aux_scores(aux_model, sttf.resample(
+            result.cand.canonical, cand.timestamps, aux_model.config.seq_len))
 
     stem = cand_path.stem
     for suffix in (".sequence", ".keypoints"):
@@ -96,7 +93,7 @@ def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
             stem = stem[: -len(suffix)]
     save_report(report, out_dir / f"{stem}_report.json")
 
-    pose = result.cand_pose
+    pose = result.cand.pose
     index = []
     for i, aid in build_frame_aids(cand, result, config).items():
         name = f"{stem}_{aid.frame_id}_aid.svg"
@@ -232,20 +229,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-def _load_train_config(path: Optional[str], args) -> Tuple[sttf.STTFConfig, int, float]:
+def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float]:
     doc = {}
     if path:
         doc = read_json(path)
         if not isinstance(doc, dict):
             raise ValidationError(f"{path}: training config must be an object")
-    cfg_fields = {f for f in sttf.STTFConfig.__dataclass_fields__}
-    cfg_kwargs = {k: v for k, v in doc.items() if k in cfg_fields}
-    if args.seed is not None:
-        cfg_kwargs["seed"] = args.seed
-    config = sttf.STTFConfig(**cfg_kwargs)
-    epochs = _number(args.epochs if args.epochs is not None
-                     else doc.get("epochs", 50), "epochs")
-    lr = _number(args.lr if args.lr is not None else doc.get("lr", 1e-2), "lr")
+    model_keys = sttf.STTFConfig.__dataclass_fields__.keys()
+    unknown = [k for k in doc if k not in model_keys and k not in ("epochs", "lr")]
+    if unknown:
+        raise ValidationError(f"{path}: unknown training config key {unknown[0]!r}")
+    config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
+    epochs = _number(doc.get("epochs", 50), "epochs")
+    lr = _number(doc.get("lr", 1e-2), "lr")
     if not (epochs >= 1 and epochs.is_integer()):
         raise ValidationError(f"epochs must be a positive integer, got {epochs:g}")
     if not (lr > 0 and math.isfinite(lr)):
@@ -265,7 +261,7 @@ def _training_example(seq_path: Path, ann_path: Path, seq_len: int) -> tuple:
 def cmd_train(args) -> int:
     dataset_dir = Path(args.dataset)
     try:
-        config, epochs, lr = _load_train_config(args.config, args)
+        config, epochs, lr = _load_train_config(args.config)
     except (FileNotFoundError, ValidationError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
@@ -310,7 +306,9 @@ def cmd_score_model(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
     rc, aux = _guarded(args.sequence, lambda: _aux_scores(
-        model, load_sequence(args.sequence), args.occlusion_threshold))
+        model, sttf.sequence_to_model_input(load_sequence(args.sequence),
+                                            model.config.seq_len,
+                                            args.occlusion_threshold)))
     if rc:
         print(aux, file=sys.stderr)
         return rc
@@ -358,9 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-out", required=True)
     p.add_argument("--loss-csv", default=None,
                    help="loss curve CSV path (default: <checkpoint>.loss.csv)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("score-model", help="score a sequence with a checkpoint")

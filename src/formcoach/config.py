@@ -14,8 +14,8 @@ from typing import Dict, Optional, Tuple
 
 from .kinematics import DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       _angle_table, _key, _list, _number, joint_from_name,
-                       read_json, write_json_atomic)
+                       _angle_ranges, _angle_table, _key, _list, _number,
+                       joint_from_name, read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 
@@ -103,12 +103,7 @@ class ExerciseConfig:
             )
         if self.targeted_joints is not None:
             self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
-        self.reference_angles = {JointId(j): (float(a), float(b))
-                                 for j, (a, b) in self.reference_angles.items()}
-        for j, (lo, hi) in self.reference_angles.items():
-            if lo > hi:
-                raise ValidationError(
-                    f"reference_angles[{j.name.lower()}]: min {lo} > max {hi}")
+        self.reference_angles = _angle_ranges(self.reference_angles)
         for thr_name in ("key_joint_threshold_deg", "mistake_threshold",
                          "occlusion_threshold"):
             require_threshold(getattr(self, thr_name), thr_name)

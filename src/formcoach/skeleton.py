@@ -4,10 +4,13 @@ A recorded performance is a :class:`Sequence` of :class:`Frame` objects, each
 holding the 17 COCO keypoints in pixel coordinates with per-joint confidence.
 Keypoint files are JSON produced upstream by a pose estimator; this module
 validates them on load and writes them back losslessly (floats keep full
-decimal precision, so ``load(save(x)) == x`` exactly). A file whose frames
-all hold 17 numeric ``[x, y, conf]`` rows and a numeric ``t`` is converted
-and checked as whole arrays; any other file, and any file that fails those
-checks, is read frame by frame, so each error names its frame and joint.
+decimal precision, so ``load(save(x)) == x`` exactly). :func:`load_sequence`
+reads every file by one path: a structural pass over all frames (objects,
+keypoint containers and joint names, timestamps present), one conversion of
+all values (one ``np.array`` when all are numbers, else ``float()`` on each
+in frame order) and one value check shared with :class:`Frame`. Each error
+names its frame, and its joint where there is one; a file with several faults
+reports its first structural fault before any value fault.
 
 Low-confidence joints are treated as occluded and skipped by downstream
 geometry instead of being interpolated.
@@ -16,6 +19,7 @@ geometry instead of being interpolated.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -71,10 +75,21 @@ class ValidationError(ValueError):
     """Malformed or inconsistent keypoint / annotation / report data."""
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.flags.writeable = False
-    return out
+def _check_values(frame_ids, points: np.ndarray, confidence: np.ndarray,
+                  timestamps: np.ndarray) -> None:
+    """Raise a :class:`ValidationError` for the first frame with non-finite
+    coordinates, a confidence outside [0, 1] or a negative or non-finite
+    timestamp, naming the first of these it has. The arrays are (T, 17, 2),
+    (T, 17) and (T,)."""
+    # NaN fails every comparison, so the range checks also reject it.
+    bad = ~np.stack((np.isfinite(points).all(axis=(1, 2)),
+                     ((confidence >= 0.0) & (confidence <= 1.0)).all(axis=1),
+                     np.isfinite(timestamps) & (timestamps >= 0.0)), axis=1)
+    if bad.any():
+        i, k = divmod(int(bad.argmax()), 3)
+        problem = ("non-finite coordinates", "confidence outside [0, 1]",
+                   "invalid timestamp")[k]
+        raise ValidationError(f"frame {frame_ids[i]!r}: {problem}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +102,8 @@ class Frame:
     confidence: np.ndarray  # (17,) float64 in [0, 1], read-only
 
     def __post_init__(self):
-        pts = _as_readonly(self.points)
-        conf = _as_readonly(self.confidence)
+        pts = np.array(self.points, dtype=np.float64)
+        conf = np.array(self.confidence, dtype=np.float64)
         if pts.shape != (N_JOINTS, 2):
             raise ValidationError(
                 f"frame {self.frame_id!r}: points must be (17, 2), got {pts.shape}"
@@ -97,12 +112,9 @@ class Frame:
             raise ValidationError(
                 f"frame {self.frame_id!r}: confidence must be (17,), got {conf.shape}"
             )
-        if not np.all(np.isfinite(pts)):
-            raise ValidationError(f"frame {self.frame_id!r}: non-finite coordinates")
-        if not np.all(np.isfinite(conf)) or conf.min() < 0.0 or conf.max() > 1.0:
-            raise ValidationError(f"frame {self.frame_id!r}: confidence outside [0, 1]")
-        if not np.isfinite(self.timestamp) or self.timestamp < 0.0:
-            raise ValidationError(f"frame {self.frame_id!r}: invalid timestamp")
+        _check_values((self.frame_id,), pts[None], conf[None],
+                      np.array([self.timestamp], dtype=np.float64))
+        pts.flags.writeable = conf.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "confidence", conf)
 
@@ -180,6 +192,20 @@ class Sequence:
         return np.stack([f.confidence for f in self.frames]) < threshold
 
 
+def _angle_ranges(table: Mapping) -> Dict[JointId, Tuple[float, float]]:
+    """``{joint: (min_deg, max_deg)}`` with float bounds; a
+    :class:`ValidationError` naming the joint if a bound is not finite or
+    the minimum exceeds the maximum."""
+    ranges = {JointId(j): (float(lo), float(hi)) for j, (lo, hi) in table.items()}
+    for j, (lo, hi) in ranges.items():
+        where = f"reference_angles[{j.name.lower()}]"
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValidationError(f"{where}: bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValidationError(f"{where}: min {lo} > max {hi}")
+    return ranges
+
+
 @dataclass
 class Annotation:
     """Per-exercise ground truth: targeted joints, angle ranges, mistakes."""
@@ -192,13 +218,7 @@ class Annotation:
 
     def __post_init__(self):
         self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
-        self.reference_angles = {JointId(j): (float(a), float(b))
-                                 for j, (a, b) in self.reference_angles.items()}
-        for j, (lo, hi) in self.reference_angles.items():
-            if lo > hi:
-                raise ValidationError(
-                    f"reference_angles[{j.name.lower()}]: min {lo} > max {hi}"
-                )
+        self.reference_angles = _angle_ranges(self.reference_angles)
         self.per_frame_mistakes = tuple(
             (str(fid), JointId(j), str(note)) for fid, j, note in self.per_frame_mistakes
         )
@@ -246,17 +266,18 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 
 def read_json(path: os.PathLike | str):
     """Parse a JSON file, raising :class:`ValidationError` if it is not JSON
-    text (a decode error or bytes that are not text)."""
+    text (a decode error, bytes that are not text, or an integer longer than
+    Python's integer-string digit limit)."""
     try:
         return json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except ValueError as e:
         raise ValidationError(f"{path}: not valid JSON ({e})") from e
 
 
 def _number(value, where: str) -> float:
     try:
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: {value!r} is not a number") from None
 
 
@@ -289,34 +310,24 @@ def _parse_row(row, frame_idx: int, name: str) -> Tuple[float, float, float]:
         raise ValidationError(f"frame {frame_idx}: keypoint {name!r} must be [x, y, conf]")
     try:
         return float(row[0]), float(row[1]), float(row[2])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"frame {frame_idx}: keypoint {name!r} must be "
                               f"[x, y, conf] numbers, got {row!r}") from None
 
 
-def _parse_keypoints(kp, frame_idx: int) -> Tuple[np.ndarray, np.ndarray]:
-    if isinstance(kp, Mapping):
-        rows = [None] * N_JOINTS
-        for name, row in kp.items():
-            j = joint_from_name(name)
-            if rows[j] is not None:
-                raise ValidationError(f"frame {frame_idx}: duplicate joint {name!r}")
-            rows[j] = _parse_row(row, frame_idx, name)
-        missing = [n for n, row in zip(JOINT_NAMES, rows) if row is None]
-        if missing:
-            raise ValidationError(
-                f"frame {frame_idx}: missing joint(s) {', '.join(missing)}"
-            )
-    elif isinstance(kp, (list, tuple)):
-        if len(kp) != N_JOINTS:
-            raise ValidationError(
-                f"frame {frame_idx}: expected 17 keypoints, got {len(kp)}"
-            )
-        rows = [_parse_row(row, frame_idx, name) for row, name in zip(kp, JOINT_NAMES)]
-    else:
-        raise ValidationError(f"frame {frame_idx}: keypoints must be a list or mapping")
-    rows = np.array(rows)
-    return rows[:, :2], rows[:, 2]
+def _coco_rows(kp: Mapping, frame_idx: int) -> Tuple[list, list]:
+    """Mapping-form keypoints as their rows and the names they were given,
+    both in COCO order."""
+    names = [None] * N_JOINTS
+    for name in kp:
+        j = joint_from_name(name)
+        if names[j] is not None:
+            raise ValidationError(f"frame {frame_idx}: duplicate joint {name!r}")
+        names[j] = name
+    missing = [n for n, given in zip(JOINT_NAMES, names) if given is None]
+    if missing:
+        raise ValidationError(f"frame {frame_idx}: missing joint(s) {', '.join(missing)}")
+    return [kp[name] for name in names], names
 
 
 def _numeric(values: list, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
@@ -331,37 +342,12 @@ def _numeric(values: list, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
     return arr.astype(np.float64, copy=False)
 
 
-def _frames_in_bulk(raw_frames: list) -> Optional[Tuple[Frame, ...]]:
-    """The frames of a file in which every frame has 17 ``[x, y, conf]``
-    number rows and a number ``t``, converted with one ``np.array`` each and
-    checked as arrays; None if any frame is otherwise or fails a check."""
-    try:
-        keypoints = [rf["keypoints"] for rf in raw_frames]
-        times = [rf["t"] for rf in raw_frames]
-    except (TypeError, KeyError):
-        return None
-    rows = _numeric(keypoints, (len(raw_frames), N_JOINTS, 3))
-    t = _numeric(times, (len(raw_frames),))
-    if rows is None or t is None:
-        return None
-    points = np.ascontiguousarray(rows[..., :2])
-    conf = np.ascontiguousarray(rows[..., 2])
-    # NaN fails every comparison, so the range checks also reject it.
-    if not (np.isfinite(points).all() and ((conf >= 0.0) & (conf <= 1.0)).all()
-            and (np.isfinite(t) & (t >= 0.0)).all()):
-        return None
-    points.flags.writeable = conf.flags.writeable = False
-    return tuple(
-        Frame._from_checked(str(rf.get("id", f"f{i:04d}")), ti, pi, ci)
-        for i, (rf, ti, pi, ci) in enumerate(zip(raw_frames, t.tolist(), points, conf)))
-
-
 def load_sequence(path: os.PathLike | str) -> Sequence:
     """Load and validate a keypoint file.
 
-    Raises :class:`ValidationError` with the offending frame index on
-    malformed input, values that are not numbers, missing joints or
-    non-monotone timestamps.
+    Raises :class:`ValidationError` with the offending frame on malformed
+    input, values that are not numbers, missing joints or non-monotone
+    timestamps; see the module docstring for which fault is reported first.
     """
     doc = read_json(path)
     if not isinstance(doc, Mapping):
@@ -375,36 +361,50 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
     raw_frames = doc["frames"]
     if not isinstance(raw_frames, list):
         raise ValidationError(f"{path}: 'frames' must be a list")
-    frames = _frames_in_bulk(raw_frames)
-    if frames is None:
-        frames = _frames_one_by_one(raw_frames, fps)
-    return Sequence(
-        exercise_id=str(doc["exercise_id"]),
-        class_label=str(doc["class"]),
-        frames=frames,
-        fps_hint=fps,
-    )
 
-
-def _frames_one_by_one(raw_frames: list, fps: Optional[float]) -> Tuple[Frame, ...]:
-    """The frames of a file parsed and checked one at a time, raising at the
-    first bad frame with its index."""
-    frames = []
+    keypoints, names, times, frame_ids = [], [], [], []
     for i, rf in enumerate(raw_frames):
         if not isinstance(rf, Mapping) or "keypoints" not in rf:
             raise ValidationError(f"frame {i}: must be an object with 'keypoints'")
-        points, conf = _parse_keypoints(rf["keypoints"], i)
-        if "t" in rf and rf["t"] is not None:
-            t = _number(rf["t"], f"frame {i}: t")
-        elif fps:
-            t = i / fps
+        kp = rf["keypoints"]
+        if isinstance(kp, list):
+            if len(kp) != N_JOINTS:
+                raise ValidationError(f"frame {i}: expected 17 keypoints, got {len(kp)}")
+            given = JOINT_NAMES
+        elif isinstance(kp, Mapping):
+            kp, given = _coco_rows(kp, i)
         else:
-            raise ValidationError(
-                f"frame {i}: no timestamp and no fps to synthesize one from"
-            )
-        frame_id = str(rf.get("id", f"f{i:04d}"))
-        frames.append(Frame(frame_id=frame_id, timestamp=t, points=points, confidence=conf))
-    return tuple(frames)
+            raise ValidationError(f"frame {i}: keypoints must be a list or mapping")
+        t = rf.get("t")
+        if t is None:
+            if not fps:
+                raise ValidationError(
+                    f"frame {i}: no timestamp and no fps to synthesize one from"
+                )
+            t = i / fps
+        keypoints.append(kp)
+        names.append(given)
+        times.append(t)
+        frame_ids.append(str(rf["id"]) if "id" in rf else f"f{i:04d}")
+
+    rows = _numeric(keypoints, (len(keypoints), N_JOINTS, 3))
+    t = _numeric(times, (len(times),))
+    if rows is None or t is None:
+        for i, (kp, given) in enumerate(zip(keypoints, names)):
+            keypoints[i] = [_parse_row(row, i, name) for row, name in zip(kp, given)]
+            times[i] = _number(times[i], f"frame {i}: t")
+        rows = np.array(keypoints, dtype=np.float64).reshape(-1, N_JOINTS, 3)
+        t = np.array(times, dtype=np.float64)
+    points = np.ascontiguousarray(rows[..., :2])
+    conf = np.ascontiguousarray(rows[..., 2])
+    _check_values(frame_ids, points, conf, t)
+    points.flags.writeable = conf.flags.writeable = False
+    return Sequence(
+        exercise_id=str(doc["exercise_id"]),
+        class_label=str(doc["class"]),
+        frames=tuple(map(Frame._from_checked, frame_ids, t.tolist(), points, conf)),
+        fps_hint=fps,
+    )
 
 
 def sequence_to_dict(seq: Sequence) -> dict:

@@ -501,12 +501,16 @@ def gradient_check(model: STTFModel, x, target,
 
 def sequence_to_model_input(seq: Sequence, seq_len: int,
                             occlusion_threshold: float = 0.05) -> np.ndarray:
-    """Normalize every frame globally and resample to ``seq_len`` frames by
-    linear interpolation of canonical coordinates over timestamps."""
+    """Normalize every frame globally and :func:`resample` to ``seq_len``."""
     canon = normalize_sequence(seq.points_array(),
                                seq.occlusion_mask(occlusion_threshold),
                                [f.frame_id for f in seq.frames])[0]
-    times = seq.timestamps
+    return resample(canon, seq.timestamps, seq_len)
+
+
+def resample(canon: np.ndarray, times: np.ndarray, seq_len: int) -> np.ndarray:
+    """(T, 17, 2) canonical coordinates at ``times`` resampled to
+    ``seq_len`` evenly spaced frames by linear interpolation."""
     grid = np.linspace(times[0], times[-1], seq_len)
     out = np.empty((seq_len, canon.shape[1], 2))
     for j in range(canon.shape[1]):

@@ -1,5 +1,6 @@
 """Test oracles: the geometry formulas of the ``formcoach`` module
-docstrings, written out as plain Python loops over one frame at a time.
+docstrings, written out as plain Python loops over one frame at a time, and
+a keypoint-file reader that checks one frame at a time.
 
 Nothing here is imported from ``formcoach`` and no array code is shared with
 it, so a test that compares the program with these functions checks the
@@ -28,8 +29,12 @@ Formulas (image y points down, canonical y points up):
 * arrow head: the reference joint in the reference frame's local
   normalization (root at the origin), mapped to candidate pixels by the
   inverse of the candidate frame's local normalization.
+* keypoint file: the schema of the ``skeleton`` module, read frame by frame;
+  each frame's structure, numbers and values are checked before the next
+  frame is read, then the sequence's class, length, timestamp order and fps.
 """
 
+import json
 import math
 
 LEFT_SHOULDER, RIGHT_SHOULDER, LEFT_HIP, RIGHT_HIP = 5, 6, 11, 12
@@ -208,3 +213,112 @@ def interior_angle(points, joint, occluded=None):
         return None
     cos = max(-1.0, min(1.0, (ux * vx + uy * vy) / (nu * nv)))
     return math.degrees(math.acos(cos))
+
+
+JOINT_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear",
+               "left_shoulder", "right_shoulder", "left_elbow", "right_elbow",
+               "left_wrist", "right_wrist", "left_hip", "right_hip",
+               "left_knee", "right_knee", "left_ankle", "right_ankle")
+CLASS_LABELS = ("groundtruth", "correct", "wrong")
+
+
+class Invalid(Exception):
+    """A fault in a keypoint file, with the message the program gives it."""
+
+
+def _to_float(value, message):
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise Invalid(message) from None
+
+
+def _keypoint_file_frame(i, raw, fps):
+    """(id, t, 17 [x, y, conf] float rows) of frame ``i``."""
+    if not isinstance(raw, dict) or "keypoints" not in raw:
+        raise Invalid(f"frame {i}: must be an object with 'keypoints'")
+    keypoints = raw["keypoints"]
+    if isinstance(keypoints, dict):
+        named = {}
+        for name, row in keypoints.items():
+            if name.lower() not in JOINT_NAMES:
+                raise Invalid(f"unknown joint name {name!r}")
+            if name.lower() in named:
+                raise Invalid(f"frame {i}: duplicate joint {name!r}")
+            named[name.lower()] = (name, row)
+        missing = [name for name in JOINT_NAMES if name not in named]
+        if missing:
+            raise Invalid(f"frame {i}: missing joint(s) {', '.join(missing)}")
+        given = [named[name] for name in JOINT_NAMES]
+    elif isinstance(keypoints, list):
+        if len(keypoints) != 17:
+            raise Invalid(f"frame {i}: expected 17 keypoints, got {len(keypoints)}")
+        given = list(zip(JOINT_NAMES, keypoints))
+    else:
+        raise Invalid(f"frame {i}: keypoints must be a list or mapping")
+    rows = []
+    for name, row in given:
+        if not isinstance(row, list) or len(row) != 3:
+            raise Invalid(f"frame {i}: keypoint {name!r} must be [x, y, conf]")
+        try:
+            rows.append([float(v) for v in row])
+        except (TypeError, ValueError, OverflowError):
+            raise Invalid(f"frame {i}: keypoint {name!r} must be "
+                          f"[x, y, conf] numbers, got {row!r}") from None
+    t = raw.get("t")
+    if t is not None:
+        t = _to_float(t, f"frame {i}: t: {t!r} is not a number")
+    elif fps:
+        t = i / fps
+    else:
+        raise Invalid(f"frame {i}: no timestamp and no fps to synthesize one from")
+    frame_id = str(raw["id"]) if "id" in raw else "f%04d" % i
+    for x, y, conf in rows:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise Invalid(f"frame {frame_id!r}: non-finite coordinates")
+    for x, y, conf in rows:
+        if not 0.0 <= conf <= 1.0:
+            raise Invalid(f"frame {frame_id!r}: confidence outside [0, 1]")
+    if not (math.isfinite(t) and t >= 0.0):
+        raise Invalid(f"frame {frame_id!r}: invalid timestamp")
+    return frame_id, t, rows
+
+
+def read_keypoint_file(path):
+    """The keypoint file at ``path`` as ``{"exercise_id", "class", "fps",
+    "frames"}`` with ``frames`` a list of ``(id, t, rows)``, or the message
+    of its first fault."""
+    try:
+        try:
+            with open(path) as fh:
+                doc = json.loads(fh.read())
+        except ValueError as e:    # not text, not JSON, or too many digits
+            raise Invalid(f"{path}: not valid JSON ({e})") from None
+        if not isinstance(doc, dict):
+            raise Invalid(f"{path}: top level must be an object")
+        for key in ("exercise_id", "class", "frames"):
+            if key not in doc:
+                raise Invalid(f"{path}: missing required key {key!r}")
+        fps = doc.get("fps")
+        if fps is not None:
+            fps = _to_float(fps, f"{path}: fps: {fps!r} is not a number")
+        if not isinstance(doc["frames"], list):
+            raise Invalid(f"{path}: 'frames' must be a list")
+        frames = [_keypoint_file_frame(i, raw, fps)
+                  for i, raw in enumerate(doc["frames"])]
+        label = str(doc["class"])
+        if label not in CLASS_LABELS:
+            raise Invalid(f"class must be one of {CLASS_LABELS}, got {label!r}")
+        if len(frames) < 2:
+            raise Invalid("a sequence needs at least 2 frames")
+        for i in range(1, len(frames)):
+            (_, before, _), (frame_id, t, _) = frames[i - 1], frames[i]
+            if not t > before:
+                raise Invalid(f"timestamps must be strictly increasing: frame {i} "
+                              f"({frame_id!r}) has t={t} after t={before}")
+        if fps is not None and fps <= 0:
+            raise Invalid("fps_hint must be positive")
+    except Invalid as e:
+        return str(e)
+    return {"exercise_id": str(doc["exercise_id"]), "class": label, "fps": fps,
+            "frames": frames}

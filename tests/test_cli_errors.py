@@ -117,6 +117,71 @@ def test_assess_normalizes_the_reference_once(tmp_path, monkeypatch):
     assert len(calls) == 4
 
 
+def test_aux_model_reuses_the_candidate_normalization(tmp_path, monkeypatch,
+                                                      capsys):
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    cand = tmp_path / "cand.sequence.json"
+    threshold = json.loads((tmp_path / "squat.config.json").read_text())[
+        "occlusion_threshold"]
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(cand), "--occlusion-threshold", repr(threshold)]) == 0
+    expected = json.loads(capsys.readouterr().out)
+
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return normalize_sequence(*args)
+    monkeypatch.setattr(assessment, "normalize_sequence", counted)
+    monkeypatch.setattr(sttf, "normalize_sequence", counted)
+    assert cli.main(assess_argv(tmp_path, "--aux-model", str(ckpt))) == cli.EXIT_OK
+    assert len(calls) == 2
+    report = json.loads((tmp_path / "out" / "cand_report.json").read_text())
+    assert report["aux_scores"] == expected
+
+
+@pytest.mark.parametrize("file, digits, expected", [
+    ("keypoints", 400, "frame 4: keypoint 'left_knee'"),
+    ("config", 400, "mistake_threshold: 1000"),
+    ("keypoints", 5000, "cand.sequence.json: not valid JSON (Exceeds the limit"),
+], ids=["keypoints", "config", "digit-limit"])
+def test_integer_too_large_for_a_float_exits_2_naming_it(tmp_path, capsys, file,
+                                                         digits, expected):
+    write_inputs(tmp_path)
+    path = tmp_path / ("cand.sequence.json" if file == "keypoints"
+                       else "squat.config.json")
+    doc = json.loads(path.read_text())
+    if file == "keypoints":
+        doc["frames"][4]["keypoints"][13][1] = "BIG"
+    else:
+        doc["mistake_threshold"] = "BIG"
+    path.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * digits))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert expected in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bound", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("file", ["config", "annotation"])
+def test_non_finite_angle_bound_exits_2_naming_the_joint(tmp_path, capsys, file,
+                                                         bound):
+    if file == "annotation":
+        argv = write_train_inputs(tmp_path)
+        path = tmp_path / "squat.annotation.json"
+    else:
+        write_inputs(tmp_path)
+        argv = assess_argv(tmp_path)
+        path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc["reference_angles"] = {"left_knee": [60.0, "BOUND"]}
+    path.write_text(json.dumps(doc).replace('"BOUND"', bound))
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "reference_angles[left_knee]: bounds must be finite" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key", ["key_joint_threshold_deg", "mistake_threshold",
                                  "occlusion_threshold", "pace_ratio_weight"])
 def test_non_number_config_value_exits_2(tmp_path, capsys, key):
@@ -139,22 +204,31 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     assert match in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("config, extra, field", [
-    ({"n_heads": 0}, (), "n_heads"),
-    ({"d_model": 0}, (), "d_model"),
-    ({"seq_len": 8.5}, (), "seq_len"),
-    ({"spatial_layers": -1}, (), "spatial_layers"),
-    ({"seed": -1}, (), "seed"),
-    ({"epochs": 0}, (), "epochs"),
-    ({}, ("--epochs", "0"), "epochs"),
-    ({"lr": 0}, (), "lr"),
-    ({"lr": "fast"}, (), "lr"),
-], ids=["heads", "width", "seq-len", "layers", "seed", "epochs", "epochs-flag",
-        "lr", "lr-text"])
-def test_bad_training_config_exits_2(tmp_path, capsys, config, extra, field):
+@pytest.mark.parametrize("config, field", [
+    ({"n_heads": 0}, "n_heads"),
+    ({"d_model": 0}, "d_model"),
+    ({"seq_len": 8.5}, "seq_len"),
+    ({"spatial_layers": -1}, "spatial_layers"),
+    ({"seed": -1}, "seed"),
+    ({"epochs": 0}, "epochs"),
+    ({"lr": 0}, "lr"),
+    ({"lr": "fast"}, "lr"),
+    ({"epoch": 3}, "unknown training config key 'epoch'"),
+], ids=["heads", "width", "seq-len", "layers", "seed", "epochs", "lr", "lr-text",
+        "unknown-key"])
+def test_bad_training_config_exits_2(tmp_path, capsys, config, field):
     argv = write_train_inputs(tmp_path, **config)
-    assert cli.main([*argv, *extra]) == cli.EXIT_VALIDATION
+    assert cli.main(argv) == cli.EXIT_VALIDATION
     assert field in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
+@pytest.mark.parametrize("flag", ["--epochs", "--lr", "--seed"])
+def test_training_settings_have_no_flags(tmp_path, flag):
+    argv = write_train_inputs(tmp_path)
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, flag, "1"])
+    assert exit_.value.code == cli.EXIT_VALIDATION
     assert not (tmp_path / "model.json").exists()
 
 

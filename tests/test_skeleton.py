@@ -3,9 +3,9 @@ import json
 import numpy as np
 import pytest
 
+import reference
 from formcoach.skeleton import (Annotation, Frame, JointId, Sequence,
-                                ValidationError, JOINT_NAMES, _frames_in_bulk,
-                                _frames_one_by_one, load_annotation,
+                                ValidationError, JOINT_NAMES, load_annotation,
                                 load_sequence, save_annotation, save_sequence)
 from formcoach.synth import InjectedError, MotionSpec, generate
 
@@ -213,20 +213,163 @@ class TestSequenceFileIO:
             load_sequence(path)
 
 
+def loaded_or_message(path):
+    """What ``load_sequence`` makes of ``path``, in the form of
+    ``reference.read_keypoint_file``: the sequence as plain values, or the
+    message of its ``ValidationError``."""
+    try:
+        seq = load_sequence(path)
+    except ValidationError as e:
+        return str(e)
+    return {"exercise_id": seq.exercise_id, "class": seq.class_label,
+            "fps": seq.fps_hint,
+            "frames": [(f.frame_id, f.timestamp,
+                        np.column_stack((f.points, f.confidence)).tolist())
+                       for f in seq.frames]}
+
+
+def assert_reads_as_reference(path):
+    """``load_sequence`` gives the reference reader's sequence or message;
+    ``repr`` tells floats from ints and compares NaN fps too."""
+    expected = reference.read_keypoint_file(path)
+    assert repr(loaded_or_message(path)) == repr(expected)
+    return expected
+
+
+# Values put in one keypoint column of a file: numbers that load, numbers
+# out of range, numeric strings, non-numbers and an integer beyond float.
+CORPUS_VALUES = (None, "abc", "4.5", "nan", "-inf", [1.0], {"x": 1.0}, True,
+                 False, float("nan"), float("inf"), -1.5, 1.5, 10 ** 400, 2 ** 70)
+CORPUS_ROWS = (None, 5, "abc", [1.0, 2.0], [1.0, 2.0, 1.0, 0.0], {"x": 1.0})
+CORPUS_TIMES = (None, "abc", "0.01", [0.1], -0.1, float("nan"), float("inf"),
+                True, 10 ** 400, 2 ** 70)
+
+
+def keypoint_corpus(seed=3):
+    """Seeded three-frame keypoint documents, each with at most one fault."""
+    rng = np.random.default_rng(seed)
+
+    def base(mapping=False, fps=30.0):
+        frames = []
+        for i in range(3):
+            rows = np.column_stack((rng.uniform(0, 640, (17, 2)),
+                                    rng.uniform(0.1, 1.0, 17))).tolist()
+            frames.append({"id": f"k{i}", "t": i / 30.0,
+                           "keypoints": dict(zip(JOINT_NAMES, rows)) if mapping
+                           else rows})
+        return {"exercise_id": "squat", "class": "correct", "fps": fps,
+                "frames": frames}
+
+    def row(doc, frame, joint):
+        """The keypoints of ``frame`` and the key of ``joint`` in them; a
+        mapping names the left knee in upper case, as messages echo it."""
+        kp = doc["frames"][frame]["keypoints"]
+        if not isinstance(kp, dict):
+            return kp, joint
+        if joint == JointId.LEFT_KNEE:
+            kp["LEFT_KNEE"] = kp.pop("left_knee")
+            return kp, "LEFT_KNEE"
+        return kp, JOINT_NAMES[joint]
+
+    for mapping in (False, True):
+        for frame in range(3):
+            for joint in (0, JointId.LEFT_KNEE):
+                for column in range(3):
+                    for value in CORPUS_VALUES:
+                        doc = base(mapping)
+                        kp, key = row(doc, frame, joint)
+                        kp[key][column] = value
+                        yield doc
+                for value in CORPUS_ROWS:
+                    doc = base(mapping)
+                    kp, key = row(doc, frame, joint)
+                    kp[key] = value
+                    yield doc
+            for fps in (30.0, None, 0):
+                for value in CORPUS_TIMES:
+                    doc = base(mapping, fps)
+                    doc["frames"][frame]["t"] = value
+                    yield doc
+                doc = base(mapping, fps)
+                del doc["frames"][frame]["t"]
+                yield doc
+    for frame in range(3):
+        for keypoints in (None, 5, "abc", [], keypoint_rows()[:16],
+                          keypoint_rows() + [[1.0, 1.0, 1.0]]):
+            doc = base()
+            doc["frames"][frame]["keypoints"] = keypoints
+            yield doc
+        for change in ("missing", "unknown", "duplicate"):
+            doc = base(mapping=True)
+            kp = doc["frames"][frame]["keypoints"]
+            knee = kp.pop("left_knee")
+            if change == "unknown":
+                kp["left_knees"] = knee
+            elif change == "duplicate":
+                kp["left_knee"] = kp["LEFT_KNEE"] = knee
+            yield doc
+        for raw in (5, [], {"t": 0.1}):
+            doc = base()
+            doc["frames"][frame] = raw
+            yield doc
+        for frame_id in (None, 7, "same"):
+            doc = base()
+            if frame_id is None:
+                del doc["frames"][frame]["id"]
+            else:
+                doc["frames"][frame]["id"] = frame_id
+            yield doc
+    for fps in ("abc", [30.0], "30", -30.0, float("nan"), 10 ** 400, True):
+        yield base(fps=fps)
+    for n in (0, 1):
+        doc = base()
+        doc["frames"] = doc["frames"][:n]
+        yield doc
+    for edit in ("equal", "decreasing"):
+        doc = base()
+        doc["frames"][2]["t"] = doc["frames"][1]["t"] if edit == "equal" else 0.01
+        yield doc
+    for key in ("exercise_id", "class", "frames"):
+        doc = base()
+        del doc[key]
+        yield doc
+    for key, value in (("class", "great"), ("class", 3), ("exercise_id", 7),
+                       ("frames", "abc"), ("frames", {})):
+        doc = base()
+        doc[key] = value
+        yield doc
+    yield []
+
+
 class TestBulkLoad:
-    """Files of 17 number rows and a number ``t`` per frame load as whole
-    arrays; every other file takes the frame-by-frame path."""
+    """Every file takes one path: a structural pass, one conversion and one
+    value check. ``reference.read_keypoint_file`` reads frame by frame, so
+    on a file with one fault the two must agree on the sequence or the
+    message."""
 
     def frames_of(self, tmp_path, frames):
-        """Write ``frames`` as a 30 fps file; its path and the frames read
-        back from it."""
+        """Write ``frames`` as a 30 fps file; its path."""
         path = tmp_path / "s.json"
         doc = {"exercise_id": "mini", "class": "correct", "fps": 30.0,
                "frames": frames}
         path.write_text(json.dumps(doc))
-        return path, json.loads(path.read_text())["frames"]
+        return path
 
-    def test_array_path_equals_frame_by_frame(self, tmp_path):
+    def test_single_fault_corpus_reads_as_the_reference(self, tmp_path):
+        path = tmp_path / "s.json"
+        outcomes = {"loaded": 0, "refused": 0}
+        mismatches = []
+        for k, doc in enumerate(keypoint_corpus()):
+            path.write_text(json.dumps(doc))
+            expected = reference.read_keypoint_file(path)
+            got = loaded_or_message(path)
+            if repr(got) != repr(expected):
+                mismatches.append((k, got, expected))
+            outcomes["refused" if isinstance(expected, str) else "loaded"] += 1
+        assert mismatches == []
+        assert outcomes["loaded"] > 100 and outcomes["refused"] > 400
+
+    def test_synthetic_files_load_as_read_only_arrays(self, tmp_path):
         for seed, template in enumerate(("squat", "press", "pull")):
             seq, _ = generate(MotionSpec(
                 template=template, n_frames=40 + seed, noise_std=1.0,
@@ -236,27 +379,26 @@ class TestBulkLoad:
                 seed=seed)
             path = tmp_path / f"{template}.json"
             save_sequence(seq, path)
-            raw = json.loads(path.read_text())["frames"]
-            bulk = _frames_in_bulk(raw)
-            assert bulk is not None
-            assert bulk == _frames_one_by_one(raw, None)
-            assert load_sequence(path) == seq
-            assert not any(f.points.flags.writeable or f.confidence.flags.writeable
-                           for f in bulk)
+            assert_reads_as_reference(path)
+            loaded = load_sequence(path)
+            assert loaded == seq
+            for f in loaded.frames:
+                for arr in (f.points, f.confidence):
+                    assert arr.dtype == np.float64 and arr.flags.c_contiguous
+                    assert not arr.flags.writeable
 
     def test_integers_and_booleans_load_as_floats(self, tmp_path):
         rows = [[j, 2 * j, j % 2 == 0] for j in range(17)]
         rows[3][2] = 1
-        _, raw = self.frames_of(tmp_path, [
+        path = self.frames_of(tmp_path, [
             {"id": "a", "t": 0, "keypoints": rows},
             {"id": "b", "t": 1, "keypoints": rows},
         ])
-        bulk = _frames_in_bulk(raw)
-        assert bulk is not None
-        assert bulk == _frames_one_by_one(raw, 30.0)
-        assert [type(f.timestamp) for f in bulk] == [float, float]
-        assert bulk[1].points.dtype == bulk[1].confidence.dtype == np.float64
-        assert bulk[1].confidence[:4].tolist() == [1.0, 0.0, 1.0, 1.0]
+        assert not isinstance(assert_reads_as_reference(path), str)
+        seq = load_sequence(path)
+        assert [type(f.timestamp) for f in seq.frames] == [float, float]
+        assert seq.frames[1].points.dtype == seq.frames[1].confidence.dtype == np.float64
+        assert seq.frames[1].confidence[:4].tolist() == [1.0, 0.0, 1.0, 1.0]
 
     @pytest.mark.parametrize("change", [
         lambda f: f[1]["keypoints"][4].__setitem__(0, "4.5"),
@@ -266,13 +408,12 @@ class TestBulkLoad:
         lambda f: f[0].__setitem__("t", None),
         lambda f: f[1]["keypoints"][4].__setitem__(1, 2 ** 70),
     ], ids=["string-number", "mapping", "fps-timestamps", "null-t", "big-int"])
-    def test_other_files_take_the_frame_by_frame_path(self, tmp_path, change):
+    def test_other_forms_load_as_the_reference_reads_them(self, tmp_path, change):
         frames = [{"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
                   {"id": "b", "t": 0.1, "keypoints": keypoint_rows()}]
         change(frames)
-        path, raw = self.frames_of(tmp_path, frames)
-        assert _frames_in_bulk(raw) is None
-        assert load_sequence(path).frames == _frames_one_by_one(raw, 30.0)
+        path = self.frames_of(tmp_path, frames)
+        assert not isinstance(assert_reads_as_reference(path), str)
 
     @pytest.mark.parametrize("row, t, message", [
         ([1.0, 2.0, 1.5], 0.1, "frame 'b': confidence outside [0, 1]"),
@@ -283,13 +424,41 @@ class TestBulkLoad:
                                                        message):
         rows = keypoint_rows()
         rows[5] = row
-        path, _ = self.frames_of(tmp_path, [
+        path = self.frames_of(tmp_path, [
             {"id": "a", "t": 0.0, "keypoints": keypoint_rows()},
             {"id": "b", "t": t, "keypoints": rows},
         ])
         with pytest.raises(ValidationError) as err:
             load_sequence(path)
         assert str(err.value) == message
+
+    def test_structure_is_checked_before_values(self, tmp_path):
+        # Frame 0 holds a value fault and a bad number, frame 2 a structural
+        # fault; reading frame by frame would report frame 0 first.
+        nan_rows, text_rows = keypoint_rows(), keypoint_rows()
+        nan_rows[5][0] = float("nan")
+        text_rows[5][0] = "abc"
+        for rows in (nan_rows, text_rows):
+            path = self.frames_of(tmp_path, [
+                {"id": "a", "t": 0.0, "keypoints": rows},
+                {"id": "b", "t": 0.1, "keypoints": keypoint_rows()},
+                {"id": "c", "t": 0.2, "keypoints": keypoint_rows()[:16]},
+            ])
+            with pytest.raises(ValidationError) as err:
+                load_sequence(path)
+            assert str(err.value) == "frame 2: expected 17 keypoints, got 16"
+            assert reference.read_keypoint_file(path).startswith("frame ")
+            assert reference.read_keypoint_file(path) != str(err.value)
+        # Among values, bad numbers come before out-of-range values.
+        path = self.frames_of(tmp_path, [
+            {"id": "a", "t": 0.0, "keypoints": nan_rows},
+            {"id": "b", "t": 0.1, "keypoints": text_rows},
+        ])
+        with pytest.raises(ValidationError) as err:
+            load_sequence(path)
+        assert str(err.value) == ("frame 1: keypoint 'left_shoulder' must be "
+                                  "[x, y, conf] numbers, got ['abc', 10.0, 1.0]")
+        assert reference.read_keypoint_file(path) == "frame 'a': non-finite coordinates"
 
 
 class TestAnnotationIO:
