@@ -39,8 +39,8 @@ from .config import CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JointId, Sequence, ValidationError, joint_from_name,
-                       read_json, write_json_atomic)
+from .skeleton import (JointId, Sequence, ValidationError, _key, _list, _number,
+                       joint_from_name, read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 
@@ -387,33 +387,43 @@ def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
 
 
 def load_report(path: os.PathLike | str) -> AssessmentReport:
+    """Load a :func:`save_report` file; messages name the key, not the file."""
     doc = read_json(path)
-    required = ("name", "class", "joint", "pace", "range", "correction")
-    for key in required:
-        if key not in doc:
-            raise ValidationError(f"{path}: report missing column {key!r}")
+    for key in ("name", "class", "joint", "pace", "range", "correction"):
+        _key(doc, key, "report")
+    corrections = []
+    for i, c in enumerate(_list(doc.get("corrections", []), "corrections")):
+        where = f"corrections[{i}]"
+        corrections.append(Correction(
+            text=str(_key(c, "text", where)),
+            joint=joint_from_name(_key(c, "joint", where)),
+            frame_ids=tuple(_list(_key(c, "frames", where), f"{where}.frames"))))
+    detail = []
+    for i, d in enumerate(_list(doc.get("frame_detail", []), "frame_detail")):
+        where = f"frame_detail[{i}]"
+        index = _number(_key(d, "frame_index", where), f"{where}.frame_index")
+        if not index.is_integer():
+            raise ValidationError(f"{where}.frame_index: {index!r} is not an integer")
+        deviations = _key(d, "deviations", where)
+        if not isinstance(deviations, Mapping):
+            raise ValidationError(f"{where}.deviations: must map joint names to numbers")
+        transform = d.get("transform")
+        detail.append(FrameDeviation(
+            frame_index=int(index),
+            frame_id=_key(d, "frame_id", where),
+            deviations={joint_from_name(n): _number(v, f"{where}.deviations.{n}")
+                        for n, v in deviations.items()},
+            transform=None if transform is None else tuple(
+                _number(x, f"{where}.transform")
+                for x in _list(transform, f"{where}.transform"))))
     rng = doc["range"]
     return AssessmentReport(
         name=doc["name"],
         body_class=doc["class"],
-        joint_score=float(doc["joint"]),
-        pace_score=float(doc["pace"]),
-        range_score=None if rng == RANGE_NOT_APPLICABLE else float(rng),
-        corrections=tuple(
-            Correction(text=c["text"], joint=joint_from_name(c["joint"]),
-                       frame_ids=tuple(c["frames"]))
-            for c in doc.get("corrections", [])
-        ),
-        frame_detail=tuple(
-            FrameDeviation(
-                frame_index=int(d["frame_index"]),
-                frame_id=d["frame_id"],
-                deviations={joint_from_name(n): float(v)
-                            for n, v in d["deviations"].items()},
-                transform=None if d.get("transform") is None
-                          else tuple(float(x) for x in d["transform"]),
-            )
-            for d in doc.get("frame_detail", [])
-        ),
+        joint_score=_number(doc["joint"], "joint"),
+        pace_score=_number(doc["pace"], "pace"),
+        range_score=None if rng == RANGE_NOT_APPLICABLE else _number(rng, "range"),
+        corrections=tuple(corrections),
+        frame_detail=tuple(detail),
         aux_scores=doc.get("aux_scores"),
     )

@@ -11,14 +11,16 @@ Subcommands:
 * ``score-model`` — score a sequence with a trained checkpoint; optionally
                     append the scores to an existing report.
 
-Exit codes: 0 success, 2 validation error, 3 degenerate input data,
-4 training divergence.
+Errors: a failing input prints one line, ``error: <input>: <fault>`` (exit 2)
+or ``error: degenerate data in <input>: <fault>`` (exit 3), that names the
+input once, with its role where it has one (``reference <path>``); a missing
+file prints Python's own message (exit 2). Only this module names inputs: the
+readers' messages do not. Training divergence exits 4. Any other exception,
+a bare ``ValueError`` included, is a bug and escapes.
 
 ``assess`` prepares the reference once, before it loads any candidate. An
-unusable reference fails the call with one error naming the reference file;
-an unusable candidate fails only itself, naming its file. ``train`` stops at
-the first unusable dataset sequence, naming its file. Warnings name the file
-they concern in the same way.
+unusable reference fails the call; an unusable candidate fails only itself.
+``train`` stops at the first unusable file. Warnings name their file too.
 """
 
 from __future__ import annotations
@@ -40,10 +42,10 @@ from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (Sequence, ValidationError, _key, _list, _number,
-                       joint_from_name, load_annotation, load_sequence, read_json,
-                       save_annotation, save_sequence, write_json_atomic,
-                       write_text_atomic)
+from .skeleton import (Annotation, Sequence, ValidationError, _key, _list,
+                       _number, joint_from_name, load_annotation, load_sequence,
+                       read_json, save_annotation, save_sequence,
+                       write_json_atomic, write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -134,57 +136,58 @@ def _warnings_naming(path):
             logger.removeFilter(name)
 
 
-def _guarded(path, step) -> Tuple[int, object]:
-    """``(EXIT_OK, step())``, or the exit code and the error line of a
-    documented failure of ``step`` on the input file ``path``. The warnings
-    ``step`` logs name ``path`` too."""
+class _Failed(Exception):
+    """A documented failure, already reported; ``args[0]`` is the exit code."""
+
+
+def _guarded(name, step):
+    """``step()``, run on the input ``name``. A documented failure of it is
+    reported in one line that names ``name`` once and raises
+    :class:`_Failed`. The warnings ``step`` logs name ``name`` too."""
     try:
-        with _warnings_naming(path):
-            return EXIT_OK, step()
-    except FileNotFoundError as e:
-        return EXIT_VALIDATION, f"error: {e}"
+        with _warnings_naming(name):
+            return step()
+    except FileNotFoundError as e:    # its message names the file
+        code, line = EXIT_VALIDATION, f"error: {e}"
     except DegenerateSkeletonError as e:
-        return EXIT_DEGENERATE, f"error: degenerate data in {path}: {e}"
+        code, line = EXIT_DEGENERATE, f"error: degenerate data in {name}: {e}"
     except (ValidationError, OccludedJointError, DescriptorError,
             AlignmentError) as e:
-        return EXIT_VALIDATION, f"error: {path}: {e}"
+        code, line = EXIT_VALIDATION, f"error: {name}: {e}"
+    print(line, file=sys.stderr)
+    raise _Failed(code)
 
 
 def cmd_assess(args) -> int:
-    try:
-        config = load_exercise_config(args.config)
-        aux_model = sttf.load_checkpoint(args.aux_model) if args.aux_model else None
-    except (FileNotFoundError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rc, ref = _guarded(f"reference {args.reference}",
-                       lambda: prepare(load_sequence(args.reference), config))
-    if rc:
-        print(ref, file=sys.stderr)
-        return rc
+    config = _guarded(args.config, lambda: load_exercise_config(args.config))
+    aux_model = (_guarded(args.aux_model, lambda: sttf.load_checkpoint(args.aux_model))
+                 if args.aux_model else None)
+    ref = _guarded(f"reference {args.reference}",
+                   lambda: prepare(load_sequence(args.reference), config))
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
     for path in map(Path, args.candidate):
-        rc, line = _guarded(
-            path, lambda: _assess_one(path, ref, config, out_dir, aux_model))
-        print(line, file=sys.stderr if rc else sys.stdout)
-        code = max(code, rc)
+        try:
+            print(_guarded(path, lambda: _assess_one(path, ref, config, out_dir,
+                                                     aux_model)))
+        except _Failed as e:
+            code = max(code, e.args[0])
     return code
 
 
 def _motion_spec_from_file(path: Path) -> MotionSpec:
+    """The motion spec in ``path``; messages name the key, not the file."""
     doc = read_json(path)
-    template = _key(doc, "template", f"{path}: motion spec")
+    template = _key(doc, "template", "top level")
 
     def number(key: str, default: float) -> float:
-        return _number(doc.get(key, default), f"{path}: {key}")
+        return _number(doc.get(key, default), key)
 
     errors = []
-    for i, e in enumerate(_list(doc.get("injected_errors", []),
-                                f"{path}: injected_errors")):
-        where = f"{path}: injected_errors[{i}]"
+    for i, e in enumerate(_list(doc.get("injected_errors", []), "injected_errors")):
+        where = f"injected_errors[{i}]"
         magnitude = _number(_key(e, "magnitude", where), f"{where}.magnitude")
         errors.append(InjectedError(
             kind=e.get("type", e.get("kind")),
@@ -194,15 +197,15 @@ def _motion_spec_from_file(path: Path) -> MotionSpec:
         ))
     amplitudes = doc.get("amplitude_deg", {})
     if not isinstance(amplitudes, dict):
-        raise ValidationError(f"{path}: amplitude_deg must map joint names to degrees")
+        raise ValidationError("amplitude_deg must map joint names to degrees")
     n_frames = number("n_frames", 48)
     if not n_frames.is_integer():
-        raise ValidationError(f"{path}: n_frames must be an integer, got {n_frames:g}")
+        raise ValidationError(f"n_frames must be an integer, got {n_frames:g}")
     return MotionSpec(
         template=str(template),
         n_frames=int(n_frames),
         fps=number("fps", 30.0),
-        amplitude_deg={joint_from_name(k): _number(v, f"{path}: amplitude_deg.{k}")
+        amplitude_deg={joint_from_name(k): _number(v, f"amplitude_deg.{k}")
                        for k, v in amplitudes.items()} or None,
         noise_std=number("noise_std", 0.0),
         injected_errors=tuple(errors),
@@ -211,15 +214,9 @@ def _motion_spec_from_file(path: Path) -> MotionSpec:
 
 
 def cmd_synth(args) -> int:
-    try:
-        spec = _motion_spec_from_file(Path(args.spec))
-        seq, ann = generate(spec, seed=args.seed)
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValidationError as e:
-        print(f"error: invalid motion spec: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
+    name = f"invalid motion spec {args.spec}"
+    spec = _guarded(name, lambda: _motion_spec_from_file(Path(args.spec)))
+    seq, ann = _guarded(name, lambda: generate(spec, seed=args.seed))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{spec.template}_{args.seed}"
@@ -230,15 +227,17 @@ def cmd_synth(args) -> int:
 
 
 def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float]:
+    """(model config, epochs, lr) from ``path`` or the defaults; messages
+    name the key, not the file."""
     doc = {}
     if path:
         doc = read_json(path)
         if not isinstance(doc, dict):
-            raise ValidationError(f"{path}: training config must be an object")
+            raise ValidationError("training config must be an object")
     model_keys = sttf.STTFConfig.__dataclass_fields__.keys()
     unknown = [k for k in doc if k not in model_keys and k not in ("epochs", "lr")]
     if unknown:
-        raise ValidationError(f"{path}: unknown training config key {unknown[0]!r}")
+        raise ValidationError(f"unknown training config key {unknown[0]!r}")
     config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
     epochs = _number(doc.get("epochs", 50), "epochs")
     lr = _number(doc.get("lr", 1e-2), "lr")
@@ -249,41 +248,29 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
     return config, int(epochs), lr
 
 
-def _training_example(seq_path: Path, ann_path: Path, seq_len: int) -> tuple:
+def _training_example(seq_path: Path, ann: Annotation, seq_len: int) -> tuple:
     """(model input, target scores, per-frame labels) of one dataset pair."""
     seq = load_sequence(seq_path)
-    ann = load_annotation(ann_path)
     x = sttf.sequence_to_model_input(seq, seq_len)
     t_scores, labels = sttf.targets_from_annotation(seq, ann, seq_len)
     return x, t_scores, labels
 
 
 def cmd_train(args) -> int:
-    dataset_dir = Path(args.dataset)
-    try:
-        config, epochs, lr = _load_train_config(args.config)
-    except (FileNotFoundError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-
+    config, epochs, lr = _guarded(args.config, lambda: _load_train_config(args.config))
     dataset = []
-    for sf in sorted(dataset_dir.glob("*.sequence.json")):
+    for sf in sorted(Path(args.dataset).glob("*.sequence.json")):
         af = sf.with_name(sf.name.replace(".sequence.json", ".annotation.json"))
         if not af.exists():
             continue
-        rc, example = _guarded(sf, lambda: _training_example(sf, af, config.seq_len))
-        if rc:
-            print(example, file=sys.stderr)
-            return rc
-        dataset.append(example)
-    if not dataset:
-        print(f"error: no sequence/annotation pairs in {dataset_dir}",
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        ann = _guarded(af, lambda: load_annotation(af))
+        dataset.append(_guarded(
+            sf, lambda: _training_example(sf, ann, config.seq_len)))
 
     model = sttf.STTFModel(config)
     try:
-        losses = sttf.train(model, dataset, epochs=epochs, lr=lr)
+        losses = _guarded(args.dataset, lambda: sttf.train(model, dataset,
+                                                           epochs=epochs, lr=lr))
     except sttf.TrainingDivergedError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DIVERGED
@@ -299,25 +286,15 @@ def cmd_train(args) -> int:
 
 
 def cmd_score_model(args) -> int:
-    try:
-        require_threshold(args.occlusion_threshold, "--occlusion-threshold")
-        model = sttf.load_checkpoint(args.checkpoint)
-    except (FileNotFoundError, ValidationError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_VALIDATION
-    rc, aux = _guarded(args.sequence, lambda: _aux_scores(
+    _guarded("score-model", lambda: require_threshold(args.occlusion_threshold,
+                                                      "--occlusion-threshold"))
+    model = _guarded(args.checkpoint, lambda: sttf.load_checkpoint(args.checkpoint))
+    aux = _guarded(args.sequence, lambda: _aux_scores(
         model, sttf.sequence_to_model_input(load_sequence(args.sequence),
                                             model.config.seq_len,
                                             args.occlusion_threshold)))
-    if rc:
-        print(aux, file=sys.stderr)
-        return rc
     if args.report:
-        try:
-            report = load_report(args.report)
-        except (FileNotFoundError, ValidationError) as e:
-            print(f"error: {e}", file=sys.stderr)
-            return EXIT_VALIDATION
+        report = _guarded(args.report, lambda: load_report(args.report))
         report.aux_scores = aux
         save_report(report, args.report)
     print(json.dumps(aux, indent=2))
@@ -370,7 +347,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Seq[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Failed as e:
+        return e.args[0]
 
 
 if __name__ == "__main__":

@@ -150,18 +150,19 @@ def save_exercise_config(cfg: ExerciseConfig, path: os.PathLike | str) -> None:
 
 
 def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
+    """Load and validate an exercise config; messages name the key, not the file."""
     doc = read_json(path)
     if not isinstance(doc, dict) or "exercise_id" not in doc or "phase" not in doc:
-        raise ValidationError(f"{path}: not an exercise config file")
+        raise ValidationError("not an exercise config file")
     ph = doc["phase"]
     targeted = doc.get("targeted_joints")
 
     def number(key: str, default: float) -> float:
-        return _number(doc.get(key, default), f"{path}: {key}")
+        return _number(doc.get(key, default), key)
 
     rules = []
-    for i, r in enumerate(_list(doc.get("rules", []), f"{path}: rules")):
-        where = f"{path}: rules[{i}]"
+    for i, r in enumerate(_list(doc.get("rules", []), "rules")):
+        where = f"rules[{i}]"
         rules.append(CorrectionRule(
             joint=joint_from_name(_key(r, "joint", where)),
             message=str(_key(r, "message", where)),
@@ -173,13 +174,13 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
         exercise_id=str(doc["exercise_id"]),
         body_class=str(doc.get("class", "Both")),
         phase=PhaseConfig(
-            primary_joint=joint_from_name(_key(ph, "primary_joint", f"{path}: phase")),
+            primary_joint=joint_from_name(_key(ph, "primary_joint", "phase")),
             eccentric_direction=ph.get("eccentric_direction", "decreasing"),
         ),
         targeted_joints=None if targeted is None else tuple(
-            joint_from_name(n) for n in _list(targeted, f"{path}: targeted_joints")),
+            joint_from_name(n) for n in _list(targeted, "targeted_joints")),
         reference_angles=_angle_table(doc.get("reference_angles", {}),
-                                      f"{path}: reference_angles"),
+                                      "reference_angles"),
         key_joint_threshold_deg=number("key_joint_threshold_deg",
                                        DEFAULT_KEY_JOINT_THRESHOLD_DEG),
         mistake_threshold=number("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD),

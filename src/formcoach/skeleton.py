@@ -75,6 +75,12 @@ class ValidationError(ValueError):
     """Malformed or inconsistent keypoint / annotation / report data."""
 
 
+def _check_fps(fps: float) -> None:
+    """Raise a :class:`ValidationError` unless ``fps`` is positive and finite."""
+    if not (math.isfinite(fps) and fps > 0):
+        raise ValidationError(f"fps must be positive and finite, got {fps!r}")
+
+
 def _check_values(frame_ids, points: np.ndarray, confidence: np.ndarray,
                   timestamps: np.ndarray) -> None:
     """Raise a :class:`ValidationError` for the first frame with non-finite
@@ -169,8 +175,8 @@ class Sequence:
                     f"timestamps must be strictly increasing: frame {i} "
                     f"({self.frames[i].frame_id!r}) has t={ts[i]} after t={ts[i-1]}"
                 )
-        if self.fps_hint is not None and self.fps_hint <= 0:
-            raise ValidationError("fps_hint must be positive")
+        if self.fps_hint is not None:
+            _check_fps(self.fps_hint)
 
     def __len__(self) -> int:
         return len(self.frames)
@@ -267,11 +273,11 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 def read_json(path: os.PathLike | str):
     """Parse a JSON file, raising :class:`ValidationError` if it is not JSON
     text (a decode error, bytes that are not text, or an integer longer than
-    Python's integer-string digit limit)."""
+    Python's integer-string digit limit); the message does not name the file."""
     try:
         return json.loads(Path(path).read_text())
     except ValueError as e:
-        raise ValidationError(f"{path}: not valid JSON ({e})") from e
+        raise ValidationError(f"not valid JSON ({e})") from e
 
 
 def _number(value, where: str) -> float:
@@ -346,21 +352,23 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
     """Load and validate a keypoint file.
 
     Raises :class:`ValidationError` with the offending frame on malformed
-    input, values that are not numbers, missing joints or non-monotone
-    timestamps; see the module docstring for which fault is reported first.
+    input, values that are not numbers, missing joints, non-monotone
+    timestamps or an fps that is not positive and finite, never with the
+    file; see the module docstring for which fault is reported first.
     """
     doc = read_json(path)
     if not isinstance(doc, Mapping):
-        raise ValidationError(f"{path}: top level must be an object")
+        raise ValidationError("top level must be an object")
     for key in ("exercise_id", "class", "frames"):
         if key not in doc:
-            raise ValidationError(f"{path}: missing required key {key!r}")
+            raise ValidationError(f"missing required key {key!r}")
     fps = doc.get("fps")
     if fps is not None:
-        fps = _number(fps, f"{path}: fps")
+        fps = _number(fps, "fps")
+        _check_fps(fps)
     raw_frames = doc["frames"]
     if not isinstance(raw_frames, list):
-        raise ValidationError(f"{path}: 'frames' must be a list")
+        raise ValidationError("'frames' must be a list")
 
     keypoints, names, times, frame_ids = [], [], [], []
     for i, rf in enumerate(raw_frames):
@@ -455,25 +463,25 @@ def save_annotation(ann: Annotation, path: os.PathLike | str) -> None:
 
 
 def load_annotation(path: os.PathLike | str) -> Annotation:
+    """Load and validate an annotation file; messages name the key, not the file."""
     doc = read_json(path)
     if not isinstance(doc, Mapping) or "exercise_id" not in doc:
-        raise ValidationError(f"{path}: not an annotation file")
+        raise ValidationError("not an annotation file")
     scores = doc.get("scores")
     if scores is not None:
-        scores = tuple(_number(_key(scores, k, f"{path}: scores"), f"{path}: scores.{k}")
+        scores = tuple(_number(_key(scores, k, "scores"), f"scores.{k}")
                        for k in ("joint", "pace", "range"))
     mistakes = []
-    for i, m in enumerate(_list(doc.get("per_frame_mistakes", []),
-                                f"{path}: per_frame_mistakes")):
-        where = f"{path}: per_frame_mistakes[{i}]"
+    for i, m in enumerate(_list(doc.get("per_frame_mistakes", []), "per_frame_mistakes")):
+        where = f"per_frame_mistakes[{i}]"
         mistakes.append((_key(m, "frame_id", where),
                          joint_from_name(_key(m, "joint", where)), m.get("note", "")))
     return Annotation(
         exercise_id=str(doc["exercise_id"]),
         targeted_joints=tuple(joint_from_name(n) for n in _list(
-            doc.get("targeted_joints", []), f"{path}: targeted_joints")),
+            doc.get("targeted_joints", []), "targeted_joints")),
         reference_angles=_angle_table(doc.get("reference_angles", {}),
-                                      f"{path}: reference_angles"),
+                                      "reference_angles"),
         per_frame_mistakes=tuple(mistakes),
         scores=scores,
     )

@@ -408,7 +408,7 @@ def train(model: STTFModel, dataset: Seq[Tuple[np.ndarray, np.ndarray, np.ndarra
     triples; returns the per-epoch loss curve (evaluated before each update).
     """
     if not dataset:
-        raise ValueError("empty training dataset")
+        raise ValidationError("empty training dataset")
     xs = np.stack([np.asarray(d[0], dtype=np.float64) for d in dataset])
     ts = np.stack([np.asarray(d[1], dtype=np.float64) for d in dataset])
     ys = np.stack([np.asarray(d[2], dtype=np.float64) for d in dataset])
@@ -568,28 +568,28 @@ def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
 
 
 def load_checkpoint(path: os.PathLike | str) -> STTFModel:
+    """Load a :func:`save_checkpoint` file; messages do not name the file."""
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ValidationError(f"{path}: not an STTF checkpoint")
+        raise ValidationError("not an STTF checkpoint")
     if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ValidationError(f"{path}: unsupported checkpoint version "
-                              f"{doc.get('version')}")
+        raise ValidationError(f"unsupported checkpoint version {doc.get('version')}")
     try:
         model = STTFModel(STTFConfig(**doc["config"]))
         stored = doc["params"]
     except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"{path}: malformed checkpoint ({e!r})") from e
+        raise ValidationError(f"malformed checkpoint ({e!r})") from e
     for p in model.parameters():
         if p.name not in stored:
-            raise ValidationError(f"{path}: checkpoint missing {p.name}")
+            raise ValidationError(f"checkpoint missing {p.name}")
         entry = stored[p.name]
         try:
             arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"{path}: malformed {p.name} ({e!r})") from e
+            raise ValidationError(f"malformed {p.name} ({e!r})") from e
         if arr.shape != p.value.shape:
             raise ValidationError(
-                f"{path}: {p.name} has shape {arr.shape}, expected {p.value.shape}"
+                f"{p.name} has shape {arr.shape}, expected {p.value.shape}"
             )
         p.value[...] = arr
     return model

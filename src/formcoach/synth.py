@@ -34,7 +34,8 @@ import numpy as np
 
 from .config import ExerciseConfig, PhaseConfig
 from .kinematics import ANGLE_NEIGHBORS, interior_angles
-from .skeleton import Annotation, Frame, JointId, Sequence, ValidationError
+from .skeleton import (Annotation, Frame, JointId, Sequence, ValidationError,
+                       _check_fps)
 
 PX_PER_UNIT = 100.0
 PX_ORIGIN = (320.0, 300.0)
@@ -108,8 +109,7 @@ class MotionSpec:
     def __post_init__(self):
         if self.n_frames < MIN_FRAMES:
             raise ValidationError(f"n_frames must be >= {MIN_FRAMES}")
-        if not (0 < self.fps < math.inf):
-            raise ValidationError("fps must be positive and finite")
+        _check_fps(self.fps)
         if not (0 <= self.noise_std < math.inf):
             raise ValidationError("noise_std must be finite and >= 0")
         object.__setattr__(self, "injected_errors", tuple(self.injected_errors))

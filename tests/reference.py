@@ -30,8 +30,10 @@ Formulas (image y points down, canonical y points up):
   normalization (root at the origin), mapped to candidate pixels by the
   inverse of the candidate frame's local normalization.
 * keypoint file: the schema of the ``skeleton`` module, read frame by frame;
-  each frame's structure, numbers and values are checked before the next
-  frame is read, then the sequence's class, length, timestamp order and fps.
+  a given fps must be a positive, finite number; then each frame's
+  structure, numbers and values are checked before the next frame is read,
+  then the sequence's class, length and timestamp order. Messages do not
+  name the file.
 """
 
 import json
@@ -293,17 +295,19 @@ def read_keypoint_file(path):
             with open(path) as fh:
                 doc = json.loads(fh.read())
         except ValueError as e:    # not text, not JSON, or too many digits
-            raise Invalid(f"{path}: not valid JSON ({e})") from None
+            raise Invalid(f"not valid JSON ({e})") from None
         if not isinstance(doc, dict):
-            raise Invalid(f"{path}: top level must be an object")
+            raise Invalid("top level must be an object")
         for key in ("exercise_id", "class", "frames"):
             if key not in doc:
-                raise Invalid(f"{path}: missing required key {key!r}")
+                raise Invalid(f"missing required key {key!r}")
         fps = doc.get("fps")
         if fps is not None:
-            fps = _to_float(fps, f"{path}: fps: {fps!r} is not a number")
+            fps = _to_float(fps, f"fps: {fps!r} is not a number")
+            if not (math.isfinite(fps) and fps > 0):
+                raise Invalid(f"fps must be positive and finite, got {fps!r}")
         if not isinstance(doc["frames"], list):
-            raise Invalid(f"{path}: 'frames' must be a list")
+            raise Invalid("'frames' must be a list")
         frames = [_keypoint_file_frame(i, raw, fps)
                   for i, raw in enumerate(doc["frames"])]
         label = str(doc["class"])
@@ -316,8 +320,6 @@ def read_keypoint_file(path):
             if not t > before:
                 raise Invalid(f"timestamps must be strictly increasing: frame {i} "
                               f"({frame_id!r}) has t={t} after t={before}")
-        if fps is not None and fps <= 0:
-            raise Invalid("fps_hint must be positive")
     except Invalid as e:
         return str(e)
     return {"exercise_id": str(doc["exercise_id"]), "class": label, "fps": fps,

@@ -407,3 +407,119 @@ def test_training_mistake_on_absent_frame_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'squat.sequence.json'}: " in err and "'g0003'" in err
     assert not (tmp_path / "model.json").exists()
+
+
+NOT_JSON = '{"exercise_id": "squat", "fra'
+
+
+def inverted_knee_range(doc):
+    """A fault that ``ExerciseConfig.__post_init__`` raises, not the reader."""
+    doc["reference_angles"] = {"left_knee": [170.0, 60.0]}
+
+
+def degenerate_frame(doc):
+    collapse_torso(doc["frames"][2]["keypoints"])
+
+
+def nan_fps(doc):
+    doc["fps"] = float("nan")
+
+
+def command_inputs(tmp_path, command):
+    """Valid inputs of ``command``, with every optional input file given;
+    the argv of a call on them."""
+    if command == "synth":
+        (tmp_path / "spec.json").write_text('{"template": "squat", "n_frames": 12}')
+        return ["synth", "--spec", str(tmp_path / "spec.json"),
+                "--out", str(tmp_path / "out")]
+    if command == "train":
+        return write_train_inputs(tmp_path)
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    if command == "assess":
+        return assess_argv(tmp_path, "--aux-model", str(ckpt))
+    report = tmp_path / "report.json"
+    assessment.save_report(assessment.AssessmentReport(
+        name="cand", body_class="Lower", joint_score=50.0, pace_score=50.0,
+        range_score=None), report)
+    return ["score-model", "--checkpoint", str(ckpt), "--sequence",
+            str(tmp_path / "cand.sequence.json"), "--report", str(report)]
+
+
+@pytest.mark.parametrize("command, file, fault, code", [
+    ("assess", "squat.config.json", inverted_knee_range, cli.EXIT_VALIDATION),
+    ("assess", "squat.config.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("assess", "model.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("assess", "ref.sequence.json", "[]", cli.EXIT_VALIDATION),
+    ("assess", "ref.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
+    ("assess", "cand.sequence.json", "[]", cli.EXIT_VALIDATION),
+    ("assess", "cand.sequence.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("assess", "cand.sequence.json", None, cli.EXIT_VALIDATION),
+    ("synth", "spec.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("train", "train.json", "[]", cli.EXIT_VALIDATION),
+    ("train", "squat.annotation.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("train", "squat.sequence.json", nan_fps, cli.EXIT_VALIDATION),
+    ("train", "squat.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
+    ("score-model", "model.json", '{"format": "other"}', cli.EXIT_VALIDATION),
+    ("score-model", "cand.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
+    ("score-model", "report.json", NOT_JSON, cli.EXIT_VALIDATION),
+], ids=["config-post-init", "config-not-json", "aux-model", "reference",
+        "reference-degenerate", "candidate", "candidate-not-json",
+        "candidate-missing", "motion-spec", "training-config", "annotation",
+        "training-sequence", "training-sequence-degenerate", "checkpoint",
+        "score-model-sequence", "report"])
+def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault,
+                                          code):
+    """One error line names the failing input exactly once. ``fault`` is the
+    file's new text, an edit of its JSON document, or None to delete it."""
+    argv = command_inputs(tmp_path, command)
+    path = tmp_path / file
+    if fault is None:
+        path.unlink()
+    elif callable(fault):
+        doc = json.loads(path.read_text())
+        fault(doc)
+        path.write_text(json.dumps(doc))
+    else:
+        path.write_text(fault)
+    assert cli.main(argv) == code
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].count(str(path)) == 1
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.update(joint="abc"), "joint: 'abc' is not a number"),
+    (lambda doc: doc["corrections"][0].pop("text"), "corrections[0]"),
+    (lambda doc: doc["frame_detail"][0].pop("frame_id"), "frame_detail[0]"),
+    (lambda doc: doc["frame_detail"][0].update(frame_index=float("nan")),
+     "frame_detail[0].frame_index"),
+], ids=["score-text", "correction-text", "detail-frame-id", "detail-index-nan"])
+def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
+                                                      key):
+    rc, out = run_assess(tmp_path)
+    assert rc == cli.EXIT_OK
+    path = out / "cand_report.json"
+    doc = json.loads(path.read_text())
+    assert doc["corrections"] and doc["frame_detail"]
+    edit(doc)
+    text = json.dumps(doc)
+    path.write_text(text)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    capsys.readouterr()
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json"),
+                     "--report", str(path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and key in err
+    assert path.read_text() == text
+
+
+def test_dataset_without_pairs_exits_2_naming_it(tmp_path, capsys):
+    argv = write_train_inputs(tmp_path)
+    (tmp_path / "squat.annotation.json").unlink()
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == f"error: {tmp_path}: empty training dataset\n"
+    assert not (tmp_path / "model.json").exists()

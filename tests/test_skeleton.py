@@ -194,6 +194,26 @@ class TestSequenceFileIO:
         with pytest.raises(ValidationError, match="fps"):
             load_sequence(path)
 
+    @pytest.mark.parametrize("timed", [True, False], ids=["t", "no-t"])
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -30.0, 0.0],
+                             ids=["nan", "inf", "negative", "zero"])
+    def test_fps_must_be_positive_and_finite(self, tmp_path, fps, timed):
+        path = tmp_path / "s.json"
+        write_minimal_file(path, [{"id": f, "keypoints": keypoint_rows()}
+                                  for f in "ab"])
+        doc = json.loads(path.read_text())
+        doc["fps"] = fps
+        for i, frame in enumerate(doc["frames"]):
+            if timed:
+                frame["t"] = i / 30.0
+        path.write_text(json.dumps(doc))
+        message = f"^fps must be positive and finite, got {fps!r}$"
+        with pytest.raises(ValidationError, match=message):
+            load_sequence(path)
+        with pytest.raises(ValidationError, match=message):
+            Sequence(exercise_id="x", class_label="correct",
+                     frames=make_sequence(2).frames, fps_hint=fps)
+
     def test_roundtrip_exact(self, tmp_path):
         for trial in range(20):
             seq = Sequence(

@@ -276,7 +276,7 @@ class TestCheckpoint:
         from formcoach.skeleton import ValidationError
         path = tmp_path / "x.json"
         path.write_bytes(text.encode("latin-1"))
-        with pytest.raises(ValidationError, match="x.json"):
+        with pytest.raises(ValidationError):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value, match", [
