@@ -271,11 +271,17 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 # ---------------------------------------------------------------------------
 
 def read_json(path: os.PathLike | str):
-    """Parse a JSON file, raising :class:`ValidationError` if it is not JSON
-    text (a decode error, bytes that are not text, or an integer longer than
-    Python's integer-string digit limit); the message does not name the file."""
+    """Parse a JSON file, raising :class:`ValidationError` if it cannot be
+    read (a directory, no permission) or is not JSON text (a decode error,
+    bytes that are not text, or an integer longer than Python's
+    integer-string digit limit); the message does not name the file. A
+    missing file raises :class:`FileNotFoundError`, whose message does."""
     try:
         return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except OSError as e:
+        raise ValidationError(e.strerror) from e
     except ValueError as e:
         raise ValidationError(f"not valid JSON ({e})") from e
 

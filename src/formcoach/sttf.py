@@ -17,6 +17,7 @@ interpolation over timestamps.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 import numbers
@@ -90,13 +91,16 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+# tanh-form GELU (Hendrycks & Gimpel 2016). Powers are written as products:
+# NumPy computes ``x ** 3`` through ``pow``, several times slower than two
+# multiplies.
 def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * x ** 3)))
+    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
 
 
 def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + 0.044715 * x ** 3))
-    dt = (1.0 - t ** 2) * _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
+    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
     return 0.5 * (1.0 + t) + 0.5 * x * dt
 
 
@@ -548,11 +552,18 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints (versioned JSON; byte-stable for identical models)
+# Checkpoints: one JSON object, byte-stable for identical models.
+#
+# Version 2: {"format": "formcoach-sttf", "version": 2, "config": <STTFConfig
+# fields>, "params": {<name>: {"shape": [...], "data": <base64>}}}, keys
+# sorted. ``data`` is the base64 (standard alphabet, padded) of the
+# parameter's values as little-endian float64 ("<f8") in row-major order, so
+# it holds 8 * prod(shape) bytes and round-trips every value exactly. Version
+# 1 stored ``data`` as a JSON list of floats; it is no longer read.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "formcoach-sttf"
-_CHECKPOINT_VERSION = 1
+_CHECKPOINT_VERSION = 2
 
 
 def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
@@ -561,7 +572,8 @@ def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
         "version": _CHECKPOINT_VERSION,
         "config": asdict(model.config),
         "params": {p.name: {"shape": list(p.value.shape),
-                            "data": p.value.ravel().tolist()}
+                            "data": base64.b64encode(
+                                p.value.astype("<f8").tobytes()).decode("ascii")}
                    for p in model.parameters()},
     }
     write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
@@ -572,24 +584,34 @@ def load_checkpoint(path: os.PathLike | str) -> STTFModel:
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValidationError("not an STTF checkpoint")
-    if doc.get("version") != _CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {doc.get('version')}")
+    version = doc.get("version")
+    if version == 1:
+        raise ValidationError("checkpoint version 1 is no longer supported; "
+                              "`formcoach train` writes a current checkpoint")
+    if version != _CHECKPOINT_VERSION:
+        raise ValidationError(f"unsupported checkpoint version {version}")
     try:
         model = STTFModel(STTFConfig(**doc["config"]))
         stored = doc["params"]
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed checkpoint ({e!r})") from e
+    if not isinstance(stored, dict):
+        raise ValidationError("params must be an object")
     for p in model.parameters():
         if p.name not in stored:
             raise ValidationError(f"checkpoint missing {p.name}")
         entry = stored[p.name]
         try:
-            arr = np.array(entry["data"], dtype=np.float64).reshape(entry["shape"])
+            # binascii.Error, raised for data that is not base64, is a ValueError
+            raw = base64.b64decode(entry["data"], validate=True)
+            arr = np.frombuffer(raw, "<f8").reshape(entry["shape"])
         except (KeyError, TypeError, ValueError) as e:
             raise ValidationError(f"malformed {p.name} ({e!r})") from e
         if arr.shape != p.value.shape:
             raise ValidationError(
                 f"{p.name} has shape {arr.shape}, expected {p.value.shape}"
             )
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{p.name} has non-finite values")
         p.value[...] = arr
     return model

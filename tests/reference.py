@@ -29,6 +29,10 @@ Formulas (image y points down, canonical y points up):
 * arrow head: the reference joint in the reference frame's local
   normalization (root at the origin), mapped to candidate pixels by the
   inverse of the candidate frame's local normalization.
+* GELU, tanh form (Hendrycks & Gimpel 2016):
+  ``gelu(x) = x / 2 * (1 + tanh(u))`` with
+  ``u = sqrt(2 / pi) * (x + 0.044715 * x^3)``; its derivative is
+  ``(1 + tanh(u)) / 2 + x / 2 * (1 - tanh(u)^2) * du/dx``.
 * keypoint file: the schema of the ``skeleton`` module, read frame by frame;
   a given fps must be a positive, finite number; then each frame's
   structure, numbers and values are checked before the next frame is read,
@@ -215,6 +219,22 @@ def interior_angle(points, joint, occluded=None):
         return None
     cos = max(-1.0, min(1.0, (ux * vx + uy * vy) / (nu * nv)))
     return math.degrees(math.acos(cos))
+
+
+def _gelu_u(x):
+    return math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)
+
+
+def gelu(x):
+    """The tanh-form GELU of one float."""
+    return 0.5 * x * (1.0 + math.tanh(_gelu_u(x)))
+
+
+def gelu_derivative(x):
+    """d gelu / dx at one float."""
+    t = math.tanh(_gelu_u(x))
+    du = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * x ** 2)
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * du
 
 
 JOINT_NAMES = ("nose", "left_eye", "right_eye", "left_ear", "right_ear",

@@ -5,9 +5,11 @@ inside the pipeline is a bug, not bad input, so it must escape instead of
 being reported as exit 2.
 """
 
+import base64
 import json
 import shutil
 
+import numpy as np
 import pytest
 
 from formcoach import assessment, cli, sttf
@@ -289,6 +291,21 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     assert err.count("not valid JSON") == 2
 
 
+def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    doc = json.loads(ckpt.read_text())
+    doc["params"]["score_head.b"]["data"] = base64.b64encode(
+        np.array([0.0, np.nan, 0.0], "<f8").tobytes()).decode()
+    ckpt.write_text(json.dumps(doc))
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ckpt}: score_head.b has non-finite values\n"
+
+
 @pytest.mark.parametrize("error", [DescriptorError, AlignmentError])
 def test_documented_pipeline_errors_exit_2(tmp_path, monkeypatch, error):
     def fail(*args):
@@ -425,6 +442,9 @@ def nan_fps(doc):
     doc["fps"] = float("nan")
 
 
+DIRECTORY = "a directory in place of the file"
+
+
 def command_inputs(tmp_path, command):
     """Valid inputs of ``command``, with every optional input file given;
     the argv of a call on them."""
@@ -462,21 +482,26 @@ def command_inputs(tmp_path, command):
     ("train", "squat.sequence.json", nan_fps, cli.EXIT_VALIDATION),
     ("train", "squat.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "model.json", '{"format": "other"}', cli.EXIT_VALIDATION),
+    ("score-model", "model.json", DIRECTORY, cli.EXIT_VALIDATION),
     ("score-model", "cand.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "report.json", NOT_JSON, cli.EXIT_VALIDATION),
 ], ids=["config-post-init", "config-not-json", "aux-model", "reference",
         "reference-degenerate", "candidate", "candidate-not-json",
         "candidate-missing", "motion-spec", "training-config", "annotation",
         "training-sequence", "training-sequence-degenerate", "checkpoint",
-        "score-model-sequence", "report"])
+        "checkpoint-directory", "score-model-sequence", "report"])
 def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault,
                                           code):
     """One error line names the failing input exactly once. ``fault`` is the
-    file's new text, an edit of its JSON document, or None to delete it."""
+    file's new text, an edit of its JSON document, None to delete it, or
+    DIRECTORY to put an empty directory in its place."""
     argv = command_inputs(tmp_path, command)
     path = tmp_path / file
     if fault is None:
         path.unlink()
+    elif fault is DIRECTORY:
+        path.unlink()
+        path.mkdir()
     elif callable(fault):
         doc = json.loads(path.read_text())
         fault(doc)

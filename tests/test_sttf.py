@@ -1,8 +1,11 @@
+import base64
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+import reference
 from formcoach import sttf
 from formcoach.skeleton import JointId, ValidationError
 from formcoach.sttf import (STTFConfig, STTFModel, TrainingDivergedError,
@@ -96,6 +99,22 @@ class TestForward:
         base = model._spatial(x[None])[0]
         permuted = model._spatial(x[None, :, perm, :])[0]
         assert np.allclose(permuted, base[:, perm, :], atol=1e-12)
+
+
+class TestGelu:
+    # Beyond rtol, atol covers x in about [-7.2, -3.9]: there tanh(u) lies
+    # within 1e-4 of -1, so 1 + tanh(u) cancels, and NumPy's tanh and libm's
+    # differ by one ulp on about a quarter of inputs. The values there are
+    # below 6e-4 and differ by up to 4e-16 (GELU) and 3.5e-15 (derivative).
+    X = np.concatenate([np.linspace(-12.0, 12.0, 2001), [-1e3, 1e3, 0.0]])
+
+    @pytest.mark.parametrize("program, oracle", [
+        (sttf._gelu, reference.gelu),
+        (sttf._gelu_grad, reference.gelu_derivative),
+    ], ids=["gelu", "derivative"])
+    def test_matches_stdlib_oracle(self, program, oracle):
+        want = np.array([oracle(float(x)) for x in self.X])
+        np.testing.assert_allclose(program(self.X), want, rtol=1e-12, atol=1e-14)
 
 
 class TestLoss:
@@ -292,4 +311,68 @@ class TestCheckpoint:
         doc["config"][key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match=match):
+            load_checkpoint(path)
+
+    def test_data_is_base64_little_endian_float64_row_major(self, tmp_path):
+        model = STTFModel(SMALL)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 2
+        for p in model.parameters():
+            entry = doc["params"][p.name]
+            assert entry["shape"] == list(p.value.shape)
+            raw = base64.b64decode(entry["data"], validate=True)
+            assert np.array_equal(
+                np.frombuffer(raw, "<f8").reshape(entry["shape"]), p.value)
+
+    def test_version_1_is_refused_naming_train(self, tmp_path):
+        model = STTFModel(SMALL)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "formcoach-sttf", "version": 1, "config": asdict(SMALL),
+            "params": {p.name: {"shape": list(p.value.shape),
+                                "data": p.value.ravel().tolist()}
+                       for p in model.parameters()}}))
+        with pytest.raises(ValidationError,
+                           match="no longer supported.*`formcoach train`"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def edited(tmp_path, edit):
+        """A saved SMALL checkpoint with ``edit`` applied to its document."""
+        path = tmp_path / "model.json"
+        save_checkpoint(STTFModel(SMALL), path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        return path
+
+    @pytest.mark.parametrize("params", [5, "score_head.b", ["score_head.b"]],
+                             ids=["number", "string", "list"])
+    def test_params_must_be_an_object(self, tmp_path, params):
+        path = self.edited(tmp_path, lambda doc: doc.update(params=params))
+        with pytest.raises(ValidationError, match="params must be an object"):
+            load_checkpoint(path)
+
+    @staticmethod
+    def with_score_bias(tmp_path, data):
+        return TestCheckpoint.edited(
+            tmp_path, lambda doc: doc["params"]["score_head.b"].update(data=data))
+
+    @pytest.mark.parametrize("data", [
+        "A" * 16 + " " + "A" * 16, "A" * 16 + "*" + "A" * 16, "A" * 33, [0.0, 0.0, 0.0],
+        base64.b64encode(bytes(16)).decode(), base64.b64encode(bytes(20)).decode(),
+        base64.b64encode(bytes(32)).decode(),
+    ], ids=["space", "alphabet", "padding", "v1-list", "short", "ragged", "long"])
+    def test_bad_data_names_the_parameter(self, tmp_path, data):
+        with pytest.raises(ValidationError, match="score_head.b"):
+            load_checkpoint(self.with_score_bias(tmp_path, data))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_is_refused(self, tmp_path, value):
+        data = base64.b64encode(np.array([0.0, value, 0.0], "<f8").tobytes())
+        path = self.with_score_bias(tmp_path, data.decode())
+        with pytest.raises(ValidationError,
+                           match="score_head.b has non-finite values"):
             load_checkpoint(path)
