@@ -16,7 +16,7 @@ from .config import (CorrectionRule, ExerciseConfig, PhaseConfig,
 from .correction import Arrow, VisualAid, build_aid, local_root_for, render_svg
 from .synth import InjectedError, MotionSpec, TEMPLATES, exercise_config, generate
 from .sttf import (STTFConfig, STTFModel, TrainingDivergedError,
-                   gradient_check, load_checkpoint, save_checkpoint,
-                   sequence_to_model_input, train)
+                   load_checkpoint, save_checkpoint, sequence_to_model_input,
+                   train)
 
 __version__ = "0.1.0"

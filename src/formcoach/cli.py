@@ -42,10 +42,11 @@ from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (Annotation, Sequence, ValidationError, _key, _list,
-                       _number, joint_from_name, load_annotation, load_sequence,
-                       read_json, save_annotation, save_sequence,
-                       write_json_atomic, write_text_atomic)
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, Annotation, Sequence,
+                       ValidationError, _key, _list, _number, joint_from_name,
+                       load_annotation, load_sequence, read_json,
+                       save_annotation, save_sequence, write_json_atomic,
+                       write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -340,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sequence", required=True)
     p.add_argument("--report", default=None,
                    help="existing report to append the scores to")
-    p.add_argument("--occlusion-threshold", type=float, default=0.05)
+    p.add_argument("--occlusion-threshold", type=float,
+                   default=DEFAULT_OCCLUSION_THRESHOLD)
     p.set_defaults(func=cmd_score_model)
     return parser
 

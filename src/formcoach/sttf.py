@@ -6,9 +6,11 @@ encoder self-attends across frames. Two heads read the temporal features: a
 score-regression head (three outputs in [0, 1] via a sigmoid over the
 time-pooled features) and a per-frame mistake logit.
 
-Everything is explicit forward/backward with exact gradients — no autograd —
-so training is plain full-batch gradient descent and the backward pass can be
-verified against central finite differences parameter by parameter.
+Everything is explicit forward/backward with exact gradients — no autograd.
+:func:`backprop` is the one loss-and-gradient step: :func:`train` runs it
+once per epoch for plain full-batch gradient descent, and the
+finite-difference check in ``tests/test_sttf.py`` verifies the gradients it
+leaves against central differences, parameter by parameter.
 
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
@@ -23,13 +25,13 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence as Seq, Tuple
+from typing import List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
 from .normalize import normalize_sequence
-from .skeleton import (N_JOINTS, Annotation, Sequence, ValidationError,
-                       read_json, write_text_atomic)
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, N_JOINTS, Annotation,
+                       Sequence, ValidationError, read_json, write_text_atomic)
 
 _INIT_STD = 0.02
 _LN_EPS = 1e-5
@@ -285,9 +287,6 @@ class STTFModel:
         for p in self.parameters():
             p.grad[...] = 0.0
 
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.value.ravel() for p in self.parameters()])
-
     # -- forward / backward -------------------------------------------------
 
     def _check_input(self, x: np.ndarray) -> Tuple[np.ndarray, bool]:
@@ -383,23 +382,21 @@ def loss(pred: Tuple[np.ndarray, np.ndarray],
     return mse + bce
 
 
-def _loss_grads(scores, logits, t_scores, labels):
-    dscores = 2.0 * (scores - t_scores) / scores.size
-    dlogits = (_sigmoid(logits) - labels) / logits.size
-    return dscores, dlogits
+def backprop(model: STTFModel, x, t_scores, labels) -> float:
+    """The one loss-and-gradient step: the loss of one batch, with the exact
+    gradient of every parameter left in ``Param.grad``.
 
-
-def compute_gradients(model: STTFModel, x,
-                      target: Tuple[np.ndarray, np.ndarray]
-                      ) -> Tuple[float, Dict[str, np.ndarray]]:
-    """Loss and exact gradients of every parameter for one batch."""
-    model.zero_grads()
-    scores, logits = model.forward(x)
-    t_scores, labels = (np.asarray(a, dtype=np.float64) for a in target)
-    value = loss((scores, logits), (t_scores, labels))
-    dscores, dlogits = _loss_grads(scores, logits, t_scores, labels)
-    model.backward(dscores, dlogits)
-    return value, {p.name: p.grad.copy() for p in model.parameters()}
+    A diverging model overflows without NumPy warnings: the loss comes back
+    non-finite, and then the gradients are left at zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        model.zero_grads()
+        scores, logits = model.forward(x)
+        value = loss((scores, logits), (t_scores, labels))
+        if math.isfinite(value):
+            model.backward(2.0 * (scores - t_scores) / scores.size,
+                           (_sigmoid(logits) - labels) / logits.size)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -419,16 +416,12 @@ def train(model: STTFModel, dataset: Seq[Tuple[np.ndarray, np.ndarray, np.ndarra
     losses: List[float] = []
     params = model.parameters()
     for epoch in range(epochs):
-        model.zero_grads()
-        scores, logits = model.forward(xs)
-        value = loss((scores, logits), (ts, ys))
+        value = backprop(model, xs, ts, ys)
         if not math.isfinite(value):
             raise TrainingDivergedError(
                 f"loss is {value} at epoch {epoch} (lr={lr}); reduce the "
                 f"learning rate"
             )
-        dscores, dlogits = _loss_grads(scores, logits, ts, ys)
-        model.backward(dscores, dlogits)
         for p in params:
             p.value -= lr * p.grad
         losses.append(value)
@@ -436,75 +429,12 @@ def train(model: STTFModel, dataset: Seq[Tuple[np.ndarray, np.ndarray, np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Gradient verification against central finite differences
-# ---------------------------------------------------------------------------
-
-def _param_kind(name: str) -> str:
-    if "ln" in name.split(".")[-2:][0] or name.startswith("final_ln"):
-        return "layernorm"
-    if ".attn." in name:
-        return "attention"
-    if ".ffn." in name:
-        return "mlp"
-    if name.endswith("_pos"):
-        return "positional"
-    if name.startswith("joint_embed"):
-        return "embedding"
-    if name.startswith("flatten_proj"):
-        return "flatten"
-    if name.endswith("_head.W") or name.endswith("_head.b"):
-        return "head"
-    return "other"
-
-
-def gradient_check(model: STTFModel, x, target,
-                   n_samples: int = 64, h: float = 1e-5,
-                   seed: int = 0) -> List[Tuple[str, int, float, float, float]]:
-    """Compare analytic gradients with central differences on a stratified
-    random sample of parameters covering every layer kind.
-
-    Returns (param_name, flat_index_within_param, analytic, numeric,
-    relative_error) per sampled coordinate.
-    """
-    rng = np.random.default_rng(seed)
-    _, grads = compute_gradients(model, x, target)
-    params = model.parameters()
-    by_kind: Dict[str, List[Param]] = {}
-    for p in params:
-        by_kind.setdefault(_param_kind(p.name), []).append(p)
-
-    kinds = sorted(by_kind)
-    picks: List[Tuple[Param, int]] = []
-    k = 0
-    while len(picks) < n_samples:
-        kind = kinds[k % len(kinds)]
-        p = by_kind[kind][rng.integers(len(by_kind[kind]))]
-        picks.append((p, int(rng.integers(p.value.size))))
-        k += 1
-
-    t_scores, labels = target
-    results = []
-    for p, idx in picks:
-        flat = p.value.ravel()
-        orig = flat[idx]
-        flat[idx] = orig + h
-        up = loss(model.forward(x), (t_scores, labels))
-        flat[idx] = orig - h
-        down = loss(model.forward(x), (t_scores, labels))
-        flat[idx] = orig
-        numeric = (up - down) / (2.0 * h)
-        analytic = grads[p.name].ravel()[idx]
-        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-        results.append((p.name, idx, float(analytic), float(numeric), float(rel)))
-    return results
-
-
-# ---------------------------------------------------------------------------
 # Sequence -> model input
 # ---------------------------------------------------------------------------
 
 def sequence_to_model_input(seq: Sequence, seq_len: int,
-                            occlusion_threshold: float = 0.05) -> np.ndarray:
+                            occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
+                            ) -> np.ndarray:
     """Normalize every frame globally and :func:`resample` to ``seq_len``."""
     canon = normalize_sequence(seq.points_array(),
                                seq.occlusion_mask(occlusion_threshold),

@@ -17,7 +17,7 @@ from formcoach.alignment import AlignmentError
 from formcoach.kinematics import DescriptorError
 from formcoach.normalize import normalize_sequence
 from formcoach.skeleton import JointId, save_annotation, save_sequence
-from formcoach.synth import MotionSpec, generate
+from formcoach.synth import InjectedError, MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
 from test_sttf import SMALL
@@ -424,6 +424,28 @@ def test_training_mistake_on_absent_frame_exits_2_naming_it(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{tmp_path / 'squat.sequence.json'}: " in err and "'g0003'" in err
     assert not (tmp_path / "model.json").exists()
+
+
+# NumPy's warnings bypass capsys, so they are made to fail the test instead.
+@pytest.mark.filterwarnings("error")
+def test_diverging_training_exits_4_with_one_line(tmp_path, capsys):
+    for seed, errors in ((1, ()), (2, ()), (3, (InjectedError(
+            kind="angle_offset_deg", magnitude=25.0, joint=JointId.LEFT_ELBOW,
+            phase="eccentric"),))):
+        seq, ann = generate(MotionSpec(template="press", n_frames=20,
+                                       injected_errors=errors), seed=seed)
+        save_sequence(seq, tmp_path / f"press{seed}.sequence.json")
+        save_annotation(ann, tmp_path / f"press{seed}.annotation.json")
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"d_model": 8, "n_heads": 2, "spatial_layers": 1,
+                                  "temporal_layers": 1, "seq_len": 8, "lr": 1e6}))
+    ckpt = tmp_path / "model.json"
+    assert cli.main(["train", "--dataset", str(tmp_path), "--config", str(config),
+                     "--checkpoint-out", str(ckpt)]) == cli.EXIT_DIVERGED
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: loss is")
+    assert not ckpt.exists()
+    assert not (tmp_path / "model.json.loss.csv").exists()
 
 
 NOT_JSON = '{"exercise_id": "squat", "fra'

@@ -9,9 +9,9 @@ import reference
 from formcoach import sttf
 from formcoach.skeleton import JointId, ValidationError
 from formcoach.sttf import (STTFConfig, STTFModel, TrainingDivergedError,
-                            compute_gradients, gradient_check, load_checkpoint,
-                            loss, save_checkpoint, sequence_to_model_input,
-                            targets_from_annotation, train)
+                            backprop, load_checkpoint, loss, save_checkpoint,
+                            sequence_to_model_input, targets_from_annotation,
+                            train)
 from formcoach.synth import MotionSpec, generate
 
 SMALL = STTFConfig(d_model=8, n_heads=2, spatial_layers=1, temporal_layers=1,
@@ -27,6 +27,73 @@ def random_target(cfg, seed=0):
     rng = np.random.default_rng(seed + 1)
     return (rng.uniform(0.1, 0.9, cfg.n_scores),
             (rng.uniform(size=cfg.seq_len) > 0.5).astype(float))
+
+
+def get_flat(model):
+    return np.concatenate([p.value.ravel() for p in model.parameters()])
+
+
+def compute_gradients(model, x, target):
+    """Loss and a copy of every parameter's gradient after one
+    :func:`sttf.backprop`, the step that ``train`` runs."""
+    value = backprop(model, x, *target)
+    return value, {p.name: p.grad.copy() for p in model.parameters()}
+
+
+def _param_kind(name):
+    if "ln" in name.split(".")[-2:][0] or name.startswith("final_ln"):
+        return "layernorm"
+    if ".attn." in name:
+        return "attention"
+    if ".ffn." in name:
+        return "mlp"
+    if name.endswith("_pos"):
+        return "positional"
+    if name.startswith("joint_embed"):
+        return "embedding"
+    if name.startswith("flatten_proj"):
+        return "flatten"
+    if name.endswith("_head.W") or name.endswith("_head.b"):
+        return "head"
+    return "other"
+
+
+def gradient_check(model, x, target, n_samples=64, h=1e-5, seed=0):
+    """Compare analytic gradients with central differences on a stratified
+    random sample of parameters covering every layer kind.
+
+    Returns (param_name, flat_index_within_param, analytic, numeric,
+    relative_error) per sampled coordinate.
+    """
+    rng = np.random.default_rng(seed)
+    _, grads = compute_gradients(model, x, target)
+    by_kind = {}
+    for p in model.parameters():
+        by_kind.setdefault(_param_kind(p.name), []).append(p)
+
+    kinds = sorted(by_kind)
+    picks = []
+    k = 0
+    while len(picks) < n_samples:
+        kind = kinds[k % len(kinds)]
+        p = by_kind[kind][rng.integers(len(by_kind[kind]))]
+        picks.append((p, int(rng.integers(p.value.size))))
+        k += 1
+
+    results = []
+    for p, idx in picks:
+        flat = p.value.ravel()
+        orig = flat[idx]
+        flat[idx] = orig + h
+        up = loss(model.forward(x), target)
+        flat[idx] = orig - h
+        down = loss(model.forward(x), target)
+        flat[idx] = orig
+        numeric = (up - down) / (2.0 * h)
+        analytic = grads[p.name].ravel()[idx]
+        rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+        results.append((p.name, idx, float(analytic), float(numeric), float(rel)))
+    return results
 
 
 class TestConfig:
@@ -62,7 +129,7 @@ class TestForward:
 
     def test_same_seed_same_params(self):
         a, b = STTFModel(SMALL), STTFModel(SMALL)
-        assert np.array_equal(a.get_flat(), b.get_flat())
+        assert np.array_equal(get_flat(a), get_flat(b))
 
     def test_scores_in_unit_interval(self):
         model = STTFModel(SMALL)
@@ -158,7 +225,7 @@ class TestGradients:
         results = gradient_check(model, x, target, n_samples=48, h=1e-5, seed=2)
         worst = max(r[4] for r in results)
         assert worst < 1e-4
-        kinds = {sttf._param_kind(name) for name, *_ in results}
+        kinds = {_param_kind(name) for name, *_ in results}
         assert {"attention", "mlp", "layernorm", "embedding",
                 "positional", "head", "flatten"} <= kinds
 
@@ -186,6 +253,13 @@ class TestGradients:
         for name in single:
             assert np.allclose(single[name], doubled[name], atol=1e-12)
 
+    def test_non_finite_loss_leaves_zero_gradients(self):
+        model = STTFModel(SMALL)
+        model.mistake_head.b.value[...] = np.nan
+        value = backprop(model, random_input(SMALL), *random_target(SMALL))
+        assert np.isnan(value)
+        assert not any(p.grad.any() for p in model.parameters())
+
 
 class TestTrain:
     def make_dataset(self, n=8):
@@ -206,9 +280,9 @@ class TestTrain:
 
     def test_lr_zero_keeps_parameters(self):
         model = STTFModel(SMALL)
-        before = model.get_flat()
+        before = get_flat(model)
         train(model, self.make_dataset(), epochs=5, lr=0.0)
-        assert np.array_equal(model.get_flat(), before)
+        assert np.array_equal(get_flat(model), before)
 
     def test_same_seed_same_curve(self):
         curves = []
@@ -216,6 +290,18 @@ class TestTrain:
             model = STTFModel(SMALL)
             curves.append(train(model, self.make_dataset(), epochs=6, lr=1e-2))
         assert curves[0] == curves[1]
+
+    def test_applies_the_checked_gradient(self):
+        data, lr = self.make_dataset(), 1e-2
+        model = STTFModel(SMALL)
+        losses = train(model, data, epochs=1, lr=lr)
+        fresh = STTFModel(SMALL)
+        start = [p.value.copy() for p in fresh.parameters()]
+        value = backprop(fresh, *(np.stack(column) for column in zip(*data)))
+        assert losses == [value]
+        assert any(q.grad.any() for q in fresh.parameters())
+        for p, before, q in zip(model.parameters(), start, fresh.parameters()):
+            assert np.array_equal(p.value, before - lr * q.grad), p.name
 
     def test_divergence_raises(self):
         model = STTFModel(SMALL)
@@ -270,7 +356,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
-        assert np.array_equal(loaded.get_flat(), model.get_flat())
+        assert np.array_equal(get_flat(loaded), get_flat(model))
         x = random_input(SMALL, 5)
         s1, l1 = model.forward(x)
         s2, l2 = loaded.forward(x)
