@@ -16,6 +16,9 @@ Mistake localization uses per-joint deviations in [0, 1]: for angle-bearing
 joints the normalized interior-angle difference ``|a_cand - a_ref| / 180``
 against the aligned reference frame, otherwise the mean direction-vector
 dissimilarity ``(1 - cos) / 2`` of the joint's outgoing descriptor vectors.
+One :func:`pair_dots` call along the warp path gives both the joint score and
+the ``(T, N)`` deviation array, NaN where a frame has no value for a joint
+(:func:`frame_deviations`); :func:`flag_mistakes` reads that array's columns.
 
 :func:`prepare` does the work on one sequence, once: one
 :func:`normalize_sequence` call, key-joint selection for a reference whose
@@ -118,8 +121,7 @@ class Prepared:
     # (T, 6) per-frame columns theta, dx, dy, scale, cx, cy of the report's
     # canonical = scale * R(theta) @ (pixel - (cx, cy)) + (dx, dy); dx = dy = 0
     transforms: np.ndarray
-    targeted: Tuple[JointId, ...]   # sorted
-    desc: JointVectorSequence
+    desc: JointVectorSequence       # desc.targeted: the N sorted targeted joints
     angles: np.ndarray              # (T, N) canonical interior angles at targeted
     raw_angles: np.ndarray          # (T, N) the same on the raw keypoints; range
     primary_angles: np.ndarray      # (T,) raw angle at the primary joint; pace
@@ -138,28 +140,14 @@ def prepare(seq: Sequence, config: ExerciseConfig,
     if targeted is None:
         targeted = config.targeted_joints or select_key_joints(
             points, occluded, config.key_joint_threshold_deg)
-    targeted = tuple(sorted(targeted))
     desc = sequence_descriptors(points, occluded, targeted, frame_ids)
-    raw = interior_angles(pixels, targeted + (config.phase.primary_joint,), occluded)
+    raw = interior_angles(pixels, desc.targeted + (config.phase.primary_joint,), occluded)
     zero = np.zeros_like(theta)    # the transforms' translation
     return Prepared(
         seq=seq, pose=Pose(pixels, occluded, theta, scale), canonical=points,
         transforms=np.column_stack((theta, zero, zero, scale, center)),
-        targeted=targeted, desc=desc,
-        angles=interior_angles(points, desc.targeted, occluded),
+        desc=desc, angles=interior_angles(points, desc.targeted, occluded),
         raw_angles=raw[:, :-1], primary_angles=raw[:, -1])
-
-
-def _score_from_fields(cand: JointVectorSequence, ref: JointVectorSequence,
-                       path: WarpPath) -> float:
-    ci, ri = np.array(path.pairs).T
-    dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
-                           ref.vectors[ri], ref.valid[ri])
-    sums, counts = masked_sum((dots + 1.0) * 0.5, both)
-    count = int(counts.sum())
-    if count == 0:
-        raise ValidationError("no usable targeted joint pairs to score")
-    return 100.0 * float(sums.sum()) / count
 
 
 def pace_score(profile: PaceProfile, ratio_weight: float = 0.5) -> float:
@@ -195,20 +183,27 @@ def range_score(angles: np.ndarray, targeted: Seq[JointId],
 # ---------------------------------------------------------------------------
 
 def frame_deviations(cand_prep: Prepared, ref_prep: Prepared,
-                     path: WarpPath) -> Tuple[FrameDeviation, ...]:
-    """Per-candidate-frame, per-targeted-joint deviations in [0, 1], with
-    each frame's transform. When several path pairs touch one candidate
-    frame, deviations are averaged.
+                     path: WarpPath) -> Tuple[float, np.ndarray]:
+    """The one pass along the warp path: the joint score and the (T, N)
+    per-candidate-frame, per-targeted-joint deviations in [0, 1], NaN where
+    a frame has none for a joint. When several path pairs touch one
+    candidate frame, deviations are averaged.
     """
     cand, ref = cand_prep.desc, ref_prep.desc
     ci, ri = np.array(path.pairs).T
+    dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
+                           ref.vectors[ri], ref.valid[ri])
+    pair_sums, pair_counts = masked_sum((dots + 1.0) * 0.5, both)
+    n_pairs = int(pair_counts.sum())
+    if n_pairs == 0:
+        raise ValidationError("no usable targeted joint pairs to score")
+    score = 100.0 * float(pair_sums.sum()) / n_pairs
+
     n_joints = len(cand.targeted)
     angle_dev = np.abs(cand_prep.angles[ci] - ref_prep.angles[ri]) / 180.0
     # Without an angle on both sides, fall back on the joint's outgoing pairs
     # (the pairs are grouped by first joint). Directions of short segments
     # are ill-conditioned, so each pair is weighted by its reference length.
-    dots, both = pair_dots(cand.vectors[ci], cand.valid[ci],
-                           ref.vectors[ri], ref.valid[ri])
     weights = ref.lengths[ri]
     by_joint = (len(ci), n_joints, n_joints - 1)
     both = both.reshape(by_joint)
@@ -224,50 +219,35 @@ def frame_deviations(cand_prep: Prepared, ref_prep: Prepared,
     starts = np.flatnonzero(np.r_[True, ci[1:] != ci[:-1]])
     sums = np.add.reduceat(np.where(ok, dev, 0.0), starts)
     counts = np.add.reduceat(ok, starts, dtype=np.intp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        means = (sums / counts).tolist()
-    return tuple(
-        FrameDeviation(
-            frame_index=i,
-            frame_id=cand.frame_ids[i],
-            deviations={j: row[k] for k, j in enumerate(cand.targeted) if n[k]},
-            transform=tuple(cand_prep.transforms[i].tolist()),
-        )
-        for i, (row, n) in enumerate(zip(means, counts.tolist())))
+    return score, np.divide(sums, counts, out=np.full(sums.shape, np.nan),
+                            where=counts > 0)
 
 
-def flag_mistakes(frame_detail: Seq[FrameDeviation],
-                  threshold: float = 0.25,
-                  phases: Optional[Seq[Tuple[str, Tuple[int, int]]]] = None
-                  ) -> List[MistakeFlag]:
+def flag_mistakes(deviations: np.ndarray, frame_ids: Seq[str],
+                  joints: Seq[JointId], threshold: float,
+                  phases: Seq[Tuple[str, Tuple[int, int]]]) -> List[MistakeFlag]:
     """Local deviation maxima above threshold, at most one per joint per phase.
 
+    ``deviations`` is :func:`frame_deviations`'s (T, N) array, with a
+    column per joint of ``joints`` and NaN where a frame has no value; a
+    frame's neighbours in its column are the nearest frames with a value.
     ``phases`` is a list of (name, (start_index, end_index)) candidate frame
-    ranges; defaults to a single phase spanning everything.
+    ranges. Of tied maxima in one phase, the first frame is flagged.
     """
-    if not frame_detail:
-        return []
-    detail = sorted(frame_detail, key=lambda d: d.frame_index)
-    if phases is None:
-        phases = [("full", (detail[0].frame_index, detail[-1].frame_index))]
-    joints = sorted({j for d in detail for j in d.deviations})
     flags: List[MistakeFlag] = []
-    for joint in joints:
-        series = [(d.frame_index, d.frame_id, d.deviations.get(joint))
-                  for d in detail if d.deviations.get(joint) is not None]
-        values = [v for _, _, v in series]
+    for joint, column in zip(joints, deviations.T):
+        index = np.flatnonzero(~np.isnan(column))
+        values = column[index]
+        peak = values > threshold
+        peak[1:] &= values[:-1] <= values[1:]
+        peak[:-1] &= values[1:] <= values[:-1]
         for name, (lo, hi) in phases:
-            best = None
-            for k, (idx, fid, v) in enumerate(series):
-                if not (lo <= idx <= hi) or v <= threshold:
-                    continue
-                left_ok = k == 0 or values[k - 1] <= v
-                right_ok = k == len(values) - 1 or values[k + 1] <= v
-                if left_ok and right_ok and (best is None or v > best.deviation):
-                    best = MistakeFlag(frame_index=idx, frame_id=fid, joint=joint,
-                                       deviation=v, phase=name)
-            if best is not None:
-                flags.append(best)
+            hits = np.flatnonzero(peak & (index >= lo) & (index <= hi))
+            if hits.size:
+                best = hits[values[hits].argmax()]
+                i = int(index[best])
+                flags.append(MistakeFlag(frame_index=i, frame_id=frame_ids[i], joint=joint,
+                                         deviation=float(values[best]), phase=name))
     flags.sort(key=lambda f: (f.frame_index, f.joint))
     return flags
 
@@ -318,20 +298,27 @@ def assess_pair(cand: Sequence, ref: Prepared,
                 config: ExerciseConfig) -> AssessmentResult:
     """Run the pairwise pipeline for one candidate against a reference
     prepared with the same ``config``."""
-    cand = prepare(cand, config, ref.targeted)
+    joints = ref.desc.targeted
+    cand = prepare(cand, config, joints)
     path = dtw_align(cand.desc, ref.desc)
     profile = pace_profile(cand.seq, ref.seq, path, ref.primary_angles,
                            config.phase.eccentric_direction)
 
-    jscore = _score_from_fields(cand.desc, ref.desc, path)
+    jscore, deviations = frame_deviations(cand, ref, path)
     pscore = pace_score(profile, config.pace_ratio_weight)
-    rscore = range_score(cand.raw_angles, cand.targeted, config.reference_angles)
+    rscore = range_score(cand.raw_angles, joints, config.reference_angles)
 
-    detail = frame_deviations(cand, ref, path)
+    frame_ids = cand.desc.frame_ids
     phase_ranges = [(p.name, p.cand_range) for p in profile.phases]
-    flags = flag_mistakes(detail, config.mistake_threshold, phase_ranges)
+    flags = flag_mistakes(deviations, frame_ids, joints,
+                          config.mistake_threshold, phase_ranges)
 
-    column = {j: k for k, j in enumerate(cand.desc.targeted)}
+    detail = tuple(FrameDeviation(
+        frame_index=i, frame_id=frame_ids[i], transform=tuple(transform),
+        deviations={j: v for j, v in zip(joints, row) if not math.isnan(v)})
+        for i, (row, transform) in enumerate(zip(deviations.tolist(),
+                                                 cand.transforms.tolist())))
+    column = {j: k for k, j in enumerate(joints)}
     corrections = textual_feedback(flags, config.rules, {
         (f.frame_index, f.joint): float(cand.angles[f.frame_index, column[f.joint]])
         for f in flags})

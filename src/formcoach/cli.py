@@ -34,6 +34,8 @@ import sys
 from pathlib import Path
 from typing import Dict, Optional, Sequence as Seq, Tuple
 
+import numpy as np
+
 from . import sttf
 from .alignment import AlignmentError
 from .assessment import (AssessmentResult, Prepared, assess_pair, load_report,
@@ -42,11 +44,10 @@ from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, Annotation, Sequence,
-                       ValidationError, _key, _list, _number, joint_from_name,
-                       load_annotation, load_sequence, read_json,
-                       save_annotation, save_sequence, write_json_atomic,
-                       write_text_atomic)
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, Annotation, ValidationError,
+                       _key, _list, _number, joint_from_name, load_annotation,
+                       load_sequence, read_json, save_annotation, save_sequence,
+                       write_json_atomic, write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -54,21 +55,25 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
+# Frame ids are free strings; with these escaped, each aid's file stays inside
+# the output directory and gets a name that no other frame id maps to.
+_FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
 
-def build_frame_aids(cand: Sequence, result: AssessmentResult,
+
+def build_frame_aids(result: AssessmentResult,
                      config: ExerciseConfig) -> Dict[int, VisualAid]:
     """One visual aid per flagged candidate frame, keyed by the frame's index;
     each flagged joint points at the first reference frame aligned to it."""
     captions = {}
     for corr in result.report.corrections:
         captions.setdefault(corr.joint, corr.text)
-    ref_for_cand = {}
-    for i, j in result.path.pairs:
-        ref_for_cand.setdefault(i, j)
-    flagged = [(f.frame_index, f.joint, ref_for_cand[f.frame_index])
-               for f in result.flags]
+    # The path's candidate indexes never decrease, so a flagged frame's first
+    # pair is where a left search for its index lands.
+    ci, ri = np.array(result.path.pairs).T
+    first = ri[np.searchsorted(ci, [f.frame_index for f in result.flags])].tolist()
+    flagged = [(f.frame_index, f.joint, k) for f, k in zip(result.flags, first)]
     return build_aid(result.cand.pose, result.ref.pose,
-                     [f.frame_id for f in cand.frames], flagged,
+                     result.cand.desc.frame_ids, flagged,
                      config.body_class, captions)
 
 
@@ -98,8 +103,8 @@ def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
 
     pose = result.cand.pose
     index = []
-    for i, aid in build_frame_aids(cand, result, config).items():
-        name = f"{stem}_{aid.frame_id}_aid.svg"
+    for i, aid in build_frame_aids(result, config).items():
+        name = f"{stem}_{aid.frame_id.translate(_FILE_NAME_ESCAPES)}_aid.svg"
         write_text_atomic(out_dir / name,
                           render_svg(aid, pose.points[i], pose.occluded[i]))
         index.append({

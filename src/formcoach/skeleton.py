@@ -175,6 +175,11 @@ class Sequence:
                     f"timestamps must be strictly increasing: frame {i} "
                     f"({self.frames[i].frame_id!r}) has t={ts[i]} after t={ts[i-1]}"
                 )
+        seen = set()
+        for f in self.frames:
+            if f.frame_id in seen:
+                raise ValidationError(f"frame {f.frame_id!r}: repeated frame id")
+            seen.add(f.frame_id)
         if self.fps_hint is not None:
             _check_fps(self.fps_hint)
 
@@ -239,12 +244,13 @@ class Annotation:
 # ---------------------------------------------------------------------------
 
 def write_text_atomic(path: os.PathLike | str, text: str) -> None:
-    """Write text via a temp file + rename so readers never see partial output."""
+    """Write text as UTF-8 via a temp file + rename so readers never see
+    partial output."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -271,13 +277,13 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 # ---------------------------------------------------------------------------
 
 def read_json(path: os.PathLike | str):
-    """Parse a JSON file, raising :class:`ValidationError` if it cannot be
+    """Parse a UTF-8 JSON file, raising :class:`ValidationError` if it cannot be
     read (a directory, no permission) or is not JSON text (a decode error,
     bytes that are not text, or an integer longer than Python's
     integer-string digit limit); the message does not name the file. A
     missing file raises :class:`FileNotFoundError`, whose message does."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise
     except OSError as e:
@@ -359,8 +365,9 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
 
     Raises :class:`ValidationError` with the offending frame on malformed
     input, values that are not numbers, missing joints, non-monotone
-    timestamps or an fps that is not positive and finite, never with the
-    file; see the module docstring for which fault is reported first.
+    timestamps, a repeated frame id or an fps that is not positive and
+    finite, never with the file; see the module docstring for which fault is
+    reported first.
     """
     doc = read_json(path)
     if not isinstance(doc, Mapping):

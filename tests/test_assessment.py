@@ -169,20 +169,27 @@ class TestRangeScore:
 
 
 def detail(devs_by_frame):
-    return tuple(
-        FrameDeviation(frame_index=i, frame_id=f"f{i:04d}", deviations=d)
-        for i, d in enumerate(devs_by_frame))
+    """:func:`flag_mistakes`'s (deviations, frame_ids, joints) for a list of
+    per-frame ``{joint: deviation}`` dicts; NaN where a frame lacks a joint."""
+    joints = sorted({j for d in devs_by_frame for j in d})
+    devs = np.array([[d.get(j, np.nan) for j in joints] for d in devs_by_frame])
+    return devs, [f"f{i:04d}" for i in range(len(devs_by_frame))], joints
+
+
+def full(n):
+    """One phase spanning ``n`` frames."""
+    return [("full", (0, n - 1))]
 
 
 class TestFlagMistakes:
     def test_all_zero_no_flags(self):
         fd = detail([{J.LEFT_ELBOW: 0.0} for _ in range(10)])
-        assert flag_mistakes(fd, threshold=0.25) == []
+        assert flag_mistakes(*fd, 0.25, full(10)) == []
 
     def test_single_spike(self):
         devs = [{J.LEFT_ELBOW: 0.0} for _ in range(10)]
         devs[4] = {J.LEFT_ELBOW: 0.6}
-        flags = flag_mistakes(detail(devs), threshold=0.25)
+        flags = flag_mistakes(*detail(devs), 0.25, full(10))
         assert len(flags) == 1
         assert flags[0].frame_index == 4
         assert flags[0].joint == J.LEFT_ELBOW
@@ -191,10 +198,10 @@ class TestFlagMistakes:
         devs = [{J.LEFT_ELBOW: 0.0} for _ in range(10)]
         devs[2] = {J.LEFT_ELBOW: 0.5}
         devs[7] = {J.LEFT_ELBOW: 0.6}
-        flags = flag_mistakes(detail(devs), threshold=0.25,
-                              phases=[("down", (0, 4)), ("up", (5, 9))])
+        flags = flag_mistakes(*detail(devs), 0.25,
+                              [("down", (0, 4)), ("up", (5, 9))])
         assert [(f.frame_index, f.phase) for f in flags] == [(2, "down"), (7, "up")]
-        single = flag_mistakes(detail(devs), threshold=0.25)
+        single = flag_mistakes(*detail(devs), 0.25, full(10))
         assert [(f.frame_index) for f in single] == [7]  # largest wins
 
     def test_matches_local_maxima_oracle(self):
@@ -203,7 +210,7 @@ class TestFlagMistakes:
             n = int(rng.integers(4, 30))
             series = rng.uniform(0, 0.6, n)
             fd = detail([{J.LEFT_KNEE: float(v)} for v in series])
-            flags = flag_mistakes(fd, threshold=0.25)
+            flags = flag_mistakes(*fd, 0.25, full(n))
             # oracle: best local max above threshold over the whole range
             candidates = []
             for k in range(n):
@@ -216,6 +223,31 @@ class TestFlagMistakes:
             else:
                 best = max(candidates, key=lambda k: series[k])
                 assert len(flags) == 1 and flags[0].frame_index == best
+        # With gaps (NaN on about a quarter of the frames) and two phases:
+        # a frame's neighbours are the nearest frames with a value, each
+        # phase keeps its largest peak, and the first of tied peaks wins.
+        for _ in range(300):
+            n = int(rng.integers(4, 30))
+            series = rng.choice([0.0, 0.3, 0.45, 0.6], n)   # ties are common
+            series[rng.random(n) < 0.25] = np.nan
+            split = int(rng.integers(1, n))
+            phases = [("down", (0, split - 1)), ("up", (split, n - 1))]
+            flags = flag_mistakes(series[:, None], [f"f{i:04d}" for i in range(n)],
+                                  [J.LEFT_KNEE], 0.25, phases)
+            valued = [k for k in range(n) if not math.isnan(series[k])]
+            expected = []
+            for name, (lo, hi) in phases:
+                best = None
+                for pos, k in enumerate(valued):
+                    left = pos == 0 or series[valued[pos - 1]] <= series[k]
+                    right = (pos == len(valued) - 1
+                             or series[valued[pos + 1]] <= series[k])
+                    if (lo <= k <= hi and series[k] > 0.25 and left and right
+                            and (best is None or series[k] > series[best])):
+                        best = k
+                if best is not None:
+                    expected.append((best, name, float(series[best])))
+            assert [(f.frame_index, f.phase, f.deviation) for f in flags] == expected
 
 
 class TestTextualFeedback:
@@ -318,6 +350,15 @@ class TestAssessPair:
         message = caplog.records[0].getMessage()
         assert "left_ankle" in message
         assert all(frames[t].frame_id in message for t in hidden)
+
+    def test_repeated_targeted_joint_counts_once(self):
+        cand, ref, cfg = make_pair(template="squat", cand_errors=(
+            InjectedError(kind="rom_truncation_fraction", magnitude=0.5,
+                          joint=J.LEFT_KNEE),))
+        twice = replace(cfg, targeted_joints=cfg.targeted_joints + (J.LEFT_KNEE,))
+        once, repeated = (assess(cand, ref, c).report for c in (cfg, twice))
+        assert once.range_score < 100.0
+        assert repeated == once
 
     def test_class_tag_echoed(self):
         cand, ref, cfg = make_pair(seed=9)

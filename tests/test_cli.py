@@ -18,8 +18,13 @@ compare the warp path, flags and corrections first.
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
+
+import pytest
 
 from formcoach import cli, correction
 from formcoach.assessment import load_report, report_to_dict
@@ -134,3 +139,36 @@ def test_warnings_name_their_file(tmp_path, caplog):
         "other.json: skipping arrows for occluded flagged joints: "
         "left_knee in frames f1",
         "outside"]
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """A config stored as UTF-8 loads, and a non-ASCII caption is written
+    as UTF-8, when the locale's encoding is ASCII."""
+    write_inputs(tmp_path)
+    config_path = tmp_path / "squat.config.json"
+    config = json.loads(config_path.read_text())
+    config["rules"] = [{"joint": "left_knee", "message": "Knie → außen"}]
+    config_path.write_bytes(json.dumps(config, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="POSIX",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               # The summary line on stdout is not a file this test covers.
+               PYTHONIOENCODING="utf-8")
+    locale = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if locale != "ANSI_X3.4-1968":
+        pytest.skip(f"the POSIX locale's encoding here is {locale}, not ASCII")
+    out = tmp_path / "out"
+    proc = subprocess.run(
+        [sys.executable, "-m", "formcoach", "assess",
+         "--candidate", str(tmp_path / "cand.sequence.json"),
+         "--reference", str(tmp_path / "ref.sequence.json"),
+         "--config", str(config_path), "--out", str(out)],
+        env=env, capture_output=True)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr.decode("utf-8")
+    index = json.loads((out / "cand_aids_index.json").read_text(encoding="utf-8"))
+    assert index
+    for entry in index:
+        assert "Knie → außen" in (out / entry["file"]).read_bytes().decode("utf-8")
+    report = json.loads((out / "cand_report.json").read_bytes().decode("utf-8"))
+    assert report["correction"] == "Knie → außen"

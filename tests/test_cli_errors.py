@@ -570,3 +570,46 @@ def test_dataset_without_pairs_exits_2_naming_it(tmp_path, capsys):
     assert cli.main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err == f"error: {tmp_path}: empty training dataset\n"
     assert not (tmp_path / "model.json").exists()
+
+
+def rename_candidate_frames(tmp_path, frame_id):
+    """Give frame ``i`` of the candidate file the id ``frame_id(i)``; returns
+    the ids."""
+    path = tmp_path / "cand.sequence.json"
+    doc = json.loads(path.read_text())
+    for i, frame in enumerate(doc["frames"]):
+        frame["id"] = frame_id(i)
+    path.write_text(json.dumps(doc))
+    return [frame["id"] for frame in doc["frames"]]
+
+
+@pytest.mark.parametrize("frame_id, escaped", [
+    (lambda i: f"/../../outside_{i}", "cand_%2F..%2F..%2Foutside_"),
+    (lambda i: f"f{i}\0", "%00_aid.svg"),
+    (lambda i: f"{i}%2F", "%252F_aid.svg"),
+], ids=["slash", "nul", "percent"])
+def test_aid_file_names_stay_in_out(tmp_path, frame_id, escaped):
+    """Frame ids are free strings: each aid is written into ``--out`` under
+    a name of its own, and the index keeps the id as it was."""
+    write_inputs(tmp_path)
+    ids = rename_candidate_frames(tmp_path, frame_id)
+    inputs = sorted(p.name for p in tmp_path.iterdir())
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs + ["out"])
+    out = tmp_path / "out"
+    index = json.loads((out / "cand_aids_index.json").read_text())
+    assert index
+    written = sorted(p.name for p in out.iterdir())
+    assert written == sorted([e["file"] for e in index]
+                             + ["cand_aids_index.json", "cand_report.json"])
+    for entry in index:
+        assert entry["frame_id"] in ids and escaped in entry["file"]
+
+
+def test_repeated_frame_id_exits_2_naming_it(tmp_path, capsys):
+    write_inputs(tmp_path)
+    rename_candidate_frames(tmp_path, lambda i: "dup")
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err == (f"error: {tmp_path / 'cand.sequence.json'}: "
+                                       "frame 'dup': repeated frame id\n")
+    assert not (tmp_path / "out" / "cand_aids_index.json").exists()
