@@ -204,7 +204,7 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     candidate through the path; if the angle is monotone (or not computable
     in some frame) the whole repetition is a single "full" phase.
     """
-    tc, tr = len(cand.frames), len(ref.frames)
+    tc, tr = len(cand), len(ref)
     if path.pairs[-1] != (tc - 1, tr - 1):
         raise AlignmentError("warp path does not span both sequences")
     ci, ri = np.array(path.pairs).T

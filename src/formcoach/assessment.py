@@ -135,12 +135,11 @@ def prepare(seq: Sequence, config: ExerciseConfig,
     undefined, occluded or for joints without one."""
     pixels = seq.points_array()
     occluded = seq.occlusion_mask(config.occlusion_threshold)
-    frame_ids = [f.frame_id for f in seq.frames]
-    points, theta, scale, center = normalize_sequence(pixels, occluded, frame_ids)
+    points, theta, scale, center = normalize_sequence(pixels, occluded, seq.frame_ids)
     if targeted is None:
         targeted = config.targeted_joints or select_key_joints(
             points, occluded, config.key_joint_threshold_deg)
-    desc = sequence_descriptors(points, occluded, targeted, frame_ids)
+    desc = sequence_descriptors(points, occluded, targeted, seq.frame_ids)
     raw = interior_angles(pixels, desc.targeted + (config.phase.primary_joint,), occluded)
     zero = np.zeros_like(theta)    # the transforms' translation
     return Prepared(

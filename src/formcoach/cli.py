@@ -86,7 +86,7 @@ def _aux_scores(model: "sttf.STTFModel", x) -> Dict[str, float]:
     }
 
 
-def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
+def _assess_one(cand_path: Path, stem: str, ref: Prepared, config: ExerciseConfig,
                 out_dir: Path, aux_model) -> str:
     cand = load_sequence(cand_path)
     result = assess_pair(cand, ref, config)
@@ -95,10 +95,6 @@ def _assess_one(cand_path: Path, ref: Prepared, config: ExerciseConfig,
         report.aux_scores = _aux_scores(aux_model, sttf.resample(
             result.cand.canonical, cand.timestamps, aux_model.config.seq_len))
 
-    stem = cand_path.stem
-    for suffix in (".sequence", ".keypoints"):
-        if stem.endswith(suffix):
-            stem = stem[: -len(suffix)]
     save_report(report, out_dir / f"{stem}_report.json")
 
     pose = result.cand.pose
@@ -174,10 +170,18 @@ def cmd_assess(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     code = EXIT_OK
+    owners: Dict[str, Path] = {}    # output stem -> the candidate that has it
     for path in map(Path, args.candidate):
+        stem = path.stem.removesuffix(".sequence").removesuffix(".keypoints")
+        owner = owners.setdefault(stem, path)
+
+        def run() -> str:
+            if owner is not path:
+                raise ValidationError(f"output name {stem!r} is already taken "
+                                      f"by {owner}")
+            return _assess_one(path, stem, ref, config, out_dir, aux_model)
         try:
-            print(_guarded(path, lambda: _assess_one(path, ref, config, out_dir,
-                                                     aux_model)))
+            print(_guarded(path, run))
         except _Failed as e:
             code = max(code, e.args[0])
     return code
@@ -220,6 +224,7 @@ def _motion_spec_from_file(path: Path) -> MotionSpec:
 
 
 def cmd_synth(args) -> int:
+    _guarded("synth", lambda: require_threshold(args.seed, "--seed"))
     name = f"invalid motion spec {args.spec}"
     spec = _guarded(name, lambda: _motion_spec_from_file(Path(args.spec)))
     seq, ann = _guarded(name, lambda: generate(spec, seed=args.seed))

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .kinematics import DEFAULT_KEY_JOINT_THRESHOLD_DEG
+from .kinematics import ANGLE_NEIGHBORS, DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
                        _angle_ranges, _angle_table, _key, _list, _number,
                        joint_from_name, read_json, write_json_atomic)
@@ -39,6 +39,9 @@ class PhaseConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "primary_joint", JointId(self.primary_joint))
+        if self.primary_joint not in ANGLE_NEIGHBORS:
+            raise ValidationError(f"primary_joint {self.primary_joint.name.lower()!r} "
+                                  "has no interior angle")
         if self.eccentric_direction not in ("decreasing", "increasing"):
             raise ValidationError(
                 f"eccentric_direction must be decreasing/increasing, "

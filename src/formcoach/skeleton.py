@@ -1,16 +1,19 @@
 """Core skeleton data types and file I/O.
 
-A recorded performance is a :class:`Sequence` of :class:`Frame` objects, each
-holding the 17 COCO keypoints in pixel coordinates with per-joint confidence.
-Keypoint files are JSON produced upstream by a pose estimator; this module
-validates them on load and writes them back losslessly (floats keep full
-decimal precision, so ``load(save(x)) == x`` exactly). :func:`load_sequence`
-reads every file by one path: a structural pass over all frames (objects,
-keypoint containers and joint names, timestamps present), one conversion of
-all values (one ``np.array`` when all are numbers, else ``float()`` on each
-in frame order) and one value check shared with :class:`Frame`. Each error
-names its frame, and its joint where there is one; a file with several faults
-reports its first structural fault before any value fault.
+A recorded performance is a :class:`Sequence`: read-only float64 arrays of
+the 17 COCO keypoints in pixels (T, 17, 2), their confidences (T, 17) and
+timestamps (T,), plus the frame ids. It stacks and checks the plain
+:class:`Frame` records it is given, once, and keeps read-only views of its
+arrays as its frames. Keypoint files are JSON produced upstream by a pose
+estimator; this module validates them on load and writes them back
+losslessly (floats keep full decimal precision, so ``load(save(x)) == x``
+exactly). :func:`load_sequence` reads every file by one path: a structural
+pass over all frames (objects, keypoint containers and joint names,
+timestamps present) and one conversion of all values (one ``np.array`` when
+all are numbers, else ``float()`` on each in frame order) before the
+:class:`Sequence` checks the values. Each error names its frame, and its
+joint where there is one; a file with several faults reports its first
+structural fault before any value fault.
 
 Low-confidence joints are treated as occluded and skipped by downstream
 geometry instead of being interpolated.
@@ -81,126 +84,110 @@ def _check_fps(fps: float) -> None:
         raise ValidationError(f"fps must be positive and finite, got {fps!r}")
 
 
-def _check_values(frame_ids, points: np.ndarray, confidence: np.ndarray,
-                  timestamps: np.ndarray) -> None:
-    """Raise a :class:`ValidationError` for the first frame with non-finite
-    coordinates, a confidence outside [0, 1] or a negative or non-finite
-    timestamp, naming the first of these it has. The arrays are (T, 17, 2),
-    (T, 17) and (T,)."""
-    # NaN fails every comparison, so the range checks also reject it.
-    bad = ~np.stack((np.isfinite(points).all(axis=(1, 2)),
-                     ((confidence >= 0.0) & (confidence <= 1.0)).all(axis=1),
-                     np.isfinite(timestamps) & (timestamps >= 0.0)), axis=1)
-    if bad.any():
-        i, k = divmod(int(bad.argmax()), 3)
-        problem = ("non-finite coordinates", "confidence outside [0, 1]",
-                   "invalid timestamp")[k]
-        raise ValidationError(f"frame {frame_ids[i]!r}: {problem}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """One video frame: 17 keypoints (pixels), confidences and a timestamp."""
+    """One video frame: 17 keypoints (pixels), confidences and a timestamp.
+
+    A plain record: it is checked, and its arrays made read-only, only as
+    part of a :class:`Sequence`."""
 
     frame_id: str
     timestamp: float
-    points: np.ndarray      # (17, 2) float64, read-only
-    confidence: np.ndarray  # (17,) float64 in [0, 1], read-only
-
-    def __post_init__(self):
-        pts = np.array(self.points, dtype=np.float64)
-        conf = np.array(self.confidence, dtype=np.float64)
-        if pts.shape != (N_JOINTS, 2):
-            raise ValidationError(
-                f"frame {self.frame_id!r}: points must be (17, 2), got {pts.shape}"
-            )
-        if conf.shape != (N_JOINTS,):
-            raise ValidationError(
-                f"frame {self.frame_id!r}: confidence must be (17,), got {conf.shape}"
-            )
-        _check_values((self.frame_id,), pts[None], conf[None],
-                      np.array([self.timestamp], dtype=np.float64))
-        pts.flags.writeable = conf.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "confidence", conf)
-
-    @classmethod
-    def _from_checked(cls, frame_id: str, timestamp: float, points: np.ndarray,
-                 confidence: np.ndarray) -> "Frame":
-        """A frame from values that already pass ``__post_init__``'s checks:
-        read-only float64 arrays of the right shapes and ranges."""
-        frame = object.__new__(cls)
-        frame.__dict__.update(frame_id=frame_id, timestamp=timestamp,
-                              points=points, confidence=confidence)
-        return frame
+    points: np.ndarray      # (17, 2) float64
+    confidence: np.ndarray  # (17,) float64 in [0, 1]
 
     def occlusion_mask(self, threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> np.ndarray:
         """Boolean (17,) mask, True where the joint is considered occluded."""
         return self.confidence < threshold
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Frame):
-            return NotImplemented
-        return (
-            self.frame_id == other.frame_id
-            and self.timestamp == other.timestamp
-            and np.array_equal(self.points, other.points)
-            and np.array_equal(self.confidence, other.confidence)
-        )
 
-    __hash__ = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sequence:
-    """An ordered, timestamped keypoint sequence for one performance."""
+    """An ordered, timestamped keypoint sequence for one performance.
+
+    Construction stacks ``frames`` into read-only float64 arrays, checks
+    them and replaces ``frames`` with views of them."""
 
     exercise_id: str
     class_label: str
     frames: Tuple[Frame, ...]
     fps_hint: Optional[float] = None
+    points: np.ndarray = field(init=False, repr=False)      # (T, 17, 2)
+    confidence: np.ndarray = field(init=False, repr=False)  # (T, 17)
+    timestamps: np.ndarray = field(init=False, repr=False)  # (T,)
+    frame_ids: Tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", tuple(self.frames))
+        frames = tuple(self.frames)
+        ids = tuple(f.frame_id for f in frames)
+        for f in frames:
+            for name, shape in (("points", (N_JOINTS, 2)), ("confidence", (N_JOINTS,))):
+                got = np.shape(getattr(f, name))
+                if got != shape:
+                    raise ValidationError(
+                        f"frame {f.frame_id!r}: {name} must be {shape}, got {got}")
+        # The reshapes also give a sequence without frames the right shapes.
+        points = np.array([f.points for f in frames], np.float64).reshape(-1, N_JOINTS, 2)
+        conf = np.array([f.confidence for f in frames], np.float64).reshape(-1, N_JOINTS)
+        ts = np.array([f.timestamp for f in frames], dtype=np.float64)
+        # NaN fails every comparison, so the range checks also reject it.
+        bad = ~np.stack((np.isfinite(points).all(axis=(1, 2)),
+                         ((conf >= 0.0) & (conf <= 1.0)).all(axis=1),
+                         np.isfinite(ts) & (ts >= 0.0)), axis=1)
+        if bad.any():
+            i, k = divmod(int(bad.argmax()), 3)
+            problem = ("non-finite coordinates", "confidence outside [0, 1]",
+                       "invalid timestamp")[k]
+            raise ValidationError(f"frame {ids[i]!r}: {problem}")
         if self.class_label not in CLASS_LABELS:
             raise ValidationError(
                 f"class must be one of {CLASS_LABELS}, got {self.class_label!r}"
             )
-        if len(self.frames) < 2:
+        if len(frames) < 2:
             raise ValidationError("a sequence needs at least 2 frames")
-        ts = [f.timestamp for f in self.frames]
-        for i in range(1, len(ts)):
-            if ts[i] <= ts[i - 1]:
-                raise ValidationError(
-                    f"timestamps must be strictly increasing: frame {i} "
-                    f"({self.frames[i].frame_id!r}) has t={ts[i]} after t={ts[i-1]}"
-                )
+        back = np.flatnonzero(np.diff(ts) <= 0.0)
+        if back.size:
+            i = int(back[0]) + 1
+            raise ValidationError(
+                f"timestamps must be strictly increasing: frame {i} "
+                f"({ids[i]!r}) has t={ts[i].item()} after t={ts[i - 1].item()}"
+            )
         seen = set()
-        for f in self.frames:
-            if f.frame_id in seen:
-                raise ValidationError(f"frame {f.frame_id!r}: repeated frame id")
-            seen.add(f.frame_id)
+        for fid in ids:
+            if fid in seen:
+                raise ValidationError(f"frame {fid!r}: repeated frame id")
+            seen.add(fid)
         if self.fps_hint is not None:
             _check_fps(self.fps_hint)
+        points.flags.writeable = conf.flags.writeable = ts.flags.writeable = False
+        # Frozen: set the fields past __setattr__.
+        self.__dict__.update(points=points, confidence=conf, timestamps=ts, frame_ids=ids,
+                             frames=tuple(map(Frame, ids, ts.tolist(), points, conf)))
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.frame_ids)
 
-    @property
-    def timestamps(self) -> np.ndarray:
-        return np.array([f.timestamp for f in self.frames])
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return ((self.exercise_id, self.class_label, self.fps_hint, self.frame_ids)
+                == (other.exercise_id, other.class_label, other.fps_hint, other.frame_ids)
+                and all(np.array_equal(getattr(self, k), getattr(other, k))
+                        for k in ("timestamps", "points", "confidence")))
+
+    __hash__ = None  # type: ignore[assignment]
 
     @property
     def duration(self) -> float:
-        return self.frames[-1].timestamp - self.frames[0].timestamp
+        return float(self.timestamps[-1] - self.timestamps[0])
 
     def points_array(self) -> np.ndarray:
-        """Stack all frame points into a (T, 17, 2) array."""
-        return np.stack([f.points for f in self.frames])
+        """The read-only (T, 17, 2) points."""
+        return self.points
 
     def occlusion_mask(self, threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> np.ndarray:
         """Boolean (T, 17) mask, True where the joint is considered occluded."""
-        return np.stack([f.confidence for f in self.frames]) < threshold
+        return self.confidence < threshold
 
 
 def _angle_ranges(table: Mapping) -> Dict[JointId, Tuple[float, float]]:
@@ -416,34 +403,22 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
             times[i] = _number(times[i], f"frame {i}: t")
         rows = np.array(keypoints, dtype=np.float64).reshape(-1, N_JOINTS, 3)
         t = np.array(times, dtype=np.float64)
-    points = np.ascontiguousarray(rows[..., :2])
-    conf = np.ascontiguousarray(rows[..., 2])
-    _check_values(frame_ids, points, conf, t)
-    points.flags.writeable = conf.flags.writeable = False
     return Sequence(
         exercise_id=str(doc["exercise_id"]),
         class_label=str(doc["class"]),
-        frames=tuple(map(Frame._from_checked, frame_ids, t.tolist(), points, conf)),
+        frames=tuple(map(Frame, frame_ids, t, rows[..., :2], rows[..., 2])),
         fps_hint=fps,
     )
 
 
 def sequence_to_dict(seq: Sequence) -> dict:
+    rows = np.concatenate((seq.points, seq.confidence[..., None]), axis=2).tolist()
     return {
         "exercise_id": seq.exercise_id,
         "class": seq.class_label,
         "fps": seq.fps_hint,
-        "frames": [
-            {
-                "id": f.frame_id,
-                "t": f.timestamp,
-                "keypoints": [
-                    [float(f.points[j, 0]), float(f.points[j, 1]), float(f.confidence[j])]
-                    for j in range(N_JOINTS)
-                ],
-            }
-            for f in seq.frames
-        ],
+        "frames": [{"id": fid, "t": t, "keypoints": kp}
+                   for fid, t, kp in zip(seq.frame_ids, seq.timestamps.tolist(), rows)],
     }
 
 

@@ -438,7 +438,7 @@ def sequence_to_model_input(seq: Sequence, seq_len: int,
     """Normalize every frame globally and :func:`resample` to ``seq_len``."""
     canon = normalize_sequence(seq.points_array(),
                                seq.occlusion_mask(occlusion_threshold),
-                               [f.frame_id for f in seq.frames])[0]
+                               seq.frame_ids)[0]
     return resample(canon, seq.timestamps, seq_len)
 
 
@@ -471,7 +471,7 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
     if ann.per_frame_mistakes:
         times = seq.timestamps
         grid = np.linspace(times[0], times[-1], seq_len)
-        by_id = {f.frame_id: f.timestamp for f in seq.frames}
+        by_id = dict(zip(seq.frame_ids, times.tolist()))
         for fid, _joint, _note in ann.per_frame_mistakes:
             t = by_id.get(fid)
             if t is None:

@@ -255,13 +255,16 @@ def test_bare_value_error_in_train_escapes(tmp_path, monkeypatch):
     ("annotation", "targeted_joints", 5, "targeted_joints"),
     ("config", "phase", {"eccentric_direction": "decreasing"}, "primary_joint"),
     ("config", "phase", 3, "phase"),
+    ("config", "phase", {"primary_joint": "left_wrist"},
+     "primary_joint 'left_wrist' has no interior angle"),
     ("config", "rules", [{"joint": "left_knee"}], "message"),
     ("config", "reference_angles", {"left_knee": ["x", 170.0]},
      "reference_angles.left_knee"),
     ("config", "rules", [{"joint": "left_knee", "message": "m", "angle_above": "x"}],
      "rules[0].angle_above"),
 ], ids=["scores-missing", "score-text", "mistake-frame", "annotation-angle",
-        "targeted-not-list", "phase-joint", "phase-number", "rule-message",
+        "targeted-not-list", "phase-joint", "phase-number", "phase-joint-no-angle",
+        "rule-message",
         "config-angle", "rule-angle-text"])
 def test_malformed_annotation_or_config_exits_2(tmp_path, capsys, file, key, value,
                                                 expected):
@@ -400,6 +403,18 @@ def test_bad_motion_spec_exits_2(tmp_path, capsys, spec, expected):
     assert cli.main(["synth", "--spec", str(path), "--out", str(out)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: invalid motion spec") and expected in err
+    assert not out.exists()
+
+
+def test_negative_seed_exits_2_before_writing(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"template": "squat", "n_frames": 12}))
+    out = tmp_path / "out"
+    argv = ["synth", "--spec", str(path), "--out", str(out), "--seed", "-1"]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == "error: synth: --seed must be finite and non-negative, got -1\n"
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -613,3 +628,28 @@ def test_repeated_frame_id_exits_2_naming_it(tmp_path, capsys):
     assert capsys.readouterr().err == (f"error: {tmp_path / 'cand.sequence.json'}: "
                                        "frame 'dup': repeated frame id\n")
     assert not (tmp_path / "out" / "cand_aids_index.json").exists()
+
+
+def test_candidates_sharing_a_stem_keep_the_first_outputs(tmp_path, capsys):
+    """A later candidate whose output names the call has already given out
+    fails alone, naming the earlier file, and writes nothing."""
+    write_inputs(tmp_path)
+    first = tmp_path / "a" / "cand.sequence.json"
+    second = tmp_path / "b" / "cand.sequence.json"
+    doc = json.loads((tmp_path / "cand.sequence.json").read_text())
+    for path, exercise in ((first, "first"), (second, "second")):
+        path.parent.mkdir()
+        path.write_text(json.dumps({**doc, "exercise_id": exercise}))
+    argv = assess_argv(tmp_path)
+    argv[2:3] = [str(first), str(second)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {second}: output name 'cand' is already "
+                            f"taken by {first}\n")
+    assert len(captured.out.splitlines()) == 1
+    out = tmp_path / "out"
+    assert json.loads((out / "cand_report.json").read_text())["name"] == "first(W)"
+    index = json.loads((out / "cand_aids_index.json").read_text())
+    assert index
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [e["file"] for e in index] + ["cand_aids_index.json", "cand_report.json"])

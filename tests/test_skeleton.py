@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -46,27 +47,6 @@ class TestJointId:
 
 
 class TestFrameValidation:
-    def test_rejects_wrong_shape(self):
-        with pytest.raises(ValidationError):
-            Frame(frame_id="x", timestamp=0.0, points=np.zeros((16, 2)),
-                  confidence=np.ones(17))
-
-    def test_rejects_nan(self):
-        pts = np.zeros((17, 2))
-        pts[3, 0] = np.nan
-        with pytest.raises(ValidationError):
-            Frame(frame_id="x", timestamp=0.0, points=pts, confidence=np.ones(17))
-
-    def test_rejects_confidence_out_of_range(self):
-        with pytest.raises(ValidationError):
-            Frame(frame_id="x", timestamp=0.0, points=np.zeros((17, 2)),
-                  confidence=np.full(17, 1.5))
-
-    def test_points_are_immutable(self):
-        f = make_frame(0)
-        with pytest.raises(ValueError):
-            f.points[0, 0] = 99.0
-
     def test_occlusion_mask(self):
         conf = np.ones(17)
         conf[4] = 0.01
@@ -76,7 +56,37 @@ class TestFrameValidation:
         assert mask[4] and mask.sum() == 1
 
 
+def sequence_starting_with(frame):
+    """A two-frame sequence whose first frame is ``frame``."""
+    return Sequence(exercise_id="x", class_label="correct",
+                    frames=(frame, make_frame(1)))
+
+
 class TestSequenceValidation:
+    def test_rejects_wrong_shape(self):
+        with pytest.raises(ValidationError):
+            sequence_starting_with(
+                Frame(frame_id="x", timestamp=0.0, points=np.zeros((16, 2)),
+                      confidence=np.ones(17)))
+
+    def test_rejects_nan(self):
+        pts = np.zeros((17, 2))
+        pts[3, 0] = np.nan
+        with pytest.raises(ValidationError):
+            sequence_starting_with(
+                Frame(frame_id="x", timestamp=0.0, points=pts, confidence=np.ones(17)))
+
+    def test_rejects_confidence_out_of_range(self):
+        with pytest.raises(ValidationError):
+            sequence_starting_with(
+                Frame(frame_id="x", timestamp=0.0, points=np.zeros((17, 2)),
+                      confidence=np.full(17, 1.5)))
+
+    def test_points_are_immutable(self):
+        f = sequence_starting_with(make_frame(0)).frames[0]
+        with pytest.raises(ValueError):
+            f.points[0, 0] = 99.0
+
     def test_needs_two_frames(self):
         with pytest.raises(ValidationError):
             Sequence(exercise_id="x", class_label="correct",
@@ -93,6 +103,41 @@ class TestSequenceValidation:
         with pytest.raises(ValidationError):
             Sequence(exercise_id="x", class_label="great",
                      frames=(make_frame(0), make_frame(1)))
+
+    @pytest.mark.parametrize("fault", [
+        lambda frames: frames[1].points.__setitem__((3, 0), np.nan),
+        lambda frames: frames[2].confidence.__setitem__(5, 1.5),
+        lambda frames: frames.__setitem__(2, replace(frames[2], timestamp=0.01)),
+        lambda frames: frames.__setitem__(2, replace(frames[2], frame_id="f0000")),
+    ], ids=["nan", "confidence", "timestamp-order", "repeated-id"])
+    def test_fault_message_is_the_same_in_code_and_in_a_file(self, tmp_path, fault):
+        frames = [make_frame(i) for i in range(4)]
+        fault(frames)
+        with pytest.raises(ValidationError) as built:
+            Sequence(exercise_id="x", class_label="correct", frames=frames)
+        path = tmp_path / "s.json"
+        write_minimal_file(path, [
+            {"id": f.frame_id, "t": f.timestamp,
+             "keypoints": np.column_stack((f.points, f.confidence)).tolist()}
+            for f in frames])
+        with pytest.raises(ValidationError) as loaded:
+            load_sequence(path)
+        assert str(loaded.value) == str(built.value)
+
+    def test_frames_are_read_only_views_of_a_copy(self):
+        frames = [make_frame(i) for i in range(3)]
+        seq = Sequence(exercise_id="x", class_label="correct", frames=frames)
+        before = seq.points_array().copy()
+        for i, f in enumerate(seq.frames):
+            assert np.shares_memory(f.points, seq.points_array())
+            assert np.array_equal(f.points, seq.points_array()[i])
+            assert not f.points.flags.writeable
+        assert not seq.points_array().flags.writeable
+        for f in frames:
+            f.points[:] = -1.0
+            f.confidence[:] = 0.0
+        assert np.array_equal(seq.points_array(), before)
+        assert not seq.occlusion_mask().any()
 
 
 class TestSequenceFileIO:
