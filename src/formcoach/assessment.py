@@ -42,8 +42,8 @@ from .config import CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JointId, Sequence, ValidationError, _key, _list, _number,
-                       joint_from_name, read_json, write_json_atomic)
+from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _key, _list,
+                       _number, joint_from_name, read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 
@@ -351,14 +351,14 @@ def report_to_dict(report: AssessmentReport) -> dict:
                  else report.range_score,
         "correction": "; ".join(c.text for c in report.corrections),
         "corrections": [
-            {"text": c.text, "joint": c.joint.name.lower(), "frames": list(c.frame_ids)}
+            {"text": c.text, "joint": JOINT_NAMES[c.joint], "frames": list(c.frame_ids)}
             for c in report.corrections
         ],
         "frame_detail": [
             {
                 "frame_index": d.frame_index,
                 "frame_id": d.frame_id,
-                "deviations": {j.name.lower(): v for j, v in d.deviations.items()},
+                "deviations": {JOINT_NAMES[j]: v for j, v in d.deviations.items()},
                 "transform": None if d.transform is None else list(d.transform),
             }
             for d in report.frame_detail

@@ -20,13 +20,16 @@ a bare ``ValueError`` included, is a bug and escapes.
 
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call; an unusable candidate fails only itself.
-``train`` stops at the first unusable file. Warnings name their file too.
+A candidate whose file stem or frame id makes an output file name too long
+fails too (exit 2); the outputs it wrote before that stay. ``train`` stops
+at the first unusable file. Warnings name their file too.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import logging
 import math
@@ -44,10 +47,10 @@ from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, Annotation, ValidationError,
-                       _key, _list, _number, joint_from_name, load_annotation,
-                       load_sequence, read_json, save_annotation, save_sequence,
-                       write_json_atomic, write_text_atomic)
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JOINT_NAMES, Annotation,
+                       ValidationError, _key, _list, _number, joint_from_name,
+                       load_annotation, load_sequence, read_json, save_annotation,
+                       save_sequence, write_json_atomic, write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -95,20 +98,26 @@ def _assess_one(cand_path: Path, stem: str, ref: Prepared, config: ExerciseConfi
         report.aux_scores = _aux_scores(aux_model, sttf.resample(
             result.cand.canonical, cand.timestamps, aux_model.config.seq_len))
 
-    save_report(report, out_dir / f"{stem}_report.json")
-
     pose = result.cand.pose
     index = []
-    for i, aid in build_frame_aids(result, config).items():
-        name = f"{stem}_{aid.frame_id.translate(_FILE_NAME_ESCAPES)}_aid.svg"
-        write_text_atomic(out_dir / name,
-                          render_svg(aid, pose.points[i], pose.occluded[i]))
-        index.append({
-            "frame_id": aid.frame_id,
-            "file": name,
-            "joints": [a.joint.name.lower() for a in aid.arrows],
-        })
-    write_json_atomic(out_dir / f"{stem}_aids_index.json", index)
+    try:
+        save_report(report, out_dir / f"{stem}_report.json")
+        for i, aid in build_frame_aids(result, config).items():
+            name = f"{stem}_{aid.frame_id.translate(_FILE_NAME_ESCAPES)}_aid.svg"
+            write_text_atomic(out_dir / name,
+                              render_svg(aid, pose.points[i], pose.occluded[i]))
+            index.append({
+                "frame_id": aid.frame_id,
+                "file": name,
+                "joints": [JOINT_NAMES[a.joint] for a in aid.arrows],
+            })
+        write_json_atomic(out_dir / f"{stem}_aids_index.json", index)
+    except OSError as e:
+        # The names come from the candidate's file stem and frame ids.
+        if e.errno != errno.ENAMETOOLONG:
+            raise
+        raise ValidationError(f"output file name too long: "
+                              f"{Path(e.filename2 or e.filename).name!r}") from None
 
     rng = "/" if report.range_score is None else f"{report.range_score:.1f}"
     corr = "; ".join(c.text for c in report.corrections)
@@ -181,9 +190,14 @@ def cmd_assess(args) -> int:
                                       f"by {owner}")
             return _assess_one(path, stem, ref, config, out_dir, aux_model)
         try:
-            print(_guarded(path, run))
+            line = _guarded(path, run)
         except _Failed as e:
             code = max(code, e.args[0])
+            continue
+        # Report text comes from the inputs; what stdout cannot encode is
+        # printed as backslash escapes.
+        encoding = sys.stdout.encoding or "utf-8"
+        print(line.encode(encoding, "backslashreplace").decode(encoding))
     return code
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -232,10 +231,18 @@ class Annotation:
 
 def write_text_atomic(path: os.PathLike | str, text: str) -> None:
     """Write text as UTF-8 via a temp file + rename so readers never see
-    partial output."""
+    partial output.
+
+    A new file gets the mode ``open(path, "w")`` would give it (0o666 less
+    the umask); the temp file is created with it, so the rename publishes a
+    file that already has its final mode. The temp file's name does not
+    grow with ``path``'s, so only the final name meets the file system's
+    name length limit."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # O_EXCL: a name collision raises instead of sharing another writer's file.
+    tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -249,13 +256,19 @@ def write_text_atomic(path: os.PathLike | str, text: str) -> None:
 
 
 def write_json_atomic(path: os.PathLike | str, obj) -> None:
-    write_text_atomic(path, json.dumps(obj, indent=2, sort_keys=False) + "\n")
+    """Write ``obj`` as one line of compact JSON (no whitespace between
+    tokens, keys in insertion order, non-ASCII as ``\\uXXXX`` escapes) and a
+    newline. Reports, aids indexes, keypoint files, annotations and
+    exercise configs are all written so; ``python -m json.tool FILE``
+    prints one indented."""
+    write_text_atomic(path, json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 # ---------------------------------------------------------------------------
 # Keypoint file I/O
 #
-# Schema (JSON, one object per sequence):
+# Schema (JSON, one object per sequence; written as compact JSON on one
+# line, see write_json_atomic, and read whatever its whitespace):
 #   {"exercise_id": str, "class": str, "fps": float|null,
 #    "frames": [{"id": str, "t": float, "keypoints": <kp>}, ...]}
 # where <kp> is either a list of 17 [x, y, conf] rows in COCO order, or a

@@ -1,5 +1,7 @@
 import logging
 import math
+import os
+import stat
 from dataclasses import replace
 
 import numpy as np
@@ -391,6 +393,25 @@ class TestReportIO:
             path = tmp_path / f"r{na}.json"
             save_report(report, path)
             assert load_report(path) == report
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_new_file_mode_follows_the_umask(self, tmp_path, umask, mode):
+        """A report gets the mode ``open(path, "w")`` gives a new file, and
+        replaces an older file whole: a reader of the old file keeps its
+        text, and no temp file is left behind."""
+        path = tmp_path / "r.json"
+        path.write_text("old")
+        report = self.make_report()
+        saved = os.umask(umask)
+        try:
+            with open(path) as reader:
+                save_report(report, path)
+                assert reader.read() == "old"
+        finally:
+            os.umask(saved)
+        assert stat.S_IMODE(path.stat().st_mode) == mode
+        assert load_report(path) == report
+        assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
 
     def test_table_columns_present(self, tmp_path):
         import json

@@ -27,9 +27,11 @@ from pathlib import Path
 import pytest
 
 from formcoach import cli, correction
-from formcoach.assessment import load_report, report_to_dict
-from formcoach.config import save_exercise_config
-from formcoach.skeleton import JointId, Sequence, save_sequence
+from formcoach.assessment import load_report, report_to_dict, save_report
+from formcoach.config import CorrectionRule, load_exercise_config, save_exercise_config
+from formcoach.skeleton import (JointId, Sequence, load_annotation, load_sequence,
+                                read_json, save_annotation, save_sequence,
+                                write_json_atomic)
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "assess_squat_report.json"
@@ -172,3 +174,72 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
         assert "Knie → außen" in (out / entry["file"]).read_bytes().decode("utf-8")
     report = json.loads((out / "cand_report.json").read_bytes().decode("utf-8"))
     assert report["correction"] == "Knie → außen"
+
+
+def test_summary_line_is_escaped_under_an_ascii_locale(tmp_path):
+    """With stdout in the locale's ASCII encoding, the summary line prints
+    what it cannot encode as backslash escapes, and ``assess`` exits 0."""
+    write_inputs(tmp_path)
+    config_path = tmp_path / "squat.config.json"
+    config = json.loads(config_path.read_text())
+    config["rules"] = [{"joint": "left_knee", "message": "Knie → außen"}]
+    config_path.write_text(json.dumps(config))
+    env = dict(os.environ, PYTHONUTF8="0", LC_ALL="POSIX",
+               PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONIOENCODING", None)
+    encoding = subprocess.run(
+        [sys.executable, "-c",
+         "import codecs, sys; print(codecs.lookup(sys.stdout.encoding).name)"],
+        env=env, capture_output=True, text=True, check=True).stdout.strip()
+    if encoding != "ascii":
+        pytest.skip(f"stdout's encoding under the POSIX locale here is {encoding}")
+    proc = subprocess.run(
+        [sys.executable, "-m", "formcoach", "assess",
+         "--candidate", str(tmp_path / "cand.sequence.json"),
+         "--reference", str(tmp_path / "ref.sequence.json"),
+         "--config", str(config_path), "--out", str(tmp_path / "out")],
+        env=env, capture_output=True)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr.decode("ascii", "replace")
+    assert proc.stdout.endswith(b"  correction=Knie \\u2192 au\\xdfen\n")
+
+
+def test_every_json_file_is_one_compact_line(tmp_path):
+    """Reports, aids indexes, keypoint files, annotations and exercise
+    configs share one format: compact JSON on one line, keys in the order
+    they were given, non-ASCII text as ``\\uXXXX`` escapes. Each loader
+    reads a file back to its value, and saving that value again gives the
+    same text."""
+    write_inputs(tmp_path)
+    config_path = tmp_path / "squat.config.json"
+    config = load_exercise_config(config_path)
+    config.rules = (CorrectionRule(joint=JointId.LEFT_KNEE, message="Knie → außen"),)
+    save_exercise_config(config, config_path)
+    _, ann = generate(MotionSpec(template="squat", n_frames=24), seed=3)
+    save_annotation(ann, tmp_path / "squat.annotation.json")
+    out = tmp_path / "out"
+    assert cli.main(["assess", "--candidate", str(tmp_path / "cand.sequence.json"),
+                     "--reference", str(tmp_path / "ref.sequence.json"),
+                     "--config", str(config_path), "--out", str(out)]) == cli.EXIT_OK
+
+    files = {
+        out / "cand_report.json": (load_report, save_report),
+        out / "cand_aids_index.json": (read_json, lambda v, p: write_json_atomic(p, v)),
+        tmp_path / "cand.sequence.json": (load_sequence, save_sequence),
+        tmp_path / "ref.sequence.json": (load_sequence, save_sequence),
+        tmp_path / "squat.annotation.json": (load_annotation, save_annotation),
+        config_path: (load_exercise_config, save_exercise_config),
+    }
+    for path, (load, save) in files.items():
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path
+        assert text.isascii(), path
+        value = load(path)
+        again = tmp_path / "again.json"
+        save(value, again)
+        assert load(again) == value, path
+        assert again.read_text(encoding="utf-8") == text, path
+    assert load_exercise_config(config_path) == config
+    assert load_annotation(tmp_path / "squat.annotation.json") == ann
+    escaped = '"Knie \\u2192 au\\u00dfen"'
+    assert f'"correction":{escaped}' in (out / "cand_report.json").read_text()
+    assert f'"message":{escaped}' in config_path.read_text()

@@ -653,3 +653,30 @@ def test_candidates_sharing_a_stem_keep_the_first_outputs(tmp_path, capsys):
     assert index
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [e["file"] for e in index] + ["cand_aids_index.json", "cand_report.json"])
+
+
+def test_too_long_aid_file_name_fails_only_its_candidate(tmp_path, capsys):
+    """Frame ids of 300 characters make an aid file name longer than a file
+    system allows. That candidate fails alone in one line, keeping the
+    report it wrote first, and the next candidate still runs."""
+    write_inputs(tmp_path)
+    second = tmp_path / "second.sequence.json"
+    shutil.copy(tmp_path / "cand.sequence.json", second)
+    ids = rename_candidate_frames(tmp_path, lambda i: f"{i:04d}".ljust(300, "x"))
+    first = tmp_path / "cand.sequence.json"
+    argv = assess_argv(tmp_path)
+    argv[2:3] = [str(first), str(second)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    prefix = f"error: {first}: output file name too long: "
+    assert line.startswith(prefix)
+    assert line[len(prefix):] in {repr(f"cand_{fid}_aid.svg") for fid in ids}
+    [summary] = captured.out.splitlines()
+    assert summary.startswith("squat(W)  Lower")
+    out = tmp_path / "out"
+    index = json.loads((out / "second_aids_index.json").read_text())
+    assert index
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [e["file"] for e in index]
+        + ["cand_report.json", "second_aids_index.json", "second_report.json"])

@@ -7,7 +7,8 @@ import pytest
 import reference
 from formcoach.skeleton import (Annotation, Frame, JointId, Sequence,
                                 ValidationError, JOINT_NAMES, load_annotation,
-                                load_sequence, save_annotation, save_sequence)
+                                load_sequence, save_annotation, save_sequence,
+                                write_text_atomic)
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 
@@ -543,3 +544,12 @@ class TestAnnotationIO:
         with pytest.raises(ValidationError):
             Annotation(exercise_id="x",
                        reference_angles={JointId.LEFT_KNEE: (175.0, 90.0)})
+
+
+def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
+    path = tmp_path / "out.json"
+    write_text_atomic(path, "old\n")
+    with pytest.raises(UnicodeEncodeError):
+        write_text_atomic(path, "\ud800")    # a lone surrogate is not UTF-8
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
