@@ -26,6 +26,12 @@ config names none, the ``(T, P, 2)`` descriptors and the interior angles.
 The CLI prepares the reference once for all its candidates; the pairwise
 stages of :func:`assess_pair` only read prepared arrays, with masked
 reductions over the warp path's index arrays.
+
+A report is one JSON object, ``"version": 2``: the table columns, the
+``corrections``, ``aux_scores`` and ``"frame_detail": {"frame_ids": [T ids],
+"joints": [N names], "deviations": [T rows of N, as frame_deviations gives],
+"transforms": [T rows of theta, scale, cx, cy]}``, null for NaN. A frame's
+pixels map to ``scale * R(theta) @ (pixel - (cx, cy))``; version 1 is not read.
 """
 
 from __future__ import annotations
@@ -46,18 +52,9 @@ from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _key, _l
                        _number, joint_from_name, read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
+REPORT_VERSION = 2
 
 _CLASS_TAGS = {"groundtruth": "GT", "correct": "C", "wrong": "W"}
-
-
-@dataclass(frozen=True)
-class FrameDeviation:
-    """Per-joint deviation of one aligned candidate frame."""
-
-    frame_index: int
-    frame_id: str
-    deviations: Dict[JointId, float]
-    transform: Optional[Tuple[float, float, float, float, float, float]] = None
 
 
 @dataclass(frozen=True)
@@ -84,9 +81,9 @@ class Correction:
         object.__setattr__(self, "joint", JointId(self.joint))
 
 
-@dataclass
+@dataclass(eq=False)
 class AssessmentReport:
-    """One report row (plus per-frame detail): the serialized output."""
+    """One report row plus its frame detail (layout: the module docstring)."""
 
     name: str
     body_class: str
@@ -94,7 +91,10 @@ class AssessmentReport:
     pace_score: float
     range_score: Optional[float]        # None = not applicable
     corrections: Tuple[Correction, ...] = ()
-    frame_detail: Tuple[FrameDeviation, ...] = ()
+    frame_ids: Tuple[str, ...] = ()
+    joints: Tuple[JointId, ...] = ()
+    deviations: np.ndarray = ()         # (T, N), NaN where a frame has no value
+    transforms: np.ndarray = ()         # (T, 4) theta, scale, cx, cy
     aux_scores: Optional[Dict[str, float]] = None
 
     def __post_init__(self):
@@ -104,7 +104,23 @@ class AssessmentReport:
         if self.range_score is not None and not 0.0 <= self.range_score <= 100.0:
             raise ValidationError(f"range score {self.range_score} outside [0, 100]")
         self.corrections = tuple(self.corrections)
-        self.frame_detail = tuple(self.frame_detail)
+        self.frame_ids = tuple(self.frame_ids)
+        self.joints = tuple(map(JointId, self.joints))
+        n_frames = len(self.frame_ids)
+        for key, width in (("deviations", len(self.joints)), ("transforms", 4)):
+            try:    # None becomes NaN; JSON writes no frames as []
+                rows = np.asarray(getattr(self, key), np.float64)
+                rows = rows.reshape(0, width) if rows.shape == (0,) else rows
+            except (TypeError, ValueError):
+                rows = None
+            if rows is None or rows.shape != (n_frames, width) or np.isinf(rows).any():
+                raise ValidationError(f"frame_detail.{key}: must be {n_frames} rows "
+                                      f"of {width} finite numbers or null")
+            setattr(self, key, rows)
+
+    def __eq__(self, other):    # as serialized, so NaN equals NaN
+        return (report_to_dict(self) == report_to_dict(other)
+                if isinstance(other, AssessmentReport) else NotImplemented)
 
 
 # ---------------------------------------------------------------------------
@@ -118,9 +134,7 @@ class Prepared:
     seq: Sequence
     pose: Pose
     canonical: np.ndarray           # (T, 17, 2) normalize_sequence's points
-    # (T, 6) per-frame columns theta, dx, dy, scale, cx, cy of the report's
-    # canonical = scale * R(theta) @ (pixel - (cx, cy)) + (dx, dy); dx = dy = 0
-    transforms: np.ndarray
+    center: np.ndarray              # (T, 2) normalize_sequence's body centers
     desc: JointVectorSequence       # desc.targeted: the N sorted targeted joints
     angles: np.ndarray              # (T, N) canonical interior angles at targeted
     raw_angles: np.ndarray          # (T, N) the same on the raw keypoints; range
@@ -133,7 +147,7 @@ def prepare(seq: Sequence, config: ExerciseConfig,
     config's targeted joints or, if it names none, the key joints selected
     from the sequence's own first and last frames. Angles are NaN where
     undefined, occluded or for joints without one."""
-    pixels = seq.points_array()
+    pixels = seq.points
     occluded = seq.occlusion_mask(config.occlusion_threshold)
     points, theta, scale, center = normalize_sequence(pixels, occluded, seq.frame_ids)
     if targeted is None:
@@ -141,11 +155,9 @@ def prepare(seq: Sequence, config: ExerciseConfig,
             points, occluded, config.key_joint_threshold_deg)
     desc = sequence_descriptors(points, occluded, targeted, seq.frame_ids)
     raw = interior_angles(pixels, desc.targeted + (config.phase.primary_joint,), occluded)
-    zero = np.zeros_like(theta)    # the transforms' translation
     return Prepared(
         seq=seq, pose=Pose(pixels, occluded, theta, scale), canonical=points,
-        transforms=np.column_stack((theta, zero, zero, scale, center)),
-        desc=desc, angles=interior_angles(points, desc.targeted, occluded),
+        center=center, desc=desc, angles=interior_angles(points, desc.targeted, occluded),
         raw_angles=raw[:, :-1], primary_angles=raw[:, -1])
 
 
@@ -312,11 +324,6 @@ def assess_pair(cand: Sequence, ref: Prepared,
     flags = flag_mistakes(deviations, frame_ids, joints,
                           config.mistake_threshold, phase_ranges)
 
-    detail = tuple(FrameDeviation(
-        frame_index=i, frame_id=frame_ids[i], transform=tuple(transform),
-        deviations={j: v for j, v in zip(joints, row) if not math.isnan(v)})
-        for i, (row, transform) in enumerate(zip(deviations.tolist(),
-                                                 cand.transforms.tolist())))
     column = {j: k for k, j in enumerate(joints)}
     corrections = textual_feedback(flags, config.rules, {
         (f.frame_index, f.joint): float(cand.angles[f.frame_index, column[f.joint]])
@@ -331,7 +338,10 @@ def assess_pair(cand: Sequence, ref: Prepared,
         pace_score=pscore,
         range_score=rscore,
         corrections=tuple(corrections),
-        frame_detail=detail,
+        frame_ids=frame_ids,
+        joints=joints,
+        deviations=deviations,
+        transforms=np.column_stack((cand.pose.theta, cand.pose.scale, cand.center)),
     )
     return AssessmentResult(report=report, path=path, flags=tuple(flags),
                             cand=cand, ref=ref)
@@ -343,6 +353,7 @@ def assess_pair(cand: Sequence, ref: Prepared,
 
 def report_to_dict(report: AssessmentReport) -> dict:
     return {
+        "version": REPORT_VERSION,
         "name": report.name,
         "class": report.body_class,
         "joint": report.joint_score,
@@ -354,15 +365,13 @@ def report_to_dict(report: AssessmentReport) -> dict:
             {"text": c.text, "joint": JOINT_NAMES[c.joint], "frames": list(c.frame_ids)}
             for c in report.corrections
         ],
-        "frame_detail": [
-            {
-                "frame_index": d.frame_index,
-                "frame_id": d.frame_id,
-                "deviations": {JOINT_NAMES[j]: v for j, v in d.deviations.items()},
-                "transform": None if d.transform is None else list(d.transform),
-            }
-            for d in report.frame_detail
-        ],
+        "frame_detail": {
+            "frame_ids": list(report.frame_ids),
+            "joints": [JOINT_NAMES[j] for j in report.joints],
+            **{key: np.where(np.isnan(rows), None, rows).tolist()    # NaN as null
+               for key, rows in (("deviations", report.deviations),
+                                 ("transforms", report.transforms))},
+        },
         "aux_scores": report.aux_scores,
     }
 
@@ -377,6 +386,10 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
     doc = read_json(path)
     for key in ("name", "class", "joint", "pace", "range", "correction"):
         _key(doc, key, "report")
+    version = doc.get("version", 1)
+    if version != REPORT_VERSION:
+        raise ValidationError(f"report version {version!r} is not supported; "
+                              "`formcoach assess` writes a current report")
     corrections = []
     for i, c in enumerate(_list(doc.get("corrections", []), "corrections")):
         where = f"corrections[{i}]"
@@ -384,24 +397,10 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
             text=str(_key(c, "text", where)),
             joint=joint_from_name(_key(c, "joint", where)),
             frame_ids=tuple(_list(_key(c, "frames", where), f"{where}.frames"))))
-    detail = []
-    for i, d in enumerate(_list(doc.get("frame_detail", []), "frame_detail")):
-        where = f"frame_detail[{i}]"
-        index = _number(_key(d, "frame_index", where), f"{where}.frame_index")
-        if not index.is_integer():
-            raise ValidationError(f"{where}.frame_index: {index!r} is not an integer")
-        deviations = _key(d, "deviations", where)
-        if not isinstance(deviations, Mapping):
-            raise ValidationError(f"{where}.deviations: must map joint names to numbers")
-        transform = d.get("transform")
-        detail.append(FrameDeviation(
-            frame_index=int(index),
-            frame_id=_key(d, "frame_id", where),
-            deviations={joint_from_name(n): _number(v, f"{where}.deviations.{n}")
-                        for n, v in deviations.items()},
-            transform=None if transform is None else tuple(
-                _number(x, f"{where}.transform")
-                for x in _list(transform, f"{where}.transform"))))
+    detail = {key: _list(_key(doc.get("frame_detail"), key, "frame_detail"),
+                         f"frame_detail.{key}")
+              for key in ("frame_ids", "joints", "deviations", "transforms")}
+    detail["joints"] = [joint_from_name(n) for n in detail["joints"]]
     rng = doc["range"]
     return AssessmentReport(
         name=doc["name"],
@@ -410,6 +409,6 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
         pace_score=_number(doc["pace"], "pace"),
         range_score=None if rng == RANGE_NOT_APPLICABLE else _number(rng, "range"),
         corrections=tuple(corrections),
-        frame_detail=tuple(detail),
         aux_scores=doc.get("aux_scores"),
+        **detail,
     )

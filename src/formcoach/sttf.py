@@ -436,7 +436,7 @@ def sequence_to_model_input(seq: Sequence, seq_len: int,
                             occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
                             ) -> np.ndarray:
     """Normalize every frame globally and :func:`resample` to ``seq_len``."""
-    canon = normalize_sequence(seq.points_array(),
+    canon = normalize_sequence(seq.points,
                                seq.occlusion_mask(occlusion_threshold),
                                seq.frame_ids)[0]
     return resample(canon, seq.timestamps, seq_len)

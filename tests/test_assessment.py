@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from formcoach.alignment import PaceProfile
-from formcoach.assessment import (AssessmentReport, Correction, FrameDeviation,
-                                  MistakeFlag, assess_pair, flag_mistakes,
+from formcoach.assessment import (AssessmentReport, Correction, MistakeFlag, assess_pair, flag_mistakes,
                                   load_report, pace_score, prepare,
                                   range_score, save_report, textual_feedback)
 from formcoach.config import CorrectionRule
@@ -380,10 +379,9 @@ class TestReportIO:
             range_score=None if range_na else 93.8125,
             corrections=(Correction(text="Abduct arm", joint=J.LEFT_ELBOW,
                                     frame_ids=("f0003", "f0017")),),
-            frame_detail=(FrameDeviation(
-                frame_index=0, frame_id="f0000",
-                deviations={J.LEFT_ELBOW: 0.125, J.LEFT_WRIST: 0.0625},
-                transform=(0.1, 0.0, 0.0, 0.01, 320.0, 240.0)),),
+            frame_ids=("f0000", "f0001"), joints=(J.LEFT_ELBOW, J.LEFT_WRIST),
+            deviations=[[0.125, 0.0625], [math.nan, 0.25]],
+            transforms=[[0.1, 0.01, 320.0, 240.0], [0.2, 0.01, 321.0, 240.5]],
             aux_scores={"joint": 70.0, "pace": 80.0, "range": 90.0},
         )
 
@@ -447,22 +445,30 @@ class TestReportIO:
                            frame_ids=tuple(f"f{int(i):04d}"
                                            for i in rng.integers(0, 50, 2)))
                 for k in range(int(rng.integers(0, 4))))
-            detail_entries = tuple(
-                FrameDeviation(
-                    frame_index=i, frame_id=f"f{i:04d}",
-                    deviations={joints[int(rng.integers(17))]: float(rng.uniform())},
-                    transform=tuple(float(v) for v in rng.normal(size=6)))
-                for i in range(int(rng.integers(0, 5))))
+            # T = 0 on some trials; NaN holes, and an all-NaN row on others.
+            n_frames = int(rng.integers(0, 5))
+            targeted = tuple(map(J, rng.choice(17, int(rng.integers(1, 5)),
+                                               replace=False)))
+            deviations = rng.uniform(size=(n_frames, len(targeted)))
+            deviations[rng.uniform(size=deviations.shape) < 0.3] = np.nan
+            if n_frames and trial % 2:
+                deviations[int(rng.integers(n_frames))] = np.nan
             report = AssessmentReport(
                 name=f"ex{trial}", body_class=("Upper", "Lower", "Both")[trial % 3],
                 joint_score=float(rng.uniform(0, 100)),
                 pace_score=float(rng.uniform(0, 100)),
                 range_score=None if trial % 4 == 0 else float(rng.uniform(0, 100)),
-                corrections=corrections, frame_detail=detail_entries,
+                corrections=corrections,
+                frame_ids=tuple(f"f{i:04d}" for i in range(n_frames)),
+                joints=targeted, deviations=deviations,
+                transforms=rng.normal(size=(n_frames, 4)),
             )
             path = tmp_path / f"r{trial}.json"
             save_report(report, path)
-            assert load_report(path) == report
+            loaded = load_report(path)
+            assert loaded == report
+            assert np.array_equal(loaded.deviations, deviations, equal_nan=True)
+            assert np.array_equal(loaded.transforms, report.transforms)
 
     def test_score_bounds_enforced(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,10 @@ match, byte for byte, the golden files in ``tests/data``, so any change to
 scores, deviations, flags, corrections or correction arrows on this input
 shows here.
 
+The golden report was re-pinned once when reports became version 2, with
+the frame detail as arrays: every score, correction, deviation and transform
+value stayed equal, and the aids index and SVGs were not re-pinned.
+
 The golden report holds full-precision floats. The pair kernel's products
 are plain ``x*x' + y*y'``, but other steps still use routines whose last bits
 may depend on the NumPy/BLAS build and the CPU: the BLAS dot behind the

@@ -554,17 +554,23 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: doc.update(joint="abc"), "joint: 'abc' is not a number"),
     (lambda doc: doc["corrections"][0].pop("text"), "corrections[0]"),
-    (lambda doc: doc["frame_detail"][0].pop("frame_id"), "frame_detail[0]"),
-    (lambda doc: doc["frame_detail"][0].update(frame_index=float("nan")),
-     "frame_detail[0].frame_index"),
-], ids=["score-text", "correction-text", "detail-frame-id", "detail-index-nan"])
+    (lambda doc: doc["frame_detail"]["deviations"][0].pop(),
+     "frame_detail.deviations"),
+    (lambda doc: doc["frame_detail"]["transforms"][0].extend([0.0, 0.0]),
+     "frame_detail.transforms"),
+    (lambda doc: doc.pop("version"), "`formcoach assess`"),
+], ids=["score-text", "correction-text", "detail-short-deviations-row",
+        "detail-transforms-row-of-6", "version-1"])
 def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
                                                       key):
+    """``score-model --report`` refuses each edit of a written report and
+    leaves the file as it was. A report without ``"version"`` is a version-1
+    report, and the message says which command writes a current one."""
     rc, out = run_assess(tmp_path)
     assert rc == cli.EXIT_OK
     path = out / "cand_report.json"
     doc = json.loads(path.read_text())
-    assert doc["corrections"] and doc["frame_detail"]
+    assert doc["corrections"] and doc["frame_detail"]["frame_ids"]
     edit(doc)
     text = json.dumps(doc)
     path.write_text(text)
