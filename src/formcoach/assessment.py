@@ -44,12 +44,12 @@ from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from .alignment import PaceProfile, WarpPath, dtw_align, pace_profile
-from .config import CorrectionRule, ExerciseConfig
+from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _key, _list,
-                       _number, joint_from_name, read_json, write_json_atomic)
+from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite, _key,
+                       _list, _number, joint_from_name, read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 REPORT_VERSION = 2
@@ -98,6 +98,11 @@ class AssessmentReport:
     aux_scores: Optional[Dict[str, float]] = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValidationError(f"name must be a string, got {self.name!r}")
+        if self.body_class not in BODY_CLASSES:
+            raise ValidationError(
+                f"class must be one of {BODY_CLASSES}, got {self.body_class!r}")
         for label, value in (("joint", self.joint_score), ("pace", self.pace_score)):
             if not 0.0 <= value <= 100.0:
                 raise ValidationError(f"{label} score {value} outside [0, 100]")
@@ -401,6 +406,10 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
                          f"frame_detail.{key}")
               for key in ("frame_ids", "joints", "deviations", "transforms")}
     detail["joints"] = [joint_from_name(n) for n in detail["joints"]]
+    aux = doc.get("aux_scores")
+    if aux is not None:
+        aux = {k: _finite(_key(aux, k, "aux_scores"), f"aux_scores.{k}")
+               for k in ("joint", "pace", "range")}
     rng = doc["range"]
     return AssessmentReport(
         name=doc["name"],
@@ -409,6 +418,6 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
         pace_score=_number(doc["pace"], "pace"),
         range_score=None if rng == RANGE_NOT_APPLICABLE else _number(rng, "range"),
         corrections=tuple(corrections),
-        aux_scores=doc.get("aux_scores"),
+        aux_scores=aux,
         **detail,
     )

@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from .kinematics import ANGLE_NEIGHBORS, DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       _angle_ranges, _angle_table, _key, _list, _number,
+                       _angle_ranges, _angle_table, _finite, _key, _list, _number,
                        joint_from_name, read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
@@ -170,7 +170,7 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
             joint=joint_from_name(_key(r, "joint", where)),
             message=str(_key(r, "message", where)),
             phase=r.get("phase"),
-            **{k: _number(r[k], f"{where}.{k}")
+            **{k: _finite(r[k], f"{where}.{k}")
                for k in ("angle_above", "angle_below", "deviation_above")
                if r.get(k) is not None}))
     return ExerciseConfig(

@@ -180,10 +180,6 @@ class Sequence:
     def duration(self) -> float:
         return float(self.timestamps[-1] - self.timestamps[0])
 
-    def points_array(self) -> np.ndarray:
-        """The read-only (T, 17, 2) points."""
-        return self.points
-
     def occlusion_mask(self, threshold: float = DEFAULT_OCCLUSION_THRESHOLD) -> np.ndarray:
         """Boolean (T, 17) mask, True where the joint is considered occluded."""
         return self.confidence < threshold
@@ -260,8 +256,9 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
     tokens, keys in insertion order, non-ASCII as ``\\uXXXX`` escapes) and a
     newline. Reports, aids indexes, keypoint files, annotations and
     exercise configs are all written so; ``python -m json.tool FILE``
-    prints one indented."""
-    write_text_atomic(path, json.dumps(obj, separators=(",", ":")) + "\n")
+    prints one indented. A NaN or infinite float, which JSON cannot hold,
+    raises ``ValueError`` before any file is touched."""
+    write_text_atomic(path, json.dumps(obj, separators=(",", ":"), allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +294,14 @@ def _number(value, where: str) -> float:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"{where}: {value!r} is not a number") from None
+
+
+def _finite(value, where: str) -> float:
+    """:func:`_number` that also refuses NaN and the infinities."""
+    number = _number(value, where)
+    if not math.isfinite(number):
+        raise ValidationError(f"{where}: must be a finite number, got {value!r}")
+    return number
 
 
 def _key(obj, key: str, where: str):

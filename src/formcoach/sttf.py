@@ -4,7 +4,12 @@ Per frame, a spatial encoder self-attends over the 17 joint embeddings; the
 per-frame joint features are then flattened, projected, and a temporal
 encoder self-attends across frames. Two heads read the temporal features: a
 score-regression head (three outputs in [0, 1] via a sigmoid over the
-time-pooled features) and a per-frame mistake logit.
+time-pooled features) and a per-frame mistake logit. The logits are trained,
+through the loss's cross-entropy term, and then dropped at inference:
+``cli._aux_scores``, which ``assess --aux-model`` and ``score-model`` both
+call, keeps the scores only. Deleting the head would change the inputs of
+the finite-difference gradient check, and reporting the logits would be a
+new feature, so both stay as they are.
 
 Everything is explicit forward/backward with exact gradients — no autograd.
 :func:`backprop` is the one loss-and-gradient step: :func:`train` runs it

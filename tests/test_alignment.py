@@ -254,12 +254,12 @@ class TestMovingAverage:
 
 
 def sequence_fields(seq, joints):
-    return describe(seq.points_array(), seq.occlusion_mask(), joints)
+    return describe(seq.points, seq.occlusion_mask(), joints)
 
 
 def knee_angles(seq):
     """The raw left-knee angle series that pace segments phases on."""
-    return interior_angles(seq.points_array(), (JointId.LEFT_KNEE,),
+    return interior_angles(seq.points, (JointId.LEFT_KNEE,),
                            seq.occlusion_mask())[:, 0]
 
 

@@ -40,7 +40,7 @@ def assess(cand, ref, cfg):
 def raw_range_score(cand, targeted, reference):
     """:func:`range_score` over the interior angles of ``cand``'s raw
     keypoints."""
-    angles = interior_angles(cand.points_array(), targeted, cand.occlusion_mask())
+    angles = interior_angles(cand.points, targeted, cand.occlusion_mask())
     return range_score(angles, targeted, reference)
 
 

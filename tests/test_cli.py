@@ -78,7 +78,7 @@ def test_assess_writes_golden_report_and_aids(tmp_path):
     assert rc == cli.EXIT_OK
 
     report_path = out / "cand_report.json"
-    doc = json.loads(report_path.read_text())
+    doc = json.loads(report_path.read_text(), parse_constant=refuse_constant)
     assert report_to_dict(load_report(report_path)) == doc
 
     index = json.loads((out / "cand_aids_index.json").read_text())
@@ -207,6 +207,12 @@ def test_summary_line_is_escaped_under_an_ascii_locale(tmp_path):
     assert proc.stdout.endswith(b"  correction=Knie \\u2192 au\\xdfen\n")
 
 
+def refuse_constant(name):
+    """A ``parse_constant`` that fails on ``NaN`` and the infinities, which
+    ``json.loads`` accepts but RFC 8259 does not."""
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def test_every_json_file_is_one_compact_line(tmp_path):
     """Reports, aids indexes, keypoint files, annotations and exercise
     configs share one format: compact JSON on one line, keys in the order
@@ -235,7 +241,8 @@ def test_every_json_file_is_one_compact_line(tmp_path):
     }
     for path, (load, save) in files.items():
         text = path.read_text(encoding="utf-8")
-        assert text == json.dumps(json.loads(text), separators=(",", ":")) + "\n", path
+        assert text == json.dumps(json.loads(text, parse_constant=refuse_constant),
+                                  separators=(",", ":")) + "\n", path
         assert text.isascii(), path
         value = load(path)
         again = tmp_path / "again.json"

@@ -184,6 +184,23 @@ def test_non_finite_angle_bound_exits_2_naming_the_joint(tmp_path, capsys, file,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", '"nan"'])
+@pytest.mark.parametrize("key", ["angle_above", "angle_below", "deviation_above"])
+def test_non_finite_rule_threshold_exits_2_naming_it(tmp_path, capsys, key, value):
+    """A NaN threshold would match no flag, without a word; an infinite one
+    is refused too."""
+    write_inputs(tmp_path)
+    path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc["rules"] = [{"joint": "left_knee", "message": "m", key: "VALUE"}]
+    path.write_text(json.dumps(doc).replace('"VALUE"', value))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"rules[0].{key}: must be a finite number" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("key", ["key_joint_threshold_deg", "mistake_threshold",
                                  "occlusion_threshold", "pace_ratio_weight"])
 def test_non_number_config_value_exits_2(tmp_path, capsys, key):
@@ -559,8 +576,16 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
     (lambda doc: doc["frame_detail"]["transforms"][0].extend([0.0, 0.0]),
      "frame_detail.transforms"),
     (lambda doc: doc.pop("version"), "`formcoach assess`"),
+    (lambda doc: doc.update(name=7), "name must be a string"),
+    (lambda doc: doc.update({"class": "Sideways"}), "class must be one of"),
+    (lambda doc: doc.update(aux_scores="oops"), "aux_scores"),
+    (lambda doc: doc.update(aux_scores={"joint": 1.0, "pace": "x", "range": 1.0}),
+     "aux_scores.pace"),
+    (lambda doc: doc.update(aux_scores={"joint": 1.0, "pace": 1.0,
+                                        "range": float("nan")}), "aux_scores.range"),
 ], ids=["score-text", "correction-text", "detail-short-deviations-row",
-        "detail-transforms-row-of-6", "version-1"])
+        "detail-transforms-row-of-6", "version-1", "name-number", "class-unknown",
+        "aux-not-object", "aux-text", "aux-nan"])
 def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
                                                       key):
     """``score-model --report`` refuses each edit of a written report and

@@ -171,7 +171,7 @@ def key_joints(seq, threshold_deg):
     """:func:`select_key_joints` over ``seq`` normalized with one
     :func:`normalize_sequence` call."""
     occluded = seq.occlusion_mask()
-    points = normalize_sequence(seq.points_array(), occluded,
+    points = normalize_sequence(seq.points, occluded,
                                 [f.frame_id for f in seq.frames])[0]
     return select_key_joints(points, occluded, threshold_deg)
 
@@ -234,5 +234,5 @@ class TestSequenceAngles:
                                      noise_std=2.0), seed=7)
         expected = [[reference.interior_angle(frame.points, j) for j in ANGLE_JOINTS]
                     for frame in seq.frames]
-        got = interior_angles(seq.points_array(), ANGLE_JOINTS, seq.occlusion_mask())
+        got = interior_angles(seq.points, ANGLE_JOINTS, seq.occlusion_mask())
         assert np.abs(got - np.array(expected)).max() <= 1e-9

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import reference
 from formcoach.skeleton import (Annotation, Frame, JointId, Sequence,
                                 ValidationError, JOINT_NAMES, load_annotation,
                                 load_sequence, save_annotation, save_sequence,
-                                write_text_atomic)
+                                write_json_atomic, write_text_atomic)
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 
@@ -128,16 +129,16 @@ class TestSequenceValidation:
     def test_frames_are_read_only_views_of_a_copy(self):
         frames = [make_frame(i) for i in range(3)]
         seq = Sequence(exercise_id="x", class_label="correct", frames=frames)
-        before = seq.points_array().copy()
+        before = seq.points.copy()
         for i, f in enumerate(seq.frames):
-            assert np.shares_memory(f.points, seq.points_array())
-            assert np.array_equal(f.points, seq.points_array()[i])
+            assert np.shares_memory(f.points, seq.points)
+            assert np.array_equal(f.points, seq.points[i])
             assert not f.points.flags.writeable
-        assert not seq.points_array().flags.writeable
+        assert not seq.points.flags.writeable
         for f in frames:
             f.points[:] = -1.0
             f.confidence[:] = 0.0
-        assert np.array_equal(seq.points_array(), before)
+        assert np.array_equal(seq.points, before)
         assert not seq.occlusion_mask().any()
 
 
@@ -553,3 +554,12 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(tmp_path):
         write_text_atomic(path, "\ud800")    # a lone surrogate is not UTF-8
     assert path.read_text() == "old\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_json_writer_refuses_non_finite_floats(tmp_path, value):
+    """JSON (RFC 8259) has no token for NaN or the infinities, so the writer
+    raises instead of writing one, and leaves no file and no temp file."""
+    with pytest.raises(ValueError):
+        write_json_atomic(tmp_path / "out.json", {"deviations": [[0.5, value]]})
+    assert list(tmp_path.iterdir()) == []

@@ -13,7 +13,7 @@ J = JointId
 
 def angles(seq, joint):
     """The interior angle series of ``joint`` over the frames of ``seq``."""
-    return interior_angles(seq.points_array(), (joint,))[:, 0].tolist()
+    return interior_angles(seq.points, (joint,))[:, 0].tolist()
 
 
 class TestMotionSpecValidation:
