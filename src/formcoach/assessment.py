@@ -48,8 +48,8 @@ from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite, _key,
-                       _list, _number, joint_from_name, read_json, write_json_atomic)
+from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite, _joints,
+                       _key, _list, _number, joint_from_name, read_json, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 REPORT_VERSION = 2
@@ -386,8 +386,17 @@ def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
     write_json_atomic(path, report_to_dict(report))
 
 
+def _json_number(value, where: str, convert=_number) -> float:
+    """``convert(value, where)`` of a JSON number. ``float`` would also take
+    ``"0.5"`` or ``true``, which a report would then write back as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: {value!r} is not a number")
+    return convert(value, where)
+
+
 def load_report(path: os.PathLike | str) -> AssessmentReport:
-    """Load a :func:`save_report` file; messages name the key, not the file."""
+    """Load a :func:`save_report` file; messages name the key, not the file.
+    Its numbers must be JSON numbers."""
     doc = read_json(path)
     for key in ("name", "class", "joint", "pace", "range", "correction"):
         _key(doc, key, "report")
@@ -400,23 +409,28 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
         where = f"corrections[{i}]"
         corrections.append(Correction(
             text=str(_key(c, "text", where)),
-            joint=joint_from_name(_key(c, "joint", where)),
+            joint=joint_from_name(_key(c, "joint", where), f"{where}.joint"),
             frame_ids=tuple(_list(_key(c, "frames", where), f"{where}.frames"))))
     detail = {key: _list(_key(doc.get("frame_detail"), key, "frame_detail"),
                          f"frame_detail.{key}")
               for key in ("frame_ids", "joints", "deviations", "transforms")}
-    detail["joints"] = [joint_from_name(n) for n in detail["joints"]]
+    detail["joints"] = _joints(detail["joints"], "frame_detail.joints")
+    for key in ("deviations", "transforms"):
+        for i, row in enumerate(detail[key]):
+            for k, cell in enumerate(row if isinstance(row, list) else ()):
+                if cell is not None:
+                    _json_number(cell, f"frame_detail.{key}[{i}][{k}]")
     aux = doc.get("aux_scores")
     if aux is not None:
-        aux = {k: _finite(_key(aux, k, "aux_scores"), f"aux_scores.{k}")
+        aux = {k: _json_number(_key(aux, k, "aux_scores"), f"aux_scores.{k}", _finite)
                for k in ("joint", "pace", "range")}
     rng = doc["range"]
     return AssessmentReport(
         name=doc["name"],
         body_class=doc["class"],
-        joint_score=_number(doc["joint"], "joint"),
-        pace_score=_number(doc["pace"], "pace"),
-        range_score=None if rng == RANGE_NOT_APPLICABLE else _number(rng, "range"),
+        joint_score=_json_number(doc["joint"], "joint"),
+        pace_score=_json_number(doc["pace"], "pace"),
+        range_score=None if rng == RANGE_NOT_APPLICABLE else _json_number(rng, "range"),
         corrections=tuple(corrections),
         aux_scores=aux,
         **detail,

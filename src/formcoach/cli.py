@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import errno
+import functools
 import json
 import logging
 import math
@@ -216,7 +217,8 @@ def _motion_spec_from_file(path: Path) -> MotionSpec:
         errors.append(InjectedError(
             kind=e.get("type", e.get("kind")),
             magnitude=magnitude,
-            joint=None if e.get("joint") is None else joint_from_name(e["joint"]),
+            joint=(None if e.get("joint") is None
+                   else joint_from_name(e["joint"], f"{where}.joint")),
             phase=e.get("phase", "all"),
         ))
     amplitudes = doc.get("amplitude_deg", {})
@@ -229,7 +231,8 @@ def _motion_spec_from_file(path: Path) -> MotionSpec:
         template=str(template),
         n_frames=int(n_frames),
         fps=number("fps", 30.0),
-        amplitude_deg={joint_from_name(k): _number(v, f"amplitude_deg.{k}")
+        amplitude_deg={joint_from_name(k, "amplitude_deg"):
+                       _number(v, f"amplitude_deg.{k}")
                        for k, v in amplitudes.items()} or None,
         noise_std=number("noise_std", 0.0),
         injected_errors=tuple(errors),
@@ -326,6 +329,7 @@ def cmd_score_model(args) -> int:
     return EXIT_OK
 
 
+@functools.cache    # parse_args does not change the parser; build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="formcoach",

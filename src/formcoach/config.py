@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 from .kinematics import ANGLE_NEIGHBORS, DEFAULT_KEY_JOINT_THRESHOLD_DEG
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       _angle_ranges, _angle_table, _finite, _key, _list, _number,
+                       _angle_ranges, _angle_table, _finite, _joints, _key, _list, _number,
                        joint_from_name, read_json, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
@@ -167,7 +167,7 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
     for i, r in enumerate(_list(doc.get("rules", []), "rules")):
         where = f"rules[{i}]"
         rules.append(CorrectionRule(
-            joint=joint_from_name(_key(r, "joint", where)),
+            joint=joint_from_name(_key(r, "joint", where), f"{where}.joint"),
             message=str(_key(r, "message", where)),
             phase=r.get("phase"),
             **{k: _finite(r[k], f"{where}.{k}")
@@ -177,11 +177,11 @@ def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
         exercise_id=str(doc["exercise_id"]),
         body_class=str(doc.get("class", "Both")),
         phase=PhaseConfig(
-            primary_joint=joint_from_name(_key(ph, "primary_joint", "phase")),
+            primary_joint=joint_from_name(_key(ph, "primary_joint", "phase"),
+                                          "phase.primary_joint"),
             eccentric_direction=ph.get("eccentric_direction", "decreasing"),
         ),
-        targeted_joints=None if targeted is None else tuple(
-            joint_from_name(n) for n in _list(targeted, "targeted_joints")),
+        targeted_joints=None if targeted is None else _joints(targeted, "targeted_joints"),
         reference_angles=_angle_table(doc.get("reference_angles", {}),
                                       "reference_angles"),
         key_joint_threshold_deg=number("key_joint_threshold_deg",

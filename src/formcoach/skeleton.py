@@ -1,10 +1,13 @@
 """Core skeleton data types and file I/O.
 
-A recorded performance is a :class:`Sequence`: read-only float64 arrays of
-the 17 COCO keypoints in pixels (T, 17, 2), their confidences (T, 17) and
-timestamps (T,), plus the frame ids. It stacks and checks the plain
-:class:`Frame` records it is given, once, and keeps read-only views of its
-arrays as its frames. Keypoint files are JSON produced upstream by a pose
+A recorded performance is a :class:`Sequence`, and its arrays are its one
+representation: read-only float64 arrays of the 17 COCO keypoints in pixels
+(T, 17, 2), their confidences (T, 17) and timestamps (T,), plus the frame
+ids. Its ``frames`` are :class:`Frame` views of those arrays, each made only
+when it is read. :func:`load_sequence` and the synthesizer hand their arrays
+to :class:`Sequence` directly; callers that work frame by frame may still
+pass :class:`Frame` records, which are stacked once. Either way the arrays
+are checked once. Keypoint files are JSON produced upstream by a pose
 estimator; this module validates them on load and writes them back
 losslessly (floats keep full decimal precision, so ``load(save(x)) == x``
 exactly). :func:`load_sequence` reads every file by one path: a structural
@@ -21,6 +24,8 @@ geometry instead of being interpolated.
 
 from __future__ import annotations
 
+import collections.abc
+import gc
 import json
 import math
 import os
@@ -66,11 +71,14 @@ JOINT_NAMES = tuple(j.name.lower() for j in JointId)
 _NAME_TO_JOINT = {name: JointId(i) for i, name in enumerate(JOINT_NAMES)}
 
 
-def joint_from_name(name: str) -> JointId:
+def joint_from_name(name: str, where: Optional[str] = None) -> JointId:
+    """The joint called ``name``, in any case; a :class:`ValidationError`
+    whose message starts with ``where:``, when given, if there is none."""
     try:
         return _NAME_TO_JOINT[name.lower()]
     except (AttributeError, KeyError):
-        raise ValidationError(f"unknown joint name {name!r}") from None
+        at = f"{where}: " if where else ""
+        raise ValidationError(f"{at}unknown joint name {name!r}") from None
 
 
 class ValidationError(ValueError):
@@ -100,16 +108,41 @@ class Frame:
         return self.confidence < threshold
 
 
+class FrameViews(collections.abc.Sequence):
+    """The frames of ``(frame_ids, timestamps, points, confidence)`` arrays,
+    each a :class:`Frame` of views made when it is read; a slice is a tuple
+    of them."""
+
+    __slots__ = ("frame_ids", "timestamps", "points", "confidence")
+
+    def __init__(self, frame_ids, timestamps, points, confidence):
+        self.frame_ids, self.timestamps = frame_ids, timestamps
+        self.points, self.confidence = points, confidence
+
+    def __len__(self) -> int:
+        return len(self.frame_ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(*i.indices(len(self)))))
+        return Frame(self.frame_ids[i], self.timestamps[i].item(), self.points[i],
+                     self.confidence[i])
+
+
 @dataclass(frozen=True, eq=False)
 class Sequence:
     """An ordered, timestamped keypoint sequence for one performance.
 
-    Construction stacks ``frames`` into read-only float64 arrays, checks
-    them and replaces ``frames`` with views of them."""
+    Its arrays are the representation; construction copies them as
+    read-only float64 and checks them once. ``frames`` is either a
+    :class:`FrameViews` over the arrays to copy, as the loader and the
+    synthesizer pass, or any sequence of :class:`Frame` records, which is
+    stacked. Afterwards ``frames`` is a :class:`FrameViews` of the
+    sequence's own arrays."""
 
     exercise_id: str
     class_label: str
-    frames: Tuple[Frame, ...]
+    frames: collections.abc.Sequence   # of Frame
     fps_hint: Optional[float] = None
     points: np.ndarray = field(init=False, repr=False)      # (T, 17, 2)
     confidence: np.ndarray = field(init=False, repr=False)  # (T, 17)
@@ -117,18 +150,33 @@ class Sequence:
     frame_ids: Tuple[str, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        ids = tuple(f.frame_id for f in frames)
-        for f in frames:
-            for name, shape in (("points", (N_JOINTS, 2)), ("confidence", (N_JOINTS,))):
-                got = np.shape(getattr(f, name))
-                if got != shape:
-                    raise ValidationError(
-                        f"frame {f.frame_id!r}: {name} must be {shape}, got {got}")
-        # The reshapes also give a sequence without frames the right shapes.
-        points = np.array([f.points for f in frames], np.float64).reshape(-1, N_JOINTS, 2)
-        conf = np.array([f.confidence for f in frames], np.float64).reshape(-1, N_JOINTS)
-        ts = np.array([f.timestamp for f in frames], dtype=np.float64)
+        views = self.frames
+        if isinstance(views, FrameViews):
+            ids = tuple(views.frame_ids)
+            n = len(ids)
+            points, conf, ts = (np.array(a, np.float64) for a in
+                                (views.points, views.confidence, views.timestamps))
+            for name, arr, shape in (("points", points, (n, N_JOINTS, 2)),
+                                     ("confidence", conf, (n, N_JOINTS)),
+                                     ("timestamps", ts, (n,))):
+                if arr.shape != shape:
+                    raise ValidationError(f"{name} must be {shape}, got {arr.shape}")
+        else:
+            frames = tuple(views)
+            ids = tuple(f.frame_id for f in frames)
+            for f in frames:
+                for name, shape in (("points", (N_JOINTS, 2)),
+                                    ("confidence", (N_JOINTS,))):
+                    got = np.shape(getattr(f, name))
+                    if got != shape:
+                        raise ValidationError(
+                            f"frame {f.frame_id!r}: {name} must be {shape}, got {got}")
+            # The reshapes also give a sequence without frames the right shapes.
+            points = np.array([f.points for f in frames],
+                              np.float64).reshape(-1, N_JOINTS, 2)
+            conf = np.array([f.confidence for f in frames],
+                            np.float64).reshape(-1, N_JOINTS)
+            ts = np.array([f.timestamp for f in frames], dtype=np.float64)
         # NaN fails every comparison, so the range checks also reject it.
         bad = ~np.stack((np.isfinite(points).all(axis=(1, 2)),
                          ((conf >= 0.0) & (conf <= 1.0)).all(axis=1),
@@ -142,7 +190,7 @@ class Sequence:
             raise ValidationError(
                 f"class must be one of {CLASS_LABELS}, got {self.class_label!r}"
             )
-        if len(frames) < 2:
+        if len(ids) < 2:
             raise ValidationError("a sequence needs at least 2 frames")
         back = np.flatnonzero(np.diff(ts) <= 0.0)
         if back.size:
@@ -161,7 +209,7 @@ class Sequence:
         points.flags.writeable = conf.flags.writeable = ts.flags.writeable = False
         # Frozen: set the fields past __setattr__.
         self.__dict__.update(points=points, confidence=conf, timestamps=ts, frame_ids=ids,
-                             frames=tuple(map(Frame, ids, ts.tolist(), points, conf)))
+                             frames=FrameViews(ids, ts, points, conf))
 
     def __len__(self) -> int:
         return len(self.frame_ids)
@@ -318,12 +366,18 @@ def _list(value, where: str) -> list:
     return value
 
 
+def _joints(value, where: str) -> Tuple[JointId, ...]:
+    """A JSON list of joint names."""
+    return tuple(joint_from_name(n, f"{where}[{i}]")
+                 for i, n in enumerate(_list(value, where)))
+
+
 def _angle_table(obj, where: str) -> Dict[JointId, Tuple[float, float]]:
     """A ``{joint_name: [min_deg, max_deg]}`` JSON object."""
     if not (isinstance(obj, Mapping) and all(
             isinstance(v, list) and len(v) == 2 for v in obj.values())):
         raise ValidationError(f"{where}: must map joint names to [min, max]")
-    return {joint_from_name(n): tuple(_number(x, f"{where}.{n}") for x in v)
+    return {joint_from_name(n, where): tuple(_number(x, f"{where}.{n}") for x in v)
             for n, v in obj.items()}
 
 
@@ -374,8 +428,27 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
     finite, never with the file; see the module docstring for which fault is
     reported first.
     """
+    # The cycle collector is paused while a file is read. A 300-frame file
+    # decodes to about 5,700 lists; they outlive the young collections that
+    # their own allocation triggers, get promoted and then drive full
+    # collections over the whole heap. In a loop of in-process ``assess``
+    # calls at T~300 that was about 15 young collections and 2.8 ms of
+    # collection per call, and the pause cut full collections from 43 to 2-3
+    # per ~330 calls. It is safe: the decoded tree holds no cycles and is
+    # freed before this returns, so no garbage outlives the pause. A caller
+    # that had the collector off finds it off.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _read_sequence(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _read_sequence(path: os.PathLike | str) -> Sequence:
     doc = read_json(path)
-    if not isinstance(doc, Mapping):
+    if not isinstance(doc, dict):
         raise ValidationError("top level must be an object")
     for key in ("exercise_id", "class", "frames"):
         if key not in doc:
@@ -390,14 +463,14 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
 
     keypoints, names, times, frame_ids = [], [], [], []
     for i, rf in enumerate(raw_frames):
-        if not isinstance(rf, Mapping) or "keypoints" not in rf:
+        if not isinstance(rf, dict) or "keypoints" not in rf:
             raise ValidationError(f"frame {i}: must be an object with 'keypoints'")
         kp = rf["keypoints"]
         if isinstance(kp, list):
             if len(kp) != N_JOINTS:
                 raise ValidationError(f"frame {i}: expected 17 keypoints, got {len(kp)}")
             given = JOINT_NAMES
-        elif isinstance(kp, Mapping):
+        elif isinstance(kp, dict):
             kp, given = _coco_rows(kp, i)
         else:
             raise ValidationError(f"frame {i}: keypoints must be a list or mapping")
@@ -424,7 +497,7 @@ def load_sequence(path: os.PathLike | str) -> Sequence:
     return Sequence(
         exercise_id=str(doc["exercise_id"]),
         class_label=str(doc["class"]),
-        frames=tuple(map(Frame, frame_ids, t, rows[..., :2], rows[..., 2])),
+        frames=FrameViews(frame_ids, t, rows[..., :2], rows[..., 2]),
         fps_hint=fps,
     )
 
@@ -481,11 +554,11 @@ def load_annotation(path: os.PathLike | str) -> Annotation:
     for i, m in enumerate(_list(doc.get("per_frame_mistakes", []), "per_frame_mistakes")):
         where = f"per_frame_mistakes[{i}]"
         mistakes.append((_key(m, "frame_id", where),
-                         joint_from_name(_key(m, "joint", where)), m.get("note", "")))
+                         joint_from_name(_key(m, "joint", where), f"{where}.joint"),
+                         m.get("note", "")))
     return Annotation(
         exercise_id=str(doc["exercise_id"]),
-        targeted_joints=tuple(joint_from_name(n) for n in _list(
-            doc.get("targeted_joints", []), "targeted_joints")),
+        targeted_joints=_joints(doc.get("targeted_joints", []), "targeted_joints"),
         reference_angles=_angle_table(doc.get("reference_angles", {}),
                                       "reference_angles"),
         per_frame_mistakes=tuple(mistakes),

@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import ExerciseConfig, PhaseConfig
 from .kinematics import ANGLE_NEIGHBORS, interior_angles
-from .skeleton import (Annotation, Frame, JointId, Sequence, ValidationError,
+from .skeleton import (Annotation, FrameViews, JointId, Sequence, ValidationError,
                        _check_fps)
 
 PX_PER_UNIT = 100.0
@@ -391,14 +391,10 @@ def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
         px = px + rng.normal(0.0, spec.noise_std, px.shape)
 
     ts = _timestamps(spec, phases)
-    frames = tuple(
-        Frame(frame_id=frame_ids[i], timestamp=float(ts[i]), points=px[i],
-              confidence=np.ones(17))
-        for i in range(n)
-    )
     class_label = spec.class_label or ("wrong" if spec.injected_errors else "groundtruth")
     seq = Sequence(exercise_id=template.name, class_label=class_label,
-                   frames=frames, fps_hint=spec.fps)
+                   frames=FrameViews(frame_ids, ts, px, np.ones((n, 17))),
+                   fps_hint=spec.fps)
 
     angle_joints = [j for j in template.targeted if j in ANGLE_NEIGHBORS]
     clean_angles = interior_angles(clean_points, angle_joints)

@@ -610,6 +610,89 @@ def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
     assert path.read_text() == text
 
 
+def add_rule(doc, joint):
+    doc["rules"] = [{"joint": joint, "message": "m"}]
+
+
+def add_correction(doc, joint):
+    doc["corrections"] = [{"text": "t", "joint": joint, "frames": ["f0000"]}]
+
+
+@pytest.mark.parametrize("command, file, edit, key", [
+    ("score-model", "report.json", add_correction, "corrections[0].joint"),
+    ("score-model", "report.json",
+     lambda doc, j: doc["frame_detail"].update(joints=["left_knee", j]),
+     "frame_detail.joints[1]"),
+    ("assess", "squat.config.json", lambda doc, j: doc.update(targeted_joints=[j]),
+     "targeted_joints[0]"),
+    ("assess", "squat.config.json", add_rule, "rules[0].joint"),
+    ("assess", "squat.config.json", lambda doc, j: doc["phase"].update(primary_joint=j),
+     "phase.primary_joint"),
+    ("assess", "squat.config.json",
+     lambda doc, j: doc.update(reference_angles={j: [60.0, 170.0]}), "reference_angles"),
+    ("train", "squat.annotation.json",
+     lambda doc, j: doc.update(targeted_joints=["left_knee", j]), "targeted_joints[1]"),
+    ("train", "squat.annotation.json",
+     lambda doc, j: doc.update(per_frame_mistakes=[{"frame_id": "f0000", "joint": j}]),
+     "per_frame_mistakes[0].joint"),
+    ("synth", "spec.json", lambda doc, j: doc.update(injected_errors=[
+        {"type": "angle_offset_deg", "magnitude": 30.0, "joint": j}]),
+     "injected_errors[0].joint"),
+    ("synth", "spec.json", lambda doc, j: doc.update(amplitude_deg={j: 80.0}),
+     "amplitude_deg"),
+], ids=["report-correction", "report-detail", "config-targeted", "config-rule",
+        "config-phase", "config-angles", "annotation-targeted", "annotation-mistake",
+        "spec-error", "spec-amplitude"])
+def test_unknown_joint_name_exits_2_naming_its_key(tmp_path, capsys, command, file,
+                                                   edit, key):
+    argv = command_inputs(tmp_path, command)
+    path = tmp_path / file
+    doc = json.loads(path.read_text())
+    edit(doc, "elbowz")
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert lines[0].endswith(f"{key}: unknown joint name 'elbowz'")
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda doc: doc.update(joint=str(doc["joint"])), "joint"),
+    (lambda doc: doc.update(pace=str(doc["pace"])), "pace"),
+    (lambda doc: doc.update(range=str(doc["range"])), "range"),
+    (lambda doc: doc.update(joint=True), "joint"),
+    (lambda doc: doc.update(aux_scores={"joint": "0.5", "pace": 1.0, "range": 1.0}),
+     "aux_scores.joint"),
+    (lambda doc: doc["frame_detail"]["deviations"][0].__setitem__(0, "0.5"),
+     "frame_detail.deviations[0][0]"),
+    (lambda doc: doc["frame_detail"]["transforms"][2].__setitem__(1, "1.0"),
+     "frame_detail.transforms[2][1]"),
+], ids=["joint-text", "pace-text", "range-text", "joint-bool", "aux-text",
+        "deviation-text", "transform-text"])
+def test_report_numbers_must_be_json_numbers(tmp_path, capsys, edit, key):
+    """``float`` takes ``"0.5"`` and ``true``; a report that holds either is
+    refused rather than written back with numbers in their place."""
+    rc, out = run_assess(tmp_path)
+    assert rc == cli.EXIT_OK
+    path = out / "cand_report.json"
+    doc = json.loads(path.read_text())
+    assert isinstance(doc["range"], float)
+    edit(doc)
+    text = json.dumps(doc)
+    path.write_text(text)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    capsys.readouterr()
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json"),
+                     "--report", str(path)]) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {key}: ")
+    assert lines[0].endswith("is not a number")
+    assert path.read_text() == text
+
+
 def test_dataset_without_pairs_exits_2_naming_it(tmp_path, capsys):
     argv = write_train_inputs(tmp_path)
     (tmp_path / "squat.annotation.json").unlink()

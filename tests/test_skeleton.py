@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from dataclasses import replace
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 import reference
-from formcoach.skeleton import (Annotation, Frame, JointId, Sequence,
+from formcoach.skeleton import (Annotation, Frame, FrameViews, JointId, Sequence,
                                 ValidationError, JOINT_NAMES, load_annotation,
                                 load_sequence, save_annotation, save_sequence,
                                 write_json_atomic, write_text_atomic)
@@ -563,3 +564,122 @@ def test_json_writer_refuses_non_finite_floats(tmp_path, value):
     with pytest.raises(ValueError):
         write_json_atomic(tmp_path / "out.json", {"deviations": [[0.5, value]]})
     assert list(tmp_path.iterdir()) == []
+
+
+def synthetic_file(tmp_path, n_frames=20):
+    """A saved noisy squat; returns its path."""
+    seq, _ = generate(MotionSpec(template="squat", n_frames=n_frames, noise_std=1.0),
+                      seed=4)
+    path = tmp_path / "squat.json"
+    save_sequence(seq, path)
+    return path
+
+
+class TestFrameViews:
+    """``Sequence.frames`` are made on read from the sequence's arrays."""
+
+    def test_index_slice_iteration_and_length(self, tmp_path):
+        seq = load_sequence(synthetic_file(tmp_path))
+        for i in (0, 7, -1):
+            f = seq.frames[i]
+            assert isinstance(f, Frame) and f.frame_id == seq.frame_ids[i]
+            assert type(f.timestamp) is float and f.timestamp == seq.timestamps[i]
+            assert np.array_equal(f.points, seq.points[i])
+            assert np.array_equal(f.confidence, seq.confidence[i])
+        part = seq.frames[2:8:3]
+        assert type(part) is tuple and all(isinstance(f, Frame) for f in part)
+        assert [f.frame_id for f in part] == [seq.frame_ids[2], seq.frame_ids[5]]
+        assert len(seq.frames) == len(seq) == 20
+        assert [f.frame_id for f in seq.frames] == list(seq.frame_ids)
+        with pytest.raises(IndexError):
+            seq.frames[20]
+
+    def test_replace_with_a_prefix_equals_the_loaded_prefix(self, tmp_path):
+        path = synthetic_file(tmp_path)
+        seq = load_sequence(path)
+        doc = json.loads(path.read_text())
+        doc["frames"] = doc["frames"][:7]
+        prefix = tmp_path / "prefix.json"
+        prefix.write_text(json.dumps(doc))
+        assert replace(seq, frames=seq.frames[:7]) == load_sequence(prefix)
+        assert replace(seq) == seq
+
+    def test_a_frame_edited_from_a_view_replaces_only_its_row(self, tmp_path):
+        """A confidence edit made frame by frame, as the benchmark's inputs
+        occlude a joint: build a ``Frame`` from a view, then ``replace``."""
+        seq = load_sequence(synthetic_file(tmp_path))
+        hide, joint = {3, 11}, JointId.LEFT_KNEE
+        frames = []
+        for i, f in enumerate(seq.frames):
+            if i in hide:
+                conf = f.confidence.copy()
+                conf[joint] = 0.0
+                f = Frame(frame_id=f.frame_id, timestamp=f.timestamp,
+                          points=f.points, confidence=conf)
+            frames.append(f)
+        edited = replace(seq, frames=tuple(frames))
+        expected = seq.confidence.copy()
+        expected[sorted(hide), joint] = 0.0
+        assert np.array_equal(edited.confidence, expected)
+        assert np.array_equal(edited.points, seq.points)
+        assert np.array_equal(edited.timestamps, seq.timestamps)
+        assert edited.frame_ids == seq.frame_ids
+        assert not edited.confidence.flags.writeable
+
+    def test_views_with_wrong_shapes_are_refused(self):
+        ids = ("a", "b")
+        with pytest.raises(ValidationError, match=r"points must be \(2, 17, 2\)"):
+            Sequence("x", "correct", FrameViews(ids, np.arange(2.0), np.zeros((2, 17, 3)),
+                                                np.ones((2, 17))))
+        with pytest.raises(ValidationError, match=r"timestamps must be \(2,\)"):
+            Sequence("x", "correct", FrameViews(ids, np.arange(3.0), np.zeros((2, 17, 2)),
+                                                np.ones((2, 17))))
+
+    def test_no_frame_is_made_until_frames_is_read(self, tmp_path, monkeypatch):
+        path = synthetic_file(tmp_path)
+        made = []
+        init = Frame.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Frame, "__init__", counting_init)
+        seq = load_sequence(path)
+        generate(MotionSpec(template="press", n_frames=12), seed=1)
+        assert made == []
+        seq.frames[3]
+        assert made == [1]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_load_leaves_the_cycle_collector_as_it_found_it(tmp_path, enabled):
+    good = synthetic_file(tmp_path)
+    bad = tmp_path / "bad.json"
+    write_minimal_file(bad, [{"t": 0.0, "keypoints": keypoint_rows()[:16]}])
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        load_sequence(good)
+        assert gc.isenabled() is enabled
+        with pytest.raises(ValidationError, match="expected 17 keypoints"):
+            load_sequence(bad)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+
+
+def test_a_load_leaves_no_cyclic_garbage(tmp_path):
+    """The collector is paused during a load, so a load must not make
+    cycles: with the collector off, a collection right after finds none."""
+    path = synthetic_file(tmp_path, n_frames=300)
+    was = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        seq = load_sequence(path)
+        assert gc.collect() == 0
+    finally:
+        if was:
+            gc.enable()
+    assert len(seq) == 300
