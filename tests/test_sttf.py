@@ -1,5 +1,6 @@
 import base64
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -259,6 +260,46 @@ class TestGradients:
         value = backprop(model, random_input(SMALL), *random_target(SMALL))
         assert np.isnan(value)
         assert not any(p.grad.any() for p in model.parameters())
+
+
+class TestTrainingStepMemory:
+    """One :func:`backprop` of the default model on a batch of 4, traced by
+    ``tracemalloc``, which sees NumPy's buffers. The unit is one FFN hidden
+    activation of the spatial stack, the largest array of the step."""
+
+    BATCH = 4
+
+    @pytest.fixture(scope="class")
+    def step(self):
+        """(model after the step, bytes it still holds, traced peak, unit)."""
+        cfg = STTFConfig()
+        x = np.stack([random_input(cfg, seed) for seed in range(self.BATCH)])
+        t_scores, labels = (np.stack(column) for column in zip(
+            *(random_target(cfg, seed) for seed in range(self.BATCH))))
+        model = STTFModel(cfg)
+        was_tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            backprop(model, x, t_scores, labels)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not was_tracing:
+                tracemalloc.stop()
+        hidden = (self.BATCH * cfg.seq_len * cfg.n_joints
+                  * cfg.mlp_ratio * cfg.d_model * 8)
+        return model, after - before, peak - before, hidden
+
+    def test_backward_releases_what_forward_cached(self, step):
+        model, held, _, _ = step
+        probs = sum(blk.attn.probs.nbytes
+                    for blk in model.spatial_blocks + model.temporal_blocks)
+        assert held <= probs + 2 ** 20, (held, probs)
+
+    def test_peak_is_at_most_13_hidden_activations(self, step):
+        _, _, peak, hidden = step
+        assert peak <= 13 * hidden, peak / hidden
 
 
 class TestTrain:
