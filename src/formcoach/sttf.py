@@ -17,6 +17,14 @@ once per epoch for plain full-batch gradient descent, and the
 finite-difference check in ``tests/test_sttf.py`` verifies the gradients it
 leaves against central differences, parameter by parameter.
 
+``forward`` keeps what ``backward`` reads: each ``Linear`` its input, each
+``LayerNorm`` its normalized input and deviation, the attention its split
+queries, keys and values and ``probs``, and the FFN its hidden layer's
+pre-activation, from which ``backward`` rebuilds the GELU output bit for bit.
+``backward`` consumes the caches of the preceding ``forward``, dropping each
+one as soon as it is read, so only ``attn.probs`` (documented as the last
+forward's attention) outlives a training step.
+
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
 interpolation over timestamps.
@@ -98,17 +106,51 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-# tanh-form GELU (Hendrycks & Gimpel 2016). Powers are written as products:
-# NumPy computes ``x ** 3`` through ``pow``, several times slower than two
-# multiplies.
-def _gelu(x: np.ndarray) -> np.ndarray:
-    return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + 0.044715 * (x * x * x))))
+# tanh-form GELU (Hendrycks & Gimpel 2016), in one or two buffers but in the
+# operation order of the one-line expressions that ``tests/test_sttf.py``
+# keeps, so the bits are theirs. Powers are products: NumPy computes
+# ``x ** 3`` through ``pow``, several times slower than two multiplies.
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(c (x + 0.044715 x^3))``, the term GELU and its derivative share."""
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    return np.tanh(t, out=t)
 
 
-def _gelu_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    dt = (1.0 - t * t) * _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * dt
+def _gelu(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """GELU of ``x``; pass ``t = _gelu_tanh(x)`` to reuse it, which overwrites it."""
+    t = _gelu_tanh(x) if t is None else t
+    t += 1.0
+    return np.multiply(0.5 * x, t, out=t)
+
+
+def _gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
+    """The derivative of GELU at ``x``; ``t = _gelu_tanh(x)`` is read, not changed."""
+    t = _gelu_tanh(x) if t is None else t
+    dt = t * t
+    np.subtract(1.0, dt, out=dt)
+    dt *= _GELU_C
+    buf = x * x
+    buf *= 3 * 0.044715
+    buf += 1.0
+    dt *= buf
+    np.multiply(x, 0.5, out=buf)
+    buf *= dt
+    out = np.add(t, 1.0, out=dt)
+    out *= 0.5
+    out += buf
+    return out
+
+
+def _softmax(att: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, in place, in the order of ``exp(att - max) / sum``."""
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+    return att
 
 
 class Linear:
@@ -126,6 +168,7 @@ class Linear:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         d_in, d_out = self.W.value.shape
         self.W.grad += self._x.reshape(-1, d_in).T @ grad.reshape(-1, d_out)
+        self._x = None
         self.b.grad += grad.reshape(-1, d_out).sum(axis=0)
         return grad @ self.W.value.T
 
@@ -146,7 +189,7 @@ class LayerNorm:
         return self.gamma.value * self._xhat + self.beta.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        xhat, std = self._xhat, self._std
+        xhat, std, self._xhat, self._std = self._xhat, self._std, None, None
         axes = tuple(range(grad.ndim - 1))
         self.gamma.grad += (grad * xhat).sum(axis=axes)
         self.beta.grad += grad.sum(axis=axes)
@@ -186,10 +229,9 @@ class MultiHeadSelfAttention:
         q = self._split(self.wq.forward(x))
         k = self._split(self.wk.forward(x))
         v = self._split(self.wv.forward(x))
-        att = q @ k.transpose(0, 1, 3, 2) / math.sqrt(self.d_head)
-        att -= att.max(axis=-1, keepdims=True)
-        ex = np.exp(att)
-        probs = ex / ex.sum(axis=-1, keepdims=True)
+        att = q @ k.transpose(0, 1, 3, 2)
+        att /= math.sqrt(self.d_head)
+        probs = _softmax(att)
         ctx = probs @ v
         self._q, self._k, self._v, self.probs = q, k, v, probs
         return self.wo.forward(self._merge(ctx))
@@ -197,6 +239,7 @@ class MultiHeadSelfAttention:
     def backward(self, grad: np.ndarray) -> np.ndarray:
         dctx = self._split(self.wo.backward(grad))
         probs, q, k, v = self.probs, self._q, self._k, self._v
+        self._q = self._k = self._v = None
         dprobs = dctx @ v.transpose(0, 1, 3, 2)
         dv = probs.transpose(0, 1, 3, 2) @ dctx
         datt = probs * (dprobs - (dprobs * probs).sum(axis=-1, keepdims=True))
@@ -220,11 +263,18 @@ class FeedForward:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._h = self.fc1.forward(x)
-        return self.fc2.forward(_gelu(self._h))
+        out = self.fc2.forward(_gelu(self._h))
+        self.fc2._x = None    # gelu(_h): backward rebuilds it
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        dg = self.fc2.backward(grad)
-        return self.fc1.backward(dg * _gelu_grad(self._h))
+        h, self._h = self._h, None
+        t = _gelu_tanh(h)
+        dgelu = _gelu_grad(h, t)
+        self.fc2._x = _gelu(h, t)    # overwrites t
+        del h, t                     # freed before the matrix products
+        dgelu *= self.fc2.backward(grad)
+        return self.fc1.backward(dgelu)
 
     def params(self) -> List[Param]:
         return self.fc1.params() + self.fc2.params()

@@ -1,5 +1,6 @@
 import base64
 import json
+import math
 import tracemalloc
 from dataclasses import asdict
 
@@ -183,6 +184,62 @@ class TestGelu:
     def test_matches_stdlib_oracle(self, program, oracle):
         want = np.array([oracle(float(x)) for x in self.X])
         np.testing.assert_allclose(program(self.X), want, rtol=1e-12, atol=1e-14)
+
+
+# The kernels' former one-line expressions. The kernels now write into one
+# or two buffers; they must keep these expressions' bits.
+def gelu_expression(x):
+    return 0.5 * x * (1.0 + np.tanh(sttf._GELU_C * (x + 0.044715 * (x * x * x))))
+
+
+def gelu_grad_expression(x):
+    t = np.tanh(sttf._GELU_C * (x + 0.044715 * (x * x * x)))
+    dt = (1.0 - t * t) * sttf._GELU_C * (1.0 + 3 * 0.044715 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * dt
+
+
+def softmax_expression(att):
+    att = att - att.max(axis=-1, keepdims=True)
+    ex = np.exp(att)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+class TestKernelBits:
+    SPECIAL = [0.0, -0.0, 1e-3, -1e-3, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3, 5e-324]
+
+    def inputs(self, seed=0):
+        rng = np.random.default_rng(seed)
+        x = rng.uniform(-40.0, 40.0, (4, 17, 90))
+        x[:2] = rng.normal(0.0, 3.0, (2, 17, 90))
+        x.flat[rng.choice(x.size, len(self.SPECIAL), replace=False)] = self.SPECIAL
+        return x
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["own-tanh", "shared-tanh"])
+    def test_gelu_and_derivative_keep_the_expression_bits(self, shared):
+        x = self.inputs()
+        x_bytes = x.tobytes()
+        t = sttf._gelu_tanh(x) if shared else None
+        t_bytes = None if t is None else t.tobytes()
+        grad = sttf._gelu_grad(x, t)
+        assert t is None or t.tobytes() == t_bytes
+        assert grad.tobytes() == gelu_grad_expression(x).tobytes()
+        assert sttf._gelu(x, t).tobytes() == gelu_expression(x).tobytes()
+        assert x.tobytes() == x_bytes
+
+    def test_softmax_keeps_the_expression_bits(self):
+        rng = np.random.default_rng(1)
+        att = rng.normal(0.0, 4.0, (3, 4, 17, 17))
+        att[0, 0] = 30.0
+        att[1, 2, 3] = [-30.0, 30.0] * 8 + [0.0]
+        want = softmax_expression(att).tobytes()
+        assert sttf._softmax(att).tobytes() == want
+        assert att.tobytes() == want    # written in place
+
+    def test_attention_probs_keep_the_expression_bits(self):
+        attn = sttf.MultiHeadSelfAttention(np.random.default_rng(2), "a", 32, 4)
+        attn.forward(np.random.default_rng(3).normal(0.0, 1.0, (5, 17, 32)))
+        scores = attn._q @ attn._k.transpose(0, 1, 3, 2) / math.sqrt(attn.d_head)
+        assert attn.probs.tobytes() == softmax_expression(scores).tobytes()
 
 
 class TestLoss:
