@@ -397,7 +397,7 @@ def _coco_rows(kp: Mapping, frame_idx: int) -> Tuple[list, list]:
     both in COCO order."""
     names = [None] * N_JOINTS
     for name in kp:
-        j = joint_from_name(name)
+        j = joint_from_name(name, f"frame {frame_idx}")
         if names[j] is not None:
             raise ValidationError(f"frame {frame_idx}: duplicate joint {name!r}")
         names[j] = name

@@ -264,7 +264,7 @@ def _keypoint_file_frame(i, raw, fps):
         named = {}
         for name, row in keypoints.items():
             if name.lower() not in JOINT_NAMES:
-                raise Invalid(f"unknown joint name {name!r}")
+                raise Invalid(f"frame {i}: unknown joint name {name!r}")
             if name.lower() in named:
                 raise Invalid(f"frame {i}: duplicate joint {name!r}")
             named[name.lower()] = (name, row)

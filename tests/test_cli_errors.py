@@ -16,7 +16,7 @@ from formcoach import assessment, cli, sttf
 from formcoach.alignment import AlignmentError
 from formcoach.kinematics import DescriptorError
 from formcoach.normalize import normalize_sequence
-from formcoach.skeleton import JointId, save_annotation, save_sequence
+from formcoach.skeleton import JOINT_NAMES, JointId, save_annotation, save_sequence
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
@@ -618,7 +618,15 @@ def add_correction(doc, joint):
     doc["corrections"] = [{"text": "t", "joint": joint, "frames": ["f0000"]}]
 
 
+def add_keypoint(doc, joint):
+    """Frame 5's keypoints as a mapping with ``joint`` added to the 17."""
+    frame = doc["frames"][5]
+    frame["keypoints"] = {**dict(zip(JOINT_NAMES, frame["keypoints"])),
+                          joint: frame["keypoints"][0]}
+
+
 @pytest.mark.parametrize("command, file, edit, key", [
+    ("assess", "cand.sequence.json", add_keypoint, "frame 5"),
     ("score-model", "report.json", add_correction, "corrections[0].joint"),
     ("score-model", "report.json",
      lambda doc, j: doc["frame_detail"].update(joints=["left_knee", j]),
@@ -640,9 +648,9 @@ def add_correction(doc, joint):
      "injected_errors[0].joint"),
     ("synth", "spec.json", lambda doc, j: doc.update(amplitude_deg={j: 80.0}),
      "amplitude_deg"),
-], ids=["report-correction", "report-detail", "config-targeted", "config-rule",
-        "config-phase", "config-angles", "annotation-targeted", "annotation-mistake",
-        "spec-error", "spec-amplitude"])
+], ids=["keypoint-file", "report-correction", "report-detail", "config-targeted",
+        "config-rule", "config-phase", "config-angles", "annotation-targeted",
+        "annotation-mistake", "spec-error", "spec-amplitude"])
 def test_unknown_joint_name_exits_2_naming_its_key(tmp_path, capsys, command, file,
                                                    edit, key):
     argv = command_inputs(tmp_path, command)

@@ -367,12 +367,14 @@ def keypoint_corpus(seed=3):
             doc = base()
             doc["frames"][frame]["keypoints"] = keypoints
             yield doc
-        for change in ("missing", "unknown", "duplicate"):
+        for change in ("missing", "unknown", "extra", "duplicate"):
             doc = base(mapping=True)
             kp = doc["frames"][frame]["keypoints"]
             knee = kp.pop("left_knee")
             if change == "unknown":
                 kp["left_knees"] = knee
+            elif change == "extra":
+                kp["left_knee"] = kp["elbowz"] = knee
             elif change == "duplicate":
                 kp["left_knee"] = kp["LEFT_KNEE"] = knee
             yield doc
