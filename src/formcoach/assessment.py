@@ -48,8 +48,9 @@ from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite, _joints,
-                       _key, _list, _number, joint_from_name, read_json, write_json_atomic)
+from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite,
+                       _joints, _json_number, _key, _list, joint_from_name, read_json,
+                       write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 REPORT_VERSION = 2
@@ -384,14 +385,6 @@ def report_to_dict(report: AssessmentReport) -> dict:
 def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
     """Serialize a report; ``load_report(save_report(r)) == r``."""
     write_json_atomic(path, report_to_dict(report))
-
-
-def _json_number(value, where: str, convert=_number) -> float:
-    """``convert(value, where)`` of a JSON number. ``float`` would also take
-    ``"0.5"`` or ``true``, which a report would then write back as a number."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where}: {value!r} is not a number")
-    return convert(value, where)
 
 
 def load_report(path: os.PathLike | str) -> AssessmentReport:

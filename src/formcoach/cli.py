@@ -49,9 +49,10 @@ from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JOINT_NAMES, Annotation,
-                       ValidationError, _key, _list, _number, joint_from_name,
-                       load_annotation, load_sequence, read_json, save_annotation,
-                       save_sequence, write_json_atomic, write_text_atomic)
+                       ValidationError, _json_number, _key, _list, _number,
+                       joint_from_name, load_annotation, load_sequence, read_json,
+                       save_annotation, save_sequence, write_json_atomic,
+                       write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
@@ -255,8 +256,8 @@ def cmd_synth(args) -> int:
 
 
 def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float]:
-    """(model config, epochs, lr) from ``path`` or the defaults; messages
-    name the key, not the file."""
+    """(model config, epochs, lr) from ``path`` or the defaults; ``epochs``
+    and ``lr`` must be JSON numbers. Messages name the key, not the file."""
     doc = {}
     if path:
         doc = read_json(path)
@@ -267,8 +268,8 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
     if unknown:
         raise ValidationError(f"unknown training config key {unknown[0]!r}")
     config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
-    epochs = _number(doc.get("epochs", 50), "epochs")
-    lr = _number(doc.get("lr", 1e-2), "lr")
+    epochs = _json_number(doc.get("epochs", 50), "epochs")
+    lr = _json_number(doc.get("lr", 1e-2), "lr")
     if not (epochs >= 1 and epochs.is_integer()):
         raise ValidationError(f"epochs must be a positive integer, got {epochs:g}")
     if not (lr > 0 and math.isfinite(lr)):

@@ -352,6 +352,15 @@ def _finite(value, where: str) -> float:
     return number
 
 
+def _json_number(value, where: str, convert=_number) -> float:
+    """``convert(value, where)`` of a JSON number. ``float`` would also take
+    ``"0.5"`` or ``true``; a file that holds either is refused, not read as a
+    number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{where}: {value!r} is not a number")
+    return convert(value, where)
+
+
 def _key(obj, key: str, where: str):
     """``obj[key]`` of a JSON object; a :class:`ValidationError` naming
     ``where`` if ``obj`` is not an object or lacks the key."""

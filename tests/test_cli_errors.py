@@ -232,9 +232,13 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"epochs": 0}, "epochs"),
     ({"lr": 0}, "lr"),
     ({"lr": "fast"}, "lr"),
+    ({"epochs": True}, "epochs: True is not a number"),
+    ({"epochs": "6"}, "epochs: '6' is not a number"),
+    ({"lr": True}, "lr: True is not a number"),
+    ({"lr": "0.01"}, "lr: '0.01' is not a number"),
     ({"epoch": 3}, "unknown training config key 'epoch'"),
 ], ids=["heads", "width", "seq-len", "layers", "seed", "epochs", "lr", "lr-text",
-        "unknown-key"])
+        "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text", "unknown-key"])
 def test_bad_training_config_exits_2(tmp_path, capsys, config, field):
     argv = write_train_inputs(tmp_path, **config)
     assert cli.main(argv) == cli.EXIT_VALIDATION
