@@ -17,13 +17,12 @@ once per epoch for plain full-batch gradient descent, and the
 finite-difference check in ``tests/test_sttf.py`` verifies the gradients it
 leaves against central differences, parameter by parameter.
 
-``forward`` keeps what ``backward`` reads: each ``Linear`` its input, each
-``LayerNorm`` its normalized input and deviation, the attention its split
-queries, keys and values and ``probs``, and the FFN its hidden layer's
-pre-activation, from which ``backward`` rebuilds the GELU output bit for bit.
-``backward`` consumes the caches of the preceding ``forward``, dropping each
-one as soon as it is read, so only ``attn.probs`` (documented as the last
-forward's attention) outlives a training step.
+``forward`` keeps only what ``backward`` reads: each ``Linear`` its input,
+each ``LayerNorm`` its normalized input and deviation, the attention its split
+queries, keys and values and ``probs``, and the FFN its pre-activation, from
+which ``backward`` rebuilds the GELU output bit for bit. ``backward`` consumes
+the caches of the preceding ``forward``, dropping each once it is read; only
+``attn.probs``, documented as the last forward's attention, outlives a step.
 
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
