@@ -330,6 +330,29 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
     assert err == f"error: {ckpt}: score_head.b has non-finite values\n"
 
 
+@pytest.mark.parametrize("edit, name", [
+    (lambda doc: doc["params"].update(
+        {"spatial.2.ln1.gamma": doc["params"]["spatial.0.ln1.gamma"]}),
+     "spatial.2.ln1.gamma"),
+    (lambda doc: doc["config"].update(seq_len=10 ** 10), "temporal_pos"),
+], ids=["extra-parameter", "huge-seq-len"])
+def test_checkpoint_parameters_must_be_the_configs(tmp_path, capsys, edit, name):
+    """The stored parameter table is checked against the config before any
+    parameter is allocated: an extra parameter is not ignored, and a huge
+    ``seq_len`` is refused rather than allocated."""
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    doc = json.loads(ckpt.read_text())
+    edit(doc)
+    ckpt.write_text(json.dumps(doc))
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {ckpt}: ") and name in err
+
+
 @pytest.mark.parametrize("error", [DescriptorError, AlignmentError])
 def test_documented_pipeline_errors_exit_2(tmp_path, monkeypatch, error):
     def fail(*args):

@@ -359,6 +359,63 @@ class TestTrainingStepMemory:
         assert peak <= 13 * hidden, peak / hidden
 
 
+def held_arrays(obj, path):
+    """Paths of the arrays that ``obj`` and its layers hold outside their
+    parameters, which is what a ``forward`` leaves for a ``backward``."""
+    found = []
+    items = enumerate(obj) if isinstance(obj, (list, tuple)) else vars(obj).items()
+    for key, value in items:
+        where = f"{path}.{key}"
+        if isinstance(value, np.ndarray):
+            found.append(where)
+        elif isinstance(value, (list, tuple)) or (
+                type(value).__module__ == sttf.__name__
+                and not isinstance(value, (sttf.Param, STTFConfig))):
+            found += held_arrays(value, where)
+    return found
+
+
+class TestInference:
+    """``STTFModel.forward`` as ``score-model`` and ``assess --aux-model``
+    call it, on a model as :func:`load_checkpoint` builds it."""
+
+    @pytest.mark.parametrize("cfg", [SMALL, STTFConfig()], ids=["small", "default"])
+    def test_same_bits_as_a_caching_forward(self, cfg):
+        model = STTFModel(cfg)
+        rng = np.random.default_rng(7)
+        for p in model.parameters():    # no residual branch left at zero
+            p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
+        x = random_input(cfg)
+        inference = model.forward(x)
+        caching = model.forward(x, cache=True)
+        for a, b in zip(inference, caching):
+            assert a.tobytes() == b.tobytes()
+
+    def test_loaded_model_keeps_only_probs_and_no_gradients(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(STTFModel(STTFConfig()), path)
+        model = load_checkpoint(path)
+        model.forward(random_input(model.config))
+        held = held_arrays(model, "model")
+        assert len(held) == len(model.spatial_blocks + model.temporal_blocks)
+        assert all(where.endswith(".attn.probs") for where in held), held
+        assert all(p.grad is None for p in model.parameters())
+
+    def test_load_draws_no_random_numbers(self, tmp_path, monkeypatch):
+        # Generator's methods cannot be patched, so every generator that
+        # default_rng makes is one whose normal raises.
+        class NoDraws(np.random.Generator):
+            def normal(self, *args, **kwargs):
+                raise AssertionError("drew random numbers")
+
+        model = STTFModel(SMALL)
+        path = tmp_path / "model.json"
+        save_checkpoint(model, path)
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoDraws(np.random.PCG64(seed)))
+        assert np.array_equal(get_flat(load_checkpoint(path)), get_flat(model))
+
+
 class TestTrain:
     def make_dataset(self, n=8):
         data = []
