@@ -17,12 +17,18 @@ once per epoch for plain full-batch gradient descent, and the
 finite-difference check in ``tests/test_sttf.py`` verifies the gradients it
 leaves against central differences, parameter by parameter.
 
-``forward`` keeps only what ``backward`` reads: each ``Linear`` its input,
-each ``LayerNorm`` its normalized input and deviation, the attention its split
-queries, keys and values and ``probs``, and the FFN its pre-activation, from
-which ``backward`` rebuilds the GELU output bit for bit. ``backward`` consumes
-the caches of the preceding ``forward``, dropping each once it is read; only
-``attn.probs``, documented as the last forward's attention, outlives a step.
+Each layer has one ``forward``, and its caller decides whether it keeps what
+``backward`` reads. :func:`backprop` asks for it with ``cache=True``: each
+``Linear`` then keeps its input, each ``LayerNorm`` its normalized input and
+deviation, the attention its split queries, keys and values, and the FFN its
+pre-activation, from which ``backward`` rebuilds the GELU output bit for bit.
+``backward`` consumes these caches, dropping each once it is read.
+``STTFModel.forward`` as ``cli._aux_scores`` calls it keeps none of them,
+with the same arithmetic and so the same bits. Either way the attention keeps
+``probs``, documented as the last forward's attention. Nor does inference
+carry gradients: :func:`load_checkpoint` builds the model from the stored
+arrays, drawing nothing, and ``Param.grad`` waits for the first
+:meth:`STTFModel.zero_grads`.
 
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
@@ -37,7 +43,7 @@ import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence as Seq, Tuple
+from typing import Callable, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -86,14 +92,46 @@ class STTFConfig:
 
 
 class Param:
-    """A named tensor with an accumulated gradient."""
+    """A named tensor with an accumulated gradient, which
+    :meth:`STTFModel.zero_grads` allocates: ``grad`` is None until then."""
 
     __slots__ = ("name", "value", "grad")
 
     def __init__(self, name: str, value: np.ndarray):
         self.name = name
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad: Optional[np.ndarray] = None
+
+
+Shape = Tuple[int, ...]
+# An initial value: ``init(rng, shape)`` draws it from ``rng``.
+Init = Callable[[np.random.Generator, Shape], np.ndarray]
+# ``new_param(name, shape, init)`` makes the parameter called ``name``. The
+# layers call it in a fixed order, which fixes what a new model draws from
+# its seed.
+ParamFactory = Callable[[str, Shape, Init], Param]
+
+
+def random_params(rng: np.random.Generator) -> ParamFactory:
+    """The factory of a new model: each ``init`` draws from ``rng``."""
+    return lambda name, shape, init: Param(name, init(rng, shape))
+
+
+def _normal(std: float) -> Init:
+    return lambda rng, shape: rng.normal(0.0, std, shape)
+
+
+def _zeroed(std: float) -> Init:
+    """Zeros, after making the draw of ``_normal(std)``: what every other
+    parameter draws from a seed does not depend on which weights start at 0."""
+    def init(rng: np.random.Generator, shape: Shape) -> np.ndarray:
+        rng.normal(0.0, std, shape)
+        return np.zeros(shape)
+    return init
+
+
+def _full(value: float) -> Init:
+    return lambda rng, shape: np.full(shape, value)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -153,15 +191,18 @@ def _softmax(att: np.ndarray) -> np.ndarray:
 
 
 class Linear:
-    def __init__(self, rng: np.random.Generator, name: str, d_in: int, d_out: int):
+    def __init__(self, new_param: ParamFactory, name: str, d_in: int, d_out: int,
+                 zero: bool = False):
         # Xavier keeps activations O(1) through the stack, which keeps the
-        # input-dependent signal visible to the heads at plain-SGD scales.
+        # input-dependent signal visible to the heads at plain-SGD scales. A
+        # zero ``W`` starts a residual branch that fades in during training,
+        # which keeps plain SGD stable at useful learning rates.
         std = math.sqrt(2.0 / (d_in + d_out))
-        self.W = Param(f"{name}.W", rng.normal(0.0, std, (d_in, d_out)))
-        self.b = Param(f"{name}.b", np.zeros(d_out))
+        self.W = new_param(f"{name}.W", (d_in, d_out), (_zeroed if zero else _normal)(std))
+        self.b = new_param(f"{name}.b", (d_out,), _full(0.0))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
+    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        self._x = x if cache else None
         return x @ self.W.value + self.b.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -176,16 +217,17 @@ class Linear:
 
 
 class LayerNorm:
-    def __init__(self, name: str, dim: int):
-        self.gamma = Param(f"{name}.gamma", np.ones(dim))
-        self.beta = Param(f"{name}.beta", np.zeros(dim))
+    def __init__(self, new_param: ParamFactory, name: str, dim: int):
+        self.gamma = new_param(f"{name}.gamma", (dim,), _full(1.0))
+        self.beta = new_param(f"{name}.beta", (dim,), _full(0.0))
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         mu = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
-        self._std = np.sqrt(var + _LN_EPS)
-        self._xhat = (x - mu) / self._std
-        return self.gamma.value * self._xhat + self.beta.value
+        std = np.sqrt(var + _LN_EPS)
+        xhat = (x - mu) / std
+        self._xhat, self._std = (xhat, std) if cache else (None, None)
+        return self.gamma.value * xhat + self.beta.value
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, std, self._xhat, self._std = self._xhat, self._std, None, None
@@ -204,16 +246,13 @@ class LayerNorm:
 class MultiHeadSelfAttention:
     """Softmax self-attention over the middle (sequence) axis of (B, S, D)."""
 
-    def __init__(self, rng, name: str, d_model: int, n_heads: int):
+    def __init__(self, new_param: ParamFactory, name: str, d_model: int, n_heads: int):
         self.n_heads = n_heads
         self.d_head = d_model // n_heads
-        self.wq = Linear(rng, f"{name}.wq", d_model, d_model)
-        self.wk = Linear(rng, f"{name}.wk", d_model, d_model)
-        self.wv = Linear(rng, f"{name}.wv", d_model, d_model)
-        self.wo = Linear(rng, f"{name}.wo", d_model, d_model)
-        # zero-init the residual-branch output so blocks fade in during
-        # training; keeps plain SGD stable at useful learning rates
-        self.wo.W.value[...] = 0.0
+        self.wq = Linear(new_param, f"{name}.wq", d_model, d_model)
+        self.wk = Linear(new_param, f"{name}.wk", d_model, d_model)
+        self.wv = Linear(new_param, f"{name}.wv", d_model, d_model)
+        self.wo = Linear(new_param, f"{name}.wo", d_model, d_model, zero=True)
         self.probs: Optional[np.ndarray] = None   # (B, H, S, S) of last forward
 
     def _split(self, x: np.ndarray) -> np.ndarray:
@@ -224,16 +263,16 @@ class MultiHeadSelfAttention:
         b, h, s, dh = x.shape
         return x.transpose(0, 2, 1, 3).reshape(b, s, h * dh)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        q = self._split(self.wq.forward(x))
-        k = self._split(self.wk.forward(x))
-        v = self._split(self.wv.forward(x))
+    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        q = self._split(self.wq.forward(x, cache))
+        k = self._split(self.wk.forward(x, cache))
+        v = self._split(self.wv.forward(x, cache))
         att = q @ k.transpose(0, 1, 3, 2)
         att /= math.sqrt(self.d_head)
-        probs = _softmax(att)
-        ctx = probs @ v
-        self._q, self._k, self._v, self.probs = q, k, v, probs
-        return self.wo.forward(self._merge(ctx))
+        self.probs = _softmax(att)
+        ctx = self.probs @ v
+        self._q, self._k, self._v = (q, k, v) if cache else (None, None, None)
+        return self.wo.forward(self._merge(ctx), cache)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         dctx = self._split(self.wo.backward(grad))
@@ -255,16 +294,14 @@ class MultiHeadSelfAttention:
 
 
 class FeedForward:
-    def __init__(self, rng, name: str, d_model: int, hidden: int):
-        self.fc1 = Linear(rng, f"{name}.fc1", d_model, hidden)
-        self.fc2 = Linear(rng, f"{name}.fc2", hidden, d_model)
-        self.fc2.W.value[...] = 0.0    # residual branch fades in
+    def __init__(self, new_param: ParamFactory, name: str, d_model: int, hidden: int):
+        self.fc1 = Linear(new_param, f"{name}.fc1", d_model, hidden)
+        self.fc2 = Linear(new_param, f"{name}.fc2", hidden, d_model, zero=True)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._h = self.fc1.forward(x)
-        out = self.fc2.forward(_gelu(self._h))
-        self.fc2._x = None    # gelu(_h): backward rebuilds it
-        return out
+    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        h = self.fc1.forward(x, cache)
+        self._h = h if cache else None
+        return self.fc2.forward(_gelu(h))    # backward rebuilds fc2's input
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         h, self._h = self._h, None
@@ -282,15 +319,16 @@ class FeedForward:
 class EncoderBlock:
     """Pre-norm transformer block: x + MHSA(LN(x)), then + FFN(LN(.))."""
 
-    def __init__(self, rng, name: str, d_model: int, n_heads: int, mlp_ratio: int):
-        self.ln1 = LayerNorm(f"{name}.ln1", d_model)
-        self.attn = MultiHeadSelfAttention(rng, f"{name}.attn", d_model, n_heads)
-        self.ln2 = LayerNorm(f"{name}.ln2", d_model)
-        self.ffn = FeedForward(rng, f"{name}.ffn", d_model, mlp_ratio * d_model)
+    def __init__(self, new_param: ParamFactory, name: str, d_model: int, n_heads: int,
+                 mlp_ratio: int):
+        self.ln1 = LayerNorm(new_param, f"{name}.ln1", d_model)
+        self.attn = MultiHeadSelfAttention(new_param, f"{name}.attn", d_model, n_heads)
+        self.ln2 = LayerNorm(new_param, f"{name}.ln2", d_model)
+        self.ffn = FeedForward(new_param, f"{name}.ffn", d_model, mlp_ratio * d_model)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        h = x + self.attn.forward(self.ln1.forward(x))
-        return h + self.ffn.forward(self.ln2.forward(h))
+    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+        h = x + self.attn.forward(self.ln1.forward(x, cache), cache)
+        return h + self.ffn.forward(self.ln2.forward(h, cache), cache)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         dh = grad + self.ln2.backward(self.ffn.backward(grad))
@@ -304,25 +342,28 @@ class EncoderBlock:
 class STTFModel:
     """Spatial-then-temporal transformer with score and mistake heads."""
 
-    def __init__(self, config: STTFConfig):
+    def __init__(self, config: STTFConfig, new_param: Optional[ParamFactory] = None):
+        """A new model drawn from ``config.seed``, or the one whose every
+        parameter ``new_param`` makes."""
         self.config = config
-        rng = np.random.default_rng(config.seed)
+        if new_param is None:
+            new_param = random_params(np.random.default_rng(config.seed))
         d, j, t = config.d_model, config.n_joints, config.seq_len
-        self.joint_embed = Linear(rng, "joint_embed", 2, d)
-        self.spatial_pos = Param("spatial_pos", rng.normal(0.0, _INIT_STD, (j, d)))
+        self.joint_embed = Linear(new_param, "joint_embed", 2, d)
+        self.spatial_pos = new_param("spatial_pos", (j, d), _normal(_INIT_STD))
         self.spatial_blocks = [
-            EncoderBlock(rng, f"spatial.{i}", d, config.n_heads, config.mlp_ratio)
+            EncoderBlock(new_param, f"spatial.{i}", d, config.n_heads, config.mlp_ratio)
             for i in range(config.spatial_layers)
         ]
-        self.flatten_proj = Linear(rng, "flatten_proj", j * d, d)
-        self.temporal_pos = Param("temporal_pos", rng.normal(0.0, _INIT_STD, (t, d)))
+        self.flatten_proj = Linear(new_param, "flatten_proj", j * d, d)
+        self.temporal_pos = new_param("temporal_pos", (t, d), _normal(_INIT_STD))
         self.temporal_blocks = [
-            EncoderBlock(rng, f"temporal.{i}", d, config.n_heads, config.mlp_ratio)
+            EncoderBlock(new_param, f"temporal.{i}", d, config.n_heads, config.mlp_ratio)
             for i in range(config.temporal_layers)
         ]
-        self.final_ln = LayerNorm("final_ln", d)
-        self.score_head = Linear(rng, "score_head", d, config.n_scores)
-        self.mistake_head = Linear(rng, "mistake_head", d, 1)
+        self.final_ln = LayerNorm(new_param, "final_ln", d)
+        self.score_head = Linear(new_param, "score_head", d, config.n_scores)
+        self.mistake_head = Linear(new_param, "mistake_head", d, 1)
 
     # -- parameter plumbing -------------------------------------------------
 
@@ -339,7 +380,10 @@ class STTFModel:
 
     def zero_grads(self) -> None:
         for p in self.parameters():
-            p.grad[...] = 0.0
+            if p.grad is None:
+                p.grad = np.zeros_like(p.value)
+            else:
+                p.grad[...] = 0.0
 
     # -- forward / backward -------------------------------------------------
 
@@ -358,43 +402,49 @@ class STTFModel:
             raise ValueError("non-finite values in model input")
         return x, single
 
-    def _spatial(self, x: np.ndarray) -> np.ndarray:
+    def _spatial(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         """Spatial stack over checked input (B, T, J, 2) -> (B, T, J, D)."""
         b, t, j, _ = x.shape
         d = self.config.d_model
-        tok = self.joint_embed.forward(x) + self.spatial_pos.value
+        tok = self.joint_embed.forward(x, cache) + self.spatial_pos.value
         h = tok.reshape(b * t, j, d)
         for blk in self.spatial_blocks:
-            h = blk.forward(h)
+            h = blk.forward(h, cache)
         return h.reshape(b, t, j, d)
 
-    def forward(self, x) -> Tuple[np.ndarray, np.ndarray]:
+    def forward(self, x, cache: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """Scores in [0, 1] (shape (3,)) and per-frame mistake logits (T,).
 
-        Batched input (B, T, 17, 2) yields (B, 3) and (B, T).
+        Batched input (B, T, 17, 2) yields (B, 3) and (B, T). With ``cache``
+        every layer keeps what :meth:`backward` reads; without, only the
+        attention's ``probs``.
         """
         x, single = self._check_input(x)
         b, t, j, _ = x.shape
         d = self.config.d_model
 
-        h = self._spatial(x).reshape(b, t, j * d)
-        f = self.flatten_proj.forward(h) + self.temporal_pos.value
+        h = self._spatial(x, cache).reshape(b, t, j * d)
+        f = self.flatten_proj.forward(h, cache) + self.temporal_pos.value
         for blk in self.temporal_blocks:
-            f = blk.forward(f)
-        z = self.final_ln.forward(f)
+            f = blk.forward(f, cache)
+        z = self.final_ln.forward(f, cache)
 
         pooled = z.mean(axis=1)
-        s_logit = self.score_head.forward(pooled)
+        s_logit = self.score_head.forward(pooled, cache)
         scores = _sigmoid(s_logit)
-        logits = self.mistake_head.forward(z)[..., 0]
+        logits = self.mistake_head.forward(z, cache)[..., 0]
 
-        self._cache = (b, t, j, d, scores)
+        self._cache = (b, t, j, d, scores) if cache else None
         if single:
             return scores[0], logits[0]
         return scores, logits
 
     def backward(self, dscores: np.ndarray, dlogits: np.ndarray) -> np.ndarray:
-        """Backpropagate output gradients; accumulates into ``Param.grad``."""
+        """Backpropagate output gradients; accumulates into ``Param.grad``.
+
+        Reads the caches of the preceding ``forward(x, cache=True)``, which
+        it needs: after a forward without ``cache`` there is nothing to read.
+        """
         b, t, j, d, scores = self._cache
         dscores = np.asarray(dscores, dtype=np.float64).reshape(b, -1)
         dlogits = np.asarray(dlogits, dtype=np.float64).reshape(b, t)
@@ -445,7 +495,7 @@ def backprop(model: STTFModel, x, t_scores, labels) -> float:
     """
     with np.errstate(over="ignore", invalid="ignore"):
         model.zero_grads()
-        scores, logits = model.forward(x)
+        scores, logits = model.forward(x, cache=True)
         value = loss((scores, logits), (t_scores, labels))
         if math.isfinite(value):
             model.backward(2.0 * (scores - t_scores) / scores.size,
@@ -564,7 +614,11 @@ def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
 
 
 def load_checkpoint(path: os.PathLike | str) -> STTFModel:
-    """Load a :func:`save_checkpoint` file; messages do not name the file."""
+    """Load a :func:`save_checkpoint` file; messages do not name the file.
+
+    The model is built from the stored arrays: nothing is drawn, and no
+    gradient is allocated.
+    """
     doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
         raise ValidationError("not an STTF checkpoint")
@@ -575,27 +629,52 @@ def load_checkpoint(path: os.PathLike | str) -> STTFModel:
     if version != _CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {version}")
     try:
-        model = STTFModel(STTFConfig(**doc["config"]))
+        config = STTFConfig(**doc["config"])
         stored = doc["params"]
     except (KeyError, TypeError, ValueError) as e:
         raise ValidationError(f"malformed checkpoint ({e!r})") from e
     if not isinstance(stored, dict):
         raise ValidationError("params must be an object")
-    for p in model.parameters():
-        if p.name not in stored:
-            raise ValidationError(f"checkpoint missing {p.name}")
-        entry = stored[p.name]
+    values = {name: _decoded(name, stored[name])
+              for name in _parameter_table(config, stored)}
+    return STTFModel(config, lambda name, shape, init: Param(name, values[name]))
+
+
+def _parameter_table(config: STTFConfig, stored: dict) -> List[str]:
+    """The names of ``config``'s parameters in model order, once ``stored``
+    is seen to declare exactly these, each with its shape.
+
+    Allocates no parameter, so a config too large to build is refused by the
+    first shape it implies that ``stored`` lacks.
+    """
+    names = []
+
+    def check(name: str, shape: Shape, init: Init) -> None:
+        if name not in stored:
+            raise ValidationError(f"checkpoint missing {name}")
         try:
-            # binascii.Error, raised for data that is not base64, is a ValueError
-            raw = base64.b64decode(entry["data"], validate=True)
-            arr = np.frombuffer(raw, "<f8").reshape(entry["shape"])
-        except (KeyError, TypeError, ValueError) as e:
-            raise ValidationError(f"malformed {p.name} ({e!r})") from e
-        if arr.shape != p.value.shape:
-            raise ValidationError(
-                f"{p.name} has shape {arr.shape}, expected {p.value.shape}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValidationError(f"{p.name} has non-finite values")
-        p.value[...] = arr
-    return model
+            declared = tuple(stored[name]["shape"])
+        except (KeyError, TypeError) as e:
+            raise ValidationError(f"malformed {name} ({e!r})") from e
+        if declared != shape:
+            raise ValidationError(f"{name} has shape {declared}, expected {shape}")
+        names.append(name)
+
+    STTFModel(config, check)
+    extra = set(stored).difference(names)
+    if extra:
+        raise ValidationError(f"checkpoint has unexpected {min(extra)}")
+    return names
+
+
+def _decoded(name: str, entry: dict) -> np.ndarray:
+    """The values of a stored parameter whose declared shape is checked."""
+    try:
+        # binascii.Error, raised for data that is not base64, is a ValueError
+        raw = base64.b64decode(entry["data"], validate=True)
+        arr = np.frombuffer(raw, "<f8").reshape(entry["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValidationError(f"malformed {name} ({e!r})") from e
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{name} has non-finite values")
+    return arr.astype(np.float64)    # a writable copy in native byte order

@@ -236,8 +236,9 @@ class TestKernelBits:
         assert att.tobytes() == want    # written in place
 
     def test_attention_probs_keep_the_expression_bits(self):
-        attn = sttf.MultiHeadSelfAttention(np.random.default_rng(2), "a", 32, 4)
-        attn.forward(np.random.default_rng(3).normal(0.0, 1.0, (5, 17, 32)))
+        attn = sttf.MultiHeadSelfAttention(
+            sttf.random_params(np.random.default_rng(2)), "a", 32, 4)
+        attn.forward(np.random.default_rng(3).normal(0.0, 1.0, (5, 17, 32)), cache=True)
         scores = attn._q @ attn._k.transpose(0, 1, 3, 2) / math.sqrt(attn.d_head)
         assert attn.probs.tobytes() == softmax_expression(scores).tobytes()
 
