@@ -312,12 +312,59 @@ class TestGradients:
         for name in single:
             assert np.allclose(single[name], doubled[name], atol=1e-12)
 
+    def test_per_example_step_equals_the_full_batch_step(self):
+        model = STTFModel(SMALL)
+        rng = np.random.default_rng(5)
+        for p in model.parameters():    # no residual branch left at zero
+            p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
+        x, t_scores, labels = batch_of(SMALL, 4)
+        value, grads = compute_gradients(model, x, (t_scores, labels))
+        assert value == loss(model.forward(x), (t_scores, labels))
+        model.zero_grads()
+        scores, logits = model.forward(x, cache=True)
+        model.backward(2.0 * (scores - t_scores) / scores.size,
+                       (sttf._sigmoid(logits) - labels) / logits.size)
+        for p in model.parameters():
+            np.testing.assert_allclose(grads[p.name], p.grad, rtol=1e-12, atol=1e-15,
+                                       err_msg=p.name)
+
     def test_non_finite_loss_leaves_zero_gradients(self):
         model = STTFModel(SMALL)
         model.mistake_head.b.value[...] = np.nan
         value = backprop(model, random_input(SMALL), *random_target(SMALL))
         assert np.isnan(value)
         assert not any(p.grad.any() for p in model.parameters())
+
+
+def batch_of(cfg, size):
+    """(input, target scores, labels) of ``size`` seeded examples."""
+    x = np.stack([random_input(cfg, seed) for seed in range(size)])
+    t_scores, labels = (np.stack(column) for column in zip(
+        *(random_target(cfg, seed) for seed in range(size))))
+    return x, t_scores, labels
+
+
+def traced_backprop(cfg, size):
+    """(model after one :func:`backprop` of a new model on ``size``
+    examples, bytes it still holds, traced peak), by ``tracemalloc``."""
+    batch = batch_of(cfg, size)
+    model = STTFModel(cfg)
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backprop(model, *batch)
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return model, after - before, peak - before
+
+
+def hidden_bytes(cfg):
+    """One example's FFN hidden activation in the spatial stack."""
+    return cfg.seq_len * cfg.n_joints * cfg.mlp_ratio * cfg.d_model * 8
 
 
 class TestTrainingStepMemory:
@@ -331,23 +378,7 @@ class TestTrainingStepMemory:
     def step(self):
         """(model after the step, bytes it still holds, traced peak, unit)."""
         cfg = STTFConfig()
-        x = np.stack([random_input(cfg, seed) for seed in range(self.BATCH)])
-        t_scores, labels = (np.stack(column) for column in zip(
-            *(random_target(cfg, seed) for seed in range(self.BATCH))))
-        model = STTFModel(cfg)
-        was_tracing = tracemalloc.is_tracing()
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            backprop(model, x, t_scores, labels)
-            after, peak = tracemalloc.get_traced_memory()
-        finally:
-            if not was_tracing:
-                tracemalloc.stop()
-        hidden = (self.BATCH * cfg.seq_len * cfg.n_joints
-                  * cfg.mlp_ratio * cfg.d_model * 8)
-        return model, after - before, peak - before, hidden
+        return (*traced_backprop(cfg, self.BATCH), self.BATCH * hidden_bytes(cfg))
 
     def test_backward_releases_what_forward_cached(self, step):
         model, held, _, _ = step
@@ -358,6 +389,12 @@ class TestTrainingStepMemory:
     def test_peak_is_at_most_13_hidden_activations(self, step):
         _, _, peak, hidden = step
         assert peak <= 13 * hidden, peak / hidden
+
+    def test_peak_does_not_grow_with_the_batch(self):
+        cfg = STTFConfig()
+        unit = hidden_bytes(cfg)
+        peak2, peak8 = (traced_backprop(cfg, size)[2] for size in (2, 8))
+        assert peak8 <= peak2 + unit, (peak2 / unit, peak8 / unit)
 
 
 def held_arrays(obj, path):
