@@ -60,6 +60,11 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
+# The largest ``seq_len`` a training config may ask for, checked before any
+# input is resampled to it. A training step's temporal attention holds
+# n_heads * seq_len**2 floats per block, 512 MiB at 4096 with 4 heads.
+_MAX_TRAIN_SEQ_LEN = 4096
+
 # Frame ids are free strings; with these escaped, each aid's file stays inside
 # the output directory and gets a name that no other frame id maps to.
 _FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
@@ -268,6 +273,9 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
     if unknown:
         raise ValidationError(f"unknown training config key {unknown[0]!r}")
     config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
+    if config.seq_len > _MAX_TRAIN_SEQ_LEN:
+        raise ValidationError(f"seq_len must be at most {_MAX_TRAIN_SEQ_LEN}, "
+                              f"got {config.seq_len}")
     epochs = _json_number(doc.get("epochs", 50), "epochs")
     lr = _json_number(doc.get("lr", 1e-2), "lr")
     if not (epochs >= 1 and epochs.is_integer()):

@@ -15,14 +15,18 @@ Everything is explicit forward/backward with exact gradients — no autograd.
 :func:`backprop` is the one loss-and-gradient step: :func:`train` runs it
 once per epoch for plain full-batch gradient descent, and the
 finite-difference check in ``tests/test_sttf.py`` verifies the gradients it
-leaves against central differences, parameter by parameter.
+leaves against central differences, parameter by parameter. The gradient is
+the full batch's, summed one example at a time: LayerNorm, attention and the
+heads each work inside one example, so no layer couples examples.
 
 Each layer has one ``forward``, and its caller decides whether it keeps what
-``backward`` reads. :func:`backprop` asks for it with ``cache=True``: each
-``Linear`` then keeps its input, each ``LayerNorm`` its normalized input and
-deviation, the attention its split queries, keys and values, and the FFN its
-pre-activation, from which ``backward`` rebuilds the GELU output bit for bit.
-``backward`` consumes these caches, dropping each once it is read.
+``backward`` reads. :func:`backprop` asks for it with ``cache=True``, for one
+example at a time: each ``Linear`` then keeps its input, each ``LayerNorm``
+its normalized input and deviation, the attention its split queries, keys and
+values, and the FFN its pre-activation, from which ``backward`` rebuilds the
+GELU output bit for bit. ``backward`` consumes these caches, dropping each
+once it is read, so a training step holds one example's caches however large
+the batch.
 ``STTFModel.forward`` as ``cli._aux_scores`` calls it keeps none of them,
 with the same arithmetic and so the same bits. Either way the attention keeps
 ``probs``, documented as the last forward's attention. Nor does inference
@@ -222,10 +226,10 @@ class LayerNorm:
         self.beta = new_param(f"{name}.beta", (dim,), _full(0.0))
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        mu = x.mean(axis=-1, keepdims=True)
-        var = x.var(axis=-1, keepdims=True)
-        std = np.sqrt(var + _LN_EPS)
-        xhat = (x - mu) / std
+        # ``x.var`` subtracts the mean in the same way, so the bits are its.
+        xhat = x - x.mean(axis=-1, keepdims=True)
+        std = np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
+        xhat /= std
         self._xhat, self._std = (xhat, std) if cache else (None, None)
         return self.gamma.value * xhat + self.beta.value
 
@@ -490,16 +494,34 @@ def backprop(model: STTFModel, x, t_scores, labels) -> float:
     """The one loss-and-gradient step: the loss of one batch, with the exact
     gradient of every parameter left in ``Param.grad``.
 
+    The gradient is the full batch's, summed one example at a time: no layer
+    couples examples, so each example runs its own forward and backward, with
+    its output gradients scaled by the whole batch's sizes, and a step holds
+    one example's caches. An unbatched input is a batch of one. The loss is
+    taken once, over all the outputs.
+
     A diverging model overflows without NumPy warnings: the loss comes back
     non-finite, and then the gradients are left at zero.
     """
+    x, single = model._check_input(x)
+    t_scores, labels = (np.asarray(a, dtype=np.float64) for a in (t_scores, labels))
+    if single:
+        t_scores, labels = t_scores[None], labels[None]
+    n, cfg = len(x), model.config
+    # Each example's targets are read before the loss checks them.
+    if t_scores.shape != (n, cfg.n_scores) or labels.shape != (n, cfg.seq_len):
+        raise ValueError(f"targets {t_scores.shape} and {labels.shape} do not "
+                         f"fit {n} examples")
+    scores, logits = np.empty(t_scores.shape), np.empty(labels.shape)
     with np.errstate(over="ignore", invalid="ignore"):
         model.zero_grads()
-        scores, logits = model.forward(x, cache=True)
+        for i in range(n):
+            scores[i:i + 1], logits[i:i + 1] = model.forward(x[i:i + 1], cache=True)
+            model.backward(2.0 * (scores[i] - t_scores[i]) / t_scores.size,
+                           (_sigmoid(logits[i]) - labels[i]) / labels.size)
         value = loss((scores, logits), (t_scores, labels))
-        if math.isfinite(value):
-            model.backward(2.0 * (scores - t_scores) / scores.size,
-                           (_sigmoid(logits) - labels) / logits.size)
+        if not math.isfinite(value):
+            model.zero_grads()
     return value
 
 
@@ -511,6 +533,10 @@ def train(model: STTFModel, dataset: Seq[Tuple[np.ndarray, np.ndarray, np.ndarra
           epochs: int, lr: float = 1e-2) -> List[float]:
     """Gradient-descend the model on (input, target_scores, frame_labels)
     triples; returns the per-epoch loss curve (evaluated before each update).
+
+    Each epoch steps along the whole dataset's gradient, which
+    :func:`backprop` sums one example at a time, so a step holds one
+    example's caches.
     """
     if not dataset:
         raise ValidationError("empty training dataset")

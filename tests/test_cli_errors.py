@@ -227,6 +227,7 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"n_heads": 0}, "n_heads"),
     ({"d_model": 0}, "d_model"),
     ({"seq_len": 8.5}, "seq_len"),
+    ({"seq_len": 10 ** 10}, "seq_len must be at most 4096, got 10000000000"),
     ({"spatial_layers": -1}, "spatial_layers"),
     ({"seed": -1}, "seed"),
     ({"epochs": 0}, "epochs"),
@@ -237,8 +238,9 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"lr": True}, "lr: True is not a number"),
     ({"lr": "0.01"}, "lr: '0.01' is not a number"),
     ({"epoch": 3}, "unknown training config key 'epoch'"),
-], ids=["heads", "width", "seq-len", "layers", "seed", "epochs", "lr", "lr-text",
-        "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text", "unknown-key"])
+], ids=["heads", "width", "seq-len", "huge-seq-len", "layers", "seed", "epochs", "lr",
+        "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
+        "unknown-key"])
 def test_bad_training_config_exits_2(tmp_path, capsys, config, field):
     argv = write_train_inputs(tmp_path, **config)
     assert cli.main(argv) == cli.EXIT_VALIDATION

@@ -204,6 +204,13 @@ def softmax_expression(att):
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def layer_norm_expression(x):
+    """(normalized input, deviation) of LayerNorm."""
+    mu = x.mean(axis=-1, keepdims=True)
+    std = np.sqrt(x.var(axis=-1, keepdims=True) + sttf._LN_EPS)
+    return (x - mu) / std, std
+
+
 class TestKernelBits:
     SPECIAL = [0.0, -0.0, 1e-3, -1e-3, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3, 5e-324]
 
@@ -241,6 +248,20 @@ class TestKernelBits:
         attn.forward(np.random.default_rng(3).normal(0.0, 1.0, (5, 17, 32)), cache=True)
         scores = attn._q @ attn._k.transpose(0, 1, 3, 2) / math.sqrt(attn.d_head)
         assert attn.probs.tobytes() == softmax_expression(scores).tobytes()
+
+    def test_layer_norm_keeps_the_expression_bits(self):
+        rng = np.random.default_rng(4)
+        ln = sttf.LayerNorm(sttf.random_params(rng), "ln", 90)
+        ln.gamma.value[...] = rng.normal(1.0, 0.5, 90)
+        ln.beta.value[...] = rng.normal(0.0, 0.5, 90)
+        x = self.inputs(seed=2)
+        x_bytes = x.tobytes()
+        xhat, std = layer_norm_expression(x)
+        out = ln.forward(x, cache=True)
+        assert out.tobytes() == (ln.gamma.value * xhat + ln.beta.value).tobytes()
+        assert ln._xhat.tobytes() == xhat.tobytes()
+        assert ln._std.tobytes() == std.tobytes()
+        assert x.tobytes() == x_bytes
 
 
 class TestLoss:
@@ -368,9 +389,12 @@ def hidden_bytes(cfg):
 
 
 class TestTrainingStepMemory:
-    """One :func:`backprop` of the default model on a batch of 4, traced by
-    ``tracemalloc``, which sees NumPy's buffers. The unit is one FFN hidden
-    activation of the spatial stack, the largest array of the step."""
+    """One :func:`backprop` of the default model, traced by ``tracemalloc``,
+    which sees NumPy's buffers. The gradient is the full batch's, summed one
+    example at a time, so a step holds one example's caches and its peak
+    does not grow with the batch. The unit is one FFN hidden activation of
+    the spatial stack, the largest array of the step: the fixture's is that
+    of its batch of 4, the batch test's that of one example."""
 
     BATCH = 4
 
