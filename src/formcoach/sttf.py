@@ -498,7 +498,9 @@ def backprop(model: STTFModel, x, t_scores, labels) -> float:
     couples examples, so each example runs its own forward and backward, with
     its output gradients scaled by the whole batch's sizes, and a step holds
     one example's caches. An unbatched input is a batch of one. The loss is
-    taken once, over all the outputs.
+    taken once, over all the outputs. These are batch-1 forwards' outputs,
+    as at inference: a batched ``forward`` can differ from them in the last
+    bit, since BLAS may order a one-row product differently.
 
     A diverging model overflows without NumPy warnings: the loss comes back
     non-finite, and then the gradients are left at zero.

@@ -340,7 +340,13 @@ class TestGradients:
             p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
         x, t_scores, labels = batch_of(SMALL, 4)
         value, grads = compute_gradients(model, x, (t_scores, labels))
-        assert value == loss(model.forward(x), (t_scores, labels))
+        # The outputs are batch-1 forwards': BLAS may order a one-row product
+        # differently from a four-row one, which moves a score's last bit.
+        each = [model.forward(example) for example in x]
+        assert value == loss(tuple(np.stack(out) for out in zip(*each)),
+                             (t_scores, labels))
+        assert value == pytest.approx(loss(model.forward(x), (t_scores, labels)),
+                                      rel=1e-15)
         model.zero_grads()
         scores, logits = model.forward(x, cache=True)
         model.backward(2.0 * (scores - t_scores) / scores.size,
