@@ -149,7 +149,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 # tanh-form GELU (Hendrycks & Gimpel 2016), in one or two buffers but in the
 # operation order of the one-line expressions that ``tests/test_sttf.py``
-# keeps, so the bits are theirs. Powers are products: NumPy computes
+# keeps, or one with the same bits, so the bits are theirs. Powers are products: NumPy computes
 # ``x ** 3`` through ``pow``, several times slower than two multiplies.
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     """``tanh(c (x + 0.044715 x^3))``, the term GELU and its derivative share."""
@@ -165,7 +165,12 @@ def _gelu(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
     """GELU of ``x``; pass ``t = _gelu_tanh(x)`` to reuse it, which overwrites it."""
     t = _gelu_tanh(x) if t is None else t
     t += 1.0
-    return np.multiply(0.5 * x, t, out=t)
+    # The bits of ``0.5 * x * (1 + t)`` without a buffer for ``0.5 * x``:
+    # where ``1 + t`` is not 1, ``(1 + t) * x`` is far from the subnormal
+    # range, so halving it last is exact.
+    t *= x
+    t *= 0.5
+    return t
 
 
 def _gelu_grad(x: np.ndarray, t: Optional[np.ndarray] = None) -> np.ndarray:
@@ -207,7 +212,9 @@ class Linear:
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         self._x = x if cache else None
-        return x @ self.W.value + self.b.value
+        out = x @ self.W.value
+        out += self.b.value
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         d_in, d_out = self.W.value.shape
@@ -231,7 +238,9 @@ class LayerNorm:
         std = np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + _LN_EPS)
         xhat /= std
         self._xhat, self._std = (xhat, std) if cache else (None, None)
-        return self.gamma.value * xhat + self.beta.value
+        out = np.multiply(xhat, self.gamma.value, out=None if cache else xhat)
+        out += self.beta.value
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         xhat, std, self._xhat, self._std = self._xhat, self._std, None, None
@@ -305,7 +314,9 @@ class FeedForward:
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
         h = self.fc1.forward(x, cache)
         self._h = h if cache else None
-        return self.fc2.forward(_gelu(h))    # backward rebuilds fc2's input
+        g = _gelu(h)    # backward rebuilds fc2's input
+        del h           # freed before fc2's product unless cached
+        return self.fc2.forward(g)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         h, self._h = self._h, None
@@ -331,8 +342,11 @@ class EncoderBlock:
         self.ffn = FeedForward(new_param, f"{name}.ffn", d_model, mlp_ratio * d_model)
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        h = x + self.attn.forward(self.ln1.forward(x, cache), cache)
-        return h + self.ffn.forward(self.ln2.forward(h, cache), cache)
+        h = self.attn.forward(self.ln1.forward(x, cache), cache)
+        h += x
+        out = self.ffn.forward(self.ln2.forward(h, cache), cache)
+        out += h
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         dh = grad + self.ln2.backward(self.ffn.backward(grad))
