@@ -149,8 +149,9 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 # tanh-form GELU (Hendrycks & Gimpel 2016), in one or two buffers but in the
 # operation order of the one-line expressions that ``tests/test_sttf.py``
-# keeps, or one with the same bits, so the bits are theirs. Powers are products: NumPy computes
-# ``x ** 3`` through ``pow``, several times slower than two multiplies.
+# keeps, or in one with the same bits, so the bits are theirs. Powers are
+# products: NumPy computes ``x ** 3`` through ``pow``, several times slower
+# than two multiplies.
 def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     """``tanh(c (x + 0.044715 x^3))``, the term GELU and its derivative share."""
     t = x * x

@@ -212,7 +212,9 @@ def layer_norm_expression(x):
 
 
 class TestKernelBits:
-    SPECIAL = [0.0, -0.0, 1e-3, -1e-3, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3, 5e-324]
+    # The last two: halving them, as GELU does last, rounds.
+    SPECIAL = [0.0, -0.0, 1e-3, -1e-3, 5.0, -5.0, 30.0, -30.0, 1e3, -1e3, 5e-324,
+               -1.5e-323, 2.225073858507202e-308]
 
     def inputs(self, seed=0):
         rng = np.random.default_rng(seed)
@@ -371,22 +373,28 @@ def batch_of(cfg, size):
     return x, t_scores, labels
 
 
-def traced_backprop(cfg, size):
-    """(model after one :func:`backprop` of a new model on ``size``
-    examples, bytes it still holds, traced peak), by ``tracemalloc``."""
-    batch = batch_of(cfg, size)
-    model = STTFModel(cfg)
+def traced(call):
+    """(bytes that ``call()`` leaves allocated, its peak), traced by
+    ``tracemalloc``, which sees NumPy's buffers."""
     was_tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        backprop(model, *batch)
+        call()
         after, peak = tracemalloc.get_traced_memory()
     finally:
         if not was_tracing:
             tracemalloc.stop()
-    return model, after - before, peak - before
+    return after - before, peak - before
+
+
+def traced_backprop(cfg, size):
+    """(model after one :func:`backprop` of a new model on ``size``
+    examples, bytes it still holds, traced peak)."""
+    batch = batch_of(cfg, size)
+    model = STTFModel(cfg)
+    return (model, *traced(lambda: backprop(model, *batch)))
 
 
 def hidden_bytes(cfg):
@@ -458,6 +466,14 @@ class TestInference:
         caching = model.forward(x, cache=True)
         for a, b in zip(inference, caching):
             assert a.tobytes() == b.tobytes()
+
+    def test_forward_peak_is_at_most_4_5_hidden_activations(self):
+        """The arrays a forward makes and drops are what a process that only
+        scores hands back to the kernel and faults in again on every call."""
+        cfg = STTFConfig()
+        model, x = STTFModel(cfg), random_input(cfg)
+        _, peak = traced(lambda: model.forward(x))
+        assert peak <= 4.5 * hidden_bytes(cfg), peak / hidden_bytes(cfg)
 
     def test_loaded_model_keeps_only_probs_and_no_gradients(self, tmp_path):
         path = tmp_path / "model.json"
