@@ -26,7 +26,12 @@ its normalized input and deviation, the attention its split queries, keys and
 values, and the FFN its pre-activation, from which ``backward`` rebuilds the
 GELU output bit for bit. ``backward`` consumes these caches, dropping each
 once it is read, so a training step holds one example's caches however large
-the batch.
+the batch. The spatial stack runs ``_SPATIAL_FRAMES`` frames at a time, and
+``STTFModel.forward`` never caches it: with ``cache=True`` the model keeps
+the checked input, and ``STTFModel.backward`` reruns the spatial stack one
+chunk of frames at a time, caching, and backpropagates each chunk before the
+next. The spatial caches so live only inside ``backward``, one chunk at a
+time (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016).
 ``STTFModel.forward`` as ``cli._aux_scores`` calls it keeps none of them,
 with the same arithmetic and so the same bits. Either way the attention keeps
 ``probs``, documented as the last forward's attention. Nor does inference
@@ -58,6 +63,12 @@ from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, N_JOINTS, Annotation,
 _INIT_STD = 0.02
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
+
+# The spatial stack runs this many frames at a time. Its layers each work
+# inside one frame, so the size changes no output bit, only the order in
+# which the spatial weight gradients are summed; a training step holds one
+# chunk's spatial caches at a time.
+_SPATIAL_FRAMES = 16
 
 
 class TrainingDivergedError(RuntimeError):
@@ -267,7 +278,9 @@ class MultiHeadSelfAttention:
         self.wk = Linear(new_param, f"{name}.wk", d_model, d_model)
         self.wv = Linear(new_param, f"{name}.wv", d_model, d_model)
         self.wo = Linear(new_param, f"{name}.wo", d_model, d_model, zero=True)
-        self.probs: Optional[np.ndarray] = None   # (B, H, S, S) of last forward
+        # (B, H, S, S) of the last forward; in a spatial block, that of the
+        # last chunk of frames the stack ran.
+        self.probs: Optional[np.ndarray] = None
 
     def _split(self, x: np.ndarray) -> np.ndarray:
         b, s, d = x.shape
@@ -422,28 +435,35 @@ class STTFModel:
         return x, single
 
     def _spatial(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        """Spatial stack over checked input (B, T, J, 2) -> (B, T, J, D)."""
-        b, t, j, _ = x.shape
-        d = self.config.d_model
-        tok = self.joint_embed.forward(x, cache) + self.spatial_pos.value
-        h = tok.reshape(b * t, j, d)
+        """Spatial stack over checked frames (..., J, 2) -> (..., J, D)."""
+        *lead, j, _ = x.shape
+        tok = self.joint_embed.forward(x.reshape(-1, j, 2), cache)
+        tok += self.spatial_pos.value
         for blk in self.spatial_blocks:
-            h = blk.forward(h, cache)
-        return h.reshape(b, t, j, d)
+            tok = blk.forward(tok, cache)
+        return tok.reshape(*lead, j, self.config.d_model)
 
     def forward(self, x, cache: bool = False) -> Tuple[np.ndarray, np.ndarray]:
         """Scores in [0, 1] (shape (3,)) and per-frame mistake logits (T,).
 
-        Batched input (B, T, 17, 2) yields (B, 3) and (B, T). With ``cache``
-        every layer keeps what :meth:`backward` reads; without, only the
-        attention's ``probs``.
+        Batched input (B, T, 17, 2) yields (B, 3) and (B, T). The spatial
+        stack runs ``_SPATIAL_FRAMES`` frames at a time and caches nothing:
+        with ``cache``, the layers after it keep what :meth:`backward` reads,
+        and the model keeps the checked input, from which ``backward``
+        reruns the spatial stack. Without ``cache``, only the attention's
+        ``probs`` stay.
         """
         x, single = self._check_input(x)
         b, t, j, _ = x.shape
         d = self.config.d_model
 
-        h = self._spatial(x, cache).reshape(b, t, j * d)
-        f = self.flatten_proj.forward(h, cache) + self.temporal_pos.value
+        frames = x.reshape(b * t, j, 2)
+        h = np.empty((b * t, j, d))
+        for start in range(0, b * t, _SPATIAL_FRAMES):
+            chunk = slice(start, start + _SPATIAL_FRAMES)
+            h[chunk] = self._spatial(frames[chunk])
+        f = self.flatten_proj.forward(h.reshape(b, t, j * d), cache)
+        f += self.temporal_pos.value
         for blk in self.temporal_blocks:
             f = blk.forward(f, cache)
         z = self.final_ln.forward(f, cache)
@@ -453,7 +473,7 @@ class STTFModel:
         scores = _sigmoid(s_logit)
         logits = self.mistake_head.forward(z, cache)[..., 0]
 
-        self._cache = (b, t, j, d, scores) if cache else None
+        self._cache = (x, scores) if cache else None
         if single:
             return scores[0], logits[0]
         return scores, logits
@@ -463,8 +483,14 @@ class STTFModel:
 
         Reads the caches of the preceding ``forward(x, cache=True)``, which
         it needs: after a forward without ``cache`` there is nothing to read.
+        Past ``flatten_proj`` it reruns the spatial stack ``_SPATIAL_FRAMES``
+        frames at a time, caching, and backpropagates each chunk before the
+        next, so the spatial caches live only here, one chunk at a time.
+        Returns the gradient of the input.
         """
-        b, t, j, d, scores = self._cache
+        (x, scores), self._cache = self._cache, None
+        b, t, j, _ = x.shape
+        d = self.config.d_model
         dscores = np.asarray(dscores, dtype=np.float64).reshape(b, -1)
         dlogits = np.asarray(dlogits, dtype=np.float64).reshape(b, t)
 
@@ -477,13 +503,19 @@ class STTFModel:
         for blk in reversed(self.temporal_blocks):
             df = blk.backward(df)
         self.temporal_pos.grad += df.sum(axis=0)
-        dh = self.flatten_proj.backward(df)
-        dh = dh.reshape(b * t, j, d)
-        for blk in reversed(self.spatial_blocks):
-            dh = blk.backward(dh)
-        dtok = dh.reshape(b, t, j, d)
-        self.spatial_pos.grad += dtok.sum(axis=(0, 1))
-        return self.joint_embed.backward(dtok)
+        dh = self.flatten_proj.backward(df).reshape(b * t, j, d)
+
+        frames = x.reshape(b * t, j, 2)
+        dx = np.empty_like(frames)
+        for start in range(0, b * t, _SPATIAL_FRAMES):
+            chunk = slice(start, start + _SPATIAL_FRAMES)
+            self._spatial(frames[chunk], cache=True)
+            dtok = dh[chunk]
+            for blk in reversed(self.spatial_blocks):
+                dtok = blk.backward(dtok)
+            self.spatial_pos.grad += dtok.sum(axis=0)
+            dx[chunk] = self.joint_embed.backward(dtok)
+        return dx.reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -365,6 +365,56 @@ class TestGradients:
         assert not any(p.grad.any() for p in model.parameters())
 
 
+class TestSpatialChunks:
+    """The spatial stack runs ``sttf._SPATIAL_FRAMES`` frames at a time.
+    Its layers each work inside one frame, so the chunk size moves no output
+    bit, only the order in which the spatial weight gradients are summed.
+    With a batch of two 64-frame examples, a chunk of 5 leaves a short last
+    chunk and, in a batched ``backward``, spans both examples."""
+
+    @pytest.fixture(scope="class")
+    def default_run(self):
+        """(model, batch, batched outputs, backprop's loss and gradients,
+        a batched backward's gradients and input gradient) at the default
+        chunk size."""
+        cfg = STTFConfig()
+        model = STTFModel(cfg)
+        rng = np.random.default_rng(9)
+        for p in model.parameters():    # no residual branch left at zero
+            p.value[...] = rng.normal(0.0, 0.3, p.value.shape)
+        batch = batch_of(cfg, 2)
+        return (model, batch, model.forward(batch[0]),
+                *compute_gradients(model, batch[0], batch[1:]),
+                *self.batched_backward(model, batch))
+
+    @staticmethod
+    def batched_backward(model, batch):
+        """Every parameter's gradient and the input gradient of one
+        ``backward`` over the whole batch."""
+        x, t_scores, labels = batch
+        model.zero_grads()
+        scores, logits = model.forward(x, cache=True)
+        dx = model.backward(2.0 * (scores - t_scores) / scores.size,
+                            (sttf._sigmoid(logits) - labels) / logits.size)
+        return {p.name: p.grad.copy() for p in model.parameters()}, dx
+
+    @pytest.mark.parametrize("frames", [1, 5, 64, 10 ** 6])
+    def test_chunk_size_changes_no_result(self, default_run, monkeypatch, frames):
+        model, batch, outputs, value, grads, batched, dx = default_run
+        monkeypatch.setattr(sttf, "_SPATIAL_FRAMES", frames)
+        for a, b in zip(model.forward(batch[0]), outputs):
+            assert a.tobytes() == b.tobytes()
+        assert compute_gradients(model, batch[0], batch[1:])[0] == value
+        for p in model.parameters():
+            np.testing.assert_allclose(p.grad, grads[p.name], rtol=1e-12,
+                                       atol=1e-15, err_msg=p.name)
+        chunked, chunked_dx = self.batched_backward(model, batch)
+        for p in model.parameters():
+            np.testing.assert_allclose(chunked[p.name], batched[p.name],
+                                       rtol=1e-12, atol=1e-15, err_msg=p.name)
+        assert chunked_dx.tobytes() == dx.tobytes()
+
+
 def batch_of(cfg, size):
     """(input, target scores, labels) of ``size`` seeded examples."""
     x = np.stack([random_input(cfg, seed) for seed in range(size)])
