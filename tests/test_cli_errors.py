@@ -229,8 +229,12 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"seq_len": 8.5}, "seq_len"),
     ({"seq_len": 10 ** 10}, "seq_len must be at most 4096, got 10000000000"),
     ({"spatial_layers": -1}, "spatial_layers"),
+    ({"spatial_layers": 100000}, "spatial_layers must be at most 64, got 100000"),
+    ({"temporal_layers": 65}, "temporal_layers must be at most 64, got 65"),
     ({"seed": -1}, "seed"),
     ({"epochs": 0}, "epochs"),
+    ({"epochs": 1e308}, "epochs must be at most 100000, got 1e+308"),
+    ({"epochs": 100001}, "epochs must be at most 100000, got 100001"),
     ({"lr": 0}, "lr"),
     ({"lr": "fast"}, "lr"),
     ({"epochs": True}, "epochs: True is not a number"),
@@ -238,13 +242,22 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"lr": True}, "lr: True is not a number"),
     ({"lr": "0.01"}, "lr: '0.01' is not a number"),
     ({"epoch": 3}, "unknown training config key 'epoch'"),
-], ids=["heads", "width", "seq-len", "huge-seq-len", "layers", "seed", "epochs", "lr",
-        "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
+], ids=["heads", "width", "seq-len", "huge-seq-len", "layers", "huge-spatial-layers",
+        "huge-temporal-layers", "seed", "epochs", "huge-epochs", "too-many-epochs",
+        "lr", "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
         "unknown-key"])
-def test_bad_training_config_exits_2(tmp_path, capsys, config, field):
+def test_bad_training_config_exits_2(tmp_path, capsys, monkeypatch, config, field):
+    """One error line, before any dataset file is read: a bound that did not
+    hold would otherwise train a huge model or for ever."""
     argv = write_train_inputs(tmp_path, **config)
+
+    def unread(path):
+        raise AssertionError(f"read {path} after a bad training config")
+    monkeypatch.setattr(cli, "load_annotation", unread)
     assert cli.main(argv) == cli.EXIT_VALIDATION
-    assert field in capsys.readouterr().err
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert field in lines[0]
     assert not (tmp_path / "model.json").exists()
 
 
