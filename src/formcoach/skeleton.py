@@ -324,9 +324,10 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 def read_json(path: os.PathLike | str):
     """Parse a UTF-8 JSON file, raising :class:`ValidationError` if it cannot be
     read (a directory, no permission) or is not JSON text (a decode error,
-    bytes that are not text, or an integer longer than Python's
-    integer-string digit limit); the message does not name the file. A
-    missing file raises :class:`FileNotFoundError`, whose message does."""
+    bytes that are not text, an integer longer than Python's integer-string
+    digit limit, or arrays and objects nested deeper than the decoder's
+    recursion limit); the message does not name the file. A missing file
+    raises :class:`FileNotFoundError`, whose message does."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError:
@@ -335,6 +336,8 @@ def read_json(path: os.PathLike | str):
         raise ValidationError(e.strerror) from e
     except ValueError as e:
         raise ValidationError(f"not valid JSON ({e})") from e
+    except RecursionError as e:
+        raise ValidationError("not valid JSON (nested too deep)") from e
 
 
 def _number(value, where: str) -> float:

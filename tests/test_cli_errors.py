@@ -523,6 +523,7 @@ def test_diverging_training_exits_4_with_one_line(tmp_path, capsys):
 
 
 NOT_JSON = '{"exercise_id": "squat", "fra'
+NESTED_TOO_DEEP = "[" * 5000
 
 
 def inverted_knee_range(doc):
@@ -571,6 +572,7 @@ def command_inputs(tmp_path, command):
     ("assess", "ref.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("assess", "cand.sequence.json", "[]", cli.EXIT_VALIDATION),
     ("assess", "cand.sequence.json", NOT_JSON, cli.EXIT_VALIDATION),
+    ("assess", "cand.sequence.json", NESTED_TOO_DEEP, cli.EXIT_VALIDATION),
     ("assess", "cand.sequence.json", None, cli.EXIT_VALIDATION),
     ("synth", "spec.json", NOT_JSON, cli.EXIT_VALIDATION),
     ("train", "train.json", "[]", cli.EXIT_VALIDATION),
@@ -579,13 +581,15 @@ def command_inputs(tmp_path, command):
     ("train", "squat.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "model.json", '{"format": "other"}', cli.EXIT_VALIDATION),
     ("score-model", "model.json", DIRECTORY, cli.EXIT_VALIDATION),
+    ("score-model", "model.json", NESTED_TOO_DEEP, cli.EXIT_VALIDATION),
     ("score-model", "cand.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "report.json", NOT_JSON, cli.EXIT_VALIDATION),
 ], ids=["config-post-init", "config-not-json", "aux-model", "reference",
         "reference-degenerate", "candidate", "candidate-not-json",
-        "candidate-missing", "motion-spec", "training-config", "annotation",
-        "training-sequence", "training-sequence-degenerate", "checkpoint",
-        "checkpoint-directory", "score-model-sequence", "report"])
+        "candidate-nested-too-deep", "candidate-missing", "motion-spec",
+        "training-config", "annotation", "training-sequence",
+        "training-sequence-degenerate", "checkpoint", "checkpoint-directory",
+        "checkpoint-nested-too-deep", "score-model-sequence", "report"])
 def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault,
                                           code):
     """One error line names the failing input exactly once. ``fault`` is the

@@ -9,7 +9,7 @@ import pytest
 import reference
 from formcoach.skeleton import (Annotation, Frame, FrameViews, JointId, Sequence,
                                 ValidationError, JOINT_NAMES, load_annotation,
-                                load_sequence, save_annotation, save_sequence,
+                                load_sequence, read_json, save_annotation, save_sequence,
                                 write_json_atomic, write_text_atomic)
 from formcoach.synth import InjectedError, MotionSpec, generate
 
@@ -279,6 +279,14 @@ class TestSequenceFileIO:
         path.write_text("not json {")
         with pytest.raises(ValidationError):
             load_sequence(path)
+
+    @pytest.mark.parametrize("text", ["[" * 5000, '{"a": ' * 5000])
+    def test_nested_too_deep_is_not_valid_json(self, tmp_path, text):
+        """The decoder's RecursionError is a validation error too."""
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=r"^not valid JSON \(nested too deep\)$"):
+            read_json(path)
 
 
 def loaded_or_message(path):
