@@ -387,6 +387,14 @@ def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
     write_json_atomic(path, report_to_dict(report))
 
 
+def _strings(value, where: str) -> Tuple[str, ...]:
+    """A JSON list of strings, such as frame ids."""
+    for i, item in enumerate(_list(value, where)):
+        if not isinstance(item, str):
+            raise ValidationError(f"{where}[{i}]: must be a string, got {item!r}")
+    return tuple(value)
+
+
 def load_report(path: os.PathLike | str) -> AssessmentReport:
     """Load a :func:`save_report` file; messages name the key, not the file.
     Its numbers must be JSON numbers."""
@@ -403,14 +411,15 @@ def load_report(path: os.PathLike | str) -> AssessmentReport:
         corrections.append(Correction(
             text=str(_key(c, "text", where)),
             joint=joint_from_name(_key(c, "joint", where), f"{where}.joint"),
-            frame_ids=tuple(_list(_key(c, "frames", where), f"{where}.frames"))))
+            frame_ids=_strings(_key(c, "frames", where), f"{where}.frames")))
     detail = {key: _list(_key(doc.get("frame_detail"), key, "frame_detail"),
                          f"frame_detail.{key}")
               for key in ("frame_ids", "joints", "deviations", "transforms")}
+    detail["frame_ids"] = _strings(detail["frame_ids"], "frame_detail.frame_ids")
     detail["joints"] = _joints(detail["joints"], "frame_detail.joints")
     for key in ("deviations", "transforms"):
         for i, row in enumerate(detail[key]):
-            for k, cell in enumerate(row if isinstance(row, list) else ()):
+            for k, cell in enumerate(_list(row, f"frame_detail.{key}[{i}]")):
                 if cell is not None:
                     _json_number(cell, f"frame_detail.{key}[{i}][{k}]")
     aux = doc.get("aux_scores")

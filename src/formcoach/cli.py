@@ -63,12 +63,17 @@ EXIT_DIVERGED = 4
 # The largest values a training config may ask for, checked before any input
 # is read. A training step's temporal attention holds n_heads * seq_len**2
 # floats per block, 512 MiB at 4096 with 4 heads. 100000 layers of the
-# default width would hold 10 GB of parameters. The default model takes
-# about 0.4 s per epoch over 16 examples on a 2-vCPU Xeon, so 100000 epochs
-# run for about half a day, where 1e308, an integer too, would run until
-# killed.
+# default width would hold 10 GB of parameters. At d_model 1024 each
+# attention projection is 8 MiB and flatten_proj 136 MiB, where 100000 would
+# make each projection 80 GB; n_heads divides d_model, so it is bounded too.
+# An FFN's two weights are each 8 * mlp_ratio MiB at d_model 1024, 128 MiB at
+# the bound of 16. The default model takes about 0.4 s per epoch over 16
+# examples on a 2-vCPU Xeon, so 100000 epochs run for about half a day, where
+# 1e308, an integer too, would run until killed.
 _MAX_TRAIN_SEQ_LEN = 4096
 _MAX_TRAIN_LAYERS = 64
+_MAX_TRAIN_D_MODEL = 1024
+_MAX_TRAIN_MLP_RATIO = 16
 _MAX_TRAIN_EPOCHS = 100_000
 
 # Frame ids are free strings; with these escaped, each aid's file stays inside
@@ -281,7 +286,9 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
     config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
     for key, bound in (("seq_len", _MAX_TRAIN_SEQ_LEN),
                        ("spatial_layers", _MAX_TRAIN_LAYERS),
-                       ("temporal_layers", _MAX_TRAIN_LAYERS)):
+                       ("temporal_layers", _MAX_TRAIN_LAYERS),
+                       ("d_model", _MAX_TRAIN_D_MODEL),
+                       ("mlp_ratio", _MAX_TRAIN_MLP_RATIO)):
         if getattr(config, key) > bound:
             raise ValidationError(f"{key} must be at most {bound}, "
                                   f"got {getattr(config, key)}")

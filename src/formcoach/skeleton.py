@@ -25,6 +25,7 @@ geometry instead of being interpolated.
 from __future__ import annotations
 
 import collections.abc
+import contextlib
 import gc
 import json
 import math
@@ -273,9 +274,9 @@ class Annotation:
 # Atomic writing (no partial files on failure)
 # ---------------------------------------------------------------------------
 
-def write_text_atomic(path: os.PathLike | str, text: str) -> None:
-    """Write text as UTF-8 via a temp file + rename so readers never see
-    partial output.
+def write_text_atomic(path: os.PathLike | str, data: str | bytes) -> None:
+    """Write text as UTF-8, or bytes as they are, via a temp file + rename so
+    readers never see partial output.
 
     A new file gets the mode ``open(path, "w")`` would give it (0o666 less
     the umask); the temp file is created with it, so the rename publishes a
@@ -287,9 +288,10 @@ def write_text_atomic(path: os.PathLike | str, text: str) -> None:
     # O_EXCL: a name collision raises instead of sharing another writer's file.
     tmp = path.with_name(f".{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    mode, encoding = ("wb", None) if isinstance(data, bytes) else ("w", "utf-8")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, mode, encoding=encoding) as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -321,15 +323,17 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 # "t" may be omitted when "fps" is given; it is synthesized as index / fps.
 # ---------------------------------------------------------------------------
 
-def read_json(path: os.PathLike | str):
-    """Parse a UTF-8 JSON file, raising :class:`ValidationError` if it cannot be
-    read (a directory, no permission) or is not JSON text (a decode error,
-    bytes that are not text, an integer longer than Python's integer-string
-    digit limit, or arrays and objects nested deeper than the decoder's
-    recursion limit); the message does not name the file. A missing file
-    raises :class:`FileNotFoundError`, whose message does."""
+@contextlib.contextmanager
+def input_errors():
+    """Raise :class:`ValidationError` for what reading an input file or
+    parsing JSON text raises inside the block: an ``OSError`` (a directory,
+    no permission), or text that is not JSON (a decode error, bytes that are
+    not UTF-8, an integer longer than Python's integer-string digit limit, or
+    arrays and objects nested deeper than the decoder's recursion limit). The
+    message does not name the file. A missing file raises
+    :class:`FileNotFoundError`, whose message does."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        yield
     except FileNotFoundError:
         raise
     except OSError as e:
@@ -338,6 +342,12 @@ def read_json(path: os.PathLike | str):
         raise ValidationError(f"not valid JSON ({e})") from e
     except RecursionError as e:
         raise ValidationError("not valid JSON (nested too deep)") from e
+
+
+def read_json(path: os.PathLike | str):
+    """Parse a UTF-8 JSON file; its faults are :func:`input_errors`'."""
+    with input_errors():
+        return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def _number(value, where: str) -> float:

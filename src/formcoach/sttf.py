@@ -35,9 +35,9 @@ time (Chen et al., "Training Deep Nets with Sublinear Memory Cost", 2016).
 ``STTFModel.forward`` as ``cli._aux_scores`` calls it keeps none of them,
 with the same arithmetic and so the same bits. Either way the attention keeps
 ``probs``, documented as the last forward's attention. Nor does inference
-carry gradients: :func:`load_checkpoint` builds the model from the stored
-arrays, drawing nothing, and ``Param.grad`` waits for the first
-:meth:`STTFModel.zero_grads`.
+carry gradients: :func:`load_checkpoint` reads the binary checkpoint once
+and builds the model from copies of its stored arrays, drawing nothing, and
+``Param.grad`` waits for the first :meth:`STTFModel.zero_grads`.
 
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
@@ -46,19 +46,20 @@ interpolation over timestamps.
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import numbers
 import os
 from dataclasses import asdict, dataclass
-from typing import Callable, List, Optional, Sequence as Seq, Tuple
+from pathlib import Path
+from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
 from .normalize import normalize_sequence
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, N_JOINTS, Annotation,
-                       Sequence, ValidationError, read_json, write_text_atomic)
+                       Sequence, ValidationError, input_errors,
+                       write_text_atomic)
 
 _INIT_STD = 0.02
 _LN_EPS = 1e-5
@@ -661,68 +662,90 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: one JSON object, byte-stable for identical models.
+# Checkpoints: version 3, in the safetensors layout
+# (https://github.com/huggingface/safetensors#format), byte-stable for
+# identical models.
 #
-# Version 2: {"format": "formcoach-sttf", "version": 2, "config": <STTFConfig
-# fields>, "params": {<name>: {"shape": [...], "data": <base64>}}}, keys
-# sorted. ``data`` is the base64 (standard alphabet, padded) of the
-# parameter's values as little-endian float64 ("<f8") in row-major order, so
-# it holds 8 * prod(shape) bytes and round-trips every value exactly. Version
-# 1 stored ``data`` as a JSON list of floats; it is no longer read.
+# The file is N, an unsigned 64-bit little-endian integer; then N bytes of a
+# JSON header, keys sorted and padded with spaces to a multiple of 8; then
+# one buffer of every parameter's values as little-endian float64 ("<f8") in
+# row-major order, so the values round-trip exactly. The header maps each
+# parameter name to {"dtype": "F64", "shape": [...], "data_offsets": [begin,
+# end]}, byte offsets into the buffer, and the parameters tile the buffer in
+# model order. Beside them, "__metadata__" holds {"format": "formcoach-sttf",
+# "version": "3", "config": <STTFConfig fields as sorted JSON>}: the layout
+# allows only string values there. Versions 1 and 2 were JSON documents; a
+# file that starts with "{" is refused.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "formcoach-sttf"
-_CHECKPOINT_VERSION = 2
+_CHECKPOINT_VERSION = "3"
 
 
 def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
-    doc = {
-        "format": _CHECKPOINT_FORMAT,
-        "version": _CHECKPOINT_VERSION,
-        "config": asdict(model.config),
-        "params": {p.name: {"shape": list(p.value.shape),
-                            "data": base64.b64encode(
-                                p.value.astype("<f8").tobytes()).decode("ascii")}
-                   for p in model.parameters()},
-    }
-    write_text_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
+    config = json.dumps(asdict(model.config), sort_keys=True)
+    header = {"__metadata__": {"format": _CHECKPOINT_FORMAT,
+                               "version": _CHECKPOINT_VERSION, "config": config}}
+    tensors, offset = [], 0
+    for p in model.parameters():
+        tensors.append(p.value.astype("<f8", copy=False).tobytes())
+        header[p.name] = {"dtype": "F64", "shape": list(p.value.shape),
+                          "data_offsets": [offset, offset + len(tensors[-1])]}
+        offset += len(tensors[-1])
+    text = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("ascii")
+    text += b" " * (-len(text) % 8)
+    write_text_atomic(path, b"".join([len(text).to_bytes(8, "little"), text, *tensors]))
 
 
 def load_checkpoint(path: os.PathLike | str) -> STTFModel:
     """Load a :func:`save_checkpoint` file; messages do not name the file.
 
-    The model is built from the stored arrays: nothing is drawn, and no
-    gradient is allocated.
+    The file's bytes are read once. The model is built from the stored
+    arrays: nothing is drawn, and no gradient is allocated.
     """
-    doc = read_json(path)
-    if not isinstance(doc, dict) or doc.get("format") != _CHECKPOINT_FORMAT:
-        raise ValidationError("not an STTF checkpoint")
-    version = doc.get("version")
-    if version == 1:
-        raise ValidationError("checkpoint version 1 is no longer supported; "
-                              "`formcoach train` writes a current checkpoint")
-    if version != _CHECKPOINT_VERSION:
-        raise ValidationError(f"unsupported checkpoint version {version}")
-    try:
-        config = STTFConfig(**doc["config"])
-        stored = doc["params"]
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed checkpoint ({e!r})") from e
-    if not isinstance(stored, dict):
+    with input_errors():
+        data = Path(path).read_bytes()
+    if data[:1] == b"{":
+        raise ValidationError("JSON checkpoints (versions 1 and 2) are no longer "
+                              "supported; `formcoach train` writes a current checkpoint")
+    if len(data) < 8:
+        raise ValidationError(f"not an STTF checkpoint ({len(data)} bytes)")
+    n = int.from_bytes(data[:8], "little")
+    if n > len(data) - 8:
+        raise ValidationError(f"header length {n} exceeds the {len(data) - 8} "
+                              f"bytes after it")
+    with input_errors():
+        header = json.loads(data[8:8 + n].decode("utf-8"))
+    if not isinstance(header, dict):    # the header is the params table
         raise ValidationError("params must be an object")
-    values = {name: _decoded(name, stored[name])
-              for name in _parameter_table(config, stored)}
+    meta = header.pop("__metadata__", None)
+    if not isinstance(meta, dict) or meta.get("format") != _CHECKPOINT_FORMAT:
+        raise ValidationError("not an STTF checkpoint")
+    if meta.get("version") != _CHECKPOINT_VERSION:
+        raise ValidationError(f"unsupported checkpoint version {meta.get('version')}")
+    try:
+        config = STTFConfig(**json.loads(meta["config"]))
+    except (KeyError, TypeError, ValueError, RecursionError) as e:
+        raise ValidationError(f"malformed checkpoint ({e!r})") from e
+    buffer = memoryview(data)[8 + n:]
+    values, offset = {}, 0
+    for name, shape in _parameter_table(config, header).items():
+        values[name] = _decoded(name, shape, header[name], buffer, offset)
+        offset += values[name].nbytes
+    if offset != len(buffer):
+        raise ValidationError(f"the tensor data has {len(buffer)} bytes, but the "
+                              f"parameters end at byte {offset}")
     return STTFModel(config, lambda name, shape, init: Param(name, values[name]))
 
 
-def _parameter_table(config: STTFConfig, stored: dict) -> List[str]:
-    """The names of ``config``'s parameters in model order, once ``stored``
-    is seen to declare exactly these, each with its shape.
+def _parameter_table(config: STTFConfig, stored: dict) -> Dict[str, Shape]:
+    """The shapes of ``config``'s parameters by name, in model order, once
+    ``stored`` is seen to declare exactly these, each with its shape.
 
     Allocates no parameter, so a config too large to build is refused by the
     first shape it implies that ``stored`` lacks.
     """
-    names = []
+    shapes = {}
 
     def check(name: str, shape: Shape, init: Init) -> None:
         if name not in stored:
@@ -733,23 +756,36 @@ def _parameter_table(config: STTFConfig, stored: dict) -> List[str]:
             raise ValidationError(f"malformed {name} ({e!r})") from e
         if declared != shape:
             raise ValidationError(f"{name} has shape {declared}, expected {shape}")
-        names.append(name)
+        shapes[name] = shape
 
     STTFModel(config, check)
-    extra = set(stored).difference(names)
+    extra = set(stored).difference(shapes)
     if extra:
         raise ValidationError(f"checkpoint has unexpected {min(extra)}")
-    return names
+    return shapes
 
 
-def _decoded(name: str, entry: dict) -> np.ndarray:
-    """The values of a stored parameter whose declared shape is checked."""
-    try:
-        # binascii.Error, raised for data that is not base64, is a ValueError
-        raw = base64.b64decode(entry["data"], validate=True)
-        arr = np.frombuffer(raw, "<f8").reshape(entry["shape"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise ValidationError(f"malformed {name} ({e!r})") from e
+def _decoded(name: str, shape: Shape, entry: dict, buffer: memoryview,
+             begin: int) -> np.ndarray:
+    """The values of a stored parameter whose declared shape is checked,
+    which must start ``begin`` bytes into the tensor data ``buffer``."""
+    if entry.get("dtype") != "F64":
+        raise ValidationError(f"{name} has dtype {entry.get('dtype')!r}, expected 'F64'")
+    offsets = entry.get("data_offsets")
+    if not (isinstance(offsets, list) and len(offsets) == 2
+            and all(type(v) is int for v in offsets)):
+        raise ValidationError(f"{name} data_offsets must be two integers, got {offsets!r}")
+    count = math.prod(shape)
+    if offsets[1] - offsets[0] != 8 * count:
+        raise ValidationError(f"{name} has {offsets[1] - offsets[0]} bytes of data, "
+                              f"expected {8 * count} for shape {shape}")
+    if offsets[0] != begin:
+        raise ValidationError(f"{name} data starts at byte {offsets[0]}, expected "
+                              f"{begin}: the parameters tile the data in model order")
+    if offsets[1] > len(buffer):
+        raise ValidationError(f"{name} data ends at byte {offsets[1]}, past the "
+                              f"{len(buffer)} bytes of tensor data")
+    arr = np.frombuffer(buffer, "<f8", count, begin).reshape(shape)
     if not np.isfinite(arr).all():
         raise ValidationError(f"{name} has non-finite values")
     return arr.astype(np.float64)    # a writable copy in native byte order

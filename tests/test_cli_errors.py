@@ -5,12 +5,15 @@ inside the pipeline is a bug, not bad input, so it must escape instead of
 being reported as exit 2.
 """
 
-import base64
+import contextlib
+import io
 import json
+import math
 import shutil
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from formcoach import assessment, cli, sttf
 from formcoach.alignment import AlignmentError
@@ -20,7 +23,8 @@ from formcoach.skeleton import JOINT_NAMES, JointId, save_annotation, save_seque
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
-from test_sttf import SMALL
+from test_sttf import (SMALL, edit_config, edited_checkpoint, read_checkpoint,
+                       write_checkpoint)
 
 
 def assess_argv(tmp_path, *extra):
@@ -231,6 +235,10 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"spatial_layers": -1}, "spatial_layers"),
     ({"spatial_layers": 100000}, "spatial_layers must be at most 64, got 100000"),
     ({"temporal_layers": 65}, "temporal_layers must be at most 64, got 65"),
+    ({"d_model": 100000, "n_heads": 1, "mlp_ratio": 1000},
+     "d_model must be at most 1024, got 100000"),
+    ({"d_model": 1028, "n_heads": 4}, "d_model must be at most 1024, got 1028"),
+    ({"mlp_ratio": 17}, "mlp_ratio must be at most 16, got 17"),
     ({"seed": -1}, "seed"),
     ({"epochs": 0}, "epochs"),
     ({"epochs": 1e308}, "epochs must be at most 100000, got 1e+308"),
@@ -243,7 +251,7 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"lr": "0.01"}, "lr: '0.01' is not a number"),
     ({"epoch": 3}, "unknown training config key 'epoch'"),
 ], ids=["heads", "width", "seq-len", "huge-seq-len", "layers", "huge-spatial-layers",
-        "huge-temporal-layers", "seed", "epochs", "huge-epochs", "too-many-epochs",
+        "huge-temporal-layers", "huge-width", "too-wide", "huge-mlp-ratio", "seed", "epochs", "huge-epochs", "too-many-epochs",
         "lr", "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
         "unknown-key"])
 def test_bad_training_config_exits_2(tmp_path, capsys, monkeypatch, config, field):
@@ -322,7 +330,7 @@ def test_malformed_annotation_or_config_exits_2(tmp_path, capsys, file, key, val
 def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
     write_inputs(tmp_path)
     ckpt = tmp_path / "model.json"
-    ckpt.write_text('{"format": "formcoach-sttf", "vers')
+    write_checkpoint(ckpt, b'{"__metadata__": {"format": "formcoach-sttf", "vers')
     assert cli.main(assess_argv(tmp_path, "--aux-model", str(ckpt))) == cli.EXIT_VALIDATION
     assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
                      str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
@@ -333,11 +341,11 @@ def test_corrupt_checkpoint_exits_2(tmp_path, capsys):
 def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
     write_inputs(tmp_path)
     ckpt = tmp_path / "model.json"
-    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-    doc = json.loads(ckpt.read_text())
-    doc["params"]["score_head.b"]["data"] = base64.b64encode(
-        np.array([0.0, np.nan, 0.0], "<f8").tobytes()).decode()
-    ckpt.write_text(json.dumps(doc))
+
+    def edit(header, buffer):
+        begin, end = header["score_head.b"]["data_offsets"]
+        buffer[begin:end] = np.array([0.0, np.nan, 0.0], "<f8").tobytes()
+    edited_checkpoint(ckpt, edit)
     assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
                      str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
@@ -346,10 +354,10 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, name", [
-    (lambda doc: doc["params"].update(
-        {"spatial.2.ln1.gamma": doc["params"]["spatial.0.ln1.gamma"]}),
+    (lambda header: header.update(
+        {"spatial.2.ln1.gamma": header["spatial.0.ln1.gamma"]}),
      "spatial.2.ln1.gamma"),
-    (lambda doc: doc["config"].update(seq_len=10 ** 10), "temporal_pos"),
+    (lambda header: edit_config(header, seq_len=10 ** 10), "temporal_pos"),
 ], ids=["extra-parameter", "huge-seq-len"])
 def test_checkpoint_parameters_must_be_the_configs(tmp_path, capsys, edit, name):
     """The stored parameter table is checked against the config before any
@@ -357,10 +365,7 @@ def test_checkpoint_parameters_must_be_the_configs(tmp_path, capsys, edit, name)
     ``seq_len`` is refused rather than allocated."""
     write_inputs(tmp_path)
     ckpt = tmp_path / "model.json"
-    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-    doc = json.loads(ckpt.read_text())
-    edit(doc)
-    ckpt.write_text(json.dumps(doc))
+    edited_checkpoint(ckpt, lambda header, buffer: edit(header))
     assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
                      str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
     out, err = capsys.readouterr()
@@ -524,6 +529,8 @@ def test_diverging_training_exits_4_with_one_line(tmp_path, capsys):
 
 NOT_JSON = '{"exercise_id": "squat", "fra'
 NESTED_TOO_DEEP = "[" * 5000
+# A checkpoint whose JSON header is nested too deep.
+NESTED_TOO_DEEP_HEADER = (5000).to_bytes(8, "little") + b"[" * 5000
 
 
 def inverted_knee_range(doc):
@@ -581,7 +588,7 @@ def command_inputs(tmp_path, command):
     ("train", "squat.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "model.json", '{"format": "other"}', cli.EXIT_VALIDATION),
     ("score-model", "model.json", DIRECTORY, cli.EXIT_VALIDATION),
-    ("score-model", "model.json", NESTED_TOO_DEEP, cli.EXIT_VALIDATION),
+    ("score-model", "model.json", NESTED_TOO_DEEP_HEADER, cli.EXIT_VALIDATION),
     ("score-model", "cand.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
     ("score-model", "report.json", NOT_JSON, cli.EXIT_VALIDATION),
 ], ids=["config-post-init", "config-not-json", "aux-model", "reference",
@@ -593,8 +600,8 @@ def command_inputs(tmp_path, command):
 def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault,
                                           code):
     """One error line names the failing input exactly once. ``fault`` is the
-    file's new text, an edit of its JSON document, None to delete it, or
-    DIRECTORY to put an empty directory in its place."""
+    file's new text or bytes, an edit of its JSON document, None to delete
+    it, or DIRECTORY to put an empty directory in its place."""
     argv = command_inputs(tmp_path, command)
     path = tmp_path / file
     if fault is None:
@@ -606,6 +613,8 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
         doc = json.loads(path.read_text())
         fault(doc)
         path.write_text(json.dumps(doc))
+    elif isinstance(fault, bytes):
+        path.write_bytes(fault)
     else:
         path.write_text(fault)
     assert cli.main(argv) == code
@@ -629,9 +638,19 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
      "aux_scores.pace"),
     (lambda doc: doc.update(aux_scores={"joint": 1.0, "pace": 1.0,
                                         "range": float("nan")}), "aux_scores.range"),
+    (lambda doc: doc["corrections"][0]["frames"].__setitem__(0, 7),
+     "corrections[0].frames[0]: must be a string, got 7"),
+    (lambda doc: doc["frame_detail"]["frame_ids"].__setitem__(0, float("nan")),
+     "frame_detail.frame_ids[0]: must be a string, got nan"),
+    (lambda doc: doc["frame_detail"]["deviations"].__setitem__(0, 5.0),
+     "frame_detail.deviations[0]: must be a list, got 5.0"),
+    (lambda doc: doc["frame_detail"]["transforms"].__setitem__(0, "1234"),
+     "frame_detail.transforms[0]: must be a list, got '1234'"),
 ], ids=["score-text", "correction-text", "detail-short-deviations-row",
         "detail-transforms-row-of-6", "version-1", "name-number", "class-unknown",
-        "aux-not-object", "aux-text", "aux-nan"])
+        "aux-not-object", "aux-text", "aux-nan", "correction-frame-number",
+        "detail-frame-id-nan", "detail-deviations-row-number",
+        "detail-transforms-row-text"])
 def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
                                                       key):
     """``score-model --report`` refuses each edit of a written report and
@@ -848,3 +867,74 @@ def test_too_long_aid_file_name_fails_only_its_candidate(tmp_path, capsys):
     assert sorted(p.name for p in out.iterdir()) == sorted(
         [e["file"] for e in index]
         + ["cand_report.json", "second_aids_index.json", "second_report.json"])
+
+
+@pytest.fixture(scope="module")
+def fuzzed_checkpoint(tmp_path_factory):
+    """A SMALL checkpoint's bytes, its path and a score-model argv that reads it."""
+    directory = tmp_path_factory.mktemp("fuzz")
+    write_inputs(directory)
+    ckpt = directory / "model.json"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    argv = ["score-model", "--checkpoint", str(ckpt),
+            "--sequence", str(directory / "ref.sequence.json")]
+    return ckpt.read_bytes(), ckpt, argv
+
+
+def mutate(path, blob: bytes, kind: str, draw) -> None:
+    """Write ``blob``, a checkpoint, to ``path`` with one ``kind`` of fault
+    drawn by ``draw``."""
+    n = int.from_bytes(blob[:8], "little")
+    if kind == "truncate":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    elif kind == "length":
+        blob = draw(st.integers(0, 2 ** 64 - 1)).to_bytes(8, "little") + blob[8:]
+    elif kind == "flip":
+        at, bits = draw(st.integers(8, 8 + n - 1)), draw(st.integers(1, 255))
+        blob = blob[:at] + bytes([blob[at] ^ bits]) + blob[at + 1:]
+    path.write_bytes(blob)
+    if kind in ("truncate", "length", "flip"):
+        return
+    header, buffer = read_checkpoint(path)
+    name = draw(st.sampled_from(sorted(k for k in header if k != "__metadata__")))
+    entry = header[name]
+    ints = st.integers(-2, 2 ** 20) | st.sampled_from([2 ** 63, 2 ** 64])
+    if kind == "shape":
+        entry["shape"] = draw(st.lists(ints, max_size=3) | st.sampled_from(
+            [None, 3, "3", [3.0], [True]]))
+    elif kind == "dtype":
+        entry["dtype"] = draw(st.sampled_from(["F32", "F16", "I64", "f64", "", None, 8]))
+    elif kind == "offsets":
+        begin, end = entry["data_offsets"]
+        entry["data_offsets"] = draw(
+            st.tuples(st.integers(-16, 16), st.integers(-16, 16)).map(
+                lambda d: [begin + d[0], end + d[1]])
+            | st.lists(ints, max_size=3) | st.sampled_from([None, [0.0, 8.0], "0"]))
+    else:
+        begin, end = entry["data_offsets"]
+        at = begin + 8 * draw(st.integers(0, (end - begin) // 8 - 1))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        buffer[at:at + 8] = np.array(value, "<f8").tobytes()
+    write_checkpoint(path, header, buffer)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["truncate", "length", "flip", "shape", "dtype",
+                             "offsets", "non-finite"]), data=st.data())
+def test_mutated_checkpoint_exits_0_or_2_naming_it(fuzzed_checkpoint, kind, data):
+    """Whatever one fault does to a checkpoint, ``score-model`` scores the
+    sequence or prints one error line naming the checkpoint; no exception
+    escapes."""
+    blob, ckpt, argv = fuzzed_checkpoint
+    mutate(ckpt, blob, kind, data.draw)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION)
+    if code == cli.EXIT_VALIDATION:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {ckpt}: ")
+        assert lines[0].count(str(ckpt)) == 1 and out.getvalue() == ""
+    else:
+        scores = json.loads(out.getvalue())
+        assert all(0.0 <= scores[k] <= 100.0 for k in ("joint", "pace", "range"))

@@ -1,6 +1,7 @@
 import base64
 import json
 import math
+import struct
 import tracemalloc
 from dataclasses import asdict
 
@@ -643,6 +644,51 @@ class TestSequencePrep:
         assert np.allclose(ts, [0.8, 0.9, 0.7])
 
 
+def read_checkpoint(path):
+    """A checkpoint file split into its JSON header and its tensor data."""
+    data = path.read_bytes()
+    n = int.from_bytes(data[:8], "little")
+    return json.loads(data[8:8 + n]), bytearray(data[8 + n:])
+
+
+def write_checkpoint(path, header, buffer=b""):
+    """:func:`read_checkpoint`'s inverse. ``header`` is written as JSON,
+    padded as :func:`save_checkpoint` pads it, or as raw bytes."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header, sort_keys=True).encode()
+        header += b" " * (-len(header) % 8)
+    path.write_bytes(len(header).to_bytes(8, "little") + header + bytes(buffer))
+
+
+def edited_checkpoint(path, edit):
+    """A saved SMALL checkpoint at ``path`` with ``edit(header, buffer)``
+    applied to its header and tensor data."""
+    save_checkpoint(STTFModel(SMALL), path)
+    header, buffer = read_checkpoint(path)
+    edit(header, buffer)
+    write_checkpoint(path, header, buffer)
+    return path
+
+
+def edit_config(header, **fields):
+    """Change the STTFConfig fields stored in a checkpoint header."""
+    meta = header["__metadata__"]
+    meta["config"] = json.dumps({**json.loads(meta["config"]), **fields})
+
+
+def data_offsets(d_begin, d_end):
+    """An edit moving a parameter's data offsets by these many bytes."""
+    def edit(entry, buffer):
+        begin, end = entry["data_offsets"]
+        entry["data_offsets"] = [begin + d_begin, end + d_end]
+    return edit
+
+
+def truncate_inside(entry, buffer):
+    """Cut the tensor data 8 bytes into the parameter's values."""
+    del buffer[entry["data_offsets"][0] + 8:]
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = STTFModel(SMALL)
@@ -652,7 +698,7 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.config == model.config
-        assert np.array_equal(get_flat(loaded), get_flat(model))
+        assert get_flat(loaded).tobytes() == get_flat(model).tobytes()
         x = random_input(SMALL, 5)
         s1, l1 = model.forward(x)
         s2, l2 = loaded.forward(x)
@@ -665,19 +711,32 @@ class TestCheckpoint:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_rejects_foreign_file(self, tmp_path):
-        from formcoach.skeleton import ValidationError
-        path = tmp_path / "x.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValidationError):
+        """A file in the same layout that another program wrote."""
+        path = tmp_path / "x.safetensors"
+        write_checkpoint(path, {"__metadata__": {"format": "pt"},
+                                "w": {"dtype": "F64", "shape": [1],
+                                      "data_offsets": [0, 8]}}, bytes(8))
+        with pytest.raises(ValidationError, match="not an STTF checkpoint"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("text", ['{"format": "formcoach-st', "[1, 2]", "\xff"],
                              ids=["truncated", "list", "not-utf8"])
     def test_invalid_json_is_validation_error(self, tmp_path, text):
-        from formcoach.skeleton import ValidationError
         path = tmp_path / "x.json"
-        path.write_bytes(text.encode("latin-1"))
+        write_checkpoint(path, text.encode("latin-1"))
         with pytest.raises(ValidationError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("data, match", [
+        (b"", "not an STTF checkpoint"),
+        (b"\x00" * 7, "not an STTF checkpoint"),
+        ((9).to_bytes(8, "little") + b"{}      ", "header length 9 exceeds the 8 bytes"),
+        (b"\xff" * 8 + b"{}", "header length 18446744073709551615 exceeds"),
+    ], ids=["empty", "short", "past-end", "max"])
+    def test_header_length_must_fit_in_the_file(self, tmp_path, data, match):
+        path = tmp_path / "model.json"
+        path.write_bytes(data)
+        with pytest.raises(ValidationError, match=match):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value, match", [
@@ -686,27 +745,46 @@ class TestCheckpoint:
         ("n_scores", 2, "3-score"),
     ], ids=["heads", "joints", "scores"])
     def test_invalid_config_is_validation_error(self, tmp_path, key, value, match):
-        from formcoach.skeleton import ValidationError
-        path = tmp_path / "model.json"
-        save_checkpoint(STTFModel(SMALL), path)
-        doc = json.loads(path.read_text())
-        doc["config"][key] = value
-        path.write_text(json.dumps(doc))
+        path = self.edited(tmp_path, lambda header, buffer: edit_config(
+            header, **{key: value}))
         with pytest.raises(ValidationError, match=match):
             load_checkpoint(path)
 
-    def test_data_is_base64_little_endian_float64_row_major(self, tmp_path):
+    def test_layout_follows_the_safetensors_spec(self, tmp_path):
+        """Parsed by hand: an 8-byte little-endian header length, a sorted
+        JSON header padded with spaces to a multiple of 8, string-only
+        ``__metadata__``, then each parameter's little-endian float64
+        row-major bytes, in model order with no gap."""
         model = STTFModel(SMALL)
+        train(model, [(random_input(SMALL), np.full(3, 0.5),
+                       np.zeros(SMALL.seq_len))], epochs=1, lr=0.1)
         path = tmp_path / "model.json"
         save_checkpoint(model, path)
-        doc = json.loads(path.read_text())
-        assert doc["version"] == 2
+        data = path.read_bytes()
+        (n,) = struct.unpack("<Q", data[:8])
+        assert n % 8 == 0
+        text = data[8:8 + n].decode("ascii")
+        assert len(text) - len(text.rstrip(" ")) < 8
+
+        def sorted_object(pairs):
+            keys = [k for k, _ in pairs]
+            assert keys == sorted(keys)
+            return dict(pairs)
+        header = json.loads(text, object_pairs_hook=sorted_object)
+        meta = header.pop("__metadata__")
+        assert all(isinstance(v, str) for v in meta.values())
+        assert meta == {"format": "formcoach-sttf", "version": "3",
+                        "config": json.dumps(asdict(SMALL), sort_keys=True)}
+        tensors, end = data[8 + n:], 0
+        assert list(header) == sorted(p.name for p in model.parameters())
         for p in model.parameters():
-            entry = doc["params"][p.name]
-            assert entry["shape"] == list(p.value.shape)
-            raw = base64.b64decode(entry["data"], validate=True)
-            assert np.array_equal(
-                np.frombuffer(raw, "<f8").reshape(entry["shape"]), p.value)
+            begin, end = end, end + 8 * p.value.size
+            assert header[p.name] == {"dtype": "F64", "shape": list(p.value.shape),
+                                      "data_offsets": [begin, end]}
+            values = np.frombuffer(tensors[begin:end], "<f8").reshape(p.value.shape)
+            assert np.array_equal(values, p.value)
+            assert values.astype(np.float64).tobytes() == p.value.tobytes()
+        assert end == len(tensors)
 
     def test_version_1_is_refused_naming_train(self, tmp_path):
         model = STTFModel(SMALL)
@@ -720,41 +798,65 @@ class TestCheckpoint:
                            match="no longer supported.*`formcoach train`"):
             load_checkpoint(path)
 
+    def test_version_2_is_refused_naming_train(self, tmp_path):
+        model = STTFModel(SMALL)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({
+            "format": "formcoach-sttf", "version": 2, "config": asdict(SMALL),
+            "params": {p.name: {"shape": list(p.value.shape),
+                                "data": base64.b64encode(p.value.tobytes()).decode()}
+                       for p in model.parameters()}}, sort_keys=True) + "\n")
+        with pytest.raises(ValidationError,
+                           match="no longer supported.*`formcoach train`"):
+            load_checkpoint(path)
+
+    def test_version_must_be_3(self, tmp_path):
+        def edit(header, buffer):
+            header["__metadata__"]["version"] = 3
+        with pytest.raises(ValidationError, match="unsupported checkpoint version 3"):
+            load_checkpoint(self.edited(tmp_path, edit))
+
     @staticmethod
     def edited(tmp_path, edit):
-        """A saved SMALL checkpoint with ``edit`` applied to its document."""
-        path = tmp_path / "model.json"
-        save_checkpoint(STTFModel(SMALL), path)
-        doc = json.loads(path.read_text())
-        edit(doc)
-        path.write_text(json.dumps(doc))
-        return path
+        return edited_checkpoint(tmp_path / "model.json", edit)
 
     @pytest.mark.parametrize("params", [5, "score_head.b", ["score_head.b"]],
                              ids=["number", "string", "list"])
     def test_params_must_be_an_object(self, tmp_path, params):
-        path = self.edited(tmp_path, lambda doc: doc.update(params=params))
+        path = tmp_path / "model.json"
+        save_checkpoint(STTFModel(SMALL), path)
+        write_checkpoint(path, params, read_checkpoint(path)[1])
         with pytest.raises(ValidationError, match="params must be an object"):
             load_checkpoint(path)
 
     @staticmethod
-    def with_score_bias(tmp_path, data):
+    def with_score_bias(tmp_path, edit):
         return TestCheckpoint.edited(
-            tmp_path, lambda doc: doc["params"]["score_head.b"].update(data=data))
+            tmp_path, lambda header, buffer: edit(header["score_head.b"], buffer))
 
-    @pytest.mark.parametrize("data", [
-        "A" * 16 + " " + "A" * 16, "A" * 16 + "*" + "A" * 16, "A" * 33, [0.0, 0.0, 0.0],
-        base64.b64encode(bytes(16)).decode(), base64.b64encode(bytes(20)).decode(),
-        base64.b64encode(bytes(32)).decode(),
-    ], ids=["space", "alphabet", "padding", "v1-list", "short", "ragged", "long"])
-    def test_bad_data_names_the_parameter(self, tmp_path, data):
+    @pytest.mark.parametrize("edit", [
+        lambda entry, buffer: entry.update(dtype="F32"),
+        lambda entry, buffer: entry.update(
+            data_offsets=[float(v) for v in entry["data_offsets"]]),
+        truncate_inside, data_offsets(-8, -8), data_offsets(8, 8),
+        data_offsets(0, -8), data_offsets(0, -4), data_offsets(0, 8),
+    ], ids=["dtype", "offsets-not-integers", "outside", "overlap", "gap", "short",
+            "ragged", "long"])
+    def test_bad_data_names_the_parameter(self, tmp_path, edit):
         with pytest.raises(ValidationError, match="score_head.b"):
-            load_checkpoint(self.with_score_bias(tmp_path, data))
+            load_checkpoint(self.with_score_bias(tmp_path, edit))
+
+    def test_trailing_data_is_refused(self, tmp_path):
+        path = self.edited(tmp_path, lambda header, buffer: buffer.extend(bytes(8)))
+        with pytest.raises(ValidationError, match="parameters end at byte"):
+            load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_is_refused(self, tmp_path, value):
-        data = base64.b64encode(np.array([0.0, value, 0.0], "<f8").tobytes())
-        path = self.with_score_bias(tmp_path, data.decode())
+        def edit(entry, buffer):
+            begin, end = entry["data_offsets"]
+            buffer[begin:end] = np.array([0.0, value, 0.0], "<f8").tobytes()
+        path = self.with_score_bias(tmp_path, edit)
         with pytest.raises(ValidationError,
                            match="score_head.b has non-finite values"):
             load_checkpoint(path)
