@@ -251,8 +251,8 @@ def test_train_rejects_joint_or_score_count(tmp_path, capsys, key, value, match)
     ({"lr": "0.01"}, "lr: '0.01' is not a number"),
     ({"epoch": 3}, "unknown training config key 'epoch'"),
 ], ids=["heads", "width", "seq-len", "huge-seq-len", "layers", "huge-spatial-layers",
-        "huge-temporal-layers", "huge-width", "too-wide", "huge-mlp-ratio", "seed", "epochs", "huge-epochs", "too-many-epochs",
-        "lr", "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
+        "huge-temporal-layers", "huge-width", "too-wide", "huge-mlp-ratio", "seed",
+        "epochs", "huge-epochs", "too-many-epochs", "lr", "lr-text", "epochs-bool", "epochs-text", "lr-bool", "lr-numeric-text",
         "unknown-key"])
 def test_bad_training_config_exits_2(tmp_path, capsys, monkeypatch, config, field):
     """One error line, before any dataset file is read: a bound that did not
