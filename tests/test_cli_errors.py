@@ -306,10 +306,19 @@ def test_bare_value_error_in_train_escapes(tmp_path, monkeypatch):
      "reference_angles.left_knee"),
     ("config", "rules", [{"joint": "left_knee", "message": "m", "angle_above": "x"}],
      "rules[0].angle_above"),
+    ("config", "mistake_treshold", 0.05, "unknown exercise config key 'mistake_treshold'"),
+    ("config", "rules", [{"joint": "left_knee", "message": "m", "angle_abov": 90.0}],
+     "rules[0]: unknown correction rule key 'angle_abov'"),
+    ("config", "phase", {"primary_joint": "left_knee", "direction": "decreasing"},
+     "phase: unknown phase key 'direction'"),
+    ("annotation", "per_frame_mistakes",
+     [{"frame_id": "f0000", "joint": "left_knee", "notes": "x"}],
+     "per_frame_mistakes[0]: unknown annotation mistake key 'notes'"),
 ], ids=["scores-missing", "score-text", "mistake-frame", "annotation-angle",
         "targeted-not-list", "phase-joint", "phase-number", "phase-joint-no-angle",
         "rule-message",
-        "config-angle", "rule-angle-text"])
+        "config-angle", "rule-angle-text", "config-misspelt-key", "rule-misspelt-key",
+        "phase-misspelt-key", "mistake-misspelt-key"])
 def test_malformed_annotation_or_config_exits_2(tmp_path, capsys, file, key, value,
                                                 expected):
     if file == "annotation":
@@ -456,9 +465,16 @@ def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, valu
     ({"amplitude_deg": [80]}, "amplitude_deg"),
     ({"noise_std": "NaN"}, "noise_std"),
     ({"template": ["squat"]}, "unknown template"),
+    ({"n_frame": 12}, "unknown motion spec key 'n_frame'"),
+    ({"n_frames": 1e308}, "n_frames must be at most 100000, got 1e+308"),
+    ({"injected_errors": [{"type": "speed_factor", "magnitude": 1e-320}]},
+     "frame times that overflow"),
+    ({"amplitude_deg": {"left_knee": math.inf}},
+     "amplitude_deg.left_knee: must be a finite number, got inf"),
 ], ids=["magnitude-text", "frames-text", "frames-fraction", "error-not-object",
         "errors-not-list", "amplitude-null", "amplitudes-not-object", "noise-nan",
-        "template-list"])
+        "template-list", "misspelt-key", "huge-frames", "tiny-speed-factor",
+        "infinite-amplitude"])
 def test_bad_motion_spec_exits_2(tmp_path, capsys, spec, expected):
     path = tmp_path / "spec.json"
     doc = {"template": "squat", "n_frames": 12, **spec}
@@ -646,11 +662,13 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
      "frame_detail.deviations[0]: must be a list, got 5.0"),
     (lambda doc: doc["frame_detail"]["transforms"].__setitem__(0, "1234"),
      "frame_detail.transforms[0]: must be a list, got '1234'"),
+    (lambda doc: doc["corrections"][0].update(frame=["f0000"]),
+     "corrections[0]: unknown correction key 'frame'"),
 ], ids=["score-text", "correction-text", "detail-short-deviations-row",
         "detail-transforms-row-of-6", "version-1", "name-number", "class-unknown",
         "aux-not-object", "aux-text", "aux-nan", "correction-frame-number",
         "detail-frame-id-nan", "detail-deviations-row-number",
-        "detail-transforms-row-text"])
+        "detail-transforms-row-text", "correction-misspelt-key"])
 def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
                                                       key):
     """``score-model --report`` refuses each edit of a written report and

@@ -8,7 +8,8 @@ import pytest
 
 import reference
 from formcoach.skeleton import (Annotation, Frame, FrameViews, JointId, Sequence,
-                                ValidationError, JOINT_NAMES, load_annotation,
+                                ValidationError, JOINT_NAMES, annotation_to_dict,
+                                load_annotation,
                                 load_sequence, read_json, save_annotation, save_sequence,
                                 write_json_atomic, write_text_atomic)
 from formcoach.synth import InjectedError, MotionSpec, generate
@@ -550,6 +551,17 @@ class TestAnnotationIO:
         )
         path = tmp_path / "a.json"
         save_annotation(ann, path)
+        assert load_annotation(path) == ann
+
+    def test_dropped_keys_of_older_files_are_ignored(self, tmp_path):
+        """Files that still carry ``rom_limits`` load to the same annotation
+        as files without it."""
+        ann = Annotation(exercise_id="squat", targeted_joints=(JointId.LEFT_KNEE,),
+                         reference_angles={JointId.LEFT_KNEE: (90.0, 175.0)})
+        doc = annotation_to_dict(ann)
+        doc["rom_limits"] = {"left_knee": [30.0, 180.0]}
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(doc))
         assert load_annotation(path) == ann
 
     def test_rejects_inverted_bounds(self):
