@@ -48,8 +48,9 @@ from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, select_key_joints, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JOINT_NAMES, JointId, Sequence, ValidationError, _finite,
-                       _joints, _json_number, _key, _list, joint_from_name, read_json,
+from .skeleton import (JOINT_NAMES, REQUIRED, JointId, Sequence, ValidationError,
+                       _as_is, _as_str, _finite, _joints, _json_number, _list_of,
+                       _object_of, _strings, joint_from_name, read_json, read_object,
                        write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
@@ -387,53 +388,44 @@ def save_report(report: AssessmentReport, path: os.PathLike | str) -> None:
     write_json_atomic(path, report_to_dict(report))
 
 
-def _strings(value, where: str) -> Tuple[str, ...]:
-    """A JSON list of strings, such as frame ids."""
-    for i, item in enumerate(_list(value, where)):
-        if not isinstance(item, str):
-            raise ValidationError(f"{where}[{i}]: must be a string, got {item!r}")
-    return tuple(value)
+def _cell(value, where: str) -> Optional[float]:
+    """A JSON number, or null for NaN."""
+    return None if value is None else _json_number(value, where)
+
+
+# The keys of a report and of its objects; its numbers must be JSON numbers.
+_CORRECTION = {"text": (_as_str, REQUIRED), "joint": (joint_from_name, REQUIRED),
+               "frames": (_strings, REQUIRED)}
+_FRAME_DETAIL = {"frame_ids": (_strings, REQUIRED), "joints": (_joints, REQUIRED),
+                 "deviations": (_list_of(_list_of(_cell)), REQUIRED),
+                 "transforms": (_list_of(_list_of(_cell)), REQUIRED)}
+_AUX_SCORES = {key: (lambda value, where: _json_number(value, where, _finite), REQUIRED)
+               for key in ("joint", "pace", "range")}
+_REPORT = {
+    "version": (_as_is, 1),
+    "name": (_as_is, REQUIRED),
+    "class": (_as_is, REQUIRED),
+    "joint": (_json_number, REQUIRED),
+    "pace": (_json_number, REQUIRED),
+    "range": (lambda value, where: None if value == RANGE_NOT_APPLICABLE
+              else _json_number(value, where), REQUIRED),
+    "correction": (None, REQUIRED),    # the corrections' texts, joined
+    "corrections": (_list_of(_object_of(
+        _CORRECTION, "correction",
+        lambda text, joint, frames: Correction(text, joint, frames))), ()),
+    "frame_detail": (_object_of(_FRAME_DETAIL, "frame detail"), REQUIRED),
+    "aux_scores": (_object_of(_AUX_SCORES, "aux scores"), None),
+}
 
 
 def load_report(path: os.PathLike | str) -> AssessmentReport:
-    """Load a :func:`save_report` file; messages name the key, not the file.
-    Its numbers must be JSON numbers."""
-    doc = read_json(path)
-    for key in ("name", "class", "joint", "pace", "range", "correction"):
-        _key(doc, key, "report")
-    version = doc.get("version", 1)
-    if version != REPORT_VERSION:
-        raise ValidationError(f"report version {version!r} is not supported; "
+    """Load a :func:`save_report` file; messages name the key, not the file."""
+    fields = read_object(read_json(path), "", _REPORT, "report")
+    if fields["version"] != REPORT_VERSION:
+        raise ValidationError(f"report version {fields['version']!r} is not supported; "
                               "`formcoach assess` writes a current report")
-    corrections = []
-    for i, c in enumerate(_list(doc.get("corrections", []), "corrections")):
-        where = f"corrections[{i}]"
-        corrections.append(Correction(
-            text=str(_key(c, "text", where)),
-            joint=joint_from_name(_key(c, "joint", where), f"{where}.joint"),
-            frame_ids=_strings(_key(c, "frames", where), f"{where}.frames")))
-    detail = {key: _list(_key(doc.get("frame_detail"), key, "frame_detail"),
-                         f"frame_detail.{key}")
-              for key in ("frame_ids", "joints", "deviations", "transforms")}
-    detail["frame_ids"] = _strings(detail["frame_ids"], "frame_detail.frame_ids")
-    detail["joints"] = _joints(detail["joints"], "frame_detail.joints")
-    for key in ("deviations", "transforms"):
-        for i, row in enumerate(detail[key]):
-            for k, cell in enumerate(_list(row, f"frame_detail.{key}[{i}]")):
-                if cell is not None:
-                    _json_number(cell, f"frame_detail.{key}[{i}][{k}]")
-    aux = doc.get("aux_scores")
-    if aux is not None:
-        aux = {k: _json_number(_key(aux, k, "aux_scores"), f"aux_scores.{k}", _finite)
-               for k in ("joint", "pace", "range")}
-    rng = doc["range"]
     return AssessmentReport(
-        name=doc["name"],
-        body_class=doc["class"],
-        joint_score=_json_number(doc["joint"], "joint"),
-        pace_score=_json_number(doc["pace"], "pace"),
-        range_score=None if rng == RANGE_NOT_APPLICABLE else _json_number(rng, "range"),
-        corrections=tuple(corrections),
-        aux_scores=aux,
-        **detail,
-    )
+        name=fields["name"], body_class=fields["class"], joint_score=fields["joint"],
+        pace_score=fields["pace"], range_score=fields["range"],
+        corrections=fields["corrections"], aux_scores=fields["aux_scores"],
+        **fields["frame_detail"])

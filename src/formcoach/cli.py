@@ -15,8 +15,11 @@ Errors: a failing input prints one line, ``error: <input>: <fault>`` (exit 2)
 or ``error: degenerate data in <input>: <fault>`` (exit 3), that names the
 input once, with its role where it has one (``reference <path>``); a missing
 file prints Python's own message (exit 2). Only this module names inputs: the
-readers' messages do not. Training divergence exits 4. Any other exception,
-a bare ``ValueError`` included, is a bug and escapes.
+readers' messages do not; they name the key path instead. Exercise configs,
+annotations, reports, motion specs and training configs refuse a key their
+reader's table does not list (``rules[0]: unknown correction rule key
+'angle_abov'``); keypoint files ignore such keys. Training divergence exits
+4. Any other exception, a bare ``ValueError`` included, is a bug and escapes.
 
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call; an unusable candidate fails only itself.
@@ -29,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import errno
 import functools
 import json
@@ -48,9 +52,10 @@ from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JOINT_NAMES, Annotation,
-                       ValidationError, _json_number, _key, _list, _number,
-                       joint_from_name, load_annotation, load_sequence, read_json,
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JOINT_NAMES, REQUIRED,
+                       Annotation, ValidationError, _as_is, _as_str, _finite,
+                       _json_number, _list_of, _number, _object_of, joint_from_name,
+                       load_annotation, load_sequence, read_json, read_object,
                        save_annotation, save_sequence, write_json_atomic,
                        write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
@@ -219,42 +224,45 @@ def cmd_assess(args) -> int:
     return code
 
 
+def _integer(value, where: str) -> int:
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ValidationError(f"{where} must be an integer, got {number:g}")
+    return int(number)
+
+
+def _amplitudes(value, where: str) -> dict:
+    """A ``{joint_name: degrees}`` JSON object."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{where} must map joint names to degrees")
+    return {joint_from_name(name, where): _finite(degrees, f"{where}.{name}")
+            for name, degrees in value.items()}
+
+
+# The keys of a motion spec and of its injected errors; numbers may be given
+# as text, as float() reads them.
+_INJECTED_ERROR = {
+    "type": (_as_is, REQUIRED),
+    "magnitude": (_number, REQUIRED),
+    "joint": (joint_from_name, None),
+    "phase": (_as_is, "all"),
+}
+_MOTION_SPEC = {
+    "template": (_as_str, REQUIRED),
+    "n_frames": (_integer, 48),
+    "fps": (_number, 30.0),
+    "amplitude_deg": (_amplitudes, None),
+    "noise_std": (_number, 0.0),
+    "injected_errors": (_list_of(_object_of(
+        _INJECTED_ERROR, "injected error",
+        lambda **error: InjectedError(error.pop("type"), **error))), ()),
+    "class_label": (_as_is, None),
+}
+
+
 def _motion_spec_from_file(path: Path) -> MotionSpec:
     """The motion spec in ``path``; messages name the key, not the file."""
-    doc = read_json(path)
-    template = _key(doc, "template", "top level")
-
-    def number(key: str, default: float) -> float:
-        return _number(doc.get(key, default), key)
-
-    errors = []
-    for i, e in enumerate(_list(doc.get("injected_errors", []), "injected_errors")):
-        where = f"injected_errors[{i}]"
-        magnitude = _number(_key(e, "magnitude", where), f"{where}.magnitude")
-        errors.append(InjectedError(
-            kind=e.get("type", e.get("kind")),
-            magnitude=magnitude,
-            joint=(None if e.get("joint") is None
-                   else joint_from_name(e["joint"], f"{where}.joint")),
-            phase=e.get("phase", "all"),
-        ))
-    amplitudes = doc.get("amplitude_deg", {})
-    if not isinstance(amplitudes, dict):
-        raise ValidationError("amplitude_deg must map joint names to degrees")
-    n_frames = number("n_frames", 48)
-    if not n_frames.is_integer():
-        raise ValidationError(f"n_frames must be an integer, got {n_frames:g}")
-    return MotionSpec(
-        template=str(template),
-        n_frames=int(n_frames),
-        fps=number("fps", 30.0),
-        amplitude_deg={joint_from_name(k, "amplitude_deg"):
-                       _number(v, f"amplitude_deg.{k}")
-                       for k, v in amplitudes.items()} or None,
-        noise_std=number("noise_std", 0.0),
-        injected_errors=tuple(errors),
-        class_label=doc.get("class_label"),
-    )
+    return MotionSpec(**read_object(read_json(path), "", _MOTION_SPEC, "motion spec"))
 
 
 def cmd_synth(args) -> int:
@@ -271,19 +279,22 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
+# The keys of a training config: the model's, which STTFConfig checks, and
+# the two of training, which must be JSON numbers.
+_TRAIN_CONFIG = {
+    **{f.name: (_as_is, f.default) for f in dataclasses.fields(sttf.STTFConfig)},
+    "epochs": (_json_number, 50.0),
+    "lr": (_json_number, 1e-2),
+}
+
+
 def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float]:
-    """(model config, epochs, lr) from ``path`` or the defaults; ``epochs``
-    and ``lr`` must be JSON numbers. Messages name the key, not the file."""
-    doc = {}
-    if path:
-        doc = read_json(path)
-        if not isinstance(doc, dict):
-            raise ValidationError("training config must be an object")
-    model_keys = sttf.STTFConfig.__dataclass_fields__.keys()
-    unknown = [k for k in doc if k not in model_keys and k not in ("epochs", "lr")]
-    if unknown:
-        raise ValidationError(f"unknown training config key {unknown[0]!r}")
-    config = sttf.STTFConfig(**{k: v for k, v in doc.items() if k in model_keys})
+    """(model config, epochs, lr) from ``path`` or the defaults. Messages
+    name the key, not the file."""
+    fields = read_object(read_json(path) if path else {}, "", _TRAIN_CONFIG,
+                         "training config")
+    epochs, lr = fields.pop("epochs"), fields.pop("lr")
+    config = sttf.STTFConfig(**fields)
     for key, bound in (("seq_len", _MAX_TRAIN_SEQ_LEN),
                        ("spatial_layers", _MAX_TRAIN_LAYERS),
                        ("temporal_layers", _MAX_TRAIN_LAYERS),
@@ -292,8 +303,6 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
         if getattr(config, key) > bound:
             raise ValidationError(f"{key} must be at most {bound}, "
                                   f"got {getattr(config, key)}")
-    epochs = _json_number(doc.get("epochs", 50), "epochs")
-    lr = _json_number(doc.get("lr", 1e-2), "lr")
     if not (epochs >= 1 and epochs.is_integer()):
         raise ValidationError(f"epochs must be a positive integer, got {epochs:g}")
     if epochs > _MAX_TRAIN_EPOCHS:

@@ -13,9 +13,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from .kinematics import ANGLE_NEIGHBORS, DEFAULT_KEY_JOINT_THRESHOLD_DEG
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JointId, ValidationError,
-                       _angle_ranges, _angle_table, _finite, _joints, _key, _list, _number,
-                       joint_from_name, read_json, write_json_atomic)
+from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, REQUIRED, RETIRED, JointId,
+                       ValidationError, _angle_ranges, _angle_table, _as_is, _as_str,
+                       _finite, _joints, _list_of, _number, _object_of, joint_from_name,
+                       read_json, read_object, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 
@@ -152,42 +153,37 @@ def save_exercise_config(cfg: ExerciseConfig, path: os.PathLike | str) -> None:
     write_json_atomic(path, config_to_dict(cfg))
 
 
+# The keys of an exercise config, its phase and its rules; numbers may be
+# given as text, as float() reads them.
+_PHASE = {
+    "primary_joint": (joint_from_name, REQUIRED),
+    "eccentric_direction": (_as_is, "decreasing"),
+    "min_ratio": RETIRED,
+}
+_RULE = {
+    "joint": (joint_from_name, REQUIRED),
+    "message": (_as_str, REQUIRED),
+    "angle_above": (_finite, None),
+    "angle_below": (_finite, None),
+    "deviation_above": (_finite, None),
+    "phase": (_as_is, None),
+}
+_EXERCISE_CONFIG = {
+    "exercise_id": (_as_str, REQUIRED),
+    "class": (_as_str, "Both"),
+    "targeted_joints": (_joints, None),
+    "reference_angles": (_angle_table, {}),
+    "key_joint_threshold_deg": (_number, DEFAULT_KEY_JOINT_THRESHOLD_DEG),
+    "mistake_threshold": (_number, DEFAULT_MISTAKE_THRESHOLD),
+    "occlusion_threshold": (_number, DEFAULT_OCCLUSION_THRESHOLD),
+    "pace_ratio_weight": (_number, 0.5),
+    "phase": (_object_of(_PHASE, "phase", PhaseConfig), REQUIRED),
+    "rules": (_list_of(_object_of(_RULE, "correction rule", CorrectionRule)), ()),
+    "rom_limits": RETIRED,
+}
+
+
 def load_exercise_config(path: os.PathLike | str) -> ExerciseConfig:
     """Load and validate an exercise config; messages name the key, not the file."""
-    doc = read_json(path)
-    if not isinstance(doc, dict) or "exercise_id" not in doc or "phase" not in doc:
-        raise ValidationError("not an exercise config file")
-    ph = doc["phase"]
-    targeted = doc.get("targeted_joints")
-
-    def number(key: str, default: float) -> float:
-        return _number(doc.get(key, default), key)
-
-    rules = []
-    for i, r in enumerate(_list(doc.get("rules", []), "rules")):
-        where = f"rules[{i}]"
-        rules.append(CorrectionRule(
-            joint=joint_from_name(_key(r, "joint", where), f"{where}.joint"),
-            message=str(_key(r, "message", where)),
-            phase=r.get("phase"),
-            **{k: _finite(r[k], f"{where}.{k}")
-               for k in ("angle_above", "angle_below", "deviation_above")
-               if r.get(k) is not None}))
-    return ExerciseConfig(
-        exercise_id=str(doc["exercise_id"]),
-        body_class=str(doc.get("class", "Both")),
-        phase=PhaseConfig(
-            primary_joint=joint_from_name(_key(ph, "primary_joint", "phase"),
-                                          "phase.primary_joint"),
-            eccentric_direction=ph.get("eccentric_direction", "decreasing"),
-        ),
-        targeted_joints=None if targeted is None else _joints(targeted, "targeted_joints"),
-        reference_angles=_angle_table(doc.get("reference_angles", {}),
-                                      "reference_angles"),
-        key_joint_threshold_deg=number("key_joint_threshold_deg",
-                                       DEFAULT_KEY_JOINT_THRESHOLD_DEG),
-        mistake_threshold=number("mistake_threshold", DEFAULT_MISTAKE_THRESHOLD),
-        occlusion_threshold=number("occlusion_threshold", DEFAULT_OCCLUSION_THRESHOLD),
-        pace_ratio_weight=number("pace_ratio_weight", 0.5),
-        rules=tuple(rules),
-    )
+    fields = read_object(read_json(path), "", _EXERCISE_CONFIG, "exercise config")
+    return ExerciseConfig(body_class=fields.pop("class"), **fields)

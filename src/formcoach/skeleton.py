@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -321,6 +321,8 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 # where <kp> is either a list of 17 [x, y, conf] rows in COCO order, or a
 # mapping {joint_name: [x, y, conf]} in any order (reordered on load).
 # "t" may be omitted when "fps" is given; it is synthesized as index / fps.
+# Other keys are ignored, at the top and in frames (see "JSON objects read
+# by a table" below).
 # ---------------------------------------------------------------------------
 
 @contextlib.contextmanager
@@ -372,26 +374,6 @@ def _json_number(value, where: str, convert=_number) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: {value!r} is not a number")
     return convert(value, where)
-
-
-def _key(obj, key: str, where: str):
-    """``obj[key]`` of a JSON object; a :class:`ValidationError` naming
-    ``where`` if ``obj`` is not an object or lacks the key."""
-    if not isinstance(obj, Mapping) or key not in obj:
-        raise ValidationError(f"{where}: must be an object with key {key!r}")
-    return obj[key]
-
-
-def _list(value, where: str) -> list:
-    if not isinstance(value, list):
-        raise ValidationError(f"{where}: must be a list, got {value!r}")
-    return value
-
-
-def _joints(value, where: str) -> Tuple[JointId, ...]:
-    """A JSON list of joint names."""
-    return tuple(joint_from_name(n, f"{where}[{i}]")
-                 for i, n in enumerate(_list(value, where)))
 
 
 def _angle_table(obj, where: str) -> Dict[JointId, Tuple[float, float]]:
@@ -541,6 +523,91 @@ def save_sequence(seq: Sequence, path: os.PathLike | str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# JSON objects read by a table
+#
+# Exercise configs (config.py), annotations (below), reports (assessment.py),
+# motion specs and training configs (cli.py) are read by one table per JSON
+# object, ``{key: (convert, default)}``: the one place that says which keys
+# exist, which are REQUIRED, what the others default to and how each value is
+# converted. Any other key is refused, naming its path: in a file someone
+# wrote, a misspelt key would otherwise leave its default in force without a
+# word. Retired keys that older files still carry are read and ignored:
+# ``rom_limits`` in exercise configs and annotations, ``phase.min_ratio`` in
+# exercise configs. Keypoint files have their own reader and ignore unknown
+# keys, since pose estimators add their own, such as ``bbox`` or ``score``; a
+# checkpoint's tensor table must match its config exactly.
+# ---------------------------------------------------------------------------
+
+REQUIRED = object()    # the default of a key that must be given
+RETIRED = (None, None)    # the entry of a key that is read and ignored
+
+
+def read_object(doc, where: str, table: Mapping, kind: str) -> dict:
+    """``doc``, a JSON object at the key path ``where`` ("" at a file's top),
+    read by ``table`` into ``{key: value}`` in the table's order: a given
+    value becomes ``convert(value, its key path)``; an absent one, or a null
+    whose default is None, the default. Not an object, a key outside the
+    table or a missing ``REQUIRED`` one is a :class:`ValidationError` naming
+    ``where`` and the ``kind`` of object. A key whose ``convert`` is None is
+    read and left out."""
+    at = f"{where}: " if where else ""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{at}{kind} must be an object")
+    for key in doc:
+        if key not in table:
+            raise ValidationError(f"{at}unknown {kind} key {key!r}")
+    fields = {}
+    for key, (convert, default) in table.items():
+        if key not in doc and default is REQUIRED:
+            raise ValidationError(f"{at}missing {kind} key {key!r}")
+        if convert is None:
+            continue
+        value = doc.get(key, default)
+        if key in doc and (value is not None or default is not None):
+            value = convert(value, f"{where}.{key}" if where else key)
+        fields[key] = value
+    return fields
+
+
+def _as_is(value, where: str):
+    return value
+
+
+def _as_str(value, where: str) -> str:
+    return str(value)
+
+
+def _string(value, where: str) -> str:
+    """A JSON string, such as a frame id."""
+    if not isinstance(value, str):
+        raise ValidationError(f"{where}: must be a string, got {value!r}")
+    return value
+
+
+def _list_of(convert: Callable) -> Callable:
+    """The converter of a JSON list: the tuple of each item's ``convert``."""
+    def read(value, where: str) -> tuple:
+        if not isinstance(value, list):
+            raise ValidationError(f"{where}: must be a list, got {value!r}")
+        return tuple(convert(item, f"{where}[{i}]") for i, item in enumerate(value))
+    return read
+
+
+def _object_of(table: Mapping, kind: str, build: Callable = dict) -> Callable:
+    """The converter of a JSON object read by ``table``: ``build(**fields)``."""
+    return lambda value, where: build(**read_object(value, where, table, kind))
+
+
+def _row(**fields) -> tuple:
+    """The fields as a tuple, in their table's order."""
+    return tuple(fields.values())
+
+
+_joints = _list_of(joint_from_name)    # a JSON list of joint names
+_strings = _list_of(_string)
+
+
+# ---------------------------------------------------------------------------
 # Annotation file I/O (JSON mirroring the Annotation type)
 # ---------------------------------------------------------------------------
 
@@ -563,26 +630,19 @@ def save_annotation(ann: Annotation, path: os.PathLike | str) -> None:
     write_json_atomic(path, annotation_to_dict(ann))
 
 
+_MISTAKE = {"frame_id": (_as_is, REQUIRED), "joint": (joint_from_name, REQUIRED),
+            "note": (_as_is, "")}
+_SCORES = {key: (_number, REQUIRED) for key in ("joint", "pace", "range")}
+_ANNOTATION = {
+    "exercise_id": (_as_str, REQUIRED),
+    "targeted_joints": (_joints, ()),
+    "reference_angles": (_angle_table, {}),
+    "per_frame_mistakes": (_list_of(_object_of(_MISTAKE, "annotation mistake", _row)), ()),
+    "scores": (_object_of(_SCORES, "annotation scores", _row), None),
+    "rom_limits": RETIRED,
+}
+
+
 def load_annotation(path: os.PathLike | str) -> Annotation:
     """Load and validate an annotation file; messages name the key, not the file."""
-    doc = read_json(path)
-    if not isinstance(doc, Mapping) or "exercise_id" not in doc:
-        raise ValidationError("not an annotation file")
-    scores = doc.get("scores")
-    if scores is not None:
-        scores = tuple(_number(_key(scores, k, "scores"), f"scores.{k}")
-                       for k in ("joint", "pace", "range"))
-    mistakes = []
-    for i, m in enumerate(_list(doc.get("per_frame_mistakes", []), "per_frame_mistakes")):
-        where = f"per_frame_mistakes[{i}]"
-        mistakes.append((_key(m, "frame_id", where),
-                         joint_from_name(_key(m, "joint", where), f"{where}.joint"),
-                         m.get("note", "")))
-    return Annotation(
-        exercise_id=str(doc["exercise_id"]),
-        targeted_joints=_joints(doc.get("targeted_joints", []), "targeted_joints"),
-        reference_angles=_angle_table(doc.get("reference_angles", {}),
-                                      "reference_angles"),
-        per_frame_mistakes=tuple(mistakes),
-        scores=scores,
-    )
+    return Annotation(**read_object(read_json(path), "", _ANNOTATION, "annotation"))

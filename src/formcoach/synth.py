@@ -41,6 +41,10 @@ PX_PER_UNIT = 100.0
 PX_ORIGIN = (320.0, 300.0)
 
 MIN_FRAMES = 8
+# A frame takes about 0.18 ms to generate and write and 555 bytes of keypoint
+# file (2-vCPU Xeon), so 100000 frames, 55 minutes at 30 fps, take about 18 s
+# and 56 MB. 1e308, an integer too, failed inside np.linspace.
+MAX_FRAMES = 100_000
 
 ERROR_KINDS = ("angle_offset_deg", "speed_factor", "rom_truncation_fraction")
 PHASES = ("all", "eccentric", "concentric")
@@ -109,19 +113,16 @@ class MotionSpec:
     def __post_init__(self):
         if self.n_frames < MIN_FRAMES:
             raise ValidationError(f"n_frames must be >= {MIN_FRAMES}")
+        if self.n_frames > MAX_FRAMES:
+            raise ValidationError(f"n_frames must be at most {MAX_FRAMES}, "
+                                  f"got {self.n_frames:g}")
         _check_fps(self.fps)
         if not (0 <= self.noise_std < math.inf):
             raise ValidationError("noise_std must be finite and >= 0")
         object.__setattr__(self, "injected_errors", tuple(self.injected_errors))
         if self.amplitude_deg is not None:
-            amp = {JointId(k) if not isinstance(k, str) else _joint_key(k): float(v)
-                   for k, v in dict(self.amplitude_deg).items()}
+            amp = {JointId(k): float(v) for k, v in dict(self.amplitude_deg).items()}
             object.__setattr__(self, "amplitude_deg", amp)
-
-
-def _joint_key(name: str) -> JointId:
-    from .skeleton import joint_from_name
-    return joint_from_name(name)
 
 
 @dataclass(frozen=True)
@@ -334,16 +335,20 @@ def _apply_angle_offset(points: np.ndarray, joint: JointId, magnitude: float,
 
 
 def _timestamps(spec: MotionSpec, phases: Seq[str]) -> np.ndarray:
+    """Frame times; a :class:`ValidationError` if the last one overflows."""
     n = spec.n_frames
     dt = np.full(n - 1, 1.0 / spec.fps)
-    for err in spec.injected_errors:
-        if err.kind != "speed_factor":
-            continue
-        for k in range(n - 1):
-            # interval k runs from frame k to k+1; it belongs to frame k's phase
-            if err.phase == "all" or phases[k] == err.phase:
-                dt[k] = dt[k] / err.magnitude
-    return np.concatenate([[0.0], np.cumsum(dt)])
+    with np.errstate(over="ignore"):    # refused below
+        for err in spec.injected_errors:
+            if err.kind == "speed_factor":
+                # interval k runs from frame k to k+1; it belongs to frame k's phase
+                inside = np.array([err.phase in ("all", p) for p in phases[:-1]])
+                dt[inside] = dt[inside] / err.magnitude
+        times = np.concatenate([[0.0], np.cumsum(dt)])
+    if not math.isfinite(times[-1]):
+        raise ValidationError(f"fps {spec.fps:g} and the speed factors give frame "
+                              "times that overflow")
+    return times
 
 
 def generate(spec: MotionSpec, seed: int = 0) -> Tuple[Sequence, Annotation]:
