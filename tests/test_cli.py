@@ -93,6 +93,50 @@ def test_assess_writes_golden_report_and_aids(tmp_path):
         assert (out / name).read_bytes() == (GOLDEN_AIDS / name).read_bytes(), name
 
 
+def kernel_settings() -> dict:
+    """``{name: environment}`` of each NumPy and BLAS kernel setting this
+    machine can run: the default, OpenBLAS's Nehalem kernels, its Haswell
+    kernels given AVX2 and FMA3, and NumPy with its dispatched SIMD
+    features switched off."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    settings = {"default": {}}
+    if __cpu_features__.get("SSE42"):
+        settings["nehalem"] = {"OPENBLAS_CORETYPE": "Nehalem"}
+    if __cpu_features__.get("AVX2") and __cpu_features__.get("FMA3"):
+        settings["haswell"] = {"OPENBLAS_CORETYPE": "Haswell"}
+    dispatched = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    if dispatched:
+        settings["baseline-simd"] = {"NPY_DISABLE_CPU_FEATURES": " ".join(dispatched)}
+    return settings
+
+
+def test_golden_assess_is_the_same_under_every_kernel(tmp_path):
+    """The golden run, input synthesis included, writes the same bytes under
+    every kernel setting: a report is a function of its input alone."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    env["PYTHONPATH"] = os.pathsep.join((str(Path(cli.__file__).parents[1]),
+                                         str(Path(__file__).parent)))
+    code = ("import sys; from pathlib import Path; from test_cli import run_assess; "
+            "sys.exit(run_assess(Path(sys.argv[1]))[0])")
+    runs = {}
+    for name, setting in kernel_settings().items():
+        (tmp_path / name).mkdir()
+        runs[name] = subprocess.Popen([sys.executable, "-c", code, str(tmp_path / name)],
+                                      env=dict(env, **setting), stdout=subprocess.PIPE,
+                                      stderr=subprocess.PIPE)
+    outputs = {}
+    for name, proc in runs.items():
+        _, err = proc.communicate()
+        assert proc.returncode == cli.EXIT_OK, (name, err.decode("utf-8", "replace"))
+        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()}
+    default = outputs.pop("default")
+    differ = {name: sorted(f for f in files.keys() | default.keys()
+                           if files.get(f) != default.get(f))
+              for name, files in outputs.items()}
+    assert differ == {name: [] for name in outputs}
+
+
 def test_svgs_use_config_occlusion_threshold(tmp_path):
     """A joint below the config's occlusion threshold, but above the default
     one, is left out of the SVGs as it is left out of the assessment."""
