@@ -18,7 +18,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .normalize import Pose, _rot
+from .normalize import Pose, cos_sin, rotate
 from .skeleton import JointId
 
 logger = logging.getLogger(__name__)
@@ -126,12 +126,9 @@ def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
             + ", ".join(frame_ids[t] for t in i[hidden & (j == joint)].tolist())
             for joint in np.unique(j[hidden]).tolist()))
     i, r, j, k = (a[~hidden] for a in (i, r, j, k))
-    # One (17, 2) @ (2, 2) product per arrow: a one-row product takes another
-    # BLAS kernel and may round differently, which would move arrow heads.
-    local = ((ref.points[k] - ref.points[k, r, None]) @ _rot(ref.theta[k]).mT
-             * ref.scale[k, None, None])[np.arange(len(k)), j]
-    heads = ((local / cand.scale[i, None])[:, None] @ _rot(-cand.theta[i]).mT)[:, 0]
-    heads += cand.points[i, r]
+    c, s = cos_sin(np.stack((ref.theta[k], -cand.theta[i])))
+    local = rotate(ref.points[k, j] - ref.points[k, r], c[0], s[0]) * ref.scale[k, None]
+    heads = rotate(local / cand.scale[i, None], c[1], s[1]) + cand.points[i, r]
 
     arrows: Dict[int, List[Arrow]] = {f: [] for f, _, _ in flagged}
     texts: Dict[int, List[str]] = {f: [] for f, _, _ in flagged}

@@ -27,6 +27,7 @@ from typing import Dict, Iterable, List, Sequence as Seq, Tuple
 
 import numpy as np
 
+from .normalize import norms
 from .skeleton import JointId
 
 logger = logging.getLogger(__name__)
@@ -59,12 +60,6 @@ class DescriptorError(ValueError):
     """Joint-vector descriptor could not be built or compared."""
 
 
-def _norms(v: np.ndarray) -> np.ndarray:
-    # vecdot is a BLAS dot; a plain sum of squares may round the last bit
-    # differently and so move report and synthesized angle floats.
-    return np.sqrt(np.vecdot(v, v))
-
-
 def interior_angles(points: np.ndarray, joints: Seq[JointId],
                     occluded: np.ndarray | None = None) -> np.ndarray:
     """Interior angles (degrees) at ``joints`` for points of shape (..., 17, 2).
@@ -81,12 +76,13 @@ def interior_angles(points: np.ndarray, joints: Seq[JointId],
     j = np.array(joints, dtype=np.intp)
     va = points[..., a, :] - points[..., j, :]
     vb = points[..., b, :] - points[..., j, :]
-    na, nb = _norms(va), _norms(vb)
+    na, nb = norms(va), norms(vb)
     ok = (na >= COINCIDENT_EPS) & (nb >= COINCIDENT_EPS)
     if occluded is not None:
         ok &= ~(occluded[..., j] | occluded[..., a] | occluded[..., b])
     with np.errstate(divide="ignore", invalid="ignore"):
-        cos = np.clip(np.vecdot(va, vb) / (na * nb), -1.0, 1.0)
+        cos = np.clip((va[..., 0] * vb[..., 0] + va[..., 1] * vb[..., 1]) / (na * nb),
+                      -1.0, 1.0)
     # math.acos per element: np.arccos's SIMD form can differ from it in the
     # last bit, which would move report floats and synth's reference ranges.
     out = [math.degrees(math.acos(c)) if k else math.nan
@@ -134,9 +130,9 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
     pairs = ordered_pairs(requested)
     first, second = (np.array(p, dtype=np.intp) for p in zip(*pairs))
     diff = points[:, second] - points[:, first]
-    norms = _norms(diff)
+    lengths = norms(diff)
     visible = ~occluded
-    valid = visible[:, first] & visible[:, second] & (norms >= COINCIDENT_EPS)
+    valid = visible[:, first] & visible[:, second] & (lengths >= COINCIDENT_EPS)
     usable = visible[:, list(requested)]
     if not usable.all():
         dropped = "; ".join(
@@ -151,10 +147,10 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
         raise DescriptorError(f"frame {frame_ids[t]!r}: " + (
             "fewer than 2 usable targeted joints" if few[t]
             else "all targeted joint pairs are degenerate"))
-    vectors = np.divide(diff, norms[..., None], out=np.zeros_like(diff),
+    vectors = np.divide(diff, lengths[..., None], out=np.zeros_like(diff),
                         where=valid[..., None])
     return JointVectorSequence(tuple(frame_ids), requested, pairs, vectors,
-                               valid, np.where(valid, norms, 0.0))
+                               valid, np.where(valid, lengths, 0.0))
 
 
 def pair_dots(av: np.ndarray, ak: np.ndarray, bv: np.ndarray,

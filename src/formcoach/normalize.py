@@ -5,9 +5,10 @@ pixel points with their ``(T, 17)`` occlusion mask. Each frame is rotated so
 its torso points up (+y), scaled to unit torso length and moved so its body
 center sits at the origin. Its transform is the similarity map
 
-    canonical = s * R(theta) @ (pixel - center)
+    canonical = scale * rotate(pixel - center, cos(theta), sin(theta))
 
-with ``R(theta) = [[cos, -sin], [sin, cos]]`` and ``s = 1 / torso length``.
+with ``scale = 1 / torso length``. Like all 2-vector arithmetic here, it is
+elementwise ``+ - * / sqrt`` and ``math``: the same bits under any BLAS or CPU.
 The torso runs from the hip midpoint to the shoulder midpoint. Image y points
 down, canonical y points up; the rotation maps the torso onto +y directly,
 which absorbs the axis flip. The body center is the intersection of the
@@ -41,17 +42,22 @@ class OccludedJointError(ValueError):
     """A joint required by the operation is occluded."""
 
 
-def _rot(theta) -> np.ndarray:
-    """Rotation matrices of shape (..., 2, 2) for angles of any shape."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack((np.stack((c, -s), -1), np.stack((s, c), -1)), -2)
+def norms(v: np.ndarray) -> np.ndarray:
+    """Lengths ``sqrt(x*x + y*y)`` of 2-vectors (..., 2)."""
+    return np.sqrt(v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1])
 
 
-def _wrap_angle(theta):
-    """Wrap angles of any shape to (-pi, pi]."""
-    theta = np.fmod(theta, 2.0 * math.pi)
-    theta = np.where(theta <= -math.pi, theta + 2.0 * math.pi, theta)
-    return np.where(theta > math.pi, theta - 2.0 * math.pi, theta)
+def rotate(v: np.ndarray, c, s) -> np.ndarray:
+    """2-vectors (..., 2) rotated by the angles whose cosines ``c`` and sines
+    ``s`` broadcast against (...): ``(c*x - s*y, s*x + c*y)``."""
+    x, y = v[..., 0], v[..., 1]
+    return np.stack((c * x - s * y, s * x + c * y), axis=-1)
+
+
+def cos_sin(theta: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``math.cos`` and ``math.sin`` of each angle, as two arrays of its shape."""
+    flat = theta.ravel().tolist()
+    return tuple(np.reshape(list(map(f, flat)), theta.shape) for f in (math.cos, math.sin))
 
 
 _TORSO_JOINTS = (JointId.LEFT_SHOULDER, JointId.RIGHT_SHOULDER,
@@ -69,7 +75,7 @@ def _torso(points: np.ndarray, occluded: np.ndarray,
     hidden = occluded[:, _TORSO_JOINTS]
     ls, rs, lh, rh = (points[:, j] for j in _TORSO_JOINTS)
     torso = 0.5 * (ls + rs) - 0.5 * (lh + rh)
-    length = np.linalg.norm(torso, axis=-1)
+    length = norms(torso)
     bad = hidden.any(axis=1) | (length < TORSO_EPS)
     if bad.any():
         t = int(bad.argmax())
@@ -79,7 +85,7 @@ def _torso(points: np.ndarray, occluded: np.ndarray,
                 f"frame {frame_ids[t]!r}: torso joints occluded: {names}")
         raise DegenerateSkeletonError(
             f"frame {frame_ids[t]!r}: torso length {length[t]:.3g} px is degenerate")
-    return length, _wrap_angle(0.5 * math.pi - np.arctan2(torso[:, 1], torso[:, 0]))
+    return length, np.array([math.atan2(x, y) for x, y in torso.tolist()])
 
 
 def normalize_sequence(points: np.ndarray, occluded: np.ndarray,
@@ -95,14 +101,14 @@ def normalize_sequence(points: np.ndarray, occluded: np.ndarray,
     that cannot be normalized raises, naming its id.
     """
     length, theta = _torso(points, occluded, frame_ids)
-    rot = _rot(theta)
-    rotated = points @ rot.mT
+    c, s = (a[:, None] for a in cos_sin(theta))
+    rotated = rotate(points, c, s)
     hidden = occluded[..., None]
     box = 0.5 * (np.where(hidden, np.inf, rotated).min(axis=1)
                  + np.where(hidden, -np.inf, rotated).max(axis=1))
-    center = (box[:, None] @ rot)[:, 0]
+    center = rotate(box, c[:, 0], -s[:, 0])
     scale = 1.0 / length
-    canonical = (points - center[:, None]) @ rot.mT * scale[:, None, None]
+    canonical = rotate(points - center[:, None], c, s) * scale[:, None, None]
     return canonical, theta, scale, center
 
 

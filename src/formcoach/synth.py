@@ -34,6 +34,7 @@ import numpy as np
 
 from .config import ExerciseConfig, PhaseConfig
 from .kinematics import ANGLE_NEIGHBORS, interior_angles
+from .normalize import cos_sin, norms
 from .skeleton import (Annotation, FrameViews, JointId, Sequence, ValidationError,
                        _check_fps)
 
@@ -212,7 +213,7 @@ def _rot2(v: np.ndarray, deg: float) -> np.ndarray:
 
 
 def _unit(v: np.ndarray) -> np.ndarray:
-    return v / np.linalg.norm(v)
+    return v / norms(v)
 
 
 def _fk_points(angles: Mapping[JointId, float]) -> np.ndarray:
@@ -280,7 +281,7 @@ def _trajectory_angles(template: _Template, spec: MotionSpec,
             base, amp = amps[err.joint]
             amps[err.joint] = (base, amp * (1.0 - err.magnitude))
 
-    sin2 = np.sin(np.pi * u) ** 2
+    sin2 = cos_sin(np.pi * u)[1] ** 2
     out = []
     for k in range(len(u)):
         frame_angles = dict(template.static_angles)

@@ -10,14 +10,15 @@ The golden report was re-pinned once when reports became version 2, with
 the frame detail as arrays: every score, correction, deviation and transform
 value stayed equal, and the aids index and SVGs were not re-pinned.
 
-The golden report holds full-precision floats. The pair kernel's products
-are plain ``x*x' + y*y'``, but other steps still use routines whose last bits
-may depend on the NumPy/BLAS build and the CPU: the BLAS dot behind the
-descriptor and interior-angle norms, the matrix products of normalization,
-and NumPy's vectorized cos, sin and arctan2. The file was written with NumPy
-2.4.6 and OpenBLAS 0.3.31 on an x86-64 CPU with AVX-512. On another build or
-CPU, a byte mismatch in the last digits is not by itself a regression:
-compare the warp path, flags and corrections first.
+The golden report holds full-precision floats. Its 2-vector arithmetic is
+plain ``+ - * / sqrt`` on NumPy arrays, which IEEE 754 rounds the same way
+on every build, and its cos, sin, atan2 and acos are Python's ``math``
+functions. So the bytes do not depend on the BLAS kernel or on the CPU's
+SIMD features, which ``test_golden_assess_is_the_same_under_every_kernel``
+checks; they may still depend on the platform's C math library. The report
+was re-pinned once more when that arithmetic replaced BLAS products and
+NumPy's vectorized trigonometry: 103 floats moved, by at most 1.1e-12, and
+the aids index and SVGs stayed the same.
 """
 
 import json
