@@ -45,6 +45,11 @@ DEFAULT_OCCLUSION_THRESHOLD = 0.05
 
 CLASS_LABELS = ("groundtruth", "correct", "wrong")
 
+# Largest keypoint coordinate magnitude, in pixels. Far below 1e145, it keeps
+# the square of every coordinate difference finite, even at canonical scale
+# (divided by a torso length as small as normalize.TORSO_EPS = 1e-6).
+MAX_COORDINATE = 1e100
+
 
 class JointId(IntEnum):
     """The 17 COCO keypoints, integer codes 0-16 in standard COCO order."""
@@ -180,12 +185,14 @@ class Sequence:
             ts = np.array([f.timestamp for f in frames], dtype=np.float64)
         # NaN fails every comparison, so the range checks also reject it.
         bad = ~np.stack((np.isfinite(points).all(axis=(1, 2)),
+                         (np.abs(points) <= MAX_COORDINATE).all(axis=(1, 2)),
                          ((conf >= 0.0) & (conf <= 1.0)).all(axis=1),
                          np.isfinite(ts) & (ts >= 0.0)), axis=1)
         if bad.any():
-            i, k = divmod(int(bad.argmax()), 3)
-            problem = ("non-finite coordinates", "confidence outside [0, 1]",
-                       "invalid timestamp")[k]
+            i, k = divmod(int(bad.argmax()), 4)
+            problem = ("non-finite coordinates",
+                       f"coordinate magnitude above {MAX_COORDINATE:g}",
+                       "confidence outside [0, 1]", "invalid timestamp")[k]
             raise ValidationError(f"frame {ids[i]!r}: {problem}")
         if self.class_label not in CLASS_LABELS:
             raise ValidationError(
@@ -319,7 +326,8 @@ def write_json_atomic(path: os.PathLike | str, obj) -> None:
 #   {"exercise_id": str, "class": str, "fps": float|null,
 #    "frames": [{"id": str, "t": float, "keypoints": <kp>}, ...]}
 # where <kp> is either a list of 17 [x, y, conf] rows in COCO order, or a
-# mapping {joint_name: [x, y, conf]} in any order (reordered on load).
+# mapping {joint_name: [x, y, conf]} in any order (reordered on load). x and
+# y are at most MAX_COORDINATE in magnitude, so no square of them overflows.
 # "t" may be omitted when "fps" is given; it is synthesized as index / fps.
 # Other keys are ignored, at the top and in frames (see "JSON objects read
 # by a table" below).

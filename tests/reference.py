@@ -35,9 +35,10 @@ Formulas (image y points down, canonical y points up):
   ``(1 + tanh(u)) / 2 + x / 2 * (1 - tanh(u)^2) * du/dx``.
 * keypoint file: the schema of the ``skeleton`` module, read frame by frame;
   a given fps must be a positive, finite number; then each frame's
-  structure, numbers and values are checked before the next frame is read,
-  then the sequence's class, length and timestamp order. Messages do not
-  name the file.
+  structure, numbers and values (finite coordinates at most 1e100 in
+  magnitude, confidences in [0, 1], a finite non-negative timestamp) are
+  checked before the next frame is read, then the sequence's class, length
+  and timestamp order. Messages do not name the file.
 """
 
 import json
@@ -53,6 +54,7 @@ ANGLE_NEIGHBORS = {
 }
 
 COINCIDENT_EPS = 1e-9
+MAX_COORDINATE = 1e100
 
 
 def _xy(p):
@@ -298,6 +300,9 @@ def _keypoint_file_frame(i, raw, fps):
     for x, y, conf in rows:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise Invalid(f"frame {frame_id!r}: non-finite coordinates")
+    for x, y, conf in rows:
+        if abs(x) > MAX_COORDINATE or abs(y) > MAX_COORDINATE:
+            raise Invalid(f"frame {frame_id!r}: coordinate magnitude above 1e+100")
     for x, y, conf in rows:
         if not 0.0 <= conf <= 1.0:
             raise Invalid(f"frame {frame_id!r}: confidence outside [0, 1]")

@@ -130,7 +130,8 @@ def test_golden_assess_is_the_same_under_every_kernel(tmp_path):
     for name, proc in runs.items():
         _, err = proc.communicate()
         assert proc.returncode == cli.EXIT_OK, (name, err.decode("utf-8", "replace"))
-        outputs[name] = {p.name: p.read_bytes() for p in (tmp_path / name / "out").iterdir()}
+        outputs[name] = {p.name: p.read_bytes()
+                         for p in (tmp_path / name / "out").iterdir()}
     default = outputs.pop("default")
     differ = {name: sorted(f for f in files.keys() | default.keys()
                            if files.get(f) != default.get(f))

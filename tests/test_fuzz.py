@@ -1,10 +1,11 @@
-"""Mutation fuzzing of the five hand-written JSON inputs through ``cli.main``.
+"""Mutation fuzzing of the JSON inputs through ``cli.main``.
 
 Random edits of valid input find faults that hand-picked bad input misses
 (Miller, Fredriksen and So, "An empirical study of the reliability of UNIX
 utilities", CACM 1990). Each example starts from one valid file of one kind
-(exercise config, annotation, report, motion spec, training config), makes
-one structural edit of its JSON and runs the subcommand that reads the file.
+(exercise config, annotation, report, motion spec, training config, or the
+candidate keypoint file of ``assess --aux-model``), makes one structural edit
+of its JSON and runs the subcommand that reads the file.
 Whatever the edit:
 
 * ``cli.main`` returns 0, 2, 3 or 4;
@@ -17,8 +18,7 @@ Whatever the edit:
   lacks names that sequence. Divergence (exit 4) is a property of the
   training run, and its line names no file.
 
-The checkpoint has its own fuzz test in ``test_cli_errors.py``, and keypoint
-files the single-fault corpus there.
+The checkpoint has its own fuzz test in ``test_cli_errors.py``.
 """
 
 import contextlib
@@ -101,6 +101,8 @@ def inputs(tmp_path_factory):
     spec = directory / "spec.json"
     spec.write_text(json.dumps(SPEC))
     calls = {
+        "keypoints": (directory / "cand.sequence.json",
+                      assess_argv(directory, "--aux-model", str(ckpt)), ()),
         "config": (config, assess_argv(directory),
                    (directory / "ref.sequence.json", directory / "cand.sequence.json")),
         "annotation": (annotation, train_argv, (train / "squat.sequence.json",)),
@@ -170,15 +172,29 @@ def mutate(doc, edit, draw):
     return doc
 
 
-@pytest.mark.parametrize("kind", ["config", "annotation", "report", "spec",
-                                  "training-config"])
+@pytest.mark.parametrize("kind", ["keypoints", "config", "annotation", "report",
+                                  "spec", "training-config"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(edit=st.sampled_from(EDITS), data=st.data())
 def test_mutated_input_exits_0_to_4_naming_it(inputs, kind, edit, data):
+    check_edit(inputs, kind, edit, data.draw)
+
+
+def test_huge_coordinate_exits_0_to_4_naming_it(inputs):
+    """A keypoint coordinate of 1e308, whose square overflows. The
+    derandomized examples miss this edit, and an ``@example`` would be run
+    for every kind of input, though the path exists only in keypoint files."""
+    draws = iter([("frames", 1, "keypoints", JointId.LEFT_KNEE, 0), 1e308])
+    check_edit(inputs, "keypoints", "extreme", lambda strategy: next(draws))
+
+
+def check_edit(inputs, kind, edit, draw):
+    """Make one ``edit``, drawn by ``draw``, of the ``kind`` of input, run
+    the subcommand that reads it and check the properties above."""
     for other, doc, _, _ in inputs.values():    # undo the last example's edit
         other.write_text(json.dumps(doc))
     path, valid, argv, also_named = inputs[kind]
-    path.write_text(json.dumps(mutate(valid, edit, data.draw)))
+    path.write_text(json.dumps(mutate(valid, edit, draw)))
     code, _, err = run(argv)
     assert code in (cli.EXIT_OK, cli.EXIT_VALIDATION, cli.EXIT_DEGENERATE,
                     cli.EXIT_DIVERGED)

@@ -498,7 +498,8 @@ class TestBulkLoad:
         ([1.0, 2.0, 1.5], 0.1, "frame 'b': confidence outside [0, 1]"),
         ([float("nan"), 2.0, 1.0], 0.1, "frame 'b': non-finite coordinates"),
         ([1.0, 2.0, 1.0], -0.1, "frame 'b': invalid timestamp"),
-    ], ids=["confidence", "nan", "negative-t"])
+        ([1.0, -1.5e100, 1.0], 0.1, "frame 'b': coordinate magnitude above 1e+100"),
+    ], ids=["confidence", "nan", "negative-t", "huge"])
     def test_invalid_values_keep_the_per_frame_message(self, tmp_path, row, t,
                                                        message):
         rows = keypoint_rows()
@@ -510,6 +511,7 @@ class TestBulkLoad:
         with pytest.raises(ValidationError) as err:
             load_sequence(path)
         assert str(err.value) == message
+        assert reference.read_keypoint_file(path) == message
 
     def test_structure_is_checked_before_values(self, tmp_path):
         # Frame 0 holds a value fault and a bad number, frame 2 a structural
