@@ -158,8 +158,8 @@ def prepare(seq: Sequence, config: ExerciseConfig,
     occluded = seq.occlusion_mask(config.occlusion_threshold)
     points, theta, scale, center = normalize_sequence(pixels, occluded, seq.frame_ids)
     if targeted is None:
-        targeted = config.targeted_joints or select_key_joints(
-            points, occluded, config.key_joint_threshold_deg)
+        targeted = (select_key_joints(points, occluded, config.key_joint_threshold_deg)
+                    if config.targeted_joints is None else config.targeted_joints)
     desc = sequence_descriptors(points, occluded, targeted, seq.frame_ids)
     raw = interior_angles(pixels, desc.targeted + (config.phase.primary_joint,), occluded)
     return Prepared(

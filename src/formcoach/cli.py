@@ -352,7 +352,7 @@ def cmd_train(args) -> int:
 
 def cmd_score_model(args) -> int:
     _guarded("score-model", lambda: require_threshold(args.occlusion_threshold,
-                                                      "--occlusion-threshold"))
+                                                      "--occlusion-threshold", 1.0))
     model = _guarded(args.checkpoint, lambda: sttf.load_checkpoint(args.checkpoint))
     aux = _guarded(args.sequence, lambda: _aux_scores(
         model, sttf.sequence_to_model_input(load_sequence(args.sequence),

@@ -25,10 +25,13 @@ BODY_CLASSES = ("Upper", "Lower", "Both")
 DEFAULT_MISTAKE_THRESHOLD = 0.25
 
 
-def require_threshold(value: float, name: str) -> None:
-    """Raise a :class:`ValidationError` unless ``value`` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0):
-        raise ValidationError(f"{name} must be finite and non-negative, got {value!r}")
+def require_threshold(value: float, name: str, most: float = math.inf) -> None:
+    """Raise a :class:`ValidationError` unless ``value`` is finite, >= 0 and
+    at most ``most``."""
+    if not (math.isfinite(value) and 0 <= value <= most):
+        bound = "" if most == math.inf else f", at most {most:g}"
+        raise ValidationError(
+            f"{name} must be finite and non-negative{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -92,7 +95,7 @@ class ExerciseConfig:
     exercise_id: str
     body_class: str                                         # Upper | Lower | Both
     phase: PhaseConfig
-    targeted_joints: Optional[Tuple[JointId, ...]] = None   # None -> auto-select
+    targeted_joints: Optional[Tuple[JointId, ...]] = None   # None -> auto-select; else 2+
     reference_angles: Dict[JointId, Tuple[float, float]] = field(default_factory=dict)
     key_joint_threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG
     mistake_threshold: float = DEFAULT_MISTAKE_THRESHOLD
@@ -107,10 +110,15 @@ class ExerciseConfig:
             )
         if self.targeted_joints is not None:
             self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
+            if len(set(self.targeted_joints)) < 2:
+                names = [j.name.lower() for j in self.targeted_joints]
+                raise ValidationError(
+                    f"targeted_joints: need at least 2 distinct joints, got {names}")
         self.reference_angles = _angle_ranges(self.reference_angles)
-        for thr_name in ("key_joint_threshold_deg", "mistake_threshold",
-                         "occlusion_threshold"):
+        for thr_name in ("key_joint_threshold_deg", "mistake_threshold"):
             require_threshold(getattr(self, thr_name), thr_name)
+        # Above 1, the largest confidence, an occlusion threshold hides every joint.
+        require_threshold(self.occlusion_threshold, "occlusion_threshold", 1.0)
         if not 0.0 <= self.pace_ratio_weight <= 1.0:
             raise ValidationError("pace_ratio_weight must be in [0, 1]")
         self.rules = tuple(self.rules)

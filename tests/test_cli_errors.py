@@ -432,8 +432,11 @@ def test_bare_value_error_in_score_model_escapes(tmp_path, monkeypatch):
     ("mistake_threshold", "-1"),
     ("--occlusion-threshold", "nan"),
     ("--occlusion-threshold", "-1"),
+    ("occlusion_threshold", "1.5"),
+    ("--occlusion-threshold", "1.01"),
 ], ids=["mistake-nan", "occlusion-nan", "key-joint-inf", "mistake-negative",
-        "score-model-nan", "score-model-negative"])
+        "score-model-nan", "score-model-negative", "occlusion-above-1",
+        "score-model-above-1"])
 def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
     write_inputs(tmp_path)
     if where.startswith("--"):
@@ -451,6 +454,22 @@ def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, valu
     captured = capsys.readouterr()
     assert f"{where} must be finite and non-negative" in captured.err
     assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("joints", [[], ["left_knee"], ["left_knee", "LEFT_KNEE"]],
+                         ids=["empty", "one", "one-twice"])
+def test_fewer_than_two_targeted_joints_exit_2_naming_the_key(tmp_path, capsys, joints):
+    """An empty list does not mean "select the key joints", as a missing or
+    null ``targeted_joints`` does: fewer than two distinct joints are refused."""
+    write_inputs(tmp_path)
+    path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc["targeted_joints"] = joints
+    path.write_text(json.dumps(doc))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith(
+        f"error: {path}: targeted_joints: need at least 2 distinct joints")
     assert not (tmp_path / "out").exists()
 
 
