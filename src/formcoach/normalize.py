@@ -101,7 +101,7 @@ def normalize_sequence(points: np.ndarray, occluded: np.ndarray,
     that cannot be normalized raises, naming its id.
     """
     length, theta = _torso(points, occluded, frame_ids)
-    c, s = (a[:, None] for a in cos_sin(theta))
+    c, s = cos_sin(theta[:, None])
     rotated = rotate(points, c, s)
     hidden = occluded[..., None]
     box = 0.5 * (np.where(hidden, np.inf, rotated).min(axis=1)
