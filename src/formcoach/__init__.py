@@ -5,7 +5,6 @@ from .skeleton import (Annotation, Frame, JointId, Sequence, ValidationError,
                        save_sequence)
 from .normalize import (DegenerateSkeletonError, OccludedJointError,
                         normalize_sequence)
-from .kinematics import select_key_joints
 from .alignment import PaceProfile, Phase, WarpPath, dtw_align, pace_profile
 from .assessment import (AssessmentReport, AssessmentResult, Correction,
                          MistakeFlag, Prepared, assess_pair, flag_mistakes,

@@ -21,8 +21,8 @@ the ``(T, N)`` deviation array, NaN where a frame has no value for a joint
 (:func:`frame_deviations`); :func:`flag_mistakes` reads that array's columns.
 
 :func:`prepare` does the work on one sequence, once: one
-:func:`normalize_sequence` call, key-joint selection for a reference whose
-config names none, the ``(T, P, 2)`` descriptors and the interior angles.
+:func:`normalize_sequence` call, then the ``(T, P, 2)`` descriptors and the
+interior angles over the joints the exercise config names.
 The CLI prepares the reference once for all its candidates; the pairwise
 stages of :func:`assess_pair` only read prepared arrays, with masked
 reductions over the warp path's index arrays.
@@ -46,7 +46,7 @@ import numpy as np
 from .alignment import PaceProfile, WarpPath, dtw_align, pace_profile
 from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
-                         pair_dots, select_key_joints, sequence_descriptors)
+                         pair_dots, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
 from .skeleton import (JOINT_NAMES, REQUIRED, JointId, Sequence, ValidationError,
                        _as_is, _as_str, _finite, _joints, _json_number, _list_of,
@@ -148,19 +148,17 @@ class Prepared:
     primary_angles: np.ndarray      # (T,) raw angle at the primary joint; pace
 
 
-def prepare(seq: Sequence, config: ExerciseConfig,
-            targeted: Optional[Seq[JointId]] = None) -> Prepared:
-    """Normalize and describe one sequence over ``targeted``, by default the
-    config's targeted joints or, if it names none, the key joints selected
-    from the sequence's own first and last frames. Angles are NaN where
-    undefined, occluded or for joints without one."""
+def prepare(seq: Sequence, config: ExerciseConfig) -> Prepared:
+    """Normalize and describe one sequence over the config's targeted
+    joints. Angles are NaN where undefined, occluded or for joints without
+    one. A sequence of another exercise than the config's is refused."""
+    if seq.exercise_id != config.exercise_id:
+        raise ValidationError(f"exercise_id {seq.exercise_id!r} differs from the "
+                              f"config's {config.exercise_id!r}")
     pixels = seq.points
     occluded = seq.occlusion_mask(config.occlusion_threshold)
     points, theta, scale, center = normalize_sequence(pixels, occluded, seq.frame_ids)
-    if targeted is None:
-        targeted = (select_key_joints(points, occluded, config.key_joint_threshold_deg)
-                    if config.targeted_joints is None else config.targeted_joints)
-    desc = sequence_descriptors(points, occluded, targeted, seq.frame_ids)
+    desc = sequence_descriptors(points, occluded, config.targeted_joints, seq.frame_ids)
     raw = interior_angles(pixels, desc.targeted + (config.phase.primary_joint,), occluded)
     return Prepared(
         seq=seq, pose=Pose(pixels, occluded, theta, scale), canonical=points,
@@ -317,7 +315,7 @@ def assess_pair(cand: Sequence, ref: Prepared,
     """Run the pairwise pipeline for one candidate against a reference
     prepared with the same ``config``."""
     joints = ref.desc.targeted
-    cand = prepare(cand, config, joints)
+    cand = prepare(cand, config)
     path = dtw_align(cand.desc, ref.desc)
     profile = pace_profile(cand.seq, ref.seq, path, ref.primary_angles,
                            config.phase.eccentric_direction)

@@ -23,6 +23,7 @@ reader's table does not list (``rules[0]: unknown correction rule key
 
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call; an unusable candidate fails only itself.
+A sequence whose ``exercise_id`` is not the config's is unusable.
 A candidate whose file stem or frame id makes an output file name too long
 fails too (exit 2); the outputs it wrote before that stay. ``train`` stops
 at the first unusable file. Warnings name their file too.
@@ -279,10 +280,11 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# The keys of a training config: the model's, which STTFConfig checks, and
-# the two of training, which must be JSON numbers.
+# The keys of a training config: the model's, which config_from_fields
+# checks, and the two of training, which must be JSON numbers.
 _TRAIN_CONFIG = {
     **{f.name: (_as_is, f.default) for f in dataclasses.fields(sttf.STTFConfig)},
+    **{key: (_as_is, count) for key, count in sttf.FIXED_COUNTS.items()},
     "epochs": (_json_number, 50.0),
     "lr": (_json_number, 1e-2),
 }
@@ -294,7 +296,7 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
     fields = read_object(read_json(path) if path else {}, "", _TRAIN_CONFIG,
                          "training config")
     epochs, lr = fields.pop("epochs"), fields.pop("lr")
-    config = sttf.STTFConfig(**fields)
+    config = sttf.config_from_fields(fields)
     for key, bound in (("seq_len", _MAX_TRAIN_SEQ_LEN),
                        ("spatial_layers", _MAX_TRAIN_LAYERS),
                        ("temporal_layers", _MAX_TRAIN_LAYERS),

@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .kinematics import ANGLE_NEIGHBORS, DEFAULT_KEY_JOINT_THRESHOLD_DEG
+from .kinematics import ANGLE_NEIGHBORS
 from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, REQUIRED, RETIRED, JointId,
                        ValidationError, _angle_ranges, _angle_table, _as_is, _as_str,
                        _finite, _joints, _list_of, _number, _object_of, joint_from_name,
@@ -95,9 +95,8 @@ class ExerciseConfig:
     exercise_id: str
     body_class: str                                         # Upper | Lower | Both
     phase: PhaseConfig
-    targeted_joints: Optional[Tuple[JointId, ...]] = None   # None -> auto-select; else 2+
+    targeted_joints: Tuple[JointId, ...]                    # 2+ distinct; no default
     reference_angles: Dict[JointId, Tuple[float, float]] = field(default_factory=dict)
-    key_joint_threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG
     mistake_threshold: float = DEFAULT_MISTAKE_THRESHOLD
     occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
     pace_ratio_weight: float = 0.5
@@ -108,15 +107,13 @@ class ExerciseConfig:
             raise ValidationError(
                 f"class must be one of {BODY_CLASSES}, got {self.body_class!r}"
             )
-        if self.targeted_joints is not None:
-            self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
-            if len(set(self.targeted_joints)) < 2:
-                names = [j.name.lower() for j in self.targeted_joints]
-                raise ValidationError(
-                    f"targeted_joints: need at least 2 distinct joints, got {names}")
+        self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
+        if len(set(self.targeted_joints)) < 2:
+            names = [j.name.lower() for j in self.targeted_joints]
+            raise ValidationError(
+                f"targeted_joints: need at least 2 distinct joints, got {names}")
         self.reference_angles = _angle_ranges(self.reference_angles)
-        for thr_name in ("key_joint_threshold_deg", "mistake_threshold"):
-            require_threshold(getattr(self, thr_name), thr_name)
+        require_threshold(self.mistake_threshold, "mistake_threshold")
         # Above 1, the largest confidence, an occlusion threshold hides every joint.
         require_threshold(self.occlusion_threshold, "occlusion_threshold", 1.0)
         if not 0.0 <= self.pace_ratio_weight <= 1.0:
@@ -132,10 +129,8 @@ def config_to_dict(cfg: ExerciseConfig) -> dict:
     return {
         "exercise_id": cfg.exercise_id,
         "class": cfg.body_class,
-        "targeted_joints": None if cfg.targeted_joints is None else
-                           [j.name.lower() for j in cfg.targeted_joints],
+        "targeted_joints": [j.name.lower() for j in cfg.targeted_joints],
         "reference_angles": _angles_to_json(cfg.reference_angles),
-        "key_joint_threshold_deg": cfg.key_joint_threshold_deg,
         "mistake_threshold": cfg.mistake_threshold,
         "occlusion_threshold": cfg.occlusion_threshold,
         "pace_ratio_weight": cfg.pace_ratio_weight,
@@ -179,15 +174,15 @@ _RULE = {
 _EXERCISE_CONFIG = {
     "exercise_id": (_as_str, REQUIRED),
     "class": (_as_str, "Both"),
-    "targeted_joints": (_joints, None),
+    "targeted_joints": (_joints, REQUIRED),
     "reference_angles": (_angle_table, {}),
-    "key_joint_threshold_deg": (_number, DEFAULT_KEY_JOINT_THRESHOLD_DEG),
     "mistake_threshold": (_number, DEFAULT_MISTAKE_THRESHOLD),
     "occlusion_threshold": (_number, DEFAULT_OCCLUSION_THRESHOLD),
     "pace_ratio_weight": (_number, 0.5),
     "phase": (_object_of(_PHASE, "phase", PhaseConfig), REQUIRED),
     "rules": (_list_of(_object_of(_RULE, "correction rule", CorrectionRule)), ()),
     "rom_limits": RETIRED,
+    "key_joint_threshold_deg": RETIRED,
 }
 
 

@@ -1,4 +1,4 @@
-"""Joint angles, direction-vector descriptors and key-joint selection.
+"""Joint angles and direction-vector descriptors.
 
 A sequence's descriptor (:class:`JointVectorSequence`) holds, for each of its
 T frames, the unit direction vectors between every ordered pair of targeted
@@ -23,7 +23,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence as Seq, Tuple
+from typing import Dict, Iterable, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -46,10 +46,6 @@ ANGLE_NEIGHBORS: Dict[JointId, Tuple[JointId, JointId]] = {
 }
 
 ANGLE_JOINTS = tuple(ANGLE_NEIGHBORS)
-
-# Default key-joint selection threshold: below typical estimator noise
-# accumulated over a repetition.
-DEFAULT_KEY_JOINT_THRESHOLD_DEG = 15.0
 
 # Two joints closer than this (in the coordinate units of the skeleton) do
 # not define a direction.
@@ -168,18 +164,3 @@ def masked_sum(values: np.ndarray, valid: np.ndarray) -> Tuple[np.ndarray, np.nd
     """Sum over the last axis of the entries where ``valid``, and their count."""
     return np.where(valid, values, 0.0).sum(axis=-1), valid.sum(axis=-1)
 
-
-def select_key_joints(points: np.ndarray, occluded: np.ndarray,
-                      threshold_deg: float = DEFAULT_KEY_JOINT_THRESHOLD_DEG
-                      ) -> List[JointId]:
-    """Joints whose interior angle deviates >= threshold between the first
-    and last frame of canonical points (T, 17, 2) with their occlusion mask
-    (T, 17), sorted by descending deviation."""
-    first, last = interior_angles(points[[0, -1]], ANGLE_JOINTS,
-                                  occluded[[0, -1]]).tolist()
-    deviations = [(abs(b - a), j) for a, b, j in zip(first, last, ANGLE_JOINTS)
-                  if not math.isnan(a - b)]
-    if not deviations:
-        raise DescriptorError("no joint angle computable in first/last frame")
-    deviations.sort(key=lambda t: (-t[0], t[1]))
-    return [j for d, j in deviations if d >= threshold_deg]

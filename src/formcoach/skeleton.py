@@ -540,10 +540,11 @@ def save_sequence(seq: Sequence, path: os.PathLike | str) -> None:
 # converted. Any other key is refused, naming its path: in a file someone
 # wrote, a misspelt key would otherwise leave its default in force without a
 # word. Retired keys that older files still carry are read and ignored:
-# ``rom_limits`` in exercise configs and annotations, ``phase.min_ratio`` in
-# exercise configs. Keypoint files have their own reader and ignore unknown
-# keys, since pose estimators add their own, such as ``bbox`` or ``score``; a
-# checkpoint's tensor table must match its config exactly.
+# ``rom_limits`` in exercise configs and annotations, ``phase.min_ratio`` and
+# ``key_joint_threshold_deg`` in exercise configs. Keypoint files have their
+# own reader and ignore unknown keys, since pose estimators add their own,
+# such as ``bbox`` or ``score``; a checkpoint's tensor table must match its
+# config exactly.
 # ---------------------------------------------------------------------------
 
 REQUIRED = object()    # the default of a key that must be given

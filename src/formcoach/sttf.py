@@ -71,6 +71,11 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # chunk's spatial caches at a time.
 _SPATIAL_FRAMES = 16
 
+N_SCORES = 3    # joint, pace, range
+# Checkpoints and training configs may give the joint and score counts, as
+# save_checkpoint writes them; no other counts are accepted.
+FIXED_COUNTS = {"n_joints": N_JOINTS, "n_scores": N_SCORES}
+
 
 class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
@@ -78,7 +83,7 @@ class TrainingDivergedError(RuntimeError):
 
 # Smallest allowed value of each STTFConfig field.
 _CONFIG_MINIMUM = {"d_model": 1, "n_heads": 1, "spatial_layers": 0, "temporal_layers": 0,
-                   "seq_len": 2, "n_joints": 1, "n_scores": 1, "mlp_ratio": 1, "seed": 0}
+                   "seq_len": 2, "mlp_ratio": 1, "seed": 0}
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,6 @@ class STTFConfig:
     spatial_layers: int = 2
     temporal_layers: int = 2
     seq_len: int = 64
-    n_joints: int = 17
-    n_scores: int = 3
     mlp_ratio: int = 4
     seed: int = 0
 
@@ -102,9 +105,18 @@ class STTFConfig:
                     f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.d_model % self.n_heads != 0:
             raise ValidationError("d_model must be divisible by n_heads")
-        if (self.n_joints, self.n_scores) != (N_JOINTS, 3):
-            raise ValidationError(f"n_joints={self.n_joints}, n_scores={self.n_scores}: "
-                                  f"only a 17-joint, 3-score model is supported")
+
+
+def config_from_fields(fields) -> STTFConfig:
+    """``STTFConfig(**fields)``, where ``fields`` may also give the
+    :data:`FIXED_COUNTS`."""
+    fields = dict(fields)
+    for key, count in FIXED_COUNTS.items():
+        value = fields.pop(key, count)
+        if type(value) is not int or value != count:
+            raise ValidationError(f"{key}={value!r}: only a {N_JOINTS}-joint, "
+                                  f"{N_SCORES}-score model is supported")
+    return STTFConfig(**fields)
 
 
 class Param:
@@ -381,7 +393,7 @@ class STTFModel:
         self.config = config
         if new_param is None:
             new_param = random_params(np.random.default_rng(config.seed))
-        d, j, t = config.d_model, config.n_joints, config.seq_len
+        d, j, t = config.d_model, N_JOINTS, config.seq_len
         self.joint_embed = Linear(new_param, "joint_embed", 2, d)
         self.spatial_pos = new_param("spatial_pos", (j, d), _normal(_INIT_STD))
         self.spatial_blocks = [
@@ -395,7 +407,7 @@ class STTFModel:
             for i in range(config.temporal_layers)
         ]
         self.final_ln = LayerNorm(new_param, "final_ln", d)
-        self.score_head = Linear(new_param, "score_head", d, config.n_scores)
+        self.score_head = Linear(new_param, "score_head", d, N_SCORES)
         self.mistake_head = Linear(new_param, "mistake_head", d, 1)
 
     # -- parameter plumbing -------------------------------------------------
@@ -426,9 +438,9 @@ class STTFModel:
         if single:
             x = x[None]
         cfg = self.config
-        if x.ndim != 4 or x.shape[1:] != (cfg.seq_len, cfg.n_joints, 2):
+        if x.ndim != 4 or x.shape[1:] != (cfg.seq_len, N_JOINTS, 2):
             raise ValueError(
-                f"expected input (B, {cfg.seq_len}, {cfg.n_joints}, 2), "
+                f"expected input (B, {cfg.seq_len}, {N_JOINTS}, 2), "
                 f"got {x.shape}"
             )
         if not np.all(np.isfinite(x)):
@@ -559,7 +571,7 @@ def backprop(model: STTFModel, x, t_scores, labels) -> float:
         t_scores, labels = t_scores[None], labels[None]
     n, cfg = len(x), model.config
     # Each example's targets are read before the loss checks them.
-    if t_scores.shape != (n, cfg.n_scores) or labels.shape != (n, cfg.seq_len):
+    if t_scores.shape != (n, N_SCORES) or labels.shape != (n, cfg.seq_len):
         raise ValueError(f"targets {t_scores.shape} and {labels.shape} do not "
                          f"fit {n} examples")
     scores, logits = np.empty(t_scores.shape), np.empty(labels.shape)
@@ -646,7 +658,7 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
         t_scores = np.array(ann.scores, dtype=np.float64) / 100.0
     else:
         value = 0.0 if ann.per_frame_mistakes else 1.0
-        t_scores = np.full(3, value)
+        t_scores = np.full(N_SCORES, value)
     labels = np.zeros(seq_len)
     if ann.per_frame_mistakes:
         times = seq.timestamps
@@ -673,9 +685,9 @@ def targets_from_annotation(seq: Sequence, ann: Annotation,
 # parameter name to {"dtype": "F64", "shape": [...], "data_offsets": [begin,
 # end]}, byte offsets into the buffer, and the parameters tile the buffer in
 # model order. Beside them, "__metadata__" holds {"format": "formcoach-sttf",
-# "version": "3", "config": <STTFConfig fields as sorted JSON>}: the layout
-# allows only string values there. Versions 1 and 2 were JSON documents; a
-# file that starts with "{" is refused.
+# "version": "3", "config": <STTFConfig fields and FIXED_COUNTS as sorted
+# JSON>}: the layout allows only string values there. Versions 1 and 2 were
+# JSON documents; a file that starts with "{" is refused.
 # ---------------------------------------------------------------------------
 
 _CHECKPOINT_FORMAT = "formcoach-sttf"
@@ -683,7 +695,7 @@ _CHECKPOINT_VERSION = "3"
 
 
 def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
-    config = json.dumps(asdict(model.config), sort_keys=True)
+    config = json.dumps({**asdict(model.config), **FIXED_COUNTS}, sort_keys=True)
     header = {"__metadata__": {"format": _CHECKPOINT_FORMAT,
                                "version": _CHECKPOINT_VERSION, "config": config}}
     tensors, offset = [], 0
@@ -724,7 +736,7 @@ def load_checkpoint(path: os.PathLike | str) -> STTFModel:
     if meta.get("version") != _CHECKPOINT_VERSION:
         raise ValidationError(f"unsupported checkpoint version {meta.get('version')}")
     try:
-        config = STTFConfig(**json.loads(meta["config"]))
+        config = config_from_fields(json.loads(meta["config"]))
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"malformed checkpoint ({e!r})") from e
     buffer = memoryview(data)[8 + n:]

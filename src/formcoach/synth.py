@@ -34,7 +34,7 @@ import numpy as np
 
 from .config import ExerciseConfig, PhaseConfig
 from .kinematics import ANGLE_NEIGHBORS, interior_angles
-from .normalize import cos_sin, norms
+from .normalize import cos_sin, norms, rotate
 from .skeleton import (Annotation, FrameViews, JointId, Sequence, ValidationError,
                        _check_fps)
 
@@ -206,12 +206,6 @@ TEMPLATES: Dict[str, _Template] = {
 # Forward kinematics (torso units, image coordinates: y grows downward)
 # ---------------------------------------------------------------------------
 
-def _rot2(v: np.ndarray, deg: float) -> np.ndarray:
-    rad = math.radians(deg)
-    c, s = math.cos(rad), math.sin(rad)
-    return np.array([c * v[0] - s * v[1], s * v[0] + c * v[1]])
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / norms(v)
 
@@ -244,16 +238,20 @@ def _fk_points(angles: Mapping[JointId, float]) -> np.ndarray:
         an = JointId[f"{side}_ANKLE"]
 
         down = _unit(pts[hp] - pts[sh])
-        ua_dir = _rot2(down, sign * angles[sh])
+        r = math.radians(sign * angles[sh])
+        ua_dir = rotate(down, math.cos(r), math.sin(r))
         pts[el] = pts[sh] + _L_UPPER_ARM * ua_dir
-        fa_dir = _rot2(-ua_dir, sign * angles[el])
+        r = math.radians(sign * angles[el])
+        fa_dir = rotate(-ua_dir, math.cos(r), math.sin(r))
         pts[wr] = pts[el] + _L_FOREARM * fa_dir
 
         # legs fold the opposite way so knees point outward, never crossing
         up = _unit(pts[sh] - pts[hp])
-        thigh_dir = _rot2(up, -sign * angles[hp])
+        r = math.radians(-sign * angles[hp])
+        thigh_dir = rotate(up, math.cos(r), math.sin(r))
         pts[kn] = pts[hp] + _L_THIGH * thigh_dir
-        shank_dir = _rot2(-thigh_dir, -sign * angles[kn])
+        r = math.radians(-sign * angles[kn])
+        shank_dir = rotate(-thigh_dir, math.cos(r), math.sin(r))
         pts[an] = pts[kn] + _L_SHANK * shank_dir
     return pts
 
@@ -322,7 +320,8 @@ def _apply_angle_offset(points: np.ndarray, joint: JointId, magnitude: float,
     bone = points[active, joint] - points[active, parent]
     for sign in (-1.0, 1.0):
         out = points.copy()
-        out[active, joint] = points[active, parent] + _rot2(bone.T, sign * magnitude).T
+        r = math.radians(sign * magnitude)
+        out[active, joint] = points[active, parent] + rotate(bone, math.cos(r), math.sin(r))
         shift = out[active, joint] - points[active, joint]
         for d in _OFFSET_DESCENDANTS[joint]:
             out[active, d] += shift

@@ -205,8 +205,8 @@ def test_non_finite_rule_threshold_exits_2_naming_it(tmp_path, capsys, key, valu
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("key", ["key_joint_threshold_deg", "mistake_threshold",
-                                 "occlusion_threshold", "pace_ratio_weight"])
+@pytest.mark.parametrize("key", ["mistake_threshold", "occlusion_threshold",
+                                 "pace_ratio_weight"])
 def test_non_number_config_value_exits_2(tmp_path, capsys, key):
     write_inputs(tmp_path)
     path = tmp_path / "squat.config.json"
@@ -428,13 +428,12 @@ def test_bare_value_error_in_score_model_escapes(tmp_path, monkeypatch):
 @pytest.mark.parametrize("where, value", [
     ("mistake_threshold", "NaN"),
     ("occlusion_threshold", "NaN"),
-    ("key_joint_threshold_deg", "Infinity"),
     ("mistake_threshold", "-1"),
     ("--occlusion-threshold", "nan"),
     ("--occlusion-threshold", "-1"),
     ("occlusion_threshold", "1.5"),
     ("--occlusion-threshold", "1.01"),
-], ids=["mistake-nan", "occlusion-nan", "key-joint-inf", "mistake-negative",
+], ids=["mistake-nan", "occlusion-nan", "mistake-negative",
         "score-model-nan", "score-model-negative", "occlusion-above-1",
         "score-model-above-1"])
 def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
@@ -460,8 +459,8 @@ def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, valu
 @pytest.mark.parametrize("joints", [[], ["left_knee"], ["left_knee", "LEFT_KNEE"]],
                          ids=["empty", "one", "one-twice"])
 def test_fewer_than_two_targeted_joints_exit_2_naming_the_key(tmp_path, capsys, joints):
-    """An empty list does not mean "select the key joints", as a missing or
-    null ``targeted_joints`` does: fewer than two distinct joints are refused."""
+    """Fewer than two distinct targeted joints are refused, as when one
+    joint is given twice under two spellings."""
     write_inputs(tmp_path)
     path = tmp_path / "squat.config.json"
     doc = json.loads(path.read_text())
@@ -471,6 +470,56 @@ def test_fewer_than_two_targeted_joints_exit_2_naming_the_key(tmp_path, capsys, 
     assert capsys.readouterr().err.startswith(
         f"error: {path}: targeted_joints: need at least 2 distinct joints")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit", [lambda doc: doc.pop("targeted_joints"),
+                                  lambda doc: doc.update(targeted_joints=None)],
+                         ids=["missing", "null"])
+def test_config_without_targeted_joints_exits_2(tmp_path, capsys, edit):
+    """A config must name its targeted joints; it fails at load, before any
+    sequence is read."""
+    write_inputs(tmp_path)
+    path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: {path}: ") and "targeted_joints" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_reference_of_another_exercise_exits_2(tmp_path, capsys):
+    """A reference whose exercise_id is not the config's fails the call
+    before any candidate runs."""
+    write_inputs(tmp_path)
+    path = tmp_path / "ref.sequence.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), "exercise_id": "press"}))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: reference {path}: exercise_id 'press' differs "
+                            "from the config's 'squat'\n")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_candidate_of_another_exercise_fails_alone(tmp_path, capsys):
+    """A candidate whose exercise_id is not the config's fails, naming it;
+    the next candidate's outputs are still written."""
+    write_inputs(tmp_path)
+    cand = tmp_path / "cand.sequence.json"
+    press = tmp_path / "press.sequence.json"
+    press.write_text(json.dumps({**json.loads(cand.read_text()), "exercise_id": "press"}))
+    argv = assess_argv(tmp_path)
+    argv[2:3] = [str(press), str(cand)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {press}: exercise_id 'press' differs from the "
+                            "config's 'squat'\n")
+    assert len(captured.out.splitlines()) == 1
+    out = tmp_path / "out"
+    assert json.loads((out / "cand_report.json").read_text())["name"] == "squat(W)"
+    assert not (out / "press_report.json").exists()
 
 
 @pytest.mark.parametrize("spec, expected", [
@@ -861,9 +910,9 @@ def test_candidates_sharing_a_stem_keep_the_first_outputs(tmp_path, capsys):
     first = tmp_path / "a" / "cand.sequence.json"
     second = tmp_path / "b" / "cand.sequence.json"
     doc = json.loads((tmp_path / "cand.sequence.json").read_text())
-    for path, exercise in ((first, "first"), (second, "second")):
+    for path, label in ((first, "correct"), (second, "groundtruth")):
         path.parent.mkdir()
-        path.write_text(json.dumps({**doc, "exercise_id": exercise}))
+        path.write_text(json.dumps({**doc, "class": label}))
     argv = assess_argv(tmp_path)
     argv[2:3] = [str(first), str(second)]
     assert cli.main(argv) == cli.EXIT_VALIDATION
@@ -872,7 +921,7 @@ def test_candidates_sharing_a_stem_keep_the_first_outputs(tmp_path, capsys):
                             f"taken by {first}\n")
     assert len(captured.out.splitlines()) == 1
     out = tmp_path / "out"
-    assert json.loads((out / "cand_report.json").read_text())["name"] == "first(W)"
+    assert json.loads((out / "cand_report.json").read_text())["name"] == "squat(C)"
     index = json.loads((out / "cand_aids_index.json").read_text())
     assert index
     assert sorted(p.name for p in out.iterdir()) == sorted(

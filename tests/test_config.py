@@ -32,11 +32,12 @@ def test_save_load_roundtrip(tmp_path, name):
 
 @pytest.mark.parametrize("name", sorted(TEMPLATES))
 def test_dropped_keys_of_older_files_are_ignored(tmp_path, name):
-    """Files that still carry ``rom_limits`` and ``phase.min_ratio`` load to
-    the same config as files without them."""
+    """Files that still carry ``rom_limits``, ``key_joint_threshold_deg``
+    and ``phase.min_ratio`` load to the same config as files without them."""
     cfg = template_config(name)
     doc = config_to_dict(cfg)
     doc["rom_limits"] = {"left_knee": [30.0, 180.0], "left_elbow": [20.0, 180.0]}
+    doc["key_joint_threshold_deg"] = 15.0
     doc["phase"]["min_ratio"] = 0.6
     path = tmp_path / "old.json"
     path.write_text(json.dumps(doc))
@@ -47,4 +48,5 @@ def test_rejects_inverted_reference_range():
     with pytest.raises(ValidationError, match="left_knee"):
         ExerciseConfig(exercise_id="x", body_class="Lower",
                        phase=PhaseConfig(primary_joint=JointId.LEFT_KNEE),
+                       targeted_joints=(JointId.LEFT_HIP, JointId.LEFT_KNEE),
                        reference_angles={JointId.LEFT_KNEE: (175.0, 90.0)})

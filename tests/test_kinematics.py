@@ -6,9 +6,8 @@ import pytest
 from formcoach.alignment import dtw_align
 from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
                                   interior_angles, masked_sum, pair_dots,
-                                  select_key_joints, sequence_descriptors)
-from formcoach.normalize import normalize_sequence
-from formcoach.skeleton import Frame, JointId, Sequence
+                                  sequence_descriptors)
+from formcoach.skeleton import JointId
 from formcoach.synth import MotionSpec, generate
 
 import reference
@@ -165,67 +164,6 @@ class TestFrameCosine:
         b = describe(f, (JointId.NOSE, JointId.RIGHT_EYE))
         with pytest.raises(DescriptorError):
             dtw_align(a, b)
-
-
-def key_joints(seq, threshold_deg):
-    """:func:`select_key_joints` over ``seq`` normalized with one
-    :func:`normalize_sequence` call."""
-    occluded = seq.occlusion_mask()
-    points = normalize_sequence(seq.points, occluded,
-                                [f.frame_id for f in seq.frames])[0]
-    return select_key_joints(points, occluded, threshold_deg)
-
-
-class TestSelectKeyJoints:
-    def test_static_sequence_empty(self):
-        seq, _ = generate(MotionSpec(template="squat", n_frames=10,
-                                     amplitude_deg={JointId.LEFT_KNEE: 0,
-                                                    JointId.RIGHT_KNEE: 0,
-                                                    JointId.LEFT_HIP: 0,
-                                                    JointId.RIGHT_HIP: 0}), seed=0)
-        assert key_joints(seq, threshold_deg=15.0) == []
-
-    def test_squat_flexes_knees_and_hips(self):
-        seq, _ = generate(MotionSpec(template="squat", n_frames=31,
-                                     amplitude_deg={JointId.LEFT_KNEE: 80,
-                                                    JointId.RIGHT_KNEE: 80,
-                                                    JointId.LEFT_HIP: 80,
-                                                    JointId.RIGHT_HIP: 80}), seed=0)
-        # use the descending half-repetition so first/last frames differ
-        half = Sequence(exercise_id=seq.exercise_id, class_label=seq.class_label,
-                        frames=seq.frames[:16], fps_hint=seq.fps_hint)
-        selected = set(key_joints(half, threshold_deg=15.0))
-        assert selected == {JointId.LEFT_KNEE, JointId.RIGHT_KNEE,
-                            JointId.LEFT_HIP, JointId.RIGHT_HIP}
-
-    def test_zero_threshold_returns_all_angle_joints(self):
-        seq, _ = generate(MotionSpec(template="press", n_frames=16), seed=1)
-        half = Sequence(exercise_id="p", class_label="correct",
-                        frames=seq.frames[:8], fps_hint=None)
-        assert set(key_joints(half, threshold_deg=0.0)) == set(ANGLE_JOINTS)
-
-    def test_sorted_by_descending_deviation(self):
-        seq, _ = generate(MotionSpec(template="squat", n_frames=21), seed=2)
-        half = Sequence(exercise_id="s", class_label="correct",
-                        frames=seq.frames[:11], fps_hint=None)
-        joints = key_joints(half, threshold_deg=5.0)
-        first, last = (reference.normalize(f.points, f.occlusion_mask())[0]
-                       for f in (half.frames[0], half.frames[-1]))
-        devs = [abs(reference.interior_angle(last, j)
-                    - reference.interior_angle(first, j)) for j in joints]
-        assert devs == sorted(devs, reverse=True)
-
-    def test_invariant_under_similarity(self):
-        seq, _ = generate(MotionSpec(template="pull", n_frames=20), seed=3)
-        half_frames = seq.frames[:10]
-        moved = tuple(
-            Frame(frame_id=f.frame_id, timestamp=f.timestamp,
-                  points=similarity(f.points, 2.5, 1.1, (50, -30)),
-                  confidence=f.confidence)
-            for f in half_frames)
-        a = Sequence(exercise_id="x", class_label="correct", frames=half_frames)
-        b = Sequence(exercise_id="x", class_label="correct", frames=moved)
-        assert key_joints(a, 10.0) == key_joints(b, 10.0)
 
 
 class TestSequenceAngles:

@@ -10,8 +10,8 @@ import pytest
 
 import reference
 from formcoach import sttf
-from formcoach.skeleton import JointId, ValidationError
-from formcoach.sttf import (STTFConfig, STTFModel, TrainingDivergedError,
+from formcoach.skeleton import N_JOINTS, JointId, ValidationError
+from formcoach.sttf import (N_SCORES, STTFConfig, STTFModel, TrainingDivergedError,
                             backprop, load_checkpoint, loss, save_checkpoint,
                             sequence_to_model_input, targets_from_annotation,
                             train)
@@ -23,12 +23,12 @@ SMALL = STTFConfig(d_model=8, n_heads=2, spatial_layers=1, temporal_layers=1,
 
 def random_input(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return rng.normal(0.0, 1.0, (cfg.seq_len, cfg.n_joints, 2))
+    return rng.normal(0.0, 1.0, (cfg.seq_len, N_JOINTS, 2))
 
 
 def random_target(cfg, seed=0):
     rng = np.random.default_rng(seed + 1)
-    return (rng.uniform(0.1, 0.9, cfg.n_scores),
+    return (rng.uniform(0.1, 0.9, N_SCORES),
             (rng.uniform(size=cfg.seq_len) > 0.5).astype(float))
 
 
@@ -165,7 +165,7 @@ class TestForward:
         model.spatial_pos.value[...] = 0.0
         x = random_input(SMALL)
         rng = np.random.default_rng(3)
-        perm = rng.permutation(SMALL.n_joints)
+        perm = rng.permutation(N_JOINTS)
         base = model._spatial(x[None])[0]
         permuted = model._spatial(x[None, :, perm, :])[0]
         assert np.allclose(permuted, base[:, perm, :], atol=1e-12)
@@ -450,7 +450,7 @@ def traced_backprop(cfg, size):
 
 def hidden_bytes(cfg):
     """One example's FFN hidden activation in the spatial stack."""
-    return cfg.seq_len * cfg.n_joints * cfg.mlp_ratio * cfg.d_model * 8
+    return cfg.seq_len * N_JOINTS * cfg.mlp_ratio * cfg.d_model * 8
 
 
 class TestTrainingStepMemory:
@@ -774,7 +774,8 @@ class TestCheckpoint:
         meta = header.pop("__metadata__")
         assert all(isinstance(v, str) for v in meta.values())
         assert meta == {"format": "formcoach-sttf", "version": "3",
-                        "config": json.dumps(asdict(SMALL), sort_keys=True)}
+                        "config": json.dumps({**asdict(SMALL), "n_joints": 17,
+                                              "n_scores": 3}, sort_keys=True)}
         tensors, end = data[8 + n:], 0
         assert list(header) == sorted(p.name for p in model.parameters())
         for p in model.parameters():
