@@ -8,13 +8,14 @@ Subcommands:
                     spec file.
 * ``train``       — train the transformer scorer on a directory of sequence /
                     annotation pairs, writing a checkpoint and loss CSV.
-* ``score-model`` — score a sequence with a trained checkpoint; optionally
-                    append the scores to an existing report.
+* ``score-model`` — score a sequence with a trained checkpoint and print
+                    the scores.
 
 Errors: a failing input prints one line, ``error: <input>: <fault>`` (exit 2)
 or ``error: degenerate data in <input>: <fault>`` (exit 3), that names the
 input once, with its role where it has one (``reference <path>``); a missing
-file prints Python's own message (exit 2). Only this module names inputs: the
+file prints Python's own message (exit 2). An output that cannot be written
+prints ``error: <output>: <fault>`` (exit 2). Only this module names inputs: the
 readers' messages do not; they name the key path instead. Exercise configs,
 annotations, reports, motion specs and training configs refuse a key their
 reader's table does not list (``rules[0]: unknown correction rule key
@@ -47,17 +48,15 @@ import numpy as np
 
 from . import sttf
 from .alignment import AlignmentError
-from .assessment import (AssessmentResult, Prepared, assess_pair, load_report,
-                         prepare, save_report)
+from .assessment import AssessmentResult, Prepared, assess_pair, prepare, save_report
 from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .kinematics import DescriptorError
 from .normalize import DegenerateSkeletonError, OccludedJointError
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, JOINT_NAMES, REQUIRED,
-                       Annotation, ValidationError, _as_is, _as_str, _finite,
-                       _json_number, _list_of, _number, _object_of, joint_from_name,
-                       load_annotation, load_sequence, read_json, read_object,
-                       save_annotation, save_sequence, write_json_atomic,
+from .skeleton import (JOINT_NAMES, REQUIRED, Annotation, ValidationError, _as_is,
+                       _as_str, _finite, _json_number, _list_of, _number, _object_of,
+                       joint_from_name, load_annotation, load_sequence, read_json,
+                       read_object, save_annotation, save_sequence, write_json_atomic,
                        write_text_atomic)
 from .synth import InjectedError, MotionSpec, generate
 
@@ -66,20 +65,11 @@ EXIT_VALIDATION = 2
 EXIT_DEGENERATE = 3
 EXIT_DIVERGED = 4
 
-# The largest values a training config may ask for, checked before any input
-# is read. A training step's temporal attention holds n_heads * seq_len**2
-# floats per block, 512 MiB at 4096 with 4 heads. 100000 layers of the
-# default width would hold 10 GB of parameters. At d_model 1024 each
-# attention projection is 8 MiB and flatten_proj 136 MiB, where 100000 would
-# make each projection 80 GB; n_heads divides d_model, so it is bounded too.
-# An FFN's two weights are each 8 * mlp_ratio MiB at d_model 1024, 128 MiB at
-# the bound of 16. The default model takes about 0.4 s per epoch over 16
-# examples on a 2-vCPU Xeon, so 100000 epochs run for about half a day, where
-# 1e308, an integer too, would run until killed.
-_MAX_TRAIN_SEQ_LEN = 4096
-_MAX_TRAIN_LAYERS = 64
-_MAX_TRAIN_D_MODEL = 1024
-_MAX_TRAIN_MLP_RATIO = 16
+# The most epochs a training config may ask for, checked before any input is
+# read; sttf.STTFConfig bounds the model's fields. The default model takes
+# about 0.4 s per epoch over 16 examples on a 2-vCPU Xeon, so 100000 epochs
+# run for about half a day, where 1e308, an integer too, would run until
+# killed.
 _MAX_TRAIN_EPOCHS = 100_000
 
 # Frame ids are free strings; with these escaped, each aid's file stays inside
@@ -176,14 +166,16 @@ class _Failed(Exception):
 
 
 def _guarded(name, step):
-    """``step()``, run on the input ``name``. A documented failure of it is
-    reported in one line that names ``name`` once and raises
+    """``step()``, run on the input or output ``name``. A documented failure
+    of it is reported in one line that names ``name`` once and raises
     :class:`_Failed`. The warnings ``step`` logs name ``name`` too."""
     try:
         with _warnings_naming(name):
             return step()
     except FileNotFoundError as e:    # its message names the file
         code, line = EXIT_VALIDATION, f"error: {e}"
+    except OSError as e:    # a write's: the readers raise ValidationError
+        code, line = EXIT_VALIDATION, f"error: {name}: {e.strerror}"
     except DegenerateSkeletonError as e:
         code, line = EXIT_DEGENERATE, f"error: degenerate data in {name}: {e}"
     except (ValidationError, OccludedJointError, DescriptorError,
@@ -201,7 +193,7 @@ def cmd_assess(args) -> int:
                    lambda: prepare(load_sequence(args.reference), config))
 
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _guarded(out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     code = EXIT_OK
     owners: Dict[str, Path] = {}    # output stem -> the candidate that has it
     for path in map(Path, args.candidate):
@@ -272,10 +264,12 @@ def cmd_synth(args) -> int:
     spec = _guarded(name, lambda: _motion_spec_from_file(Path(args.spec)))
     seq, ann = _guarded(name, lambda: generate(spec, seed=args.seed))
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _guarded(out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     stem = f"{spec.template}_{args.seed}"
-    save_sequence(seq, out_dir / f"{stem}.sequence.json")
-    save_annotation(ann, out_dir / f"{stem}.annotation.json")
+    seq_path = out_dir / f"{stem}.sequence.json"
+    _guarded(seq_path, lambda: save_sequence(seq, seq_path))
+    ann_path = out_dir / f"{stem}.annotation.json"
+    _guarded(ann_path, lambda: save_annotation(ann, ann_path))
     print(f"wrote {stem}.sequence.json and {stem}.annotation.json to {out_dir}")
     return EXIT_OK
 
@@ -297,14 +291,6 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
                          "training config")
     epochs, lr = fields.pop("epochs"), fields.pop("lr")
     config = sttf.config_from_fields(fields)
-    for key, bound in (("seq_len", _MAX_TRAIN_SEQ_LEN),
-                       ("spatial_layers", _MAX_TRAIN_LAYERS),
-                       ("temporal_layers", _MAX_TRAIN_LAYERS),
-                       ("d_model", _MAX_TRAIN_D_MODEL),
-                       ("mlp_ratio", _MAX_TRAIN_MLP_RATIO)):
-        if getattr(config, key) > bound:
-            raise ValidationError(f"{key} must be at most {bound}, "
-                                  f"got {getattr(config, key)}")
     if not (epochs >= 1 and epochs.is_integer()):
         raise ValidationError(f"epochs must be a positive integer, got {epochs:g}")
     if epochs > _MAX_TRAIN_EPOCHS:
@@ -343,27 +329,20 @@ def cmd_train(args) -> int:
         return EXIT_DIVERGED
 
     ckpt = Path(args.checkpoint_out)
-    sttf.save_checkpoint(model, ckpt)
+    _guarded(ckpt, lambda: sttf.save_checkpoint(model, ckpt))
     csv_path = args.loss_csv or str(ckpt) + ".loss.csv"
     rows = "".join(f"{i},{v!r}\n" for i, v in enumerate(losses))
-    write_text_atomic(csv_path, "epoch,loss\n" + rows)
+    _guarded(csv_path, lambda: write_text_atomic(csv_path, "epoch,loss\n" + rows))
     print(f"trained {len(dataset)} examples for {epochs} epochs; "
           f"final loss {losses[-1]:.6f}; checkpoint {ckpt}")
     return EXIT_OK
 
 
 def cmd_score_model(args) -> int:
-    _guarded("score-model", lambda: require_threshold(args.occlusion_threshold,
-                                                      "--occlusion-threshold", 1.0))
     model = _guarded(args.checkpoint, lambda: sttf.load_checkpoint(args.checkpoint))
     aux = _guarded(args.sequence, lambda: _aux_scores(
         model, sttf.sequence_to_model_input(load_sequence(args.sequence),
-                                            model.config.seq_len,
-                                            args.occlusion_threshold)))
-    if args.report:
-        report = _guarded(args.report, lambda: load_report(args.report))
-        report.aux_scores = aux
-        save_report(report, args.report)
+                                            model.config.seq_len)))
     print(json.dumps(aux, indent=2))
     return EXIT_OK
 
@@ -406,10 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score-model", help="score a sequence with a checkpoint")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--sequence", required=True)
-    p.add_argument("--report", default=None,
-                   help="existing report to append the scores to")
-    p.add_argument("--occlusion-threshold", type=float,
-                   default=DEFAULT_OCCLUSION_THRESHOLD)
     p.set_defaults(func=cmd_score_model)
     return parser
 

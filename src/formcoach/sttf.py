@@ -41,7 +41,11 @@ and builds the model from copies of its stored arrays, drawing nothing, and
 
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
-interpolation over timestamps.
+interpolation over timestamps. ``train`` and ``score-model`` build it with
+:func:`sequence_to_model_input`, whose occlusion mask is the one at
+``DEFAULT_OCCLUSION_THRESHOLD``. ``assess --aux-model`` resamples the
+candidate it has normalized already, with the exercise config's mask, so its
+scores are ``score-model``'s whenever the config keeps the default threshold.
 """
 
 from __future__ import annotations
@@ -57,9 +61,8 @@ from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from .normalize import normalize_sequence
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, N_JOINTS, Annotation,
-                       Sequence, ValidationError, input_errors,
-                       write_text_atomic)
+from .skeleton import (N_JOINTS, Annotation, Sequence, ValidationError,
+                       input_errors, write_text_atomic)
 
 _INIT_STD = 0.02
 _LN_EPS = 1e-5
@@ -81,9 +84,17 @@ class TrainingDivergedError(RuntimeError):
     """Loss became non-finite during training."""
 
 
-# Smallest allowed value of each STTFConfig field.
-_CONFIG_MINIMUM = {"d_model": 1, "n_heads": 1, "spatial_layers": 0, "temporal_layers": 0,
-                   "seq_len": 2, "mlp_ratio": 1, "seed": 0}
+# The smallest and largest value of each STTFConfig field, which training
+# configs and checkpoints share. A training step's temporal attention holds
+# n_heads * seq_len**2 floats per block, 512 MiB at 4096 with 4 heads. 100000
+# layers of the default width would hold 10 GB of parameters. At d_model 1024
+# each attention projection is 8 MiB and flatten_proj 136 MiB, where 100000
+# would make each projection 80 GB; n_heads divides d_model, so it is bounded
+# too. An FFN's two weights are each 8 * mlp_ratio MiB at d_model 1024, 128 MiB
+# at the bound of 16.
+_CONFIG_BOUNDS = {"d_model": (1, 1024), "n_heads": (1, math.inf),
+                  "spatial_layers": (0, 64), "temporal_layers": (0, 64),
+                  "seq_len": (2, 4096), "mlp_ratio": (1, 16), "seed": (0, math.inf)}
 
 
 @dataclass(frozen=True)
@@ -97,12 +108,14 @@ class STTFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, minimum in _CONFIG_MINIMUM.items():
+        for name, (minimum, maximum) in _CONFIG_BOUNDS.items():
             value = getattr(self, name)
             if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
                     or value < minimum):
                 raise ValidationError(
                     f"{name} must be an integer >= {minimum}, got {value!r}")
+            if value > maximum:
+                raise ValidationError(f"{name} must be at most {maximum}, got {value}")
         if self.d_model % self.n_heads != 0:
             raise ValidationError("d_model must be divisible by n_heads")
 
@@ -624,12 +637,13 @@ def train(model: STTFModel, dataset: Seq[Tuple[np.ndarray, np.ndarray, np.ndarra
 # Sequence -> model input
 # ---------------------------------------------------------------------------
 
-def sequence_to_model_input(seq: Sequence, seq_len: int,
-                            occlusion_threshold: float = DEFAULT_OCCLUSION_THRESHOLD
-                            ) -> np.ndarray:
-    """Normalize every frame globally and :func:`resample` to ``seq_len``."""
+def sequence_to_model_input(seq: Sequence, seq_len: int) -> np.ndarray:
+    """Normalize every frame globally, with the occlusion mask at
+    ``DEFAULT_OCCLUSION_THRESHOLD``, and :func:`resample` to ``seq_len``.
+    ``assess --aux-model`` resamples its candidate as normalized with the
+    exercise config's mask instead."""
     canon = normalize_sequence(seq.points,
-                               seq.occlusion_mask(occlusion_threshold),
+                               seq.occlusion_mask(),
                                seq.frame_ids)[0]
     return resample(canon, seq.timestamps, seq_len)
 
@@ -754,8 +768,8 @@ def _parameter_table(config: STTFConfig, stored: dict) -> Dict[str, Shape]:
     """The shapes of ``config``'s parameters by name, in model order, once
     ``stored`` is seen to declare exactly these, each with its shape.
 
-    Allocates no parameter, so a config too large to build is refused by the
-    first shape it implies that ``stored`` lacks.
+    Allocates no parameter. A config too large to build never gets here:
+    ``STTFConfig``'s bounds refuse it before any shape is compared.
     """
     shapes = {}
 

@@ -6,9 +6,12 @@ being reported as exit 2.
 """
 
 import contextlib
+import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import shutil
 
 import numpy as np
@@ -19,7 +22,8 @@ from formcoach import assessment, cli, sttf
 from formcoach.alignment import AlignmentError
 from formcoach.kinematics import DescriptorError
 from formcoach.normalize import normalize_sequence
-from formcoach.skeleton import JOINT_NAMES, JointId, save_annotation, save_sequence
+from formcoach.skeleton import (JOINT_NAMES, JointId, ValidationError, save_annotation,
+                                save_sequence)
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 from test_cli import run_assess, write_inputs
@@ -129,10 +133,8 @@ def test_aux_model_reuses_the_candidate_normalization(tmp_path, monkeypatch,
     ckpt = tmp_path / "model.json"
     sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
     cand = tmp_path / "cand.sequence.json"
-    threshold = json.loads((tmp_path / "squat.config.json").read_text())[
-        "occlusion_threshold"]
     assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
-                     str(cand), "--occlusion-threshold", repr(threshold)]) == 0
+                     str(cand)]) == 0
     expected = json.loads(capsys.readouterr().out)
 
     calls = []
@@ -278,6 +280,45 @@ def test_training_settings_have_no_flags(tmp_path, flag):
     assert not (tmp_path / "model.json").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--report", "x"),
+                                         ("--occlusion-threshold", "0.5")])
+def test_score_model_has_no_report_or_threshold_flag(tmp_path, flag, value):
+    """``assess --aux-model`` writes the scores into its report, masking at
+    the exercise config's threshold; ``score-model`` only prints them."""
+    argv = command_inputs(tmp_path, "score-model")
+    with pytest.raises(SystemExit) as exit_:
+        cli.main([*argv, flag, value])
+    assert exit_.value.code == cli.EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command, flag, output, error", [
+    ("assess", "--out", "file", errno.EEXIST),
+    ("synth", "--out", "file", errno.EEXIST),
+    ("train", "--checkpoint-out", "directory", errno.EISDIR),
+    ("train", "--checkpoint-out", "x" * 300, errno.ENAMETOOLONG),
+    ("train", "--loss-csv", "directory", errno.EISDIR),
+], ids=["assess-out-file", "synth-out-file", "checkpoint-directory",
+        "checkpoint-name-too-long", "loss-csv-directory"])
+def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, flag,
+                                             output, error):
+    """An output path that cannot be written fails in one line naming it.
+    ``output`` is a file or a directory put in its place, or its name."""
+    argv = command_inputs(tmp_path, command)
+    path = tmp_path / output
+    if output == "file":
+        path.write_text("")
+    elif output == "directory":
+        path.mkdir()
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(path)
+    else:
+        argv += [flag, str(path)]
+    assert cli.main(argv) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {os.strerror(error)}\n"
+    assert captured.out == ""
+
+
 def test_bare_value_error_in_train_escapes(tmp_path, monkeypatch):
     argv = write_train_inputs(tmp_path)
     assert cli.main(argv) == cli.EXIT_OK
@@ -366,12 +407,13 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
     (lambda header: header.update(
         {"spatial.2.ln1.gamma": header["spatial.0.ln1.gamma"]}),
      "spatial.2.ln1.gamma"),
-    (lambda header: edit_config(header, seq_len=10 ** 10), "temporal_pos"),
+    (lambda header: edit_config(header, seq_len=10 ** 10),
+     "seq_len must be at most 4096, got 10000000000"),
 ], ids=["extra-parameter", "huge-seq-len"])
 def test_checkpoint_parameters_must_be_the_configs(tmp_path, capsys, edit, name):
-    """The stored parameter table is checked against the config before any
-    parameter is allocated: an extra parameter is not ignored, and a huge
-    ``seq_len`` is refused rather than allocated."""
+    """Nothing is allocated for a checkpoint that does not fit its config:
+    an extra parameter is not ignored, and a huge ``seq_len`` is refused by
+    the config's bounds rather than allocated."""
     write_inputs(tmp_path)
     ckpt = tmp_path / "model.json"
     edited_checkpoint(ckpt, lambda header, buffer: edit(header))
@@ -380,6 +422,30 @@ def test_checkpoint_parameters_must_be_the_configs(tmp_path, capsys, edit, name)
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {ckpt}: ") and name in err
+
+
+def test_checkpoint_beyond_the_config_bounds_exits_2(tmp_path, capsys):
+    """A checkpoint whose every tensor fits its stored ``seq_len`` of 4097 is
+    refused by the bound a training config meets, not scored."""
+    write_inputs(tmp_path)
+    header = {"__metadata__": {"format": "formcoach-sttf", "version": "3", "config":
+                               json.dumps({**dataclasses.asdict(SMALL), "seq_len": 4097,
+                                           **sttf.FIXED_COUNTS})}}
+    tensors, offset = [], 0
+    for p in sttf.STTFModel(SMALL).parameters():
+        value = np.zeros((4097, SMALL.d_model)) if p.name == "temporal_pos" else p.value
+        tensors.append(value.astype("<f8").tobytes())
+        header[p.name] = {"dtype": "F64", "shape": list(value.shape),
+                          "data_offsets": [offset, offset + len(tensors[-1])]}
+        offset += len(tensors[-1])
+    ckpt = tmp_path / "model.ckpt"
+    write_checkpoint(ckpt, header, b"".join(tensors))
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    [line] = err.splitlines()
+    assert out == "" and line.startswith(f"error: {ckpt}: ")
+    assert "seq_len must be at most 4096, got 4097" in line
 
 
 @pytest.mark.parametrize("error", [DescriptorError, AlignmentError])
@@ -429,27 +495,15 @@ def test_bare_value_error_in_score_model_escapes(tmp_path, monkeypatch):
     ("mistake_threshold", "NaN"),
     ("occlusion_threshold", "NaN"),
     ("mistake_threshold", "-1"),
-    ("--occlusion-threshold", "nan"),
-    ("--occlusion-threshold", "-1"),
     ("occlusion_threshold", "1.5"),
-    ("--occlusion-threshold", "1.01"),
-], ids=["mistake-nan", "occlusion-nan", "mistake-negative",
-        "score-model-nan", "score-model-negative", "occlusion-above-1",
-        "score-model-above-1"])
+], ids=["mistake-nan", "occlusion-nan", "mistake-negative", "occlusion-above-1"])
 def test_threshold_must_be_finite_and_non_negative(tmp_path, capsys, where, value):
     write_inputs(tmp_path)
-    if where.startswith("--"):
-        ckpt = tmp_path / "model.json"
-        sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-        argv = ["score-model", "--checkpoint", str(ckpt),
-                "--sequence", str(tmp_path / "cand.sequence.json"), where, value]
-    else:
-        path = tmp_path / "squat.config.json"
-        doc = json.loads(path.read_text())
-        doc[where] = float(value)
-        path.write_text(json.dumps(doc))
-        argv = assess_argv(tmp_path)
-    assert cli.main(argv) == cli.EXIT_VALIDATION
+    path = tmp_path / "squat.config.json"
+    doc = json.loads(path.read_text())
+    doc[where] = float(value)
+    path.write_text(json.dumps(doc))
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
     captured = capsys.readouterr()
     assert f"{where} must be finite and non-negative" in captured.err
     assert captured.out == ""
@@ -635,24 +689,26 @@ DIRECTORY = "a directory in place of the file"
 
 def command_inputs(tmp_path, command):
     """Valid inputs of ``command``, with every optional input file given;
-    the argv of a call on them."""
+    the argv of a call on them. No command reads a report, so ``"report"``
+    writes one and returns None: ``assessment.load_report`` reads it."""
     if command == "synth":
         (tmp_path / "spec.json").write_text('{"template": "squat", "n_frames": 12}')
         return ["synth", "--spec", str(tmp_path / "spec.json"),
                 "--out", str(tmp_path / "out")]
     if command == "train":
         return write_train_inputs(tmp_path)
+    if command == "report":
+        assessment.save_report(assessment.AssessmentReport(
+            name="cand", body_class="Lower", joint_score=50.0, pace_score=50.0,
+            range_score=None), tmp_path / "report.json")
+        return None
     write_inputs(tmp_path)
     ckpt = tmp_path / "model.json"
     sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
     if command == "assess":
         return assess_argv(tmp_path, "--aux-model", str(ckpt))
-    report = tmp_path / "report.json"
-    assessment.save_report(assessment.AssessmentReport(
-        name="cand", body_class="Lower", joint_score=50.0, pace_score=50.0,
-        range_score=None), report)
     return ["score-model", "--checkpoint", str(ckpt), "--sequence",
-            str(tmp_path / "cand.sequence.json"), "--report", str(report)]
+            str(tmp_path / "cand.sequence.json")]
 
 
 @pytest.mark.parametrize("command, file, fault, code", [
@@ -674,13 +730,12 @@ def command_inputs(tmp_path, command):
     ("score-model", "model.json", DIRECTORY, cli.EXIT_VALIDATION),
     ("score-model", "model.json", NESTED_TOO_DEEP_HEADER, cli.EXIT_VALIDATION),
     ("score-model", "cand.sequence.json", degenerate_frame, cli.EXIT_DEGENERATE),
-    ("score-model", "report.json", NOT_JSON, cli.EXIT_VALIDATION),
 ], ids=["config-post-init", "config-not-json", "aux-model", "reference",
         "reference-degenerate", "candidate", "candidate-not-json",
         "candidate-nested-too-deep", "candidate-missing", "motion-spec",
         "training-config", "annotation", "training-sequence",
         "training-sequence-degenerate", "checkpoint", "checkpoint-directory",
-        "checkpoint-nested-too-deep", "score-model-sequence", "report"])
+        "checkpoint-nested-too-deep", "score-model-sequence"])
 def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault,
                                           code):
     """One error line names the failing input exactly once. ``fault`` is the
@@ -707,6 +762,20 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
     assert lines[0].count(str(path)) == 1
 
 
+def edited_report(tmp_path, edit):
+    """The path of a written report, with corrections, frame detail and a
+    float range score, after ``edit`` of its JSON document."""
+    rc, out = run_assess(tmp_path)
+    assert rc == cli.EXIT_OK
+    path = out / "cand_report.json"
+    doc = json.loads(path.read_text())
+    assert doc["corrections"] and doc["frame_detail"]["frame_ids"]
+    assert isinstance(doc["range"], float)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return path
+
+
 @pytest.mark.parametrize("edit, key", [
     (lambda doc: doc.update(joint="abc"), "joint: 'abc' is not a number"),
     (lambda doc: doc["corrections"][0].pop("text"), "corrections[0]"),
@@ -714,7 +783,8 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
      "frame_detail.deviations"),
     (lambda doc: doc["frame_detail"]["transforms"][0].extend([0.0, 0.0]),
      "frame_detail.transforms"),
-    (lambda doc: doc.pop("version"), "`formcoach assess`"),
+    (lambda doc: doc.pop("version"),
+     "report version 1 is not supported; `formcoach assess`"),
     (lambda doc: doc.update(name=7), "name must be a string"),
     (lambda doc: doc.update({"class": "Sideways"}), "class must be one of"),
     (lambda doc: doc.update(aux_scores="oops"), "aux_scores"),
@@ -737,28 +807,14 @@ def test_each_failing_input_is_named_once(tmp_path, capsys, command, file, fault
         "aux-not-object", "aux-text", "aux-nan", "correction-frame-number",
         "detail-frame-id-nan", "detail-deviations-row-number",
         "detail-transforms-row-text", "correction-misspelt-key"])
-def test_malformed_report_exits_2_naming_file_and_key(tmp_path, capsys, edit,
-                                                      key):
-    """``score-model --report`` refuses each edit of a written report and
-    leaves the file as it was. A report without ``"version"`` is a version-1
-    report, and the message says which command writes a current one."""
-    rc, out = run_assess(tmp_path)
-    assert rc == cli.EXIT_OK
-    path = out / "cand_report.json"
-    doc = json.loads(path.read_text())
-    assert doc["corrections"] and doc["frame_detail"]["frame_ids"]
-    edit(doc)
-    text = json.dumps(doc)
-    path.write_text(text)
-    ckpt = tmp_path / "model.json"
-    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-    capsys.readouterr()
-    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
-                     str(tmp_path / "cand.sequence.json"),
-                     "--report", str(path)]) == cli.EXIT_VALIDATION
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: {path}: ") and key in err
-    assert path.read_text() == text
+def test_malformed_report_exits_2_naming_file_and_key(tmp_path, edit, key):
+    """``load_report`` refuses each edit of a written report, naming its key.
+    A report without ``"version"`` is a version-1 report, and the message
+    says which command writes a current one."""
+    path = edited_report(tmp_path, edit)
+    with pytest.raises(ValidationError) as refused:
+        assessment.load_report(path)
+    assert str(refused.value).startswith(key)
 
 
 def add_rule(doc, joint):
@@ -778,8 +834,8 @@ def add_keypoint(doc, joint):
 
 @pytest.mark.parametrize("command, file, edit, key", [
     ("assess", "cand.sequence.json", add_keypoint, "frame 5"),
-    ("score-model", "report.json", add_correction, "corrections[0].joint"),
-    ("score-model", "report.json",
+    ("report", "report.json", add_correction, "corrections[0].joint"),
+    ("report", "report.json",
      lambda doc, j: doc["frame_detail"].update(joints=["left_knee", j]),
      "frame_detail.joints[1]"),
     ("assess", "squat.config.json", lambda doc, j: doc.update(targeted_joints=[j]),
@@ -809,6 +865,11 @@ def test_unknown_joint_name_exits_2_naming_its_key(tmp_path, capsys, command, fi
     doc = json.loads(path.read_text())
     edit(doc, "elbowz")
     path.write_text(json.dumps(doc))
+    if argv is None:
+        with pytest.raises(ValidationError) as refused:
+            assessment.load_report(path)
+        assert str(refused.value) == f"{key}: unknown joint name 'elbowz'"
+        return
     capsys.readouterr()
     assert cli.main(argv) == cli.EXIT_VALIDATION
     lines = capsys.readouterr().err.splitlines()
@@ -829,27 +890,14 @@ def test_unknown_joint_name_exits_2_naming_its_key(tmp_path, capsys, command, fi
      "frame_detail.transforms[2][1]"),
 ], ids=["joint-text", "pace-text", "range-text", "joint-bool", "aux-text",
         "deviation-text", "transform-text"])
-def test_report_numbers_must_be_json_numbers(tmp_path, capsys, edit, key):
-    """``float`` takes ``"0.5"`` and ``true``; a report that holds either is
-    refused rather than written back with numbers in their place."""
-    rc, out = run_assess(tmp_path)
-    assert rc == cli.EXIT_OK
-    path = out / "cand_report.json"
-    doc = json.loads(path.read_text())
-    assert isinstance(doc["range"], float)
-    edit(doc)
-    text = json.dumps(doc)
-    path.write_text(text)
-    ckpt = tmp_path / "model.json"
-    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-    capsys.readouterr()
-    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
-                     str(tmp_path / "cand.sequence.json"),
-                     "--report", str(path)]) == cli.EXIT_VALIDATION
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {key}: ")
-    assert lines[0].endswith("is not a number")
-    assert path.read_text() == text
+def test_report_numbers_must_be_json_numbers(tmp_path, edit, key):
+    """``float`` takes ``"0.5"`` and ``true``; ``load_report`` refuses a
+    report that holds either rather than read numbers in their place."""
+    path = edited_report(tmp_path, edit)
+    with pytest.raises(ValidationError) as refused:
+        assessment.load_report(path)
+    assert str(refused.value).startswith(f"{key}: ")
+    assert str(refused.value).endswith("is not a number")
 
 
 def test_dataset_without_pairs_exits_2_naming_it(tmp_path, capsys):

@@ -3,9 +3,9 @@
 Random edits of valid input find faults that hand-picked bad input misses
 (Miller, Fredriksen and So, "An empirical study of the reliability of UNIX
 utilities", CACM 1990). Each example starts from one valid file of one kind
-(exercise config, annotation, report, motion spec, training config, or the
-candidate keypoint file of ``assess --aux-model``), makes one structural edit
-of its JSON and runs the subcommand that reads the file.
+(exercise config, annotation, motion spec, training config, or the candidate
+keypoint file of ``assess --aux-model``), makes one structural edit of its
+JSON and runs the subcommand that reads the file.
 Whatever the edit:
 
 * ``cli.main`` returns 0, 2, 3 or 4;
@@ -18,7 +18,10 @@ Whatever the edit:
   lacks names that sequence. Divergence (exit 4) is a property of the
   training run, and its line names no file.
 
-The checkpoint has its own fuzz test in ``test_cli_errors.py``.
+No subcommand reads a report, so a report's edits go to
+``assessment.load_report`` alone, which returns the report or raises
+``ValidationError``. The checkpoint has its own fuzz test in
+``test_cli_errors.py``.
 """
 
 import contextlib
@@ -31,7 +34,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from formcoach import cli, sttf
-from formcoach.skeleton import (Annotation, JointId, load_annotation,
+from formcoach.assessment import load_report
+from formcoach.skeleton import (Annotation, JointId, ValidationError, load_annotation,
                                 save_annotation, save_sequence)
 from formcoach.synth import MotionSpec, generate
 
@@ -79,9 +83,6 @@ def inputs(tmp_path_factory):
 
     ckpt = directory / "model.ckpt"
     sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
-    assert run(assess_argv(directory, "--aux-model", str(ckpt)))[0] == cli.EXIT_OK
-    report = directory / "out" / "cand_report.json"
-    assert json.loads(report.read_text())["corrections"]
 
     train = directory / "train"
     seq, ann = generate(MotionSpec(template="squat", n_frames=12), seed=0)
@@ -106,9 +107,6 @@ def inputs(tmp_path_factory):
         "config": (config, assess_argv(directory),
                    (directory / "ref.sequence.json", directory / "cand.sequence.json")),
         "annotation": (annotation, train_argv, (train / "squat.sequence.json",)),
-        "report": (report, ["score-model", "--checkpoint", str(ckpt), "--sequence",
-                            str(directory / "cand.sequence.json"),
-                            "--report", str(report)], ()),
         "spec": (spec, ["synth", "--spec", str(spec), "--out",
                         str(directory / "synth")], ()),
         "training-config": (train_config, train_argv, ()),
@@ -172,12 +170,38 @@ def mutate(doc, edit, draw):
     return doc
 
 
-@pytest.mark.parametrize("kind", ["keypoints", "config", "annotation", "report",
-                                  "spec", "training-config"])
+@pytest.mark.parametrize("kind", ["keypoints", "config", "annotation", "spec",
+                                  "training-config"])
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(edit=st.sampled_from(EDITS), data=st.data())
 def test_mutated_input_exits_0_to_4_naming_it(inputs, kind, edit, data):
     check_edit(inputs, kind, edit, data.draw)
+
+
+@pytest.fixture(scope="module")
+def report(tmp_path_factory):
+    """A report of ``assess --aux-model`` with corrections: its path and
+    document."""
+    directory = tmp_path_factory.mktemp("fuzz-report")
+    write_inputs(directory)
+    ckpt = directory / "model.ckpt"
+    sttf.save_checkpoint(sttf.STTFModel(SMALL), ckpt)
+    assert run(assess_argv(directory, "--aux-model", str(ckpt)))[0] == cli.EXIT_OK
+    path = directory / "out" / "cand_report.json"
+    doc = json.loads(path.read_text())
+    assert doc["corrections"] and doc["aux_scores"]
+    return path, doc
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(edit=st.sampled_from(EDITS), data=st.data())
+def test_mutated_report_loads_or_is_refused(report, edit, data):
+    path, valid = report
+    path.write_text(json.dumps(mutate(valid, edit, data.draw)))
+    try:
+        load_report(path)
+    except ValidationError:
+        pass
 
 
 def test_huge_coordinate_exits_0_to_4_naming_it(inputs):
