@@ -28,6 +28,10 @@ A sequence whose ``exercise_id`` is not the config's is unusable.
 A candidate whose file stem or frame id makes an output file name too long
 fails too (exit 2); the outputs it wrote before that stay. ``train`` stops
 at the first unusable file. Warnings name their file too.
+
+``sttf`` and ``synth`` are imported by the subcommands that use them
+(``assess --aux-model``, ``train``, ``score-model`` and ``synth``), so a
+plain ``assess`` loads neither them nor ``numpy.random``.
 """
 
 from __future__ import annotations
@@ -46,7 +50,6 @@ from typing import Dict, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from . import sttf
 from .alignment import AlignmentError
 from .assessment import AssessmentResult, Prepared, assess_pair, prepare, save_report
 from .config import ExerciseConfig, load_exercise_config, require_threshold
@@ -58,7 +61,6 @@ from .skeleton import (JOINT_NAMES, REQUIRED, Annotation, ValidationError, _as_i
                        joint_from_name, load_annotation, load_sequence, read_json,
                        read_object, save_annotation, save_sequence, write_json_atomic,
                        write_text_atomic)
-from .synth import InjectedError, MotionSpec, generate
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -109,29 +111,32 @@ def _assess_one(cand_path: Path, stem: str, ref: Prepared, config: ExerciseConfi
     result = assess_pair(cand, ref, config)
     report = result.report
     if aux_model is not None:
+        from . import sttf
         report.aux_scores = _aux_scores(aux_model, sttf.resample(
             result.cand.canonical, cand.timestamps, aux_model.config.seq_len))
 
     pose = result.cand.pose
     index = []
+    out = out_dir / f"{stem}_report.json"    # the output being written
     try:
-        save_report(report, out_dir / f"{stem}_report.json")
+        save_report(report, out)
         for i, aid in build_frame_aids(result, config).items():
             name = f"{stem}_{aid.frame_id.translate(_FILE_NAME_ESCAPES)}_aid.svg"
-            write_text_atomic(out_dir / name,
-                              render_svg(aid, pose.points[i], pose.occluded[i]))
+            out = out_dir / name
+            write_text_atomic(out, render_svg(aid, pose.points[i], pose.occluded[i]))
             index.append({
                 "frame_id": aid.frame_id,
                 "file": name,
                 "joints": [JOINT_NAMES[a.joint] for a in aid.arrows],
             })
-        write_json_atomic(out_dir / f"{stem}_aids_index.json", index)
+        out = out_dir / f"{stem}_aids_index.json"
+        write_json_atomic(out, index)
     except OSError as e:
         # The names come from the candidate's file stem and frame ids.
-        if e.errno != errno.ENAMETOOLONG:
-            raise
-        raise ValidationError(f"output file name too long: "
-                              f"{Path(e.filename2 or e.filename).name!r}") from None
+        if e.errno == errno.ENAMETOOLONG:
+            raise ValidationError(f"output file name too long: {out.name!r}") from None
+        print(f"error: {out}: {e.strerror}", file=sys.stderr)
+        raise _Failed(EXIT_VALIDATION) from None
 
     rng = "/" if report.range_score is None else f"{report.range_score:.1f}"
     corr = "; ".join(c.text for c in report.corrections)
@@ -187,8 +192,10 @@ def _guarded(name, step):
 
 def cmd_assess(args) -> int:
     config = _guarded(args.config, lambda: load_exercise_config(args.config))
-    aux_model = (_guarded(args.aux_model, lambda: sttf.load_checkpoint(args.aux_model))
-                 if args.aux_model else None)
+    aux_model = None
+    if args.aux_model:
+        from . import sttf
+        aux_model = _guarded(args.aux_model, lambda: sttf.load_checkpoint(args.aux_model))
     ref = _guarded(f"reference {args.reference}",
                    lambda: prepare(load_sequence(args.reference), config))
 
@@ -232,33 +239,33 @@ def _amplitudes(value, where: str) -> dict:
             for name, degrees in value.items()}
 
 
-# The keys of a motion spec and of its injected errors; numbers may be given
-# as text, as float() reads them.
-_INJECTED_ERROR = {
-    "type": (_as_is, REQUIRED),
-    "magnitude": (_number, REQUIRED),
-    "joint": (joint_from_name, None),
-    "phase": (_as_is, "all"),
-}
-_MOTION_SPEC = {
-    "template": (_as_str, REQUIRED),
-    "n_frames": (_integer, 48),
-    "fps": (_number, 30.0),
-    "amplitude_deg": (_amplitudes, None),
-    "noise_std": (_number, 0.0),
-    "injected_errors": (_list_of(_object_of(
-        _INJECTED_ERROR, "injected error",
-        lambda **error: InjectedError(error.pop("type"), **error))), ()),
-    "class_label": (_as_is, None),
-}
-
-
-def _motion_spec_from_file(path: Path) -> MotionSpec:
+def _motion_spec_from_file(path: Path) -> "synth.MotionSpec":
     """The motion spec in ``path``; messages name the key, not the file."""
-    return MotionSpec(**read_object(read_json(path), "", _MOTION_SPEC, "motion spec"))
+    from .synth import InjectedError, MotionSpec
+    # The keys of a motion spec and of its injected errors; numbers may be
+    # given as text, as float() reads them.
+    injected_error = {
+        "type": (_as_is, REQUIRED),
+        "magnitude": (_number, REQUIRED),
+        "joint": (joint_from_name, None),
+        "phase": (_as_is, "all"),
+    }
+    keys = {
+        "template": (_as_str, REQUIRED),
+        "n_frames": (_integer, 48),
+        "fps": (_number, 30.0),
+        "amplitude_deg": (_amplitudes, None),
+        "noise_std": (_number, 0.0),
+        "injected_errors": (_list_of(_object_of(
+            injected_error, "injected error",
+            lambda **error: InjectedError(error.pop("type"), **error))), ()),
+        "class_label": (_as_is, None),
+    }
+    return MotionSpec(**read_object(read_json(path), "", keys, "motion spec"))
 
 
 def cmd_synth(args) -> int:
+    from .synth import generate
     _guarded("synth", lambda: require_threshold(args.seed, "--seed"))
     name = f"invalid motion spec {args.spec}"
     spec = _guarded(name, lambda: _motion_spec_from_file(Path(args.spec)))
@@ -274,21 +281,19 @@ def cmd_synth(args) -> int:
     return EXIT_OK
 
 
-# The keys of a training config: the model's, which config_from_fields
-# checks, and the two of training, which must be JSON numbers.
-_TRAIN_CONFIG = {
-    **{f.name: (_as_is, f.default) for f in dataclasses.fields(sttf.STTFConfig)},
-    **{key: (_as_is, count) for key, count in sttf.FIXED_COUNTS.items()},
-    "epochs": (_json_number, 50.0),
-    "lr": (_json_number, 1e-2),
-}
-
-
-def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float]:
+def _load_train_config(path: Optional[str]) -> Tuple["sttf.STTFConfig", int, float]:
     """(model config, epochs, lr) from ``path`` or the defaults. Messages
     name the key, not the file."""
-    fields = read_object(read_json(path) if path else {}, "", _TRAIN_CONFIG,
-                         "training config")
+    from . import sttf
+    # The keys of a training config: the model's, which config_from_fields
+    # checks, and the two of training, which must be JSON numbers.
+    keys = {
+        **{f.name: (_as_is, f.default) for f in dataclasses.fields(sttf.STTFConfig)},
+        **{key: (_as_is, count) for key, count in sttf.FIXED_COUNTS.items()},
+        "epochs": (_json_number, 50.0),
+        "lr": (_json_number, 1e-2),
+    }
+    fields = read_object(read_json(path) if path else {}, "", keys, "training config")
     epochs, lr = fields.pop("epochs"), fields.pop("lr")
     config = sttf.config_from_fields(fields)
     if not (epochs >= 1 and epochs.is_integer()):
@@ -303,6 +308,7 @@ def _load_train_config(path: Optional[str]) -> Tuple[sttf.STTFConfig, int, float
 
 def _training_example(seq_path: Path, ann: Annotation, seq_len: int) -> tuple:
     """(model input, target scores, per-frame labels) of one dataset pair."""
+    from . import sttf
     seq = load_sequence(seq_path)
     x = sttf.sequence_to_model_input(seq, seq_len)
     t_scores, labels = sttf.targets_from_annotation(seq, ann, seq_len)
@@ -310,6 +316,7 @@ def _training_example(seq_path: Path, ann: Annotation, seq_len: int) -> tuple:
 
 
 def cmd_train(args) -> int:
+    from . import sttf
     config, epochs, lr = _guarded(args.config, lambda: _load_train_config(args.config))
     dataset = []
     for sf in sorted(Path(args.dataset).glob("*.sequence.json")):
@@ -339,6 +346,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_score_model(args) -> int:
+    from . import sttf
     model = _guarded(args.checkpoint, lambda: sttf.load_checkpoint(args.checkpoint))
     aux = _guarded(args.sequence, lambda: _aux_scores(
         model, sttf.sequence_to_model_input(load_sequence(args.sequence),

@@ -12,11 +12,10 @@ import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
-from .kinematics import ANGLE_NEIGHBORS
-from .skeleton import (DEFAULT_OCCLUSION_THRESHOLD, REQUIRED, RETIRED, JointId,
-                       ValidationError, _angle_ranges, _angle_table, _as_is, _as_str,
-                       _finite, _joints, _list_of, _number, _object_of, joint_from_name,
-                       read_json, read_object, write_json_atomic)
+from .skeleton import (ANGLE_NEIGHBORS, DEFAULT_OCCLUSION_THRESHOLD, REQUIRED,
+                       RETIRED, JointId, ValidationError, _angle_ranges, _angle_table,
+                       _as_is, _as_str, _finite, _joints, _list_of, _number, _object_of,
+                       joint_from_name, read_json, read_object, write_json_atomic)
 
 BODY_CLASSES = ("Upper", "Lower", "Both")
 

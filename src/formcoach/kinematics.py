@@ -13,9 +13,11 @@ at once, as GEMMs over the same zero-filled vectors (see ``alignment``).
 
 Interior angles use a fixed bone topology: each angle-bearing joint has two
 neighbors (elbow: shoulder/wrist, knee: hip/ankle, shoulder: elbow/same-side
-hip, hip: same-side shoulder/knee). Angles are degrees in [0, 180] and are
-invariant under similarity transforms of the input. :func:`interior_angles`
-computes them for any stack of frames, one frame included.
+hip, hip: same-side shoulder/knee). The table, ``ANGLE_NEIGHBORS``, lives in
+``skeleton`` next to ``JointId``, so ``config`` reads it without importing this
+module. Angles are degrees in [0, 180] and are invariant under similarity
+transforms of the input. :func:`interior_angles` computes them for any stack
+of frames, one frame included.
 """
 
 from __future__ import annotations
@@ -23,27 +25,14 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence as Seq, Tuple
+from typing import Iterable, Sequence as Seq, Tuple
 
 import numpy as np
 
 from .normalize import norms
-from .skeleton import JointId
+from .skeleton import ANGLE_NEIGHBORS, JointId
 
 logger = logging.getLogger(__name__)
-
-# Joint -> (neighbor_a, neighbor_b); the interior angle at the joint is the
-# angle between the two bones joint->neighbor.
-ANGLE_NEIGHBORS: Dict[JointId, Tuple[JointId, JointId]] = {
-    JointId.LEFT_ELBOW: (JointId.LEFT_SHOULDER, JointId.LEFT_WRIST),
-    JointId.RIGHT_ELBOW: (JointId.RIGHT_SHOULDER, JointId.RIGHT_WRIST),
-    JointId.LEFT_KNEE: (JointId.LEFT_HIP, JointId.LEFT_ANKLE),
-    JointId.RIGHT_KNEE: (JointId.RIGHT_HIP, JointId.RIGHT_ANKLE),
-    JointId.LEFT_SHOULDER: (JointId.LEFT_ELBOW, JointId.LEFT_HIP),
-    JointId.RIGHT_SHOULDER: (JointId.RIGHT_ELBOW, JointId.RIGHT_HIP),
-    JointId.LEFT_HIP: (JointId.LEFT_SHOULDER, JointId.LEFT_KNEE),
-    JointId.RIGHT_HIP: (JointId.RIGHT_SHOULDER, JointId.RIGHT_KNEE),
-}
 
 ANGLE_JOINTS = tuple(ANGLE_NEIGHBORS)
 

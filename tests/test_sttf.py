@@ -740,7 +740,7 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     @pytest.mark.parametrize("key, value, match", [
-        ("n_heads", 3, "malformed checkpoint"),
+        ("n_heads", 3, "divisible by n_heads"),
         ("n_joints", 16, "17-joint"),
         ("n_scores", 2, "3-score"),
     ], ids=["heads", "joints", "scores"])
