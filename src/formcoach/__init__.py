@@ -11,7 +11,7 @@ from importlib import import_module
 _EXPORTS = {
     "skeleton": ("Annotation", "Frame", "JointId", "Sequence", "ValidationError",
                  "load_annotation", "load_sequence", "save_annotation", "save_sequence"),
-    "normalize": ("DegenerateSkeletonError", "OccludedJointError", "normalize_sequence"),
+    "normalize": ("DegenerateSkeletonError", "normalize_sequence"),
     "alignment": ("PaceProfile", "Phase", "WarpPath", "dtw_align", "pace_profile"),
     "assessment": ("AssessmentReport", "AssessmentResult", "Correction", "MistakeFlag",
                    "Prepared", "assess_pair", "flag_mistakes", "load_report", "pace_score",

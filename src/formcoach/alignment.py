@@ -31,8 +31,8 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .kinematics import DescriptorError, JointVectorSequence
-from .skeleton import Sequence
+from .kinematics import JointVectorSequence
+from .skeleton import Sequence, ValidationError
 
 # Moving-average window (frames) used to suppress jitter before locating
 # phase extrema.
@@ -41,10 +41,6 @@ PHASE_SMOOTH_WINDOW = 5
 # Cost-matrix rows are computed this many candidate frames at a time, which
 # keeps the GEMM temporaries a small multiple of one row of the accumulator.
 _BLOCK_ROWS = 64
-
-
-class AlignmentError(ValueError):
-    """Sequences cannot be aligned (empty input or mismatched descriptors)."""
 
 
 @dataclass(frozen=True)
@@ -58,18 +54,18 @@ class WarpPath:
         pairs = tuple((int(i), int(j)) for i, j in self.pairs)
         object.__setattr__(self, "pairs", pairs)
         if not pairs:
-            raise AlignmentError("warp path must not be empty")
+            raise ValueError("warp path must not be empty")
         if pairs[0] != (0, 0):
-            raise AlignmentError(f"warp path must start at (0, 0), got {pairs[0]}")
+            raise ValueError(f"warp path must start at (0, 0), got {pairs[0]}")
         for k in range(1, len(pairs)):
             di = pairs[k][0] - pairs[k - 1][0]
             dj = pairs[k][1] - pairs[k - 1][1]
             if (di, dj) not in ((1, 0), (0, 1), (1, 1)):
-                raise AlignmentError(
+                raise ValueError(
                     f"invalid warp step {pairs[k - 1]} -> {pairs[k]}"
                 )
         if self.cost < 0:
-            raise AlignmentError("warp cost must be non-negative")
+            raise ValueError("warp cost must be non-negative")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -79,12 +75,14 @@ def dtw_align(cand: JointVectorSequence, ref: JointVectorSequence) -> WarpPath:
     """Minimal-cost monotone alignment of two descriptor sequences.
 
     Ties are broken deterministically: diagonal step first, then candidate
-    advance, then reference advance.
+    advance, then reference advance. A candidate frame and a reference frame
+    with no usable pair in common raise :class:`ValidationError`; empty or
+    mismatched descriptors are a caller's bug and raise ``ValueError``.
     """
     if not cand or not ref:
-        raise AlignmentError("cannot align empty sequences")
+        raise ValueError("cannot align empty sequences")
     if cand.targeted != ref.targeted:
-        raise DescriptorError(
+        raise ValueError(
             f"mismatched targeted joints: {cand.targeted} vs {ref.targeted}")
     m, n = len(cand), len(ref)
     # acc is padded with an infinite row 0 and column 0, so cell (i, j) sits
@@ -97,7 +95,7 @@ def dtw_align(cand: JointVectorSequence, ref: JointVectorSequence) -> WarpPath:
         rows = slice(r, r + _BLOCK_ROWS)
         counts = a_valid[rows] @ b_valid
         if not counts.all():
-            raise DescriptorError("no common usable joint pairs")
+            raise ValidationError("no common usable joint pairs")
         cost = a[rows] @ b
         cost /= counts
         np.subtract(1.0, cost, out=cost)
@@ -206,7 +204,7 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     """
     tc, tr = len(cand), len(ref)
     if path.pairs[-1] != (tc - 1, tr - 1):
-        raise AlignmentError("warp path does not span both sequences")
+        raise ValueError("warp path does not span both sequences")
     ci, ri = np.array(path.pairs).T
     dev = np.mean(np.abs(ci / (tc - 1) - ri / (tr - 1)))
     duration_ratio = float(cand.duration / ref.duration)

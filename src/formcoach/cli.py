@@ -11,16 +11,18 @@ Subcommands:
 * ``score-model`` — score a sequence with a trained checkpoint and print
                     the scores.
 
-Errors: a failing input prints one line, ``error: <input>: <fault>`` (exit 2)
-or ``error: degenerate data in <input>: <fault>`` (exit 3), that names the
-input once, with its role where it has one (``reference <path>``); a missing
-file prints Python's own message (exit 2). An output that cannot be written
-prints ``error: <output>: <fault>`` (exit 2). Only this module names inputs: the
-readers' messages do not; they name the key path instead. Exercise configs,
-annotations, reports, motion specs and training configs refuse a key their
-reader's table does not list (``rules[0]: unknown correction rule key
-'angle_abov'``); keypoint files ignore such keys. Training divergence exits
-4. Any other exception, a bare ``ValueError`` included, is a bug and escapes.
+Errors: every input fault is a ``ValidationError`` (exit 2, or exit 3 for its
+subclass ``DegenerateSkeletonError``), and any other exception, a bare
+``ValueError`` included, is a bug and escapes. A failing input prints one line,
+``error: <input>: <fault>`` (exit 2) or ``error: degenerate data in <input>:
+<fault>`` (exit 3), that names the input once, with its role where it has one
+(``reference <path>``); a missing file prints Python's own message (exit 2). An
+output that cannot be written prints ``error: <output>: <fault>`` (exit 2).
+Only this module names inputs: the readers' messages do not; they name the key
+path instead. Exercise configs, annotations, reports, motion specs and training
+configs refuse a key their reader's table does not list (``rules[0]: unknown
+correction rule key 'angle_abov'``); keypoint files ignore such keys. Training
+divergence exits 4.
 
 ``assess`` prepares the reference once, before it loads any candidate. An
 unusable reference fails the call; an unusable candidate fails only itself.
@@ -50,12 +52,10 @@ from typing import Dict, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .alignment import AlignmentError
 from .assessment import AssessmentResult, Prepared, assess_pair, prepare, save_report
 from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
-from .kinematics import DescriptorError
-from .normalize import DegenerateSkeletonError, OccludedJointError
+from .normalize import DegenerateSkeletonError
 from .skeleton import (JOINT_NAMES, REQUIRED, Annotation, ValidationError, _as_is,
                        _as_str, _finite, _json_number, _list_of, _number, _object_of,
                        joint_from_name, load_annotation, load_sequence, read_json,
@@ -183,8 +183,7 @@ def _guarded(name, step):
         code, line = EXIT_VALIDATION, f"error: {name}: {e.strerror}"
     except DegenerateSkeletonError as e:
         code, line = EXIT_DEGENERATE, f"error: degenerate data in {name}: {e}"
-    except (ValidationError, OccludedJointError, DescriptorError,
-            AlignmentError) as e:
+    except ValidationError as e:
         code, line = EXIT_VALIDATION, f"error: {name}: {e}"
     print(line, file=sys.stderr)
     raise _Failed(code)

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence as Seq, Tuple
 import numpy as np
 
 from .normalize import norms
-from .skeleton import ANGLE_NEIGHBORS, JointId
+from .skeleton import ANGLE_NEIGHBORS, JointId, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -39,10 +39,6 @@ ANGLE_JOINTS = tuple(ANGLE_NEIGHBORS)
 # Two joints closer than this (in the coordinate units of the skeleton) do
 # not define a direction.
 COINCIDENT_EPS = 1e-9
-
-
-class DescriptorError(ValueError):
-    """Joint-vector descriptor could not be built or compared."""
 
 
 def interior_angles(points: np.ndarray, joints: Seq[JointId],
@@ -107,11 +103,11 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
     occluded joint or coincident joints are masked; occluded targeted joints
     are reported by one log warning per sequence, naming each joint with the
     frames it was dropped from. A frame with fewer than two
-    usable joints or no valid pair raises :class:`DescriptorError`.
+    usable joints or no valid pair raises :class:`ValidationError`.
     """
     requested = tuple(sorted({JointId(j) for j in targeted}))
     if len(requested) < 2:
-        raise DescriptorError("need at least 2 targeted joints")
+        raise ValueError("need at least 2 targeted joints")
     pairs = ordered_pairs(requested)
     first, second = (np.array(p, dtype=np.intp) for p in zip(*pairs))
     diff = points[:, second] - points[:, first]
@@ -129,7 +125,7 @@ def sequence_descriptors(points: np.ndarray, occluded: np.ndarray,
     bad = few | ~valid.any(axis=1)
     if bad.any():
         t = int(bad.argmax())
-        raise DescriptorError(f"frame {frame_ids[t]!r}: " + (
+        raise ValidationError(f"frame {frame_ids[t]!r}: " + (
             "fewer than 2 usable targeted joints" if few[t]
             else "all targeted joint pairs are degenerate"))
     vectors = np.divide(diff, lengths[..., None], out=np.zeros_like(diff),

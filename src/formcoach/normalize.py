@@ -28,18 +28,14 @@ from typing import NamedTuple, Sequence as Seq, Tuple
 
 import numpy as np
 
-from .skeleton import JointId
+from .skeleton import JointId, ValidationError
 
 # Minimum usable torso length in pixels.
 TORSO_EPS = 1e-6
 
 
-class DegenerateSkeletonError(ValueError):
-    """Frame unusable for normalization (collapsed torso)."""
-
-
-class OccludedJointError(ValueError):
-    """A joint required by the operation is occluded."""
+class DegenerateSkeletonError(ValidationError):
+    """Frame unusable for normalization (collapsed torso); the CLI exits 3."""
 
 
 def norms(v: np.ndarray) -> np.ndarray:
@@ -81,7 +77,7 @@ def _torso(points: np.ndarray, occluded: np.ndarray,
         t = int(bad.argmax())
         if hidden[t].any():
             names = ", ".join(j.name.lower() for j, h in zip(_TORSO_JOINTS, hidden[t]) if h)
-            raise OccludedJointError(
+            raise ValidationError(
                 f"frame {frame_ids[t]!r}: torso joints occluded: {names}")
         raise DegenerateSkeletonError(
             f"frame {frame_ids[t]!r}: torso length {length[t]:.3g} px is degenerate")

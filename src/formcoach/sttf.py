@@ -96,6 +96,19 @@ _CONFIG_BOUNDS = {"d_model": (1, 1024), "n_heads": (1, math.inf),
                   "spatial_layers": (0, 64), "temporal_layers": (0, 64),
                   "seq_len": (2, 4096), "mlp_ratio": (1, 16), "seed": (0, math.inf)}
 
+# Largest parameter magnitude B that a checkpoint may hold, so that no square
+# in the forward can overflow. A canonical coordinate is below 4 *
+# MAX_COORDINATE / TORSO_EPS = 4e106: the point and the body center each lie
+# within 2 * MAX_COORDINATE of the origin, and their offset is divided by a
+# torso length of at least TORSO_EPS. At the largest config above (D = d_model = 1024, an FFN 16 * D
+# wide, 64 blocks per stack), a LayerNorm's output is within (sqrt(D) + 1) B,
+# so each block adds at most 2**33 B**3 to its stream, and the attention
+# logits and GELU's cubes stay below 1e124. The temporal stream then stays
+# below 2**15 B (4 * 4e106 * B + 2**39 B**3) + 2**39 B**3, about 5e147, and a
+# LayerNorm's sum of D squared deviations below 4 D (5e147)**2, about 1e299.
+# Trained weights are of order 1.
+MAX_PARAMETER = 1e18
+
 
 @dataclass(frozen=True)
 class STTFConfig:
@@ -711,11 +724,14 @@ _CHECKPOINT_VERSION = "3"
 
 
 def save_checkpoint(model: STTFModel, path: os.PathLike | str) -> None:
+    """Write ``model``, refusing a parameter that :func:`load_checkpoint`
+    would refuse, before any byte is written."""
     config = json.dumps({**asdict(model.config), **FIXED_COUNTS}, sort_keys=True)
     header = {"__metadata__": {"format": _CHECKPOINT_FORMAT,
                                "version": _CHECKPOINT_VERSION, "config": config}}
     tensors, offset = [], 0
     for p in model.parameters():
+        _check_values(p.name, p.value)
         tensors.append(p.value.astype("<f8", copy=False).tobytes())
         header[p.name] = {"dtype": "F64", "shape": list(p.value.shape),
                           "data_offsets": [offset, offset + len(tensors[-1])]}
@@ -816,6 +832,14 @@ def _decoded(name: str, shape: Shape, entry: dict, buffer: memoryview,
         raise ValidationError(f"{name} data ends at byte {offsets[1]}, past the "
                               f"{len(buffer)} bytes of tensor data")
     arr = np.frombuffer(buffer, "<f8", count, begin).reshape(shape)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{name} has non-finite values")
+    _check_values(name, arr)
     return arr.astype(np.float64)    # a writable copy in native byte order
+
+
+def _check_values(name: str, values: np.ndarray) -> None:
+    """Refuse a parameter with a value that is not finite or above
+    :data:`MAX_PARAMETER` in magnitude."""
+    if not np.isfinite(values).all():
+        raise ValidationError(f"{name} has non-finite values")
+    if not (np.abs(values) <= MAX_PARAMETER).all():
+        raise ValidationError(f"{name} has values of magnitude above {MAX_PARAMETER:g}")

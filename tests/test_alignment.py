@@ -1,17 +1,16 @@
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from formcoach.alignment import (AlignmentError, WarpPath, dtw_align,
-                                 moving_average, pace_profile)
+from formcoach.alignment import WarpPath, dtw_align, moving_average, pace_profile
 from formcoach.assessment import pace_score
-from formcoach.kinematics import (DescriptorError, JointVectorSequence,
-                                  interior_angles, ordered_pairs,
+from formcoach.kinematics import (JointVectorSequence, interior_angles, ordered_pairs,
                                   sequence_descriptors)
 from formcoach.normalize import normalize_sequence
-from formcoach.skeleton import JointId, Sequence
+from formcoach.skeleton import JointId, Sequence, ValidationError
 from formcoach.synth import InjectedError, MotionSpec, generate
 
 import reference
@@ -84,17 +83,26 @@ def brute_force_cost(cost):
     return best[0]
 
 
+@contextlib.contextmanager
+def raises_bug(match):
+    """A plain ``ValueError``: a broken invariant, which the CLI lets escape,
+    not a ``ValidationError``, which it reports as bad input."""
+    with pytest.raises(ValueError, match=match) as err:
+        yield
+    assert not isinstance(err.value, ValidationError)
+
+
 class TestWarpPathInvariants:
     def test_must_start_at_origin(self):
-        with pytest.raises(AlignmentError):
+        with raises_bug("must start at"):
             WarpPath(pairs=((1, 0), (2, 1)), cost=0.0)
 
     def test_rejects_jumps(self):
-        with pytest.raises(AlignmentError):
+        with raises_bug("invalid warp step"):
             WarpPath(pairs=((0, 0), (2, 1)), cost=0.0)
 
     def test_rejects_backward_steps(self):
-        with pytest.raises(AlignmentError):
+        with raises_bug("invalid warp step"):
             WarpPath(pairs=((0, 0), (1, 1), (0, 1)), cost=0.0)
 
 
@@ -107,7 +115,7 @@ class TestDtwAlign:
 
     def test_empty_input(self):
         fields, _ = random_fields(np.random.default_rng(1), 3)
-        with pytest.raises(AlignmentError):
+        with raises_bug("cannot align empty sequences"):
             dtw_align(take(fields, []), fields)
 
     def test_brute_force_oracle(self):
@@ -191,7 +199,7 @@ class TestDtwAlign:
         cand.valid[100, 1] = False
         ref.vectors[2, 0] = 0.0
         ref.valid[2, 0] = False
-        with pytest.raises(DescriptorError, match="no common usable joint pairs"):
+        with pytest.raises(ValidationError, match="no common usable joint pairs"):
             dtw_align(cand, ref)
 
     def test_long_identity_is_diagonal(self):

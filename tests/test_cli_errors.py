@@ -19,9 +19,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formcoach import assessment, cli, sttf
-from formcoach.alignment import AlignmentError
-from formcoach.kinematics import DescriptorError
-from formcoach.normalize import normalize_sequence
+from formcoach.alignment import WarpPath
+from formcoach.normalize import DegenerateSkeletonError, normalize_sequence
 from formcoach.skeleton import (JOINT_NAMES, JointId, ValidationError, save_annotation,
                                 save_sequence)
 from formcoach.synth import InjectedError, MotionSpec, generate
@@ -417,6 +416,23 @@ def test_non_finite_checkpoint_exits_2(tmp_path, capsys):
     assert err == f"error: {ckpt}: score_head.b has non-finite values\n"
 
 
+def test_huge_checkpoint_weight_exits_2_naming_it(tmp_path, capsys):
+    """A finite weight of 1e300 would overflow the squares of the first
+    LayerNorm and score every sequence 50.0; it is refused by name."""
+    write_inputs(tmp_path)
+    ckpt = tmp_path / "model.ckpt"
+
+    def edit(header, buffer):
+        begin = header["joint_embed.W"]["data_offsets"][0]
+        buffer[begin:begin + 8] = np.array(1e300, "<f8").tobytes()
+    edited_checkpoint(ckpt, edit)
+    assert cli.main(["score-model", "--checkpoint", str(ckpt), "--sequence",
+                     str(tmp_path / "cand.sequence.json")]) == cli.EXIT_VALIDATION
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {ckpt}: joint_embed.W has values of magnitude above 1e+18\n"
+
+
 @pytest.mark.parametrize("edit, name", [
     (lambda header: header.update(
         {"spatial.2.ln1.gamma": header["spatial.0.ln1.gamma"]}),
@@ -474,13 +490,16 @@ def test_checkpoint_config_bound_is_reported_as_it_is(tmp_path, capsys):
     assert err == f"error: {ckpt}: seq_len must be at most 4096, got 4097\n"
 
 
-@pytest.mark.parametrize("error", [DescriptorError, AlignmentError])
-def test_documented_pipeline_errors_exit_2(tmp_path, monkeypatch, error):
+@pytest.mark.parametrize("error, code", [
+    (ValidationError, cli.EXIT_VALIDATION),
+    (DegenerateSkeletonError, cli.EXIT_DEGENERATE),
+], ids=["ValidationError", "DegenerateSkeletonError"])
+def test_documented_pipeline_errors_exit_2(tmp_path, monkeypatch, error, code):
     def fail(*args):
         raise error("no common usable joint pairs")
     monkeypatch.setattr(cli, "assess_pair", fail)
     rc, _ = run_assess(tmp_path)
-    assert rc == cli.EXIT_VALIDATION
+    assert rc == code
 
 
 def test_bare_value_error_in_assess_escapes(tmp_path, monkeypatch):
@@ -489,6 +508,60 @@ def test_bare_value_error_in_assess_escapes(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "assess_pair", fail)
     with pytest.raises(ValueError, match="a bug"):
         run_assess(tmp_path)
+
+
+def test_broken_warp_path_invariant_escapes(tmp_path, monkeypatch):
+    """A warp path that skips a frame can only come from a bug in the
+    alignment, so it escapes rather than blaming the candidate."""
+    def align(cand, ref):
+        return WarpPath(pairs=((0, 0), (2, 1)), cost=0.0)
+    monkeypatch.setattr(assessment, "dtw_align", align)
+    write_inputs(tmp_path)
+    with pytest.raises(ValueError, match="invalid warp step") as err:
+        cli.main(assess_argv(tmp_path))
+    assert not isinstance(err.value, ValidationError)
+
+
+KNEES_AND_ANKLES = [JointId.LEFT_KNEE, JointId.RIGHT_KNEE, JointId.LEFT_ANKLE,
+                    JointId.RIGHT_ANKLE]
+
+
+def knee_and_ankle_inputs(tmp_path):
+    """``write_inputs`` with the squat config narrowed to the knees and ankles."""
+    write_inputs(tmp_path)
+    config = tmp_path / "squat.config.json"
+    config.write_text(json.dumps({**json.loads(config.read_text()), "targeted_joints": [
+        j.name.lower() for j in KNEES_AND_ANKLES]}))
+
+
+def hide_in_frame(path, frame, joints):
+    """Set ``joints`` to confidence 0 in one frame of a keypoint file."""
+    doc = json.loads(path.read_text())
+    for j in joints:
+        doc["frames"][frame]["keypoints"][j][2] = 0.0
+    path.write_text(json.dumps(doc))
+
+
+def test_frame_with_fewer_than_two_usable_targeted_joints_exits_2(tmp_path, capsys):
+    """Candidate frame 5 keeps only the right ankle of the four targeted joints."""
+    knee_and_ankle_inputs(tmp_path)
+    cand = tmp_path / "cand.sequence.json"
+    hide_in_frame(cand, 5, KNEES_AND_ANKLES[:3])
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {cand}: frame 'f0005': fewer than 2 usable targeted joints")
+
+
+def test_frames_without_a_common_usable_pair_exit_2(tmp_path, capsys):
+    """Candidate frame 5 keeps only the ankles and reference frame 2 only
+    the knees: that cell of the cost matrix has no pair to compare."""
+    knee_and_ankle_inputs(tmp_path)
+    cand = tmp_path / "cand.sequence.json"
+    hide_in_frame(cand, 5, KNEES_AND_ANKLES[:2])
+    hide_in_frame(tmp_path / "ref.sequence.json", 2, KNEES_AND_ANKLES[2:])
+    assert cli.main(assess_argv(tmp_path)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: {cand}: no common usable joint pairs")
 
 
 def test_degenerate_sequence_in_score_model_exits_3_naming_it(tmp_path, capsys):
@@ -1073,14 +1146,14 @@ def mutate(path, blob: bytes, kind: str, draw) -> None:
     else:
         begin, end = entry["data_offsets"]
         at = begin + 8 * draw(st.integers(0, (end - begin) // 8 - 1))
-        value = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e300, -1e300]))
         buffer[at:at + 8] = np.array(value, "<f8").tobytes()
     write_checkpoint(path, header, buffer)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["truncate", "length", "flip", "shape", "dtype",
-                             "offsets", "non-finite"]), data=st.data())
+                             "offsets", "extreme"]), data=st.data())
 def test_mutated_checkpoint_exits_0_or_2_naming_it(fuzzed_checkpoint, kind, data):
     """Whatever one fault does to a checkpoint, ``score-model`` scores the
     sequence or prints one error line naming the checkpoint; no exception

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from formcoach.alignment import dtw_align
-from formcoach.kinematics import (ANGLE_JOINTS, DescriptorError,
-                                  interior_angles, masked_sum, pair_dots,
+from formcoach.kinematics import (ANGLE_JOINTS, interior_angles, masked_sum, pair_dots,
                                   sequence_descriptors)
 from formcoach.skeleton import JointId
 from formcoach.synth import MotionSpec, generate
 
 import reference
+from test_alignment import raises_bug
 from test_normalize import (frame_from_points, normalize_frame, random_frame,
                             similarity)
 
@@ -127,7 +127,7 @@ class TestJointVectors:
         assert desc.valid.sum() == 2
 
     def test_fewer_than_two(self):
-        with pytest.raises(DescriptorError):
+        with raises_bug("need at least 2 targeted joints"):
             describe(random_frame(np.random.default_rng(7)), [JointId.NOSE])
 
 
@@ -162,7 +162,7 @@ class TestFrameCosine:
         f = random_frame(np.random.default_rng(10))
         a = describe(f, (JointId.NOSE, JointId.LEFT_EYE))
         b = describe(f, (JointId.NOSE, JointId.RIGHT_EYE))
-        with pytest.raises(DescriptorError):
+        with raises_bug("mismatched targeted joints"):
             dtw_align(a, b)
 
 

@@ -5,9 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from formcoach.correction import build_aid
-from formcoach.normalize import (DegenerateSkeletonError, OccludedJointError,
-                                 Pose, normalize_sequence)
-from formcoach.skeleton import Frame, JointId
+from formcoach.normalize import DegenerateSkeletonError, Pose, normalize_sequence
+from formcoach.skeleton import Frame, JointId, ValidationError
 
 import reference
 
@@ -67,8 +66,9 @@ class TestTorsoLength:
         conf = np.ones(17)
         conf[JointId.LEFT_HIP] = 0.0
         occluded = frame_from_points(f.points, conf)
-        with pytest.raises(OccludedJointError, match="left_hip"):
+        with pytest.raises(ValidationError, match="left_hip") as err:
             torso_length(occluded)
+        assert not isinstance(err.value, DegenerateSkeletonError)    # exit 2, not 3
 
     def test_scales_linearly(self):
         rng = np.random.default_rng(1)
@@ -127,7 +127,7 @@ class TestNormalizeGlobal:
             conf[j] = 1.0
         # torso is visible (4 joints >= 3) so this normalizes; drop to 2
         conf[JointId.LEFT_SHOULDER] = 0.0
-        with pytest.raises((DegenerateSkeletonError, OccludedJointError)):
+        with pytest.raises(ValidationError):
             normalize_frame(frame_from_points(f.points, conf))
 
     def test_occluded_joints_excluded_from_box(self):
@@ -292,9 +292,9 @@ class TestNormalizeSequence:
         for t in (k, later):
             occluded[t, data.draw(st.sampled_from(TORSO))] = True
         frames = stack_frames(points, occluded)
-        with pytest.raises(OccludedJointError) as per_frame:
+        with pytest.raises(ValidationError) as per_frame:
             for frame in frames:
                 normalize_frame(frame)
-        with pytest.raises(OccludedJointError, match=f"frame 'f{k}'") as err:
+        with pytest.raises(ValidationError, match=f"frame 'f{k}'") as err:
             normalize_sequence(points, occluded, [f.frame_id for f in frames])
         assert str(err.value) == str(per_frame.value)

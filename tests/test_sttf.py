@@ -10,7 +10,8 @@ import pytest
 
 import reference
 from formcoach import sttf
-from formcoach.skeleton import N_JOINTS, JointId, ValidationError
+from formcoach.normalize import TORSO_EPS
+from formcoach.skeleton import MAX_COORDINATE, N_JOINTS, JointId, ValidationError
 from formcoach.sttf import (N_SCORES, STTFConfig, STTFModel, TrainingDivergedError,
                             backprop, load_checkpoint, loss, save_checkpoint,
                             sequence_to_model_input, targets_from_annotation,
@@ -854,10 +855,72 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_parameter_is_refused(self, tmp_path, value):
+        with pytest.raises(ValidationError,
+                           match="score_head.b has non-finite values"):
+            load_checkpoint(self.score_bias_of(tmp_path, value))
+
+    def score_bias_of(self, tmp_path, value):
+        """A checkpoint whose score_head.b holds ``value`` between two zeros."""
         def edit(entry, buffer):
             begin, end = entry["data_offsets"]
             buffer[begin:end] = np.array([0.0, value, 0.0], "<f8").tobytes()
-        path = self.with_score_bias(tmp_path, edit)
+        return self.with_score_bias(tmp_path, edit)
+
+    @pytest.mark.parametrize("value", [sttf.MAX_PARAMETER, -sttf.MAX_PARAMETER])
+    def test_parameter_at_the_bound_loads(self, tmp_path, value):
+        model = load_checkpoint(self.score_bias_of(tmp_path, value))
+        assert model.score_head.b.value[1] == value
+
+    @pytest.mark.parametrize("value", [math.nextafter(sttf.MAX_PARAMETER, math.inf),
+                                       -1e300])
+    def test_parameter_above_the_bound_is_refused(self, tmp_path, value):
         with pytest.raises(ValidationError,
-                           match="score_head.b has non-finite values"):
-            load_checkpoint(path)
+                           match=r"score_head.b has values of magnitude above 1e\+18"):
+            load_checkpoint(self.score_bias_of(tmp_path, value))
+
+    def test_save_refuses_what_load_refuses(self, tmp_path):
+        model = STTFModel(SMALL)
+        model.joint_embed.W.value[0, 0] = 1e300
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValidationError, match="joint_embed.W has values of magnitude"):
+            save_checkpoint(model, path)
+        assert not path.exists()
+
+
+# The largest canonical coordinate: a pixel point and the body center each lie
+# within 2 * MAX_COORDINATE of the origin, and the torso is at least TORSO_EPS.
+MAX_CANONICAL = 4 * MAX_COORDINATE / TORSO_EPS
+
+
+class TestParameterBound:
+    """``MAX_PARAMETER`` keeps every square in the forward finite."""
+
+    def test_the_derivation_holds_at_the_largest_config(self):
+        """The chain of bounds stated beside ``MAX_PARAMETER``, evaluated at
+        the largest config ``STTFConfig`` admits."""
+        b, bounds = sttf.MAX_PARAMETER, sttf._CONFIG_BOUNDS
+        d = bounds["d_model"][1]
+        hidden = bounds["mlp_ratio"][1] * d
+        layers = max(bounds["spatial_layers"][1], bounds["temporal_layers"][1])
+        normed = (math.sqrt(d) + 1) * b        # a LayerNorm's output
+        proj = d * normed * b + b              # a query, key, value or FFN pre-activation
+        # An attention output averages values and GELU shrinks, so a block adds
+        # at most the output projection's and the FFN's second layer's bounds.
+        block = (d * proj * b + b) + (hidden * proj * b + b)
+        spatial = 2 * MAX_CANONICAL * b + 2 * b + layers * block
+        temporal = N_JOINTS * d * spatial * b + 2 * b + layers * block
+        assert max(math.sqrt(d) * proj ** 2, proj ** 3, 4 * d * temporal ** 2) < 1e300
+
+    def test_forward_at_the_bounds_is_finite(self):
+        """Every parameter at +-MAX_PARAMETER and every coordinate at
+        +-MAX_CANONICAL: no overflow warning, and finite outputs."""
+        cfg = STTFConfig(d_model=16, n_heads=2, spatial_layers=1, temporal_layers=1,
+                         seq_len=8, mlp_ratio=16)
+        rng = np.random.default_rng(0)
+        model = STTFModel(cfg)
+        for p in model.parameters():
+            p.value[...] = sttf.MAX_PARAMETER * rng.choice([-1.0, 1.0], p.value.shape)
+        x = MAX_CANONICAL * rng.choice([-1.0, 1.0], (cfg.seq_len, N_JOINTS, 2))
+        with np.errstate(over="raise", invalid="raise"):
+            scores, logits = model.forward(x)
+        assert np.isfinite(scores).all() and np.isfinite(logits).all()
