@@ -20,8 +20,10 @@ recurrence runs one anti-diagonal at a time, since every cell of an
 anti-diagonal depends only on the two before it.
 
 Pace is summarized by the raw duration ratio, the mean deviation of the warp
-path from the diagonal, and per-phase durations, where phases are segmented
-at extrema of the exercise's primary joint angle.
+path from the diagonal, and the phases: the reference is segmented at the
+extrema of the exercise's primary joint angle, each segment is named by
+:func:`phase_name`, and its bounds are mapped onto the candidate through the
+path, so each phase is a frame range on both timelines.
 """
 
 from __future__ import annotations
@@ -135,13 +137,13 @@ def dtw_align(cand: JointVectorSequence, ref: JointVectorSequence) -> WarpPath:
 
 @dataclass(frozen=True)
 class Phase:
-    """One contiguous segment of the repetition on both timelines."""
+    """One contiguous segment of the repetition on both timelines: its name
+    and its first and last frame index on each. Neighbouring phases share
+    their bounding frame."""
 
     name: str
     cand_range: Tuple[int, int]   # candidate frame indices [start, end]
     ref_range: Tuple[int, int]
-    cand_seconds: float
-    ref_seconds: float
 
 
 @dataclass(frozen=True)
@@ -183,13 +185,17 @@ def _segment_boundaries(smoothed: np.ndarray) -> List[int]:
     return boundaries
 
 
-def _phase_name(direction: float, eccentric_direction: str) -> str:
+def phase_name(direction: float, eccentric_direction: str) -> str:
+    """The phase in which the primary joint angle moves with the sign of
+    ``direction``: "eccentric" where that is ``eccentric_direction``
+    ("decreasing" or "increasing"), "concentric" where it is the other, and
+    "hold" where it is 0. :func:`pace_profile` names its phases with it, and
+    the synthesizer its per-frame labels, so a correction rule's phase and an
+    injected error's phase name the same frames."""
     if direction == 0.0:
         return "hold"
-    decreasing = direction < 0
-    if eccentric_direction == "decreasing":
-        return "eccentric" if decreasing else "concentric"
-    return "eccentric" if not decreasing else "concentric"
+    eccentric = (direction < 0) == (eccentric_direction == "decreasing")
+    return "eccentric" if eccentric else "concentric"
 
 
 def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
@@ -213,8 +219,7 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     smoothed = moving_average(primary_angles, PHASE_SMOOTH_WINDOW)
     interior = [] if np.isnan(primary_angles).any() else _segment_boundaries(smoothed)
     if not interior:
-        phases = (Phase(name="full", cand_range=(0, tc - 1), ref_range=(0, tr - 1),
-                        cand_seconds=cand.duration, ref_seconds=ref.duration),)
+        phases = (Phase(name="full", cand_range=(0, tc - 1), ref_range=(0, tr - 1)),)
         return PaceProfile(duration_ratio=duration_ratio,
                            warp_deviation=warp_deviation, phases=phases)
 
@@ -223,22 +228,14 @@ def pace_profile(cand: Sequence, ref: Sequence, path: WarpPath,
     first_cand = {j: i for i, j in reversed(path.pairs)}
     phases = []
     name_counts: dict = {}
-    ct = cand.timestamps
-    rt = ref.timestamps
     for k in range(len(bounds) - 1):
         r0, r1 = bounds[k], bounds[k + 1]
         direction = float(np.sign(smoothed[r1] - smoothed[r0]))
-        name = _phase_name(direction, eccentric_direction)
+        name = phase_name(direction, eccentric_direction)
         name_counts[name] = name_counts.get(name, 0) + 1
         if name_counts[name] > 1:
             name = f"{name}_{name_counts[name]}"
-        c0, c1 = first_cand[r0], first_cand[r1]
-        phases.append(Phase(
-            name=name,
-            cand_range=(c0, c1),
-            ref_range=(r0, r1),
-            cand_seconds=float(ct[c1] - ct[c0]),
-            ref_seconds=float(rt[r1] - rt[r0]),
-        ))
+        phases.append(Phase(name=name, cand_range=(first_cand[r0], first_cand[r1]),
+                            ref_range=(r0, r1)))
     return PaceProfile(duration_ratio=duration_ratio,
                        warp_deviation=warp_deviation, phases=tuple(phases))

@@ -48,10 +48,10 @@ from .config import BODY_CLASSES, CorrectionRule, ExerciseConfig
 from .kinematics import (JointVectorSequence, interior_angles, masked_sum,
                          pair_dots, sequence_descriptors)
 from .normalize import Pose, normalize_sequence
-from .skeleton import (JOINT_NAMES, REQUIRED, JointId, Sequence, ValidationError,
-                       _as_is, _as_str, _finite, _joints, _json_number, _list_of,
-                       _object_of, _strings, joint_from_name, read_json, read_object,
-                       write_json_atomic)
+from .skeleton import (JOINT_NAMES, REQUIRED, SCORE_NAMES, JointId, Sequence,
+                       ValidationError, _as_is, _as_str, _finite, _joints,
+                       _json_number, _list_of, _object_of, _strings, joint_from_name,
+                       read_json, read_object, write_json_atomic)
 
 RANGE_NOT_APPLICABLE = "/"
 REPORT_VERSION = 2
@@ -211,8 +211,8 @@ def frame_deviations(cand_prep: Prepared, ref_prep: Prepared,
                            ref.vectors[ri], ref.valid[ri])
     pair_sums, pair_counts = masked_sum((dots + 1.0) * 0.5, both)
     n_pairs = int(pair_counts.sum())
-    if n_pairs == 0:
-        raise ValidationError("no usable targeted joint pairs to score")
+    if n_pairs == 0:    # dtw_align refuses a path cell with no common pair
+        raise ValueError("no usable targeted joint pairs to score")
     score = 100.0 * float(pair_sums.sum()) / n_pairs
 
     n_joints = len(cand.targeted)
@@ -398,7 +398,7 @@ _FRAME_DETAIL = {"frame_ids": (_strings, REQUIRED), "joints": (_joints, REQUIRED
                  "deviations": (_list_of(_list_of(_cell)), REQUIRED),
                  "transforms": (_list_of(_list_of(_cell)), REQUIRED)}
 _AUX_SCORES = {key: (lambda value, where: _json_number(value, where, _finite), REQUIRED)
-               for key in ("joint", "pace", "range")}
+               for key in SCORE_NAMES}
 _REPORT = {
     "version": (_as_is, 1),
     "name": (_as_is, REQUIRED),

@@ -48,7 +48,7 @@ import logging
 import math
 import sys
 from pathlib import Path
-from typing import Dict, Optional, Sequence as Seq, Tuple
+from typing import Dict, List, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
@@ -56,11 +56,11 @@ from .assessment import AssessmentResult, Prepared, assess_pair, prepare, save_r
 from .config import ExerciseConfig, load_exercise_config, require_threshold
 from .correction import VisualAid, build_aid, render_svg
 from .normalize import DegenerateSkeletonError
-from .skeleton import (JOINT_NAMES, REQUIRED, Annotation, ValidationError, _as_is,
-                       _as_str, _finite, _json_number, _list_of, _number, _object_of,
-                       joint_from_name, load_annotation, load_sequence, read_json,
-                       read_object, save_annotation, save_sequence, write_json_atomic,
-                       write_text_atomic)
+from .skeleton import (JOINT_NAMES, REQUIRED, SCORE_NAMES, Annotation, JointId,
+                       ValidationError, _as_is, _as_str, _finite, _json_number,
+                       _list_of, _number, _object_of, joint_from_name, load_annotation,
+                       load_sequence, read_json, read_object, save_annotation,
+                       save_sequence, write_json_atomic, write_text_atomic)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -82,10 +82,14 @@ _FILE_NAME_ESCAPES = str.maketrans({"%": "%25", "/": "%2F", "\0": "%00"})
 def build_frame_aids(result: AssessmentResult,
                      config: ExerciseConfig) -> Dict[int, VisualAid]:
     """One visual aid per flagged candidate frame, keyed by the frame's index;
-    each flagged joint points at the first reference frame aligned to it."""
-    captions = {}
+    each flagged joint points at the first reference frame aligned to it.
+    A flagged joint's caption joins the texts of the report's corrections
+    that cite its frame for that joint."""
+    cited: Dict[Tuple[str, JointId], List[str]] = {}
     for corr in result.report.corrections:
-        captions.setdefault(corr.joint, corr.text)
+        for frame_id in dict.fromkeys(corr.frame_ids):
+            cited.setdefault((frame_id, corr.joint), []).append(corr.text)
+    captions = {key: "; ".join(texts) for key, texts in cited.items()}
     # The path's candidate indexes never decrease, so a flagged frame's first
     # pair is where a left search for its index lands.
     ci, ri = np.array(result.path.pairs).T
@@ -98,11 +102,7 @@ def build_frame_aids(result: AssessmentResult,
 
 def _aux_scores(model: "sttf.STTFModel", x) -> Dict[str, float]:
     scores, _logits = model.forward(x)
-    return {
-        "joint": float(scores[0]) * 100.0,
-        "pace": float(scores[1]) * 100.0,
-        "range": float(scores[2]) * 100.0,
-    }
+    return {name: float(score) * 100.0 for name, score in zip(SCORE_NAMES, scores)}
 
 
 def _assess_one(cand_path: Path, stem: str, ref: Prepared, config: ExerciseConfig,

@@ -26,6 +26,9 @@ logger = logging.getLogger(__name__)
 # Arrows shorter than this many pixels carry no information and are dropped.
 MIN_ARROW_PX = 2.0
 
+# The width and height of every rendered aid, in pixels.
+CANVAS = (640, 480)
+
 # Standard COCO limb set for drawing the skeleton.
 LIMBS: Tuple[Tuple[JointId, JointId], ...] = (
     (JointId.NOSE, JointId.LEFT_EYE), (JointId.NOSE, JointId.RIGHT_EYE),
@@ -103,7 +106,7 @@ class VisualAid:
 def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
               flagged: Sequence[Tuple[int, JointId, int]],
               body_class: str = "Both",
-              captions: Optional[Mapping[JointId, str]] = None,
+              captions: Optional[Mapping[Tuple[str, JointId], str]] = None,
               min_arrow_px: float = MIN_ARROW_PX) -> Dict[int, VisualAid]:
     """One aid per flagged candidate frame, keyed by the frame's index.
 
@@ -112,8 +115,9 @@ def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
     relative to the :func:`local_root_for` root, anchored at the candidate's
     root. Each root is a torso joint, which a :class:`Pose` has visible in
     every frame. Occluded flagged joints are skipped with one warning;
-    arrows under ``min_arrow_px`` are dropped. Captions follow root, then
-    joint order.
+    arrows under ``min_arrow_px`` are dropped. ``captions`` maps a (frame
+    id, joint) pair to that joint's coaching text in that frame; an aid's
+    caption joins the texts of its arrows, in root, then joint order.
     """
     captions = captions or {}
     rows = sorted({(i, local_root_for(j, body_class), JointId(j), k)
@@ -136,8 +140,9 @@ def build_aid(cand: Pose, ref: Pose, frame_ids: Sequence[str],
         arrow = Arrow(joint=joint, tail=tail, head=head)
         if arrow.length >= min_arrow_px:
             arrows[f].append(arrow)
-            if joint in captions:
-                texts[f].append(captions[joint])
+            text = captions.get((frame_ids[f], joint))
+            if text is not None:
+                texts[f].append(text)
     return {f: VisualAid(frame_id=frame_ids[f],
                          arrows=sorted(arrows[f], key=lambda a: a.joint),
                          caption="; ".join(texts[f]))
@@ -160,16 +165,15 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def render_svg(aid: VisualAid, points: np.ndarray, occluded: np.ndarray,
-               canvas: Tuple[int, int] = (640, 480)) -> str:
+def render_svg(aid: VisualAid, points: np.ndarray, occluded: np.ndarray) -> str:
     """Render the candidate skeleton plus correction arrows as an SVG document.
 
     ``points`` is the frame's (17, 2) pixels and ``occluded`` its (17,)
     occlusion row; occluded joints and their limbs are not drawn. Output is
     deterministic: the same input produces byte-identical text. Content
-    outside the canvas is clipped by the SVG viewport.
+    outside the :data:`CANVAS` is clipped by the SVG viewport.
     """
-    w, h = int(canvas[0]), int(canvas[1])
+    w, h = CANVAS
     lines: List[str] = []
     lines.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}" '

@@ -45,6 +45,10 @@ DEFAULT_OCCLUSION_THRESHOLD = 0.05
 
 CLASS_LABELS = ("groundtruth", "correct", "wrong")
 
+# The three scores, in the one order that an annotation's scores, the STTF's
+# score outputs and training targets, and a report's aux scores all use.
+SCORE_NAMES = ("joint", "pace", "range")
+
 # Largest keypoint coordinate magnitude, in pixels. Far below 1e145, it keeps
 # the square of every coordinate difference finite, even at canonical scale
 # (divided by a torso length as small as normalize.TORSO_EPS = 1e-6).
@@ -276,7 +280,7 @@ class Annotation:
     targeted_joints: Tuple[JointId, ...] = ()
     reference_angles: dict = field(default_factory=dict)   # JointId -> (min_deg, max_deg)
     per_frame_mistakes: Tuple[Tuple[str, JointId, str], ...] = ()
-    scores: Optional[Tuple[float, float, float]] = None    # (joint, pace, range) 0-100
+    scores: Optional[Tuple[float, float, float]] = None    # SCORE_NAMES order, 0-100
 
     def __post_init__(self):
         self.targeted_joints = tuple(JointId(j) for j in self.targeted_joints)
@@ -286,7 +290,8 @@ class Annotation:
         )
         if self.scores is not None:
             self.scores = tuple(float(s) for s in self.scores)  # type: ignore[assignment]
-            if len(self.scores) != 3 or any(not (0.0 <= s <= 100.0) for s in self.scores):
+            if (len(self.scores) != len(SCORE_NAMES)
+                    or any(not (0.0 <= s <= 100.0) for s in self.scores)):
                 raise ValidationError("scores must be three values in [0, 100]")
 
 
@@ -643,8 +648,7 @@ def annotation_to_dict(ann: Annotation) -> dict:
             {"frame_id": fid, "joint": j.name.lower(), "note": note}
             for fid, j, note in ann.per_frame_mistakes
         ],
-        "scores": None if ann.scores is None else
-                  {"joint": ann.scores[0], "pace": ann.scores[1], "range": ann.scores[2]},
+        "scores": None if ann.scores is None else dict(zip(SCORE_NAMES, ann.scores)),
     }
 
 
@@ -654,7 +658,7 @@ def save_annotation(ann: Annotation, path: os.PathLike | str) -> None:
 
 _MISTAKE = {"frame_id": (_as_is, REQUIRED), "joint": (joint_from_name, REQUIRED),
             "note": (_as_is, "")}
-_SCORES = {key: (_number, REQUIRED) for key in ("joint", "pace", "range")}
+_SCORES = {key: (_number, REQUIRED) for key in SCORE_NAMES}
 _ANNOTATION = {
     "exercise_id": (_as_str, REQUIRED),
     "targeted_joints": (_joints, ()),

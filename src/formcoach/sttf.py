@@ -39,6 +39,12 @@ carry gradients: :func:`load_checkpoint` reads the binary checkpoint once
 and builds the model from copies of its stored arrays, drawing nothing, and
 ``Param.grad`` waits for the first :meth:`STTFModel.zero_grads`.
 
+The parameter order is fixed in one place: the order in which the layers'
+constructors call ``new_param``. It fixes what a new model draws from its
+seed, and :meth:`STTFModel.parameters` lists the parameters as they were
+made, so the same order tiles a checkpoint's data on save and on load and
+orders ``zero_grads`` and the gradient step.
+
 Shapes: input is ``(T, 17, 2)`` canonical coordinates (or a ``(B, T, 17, 2)``
 batch); sequences of other lengths are first resampled to ``T`` by linear
 interpolation over timestamps. ``train`` and ``score-model`` build it with
@@ -61,7 +67,7 @@ from typing import Callable, Dict, List, Optional, Sequence as Seq, Tuple
 import numpy as np
 
 from .normalize import normalize_sequence
-from .skeleton import (N_JOINTS, Annotation, Sequence, ValidationError,
+from .skeleton import (N_JOINTS, SCORE_NAMES, Annotation, Sequence, ValidationError,
                        input_errors, write_text_atomic)
 
 _INIT_STD = 0.02
@@ -74,7 +80,7 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 # chunk's spatial caches at a time.
 _SPATIAL_FRAMES = 16
 
-N_SCORES = 3    # joint, pace, range
+N_SCORES = len(SCORE_NAMES)
 # Checkpoints and training configs may give the joint and score counts, as
 # save_checkpoint writes them; no other counts are accepted.
 FIXED_COUNTS = {"n_joints": N_JOINTS, "n_scores": N_SCORES}
@@ -164,7 +170,7 @@ Shape = Tuple[int, ...]
 Init = Callable[["np.random.Generator", Shape], np.ndarray]
 # ``new_param(name, shape, init)`` makes the parameter called ``name``. The
 # layers call it in a fixed order, which fixes what a new model draws from
-# its seed.
+# its seed, and ``STTFModel`` records each parameter as it is made.
 ParamFactory = Callable[[str, Shape, Init], Param]
 
 
@@ -276,9 +282,6 @@ class Linear:
         self.b.grad += grad.reshape(-1, d_out).sum(axis=0)
         return grad @ self.W.value.T
 
-    def params(self) -> List[Param]:
-        return [self.W, self.b]
-
 
 class LayerNorm:
     def __init__(self, new_param: ParamFactory, name: str, dim: int):
@@ -304,9 +307,6 @@ class LayerNorm:
         m1 = dxhat.mean(axis=-1, keepdims=True)
         m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
         return (dxhat - m1 - xhat * m2) / std
-
-    def params(self) -> List[Param]:
-        return [self.gamma, self.beta]
 
 
 class MultiHeadSelfAttention:
@@ -357,9 +357,6 @@ class MultiHeadSelfAttention:
         dx += self.wv.backward(self._merge(dv))
         return dx
 
-    def params(self) -> List[Param]:
-        return self.wq.params() + self.wk.params() + self.wv.params() + self.wo.params()
-
 
 class FeedForward:
     def __init__(self, new_param: ParamFactory, name: str, d_model: int, hidden: int):
@@ -381,9 +378,6 @@ class FeedForward:
         del h, t                     # freed before the matrix products
         dgelu *= self.fc2.backward(grad)
         return self.fc1.backward(dgelu)
-
-    def params(self) -> List[Param]:
-        return self.fc1.params() + self.fc2.params()
 
 
 class EncoderBlock:
@@ -407,10 +401,6 @@ class EncoderBlock:
         dh = grad + self.ln2.backward(self.ffn.backward(grad))
         return dh + self.ln1.backward(self.attn.backward(dh))
 
-    def params(self) -> List[Param]:
-        return (self.ln1.params() + self.attn.params()
-                + self.ln2.params() + self.ffn.params())
-
 
 class STTFModel:
     """Spatial-then-temporal transformer with score and mistake heads."""
@@ -419,8 +409,15 @@ class STTFModel:
         """A new model drawn from ``config.seed``, or the one whose every
         parameter ``new_param`` makes."""
         self.config = config
-        if new_param is None:
-            new_param = random_params(np.random.default_rng(config.seed))
+        factory = new_param or random_params(np.random.default_rng(config.seed))
+        self._params: List[Param] = []
+
+        # The layers make their parameters through this, which records them.
+        def new_param(name: str, shape: Shape, init: Init) -> Param:
+            p = factory(name, shape, init)
+            self._params.append(p)
+            return p
+
         d, j, t = config.d_model, N_JOINTS, config.seq_len
         self.joint_embed = Linear(new_param, "joint_embed", 2, d)
         self.spatial_pos = new_param("spatial_pos", (j, d), _normal(_INIT_STD))
@@ -441,15 +438,8 @@ class STTFModel:
     # -- parameter plumbing -------------------------------------------------
 
     def parameters(self) -> List[Param]:
-        out = self.joint_embed.params() + [self.spatial_pos]
-        for blk in self.spatial_blocks:
-            out += blk.params()
-        out += self.flatten_proj.params() + [self.temporal_pos]
-        for blk in self.temporal_blocks:
-            out += blk.params()
-        out += self.final_ln.params()
-        out += self.score_head.params() + self.mistake_head.params()
-        return out
+        """Every parameter, in the order the layers made it."""
+        return list(self._params)
 
     def zero_grads(self) -> None:
         for p in self.parameters():

@@ -32,6 +32,7 @@ from typing import Dict, List, Mapping, Optional, Sequence as Seq, Tuple
 
 import numpy as np
 
+from .alignment import phase_name
 from .config import ExerciseConfig, PhaseConfig
 from .kinematics import ANGLE_NEIGHBORS, interior_angles
 from .normalize import cos_sin, norms, rotate
@@ -290,8 +291,8 @@ def _trajectory_angles(template: _Template, spec: MotionSpec,
 
 
 def _frame_phases(template: _Template, u: np.ndarray) -> List[str]:
-    """Phase label per frame from the primary-angle derivative sign at the
-    frame's leading interval midpoint."""
+    """Phase label per frame, :func:`phase_name` of the primary-angle
+    derivative's sign at the frame's leading interval midpoint."""
     base, amp = template.driven[template.primary]
     n = len(u)
     labels = []
@@ -300,12 +301,8 @@ def _frame_phases(template: _Template, u: np.ndarray) -> List[str]:
             mid = 0.5 * (u[i] + u[i + 1])
         else:
             mid = 0.5 * (u[i - 1] + u[i])
-        deriv = amp * math.sin(2.0 * math.pi * mid)
-        decreasing = deriv < 0
-        if template.eccentric_direction == "decreasing":
-            labels.append("eccentric" if decreasing else "concentric")
-        else:
-            labels.append("eccentric" if not decreasing else "concentric")
+        labels.append(phase_name(amp * math.sin(2.0 * math.pi * mid),
+                                 template.eccentric_direction))
     return labels
 
 

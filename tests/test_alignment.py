@@ -280,8 +280,6 @@ class TestPaceProfile:
         profile = pace_profile(seq, seq, path, knee_angles(seq))
         assert profile.duration_ratio == 1.0
         assert profile.warp_deviation == 0.0
-        for p in profile.phases:
-            assert p.cand_seconds == pytest.approx(p.ref_seconds)
 
     def test_double_speed_candidate(self):
         ref, _ = generate(MotionSpec(template="squat", n_frames=24), seed=1)
@@ -319,5 +317,7 @@ class TestPaceProfile:
         path = dtw_align(fields, fields)
         profile = pace_profile(cand, ref, path, knee_angles(ref))
         ecc = next(p for p in profile.phases if p.name == "eccentric")
-        assert ecc.cand_seconds / ecc.ref_seconds == pytest.approx(0.5, abs=0.05)
+        (c0, c1), (r0, r1) = ecc.cand_range, ecc.ref_range
+        ct, rt = cand.timestamps, ref.timestamps
+        assert (ct[c1] - ct[c0]) / (rt[r1] - rt[r0]) == pytest.approx(0.5, abs=0.05)
 

@@ -21,9 +21,11 @@ NumPy's vectorized trigonometry: 103 floats moved, by at most 1.1e-12, and
 the aids index and SVGs stayed the same.
 """
 
+import html
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -34,9 +36,9 @@ import pytest
 from formcoach import cli, correction
 from formcoach.assessment import load_report, report_to_dict, save_report
 from formcoach.config import CorrectionRule, load_exercise_config, save_exercise_config
-from formcoach.skeleton import (JointId, Sequence, load_annotation, load_sequence,
-                                read_json, save_annotation, save_sequence,
-                                write_json_atomic)
+from formcoach.skeleton import (JOINT_NAMES, JointId, Sequence, joint_from_name,
+                                load_annotation, load_sequence, read_json,
+                                save_annotation, save_sequence, write_json_atomic)
 from formcoach.synth import InjectedError, MotionSpec, exercise_config, generate
 
 GOLDEN_REPORT = Path(__file__).parent / "data" / "assess_squat_report.json"
@@ -300,3 +302,38 @@ def test_every_json_file_is_one_compact_line(tmp_path):
     escaped = '"Knie \\u2192 au\\u00dfen"'
     assert f'"correction":{escaped}' in (out / "cand_report.json").read_text()
     assert f'"message":{escaped}' in config_path.read_text()
+
+
+@pytest.mark.parametrize("template, joint", [("squat", JointId.LEFT_KNEE),
+                                             ("press", JointId.LEFT_ELBOW)])
+def test_aid_captions_say_what_the_report_says(tmp_path, template, joint):
+    """Each aid's caption joins the texts of the report's corrections that
+    cite its frame for its arrows' joints, in root, then joint order. An
+    eccentric-only rule on the offset joint gives that joint the rule's text
+    in one frame and the generic text in another."""
+    ref, ann = generate(MotionSpec(template=template, n_frames=150), seed=0)
+    cand, _ = generate(MotionSpec(template=template, n_frames=150, noise_std=1.0,
+                                  injected_errors=(InjectedError(
+                                      kind="angle_offset_deg", magnitude=45.0,
+                                      joint=joint),)), seed=3)
+    save_sequence(cand, tmp_path / "cand.sequence.json")
+    save_sequence(ref, tmp_path / "ref.sequence.json")
+    config = exercise_config(template, ann, rules=(
+        CorrectionRule(joint=joint, message="RULE-ECC", phase="eccentric"),))
+    save_exercise_config(config, tmp_path / "config.json")
+    out = tmp_path / "out"
+    assert cli.main(["assess", "--candidate", str(tmp_path / "cand.sequence.json"),
+                     "--reference", str(tmp_path / "ref.sequence.json"),
+                     "--config", str(tmp_path / "config.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+
+    corrections = read_json(out / "cand_report.json")["corrections"]
+    assert len({c["text"] for c in corrections if c["joint"] == JOINT_NAMES[joint]}) > 1
+    for entry in read_json(out / "cand_aids_index.json"):
+        joints = sorted(map(joint_from_name, entry["joints"]),
+                        key=lambda j: (correction.local_root_for(j, config.body_class), j))
+        expected = "; ".join(c["text"] for j in joints for c in corrections
+                             if c["joint"] == JOINT_NAMES[j]
+                             and entry["frame_id"] in c["frames"])
+        caption = re.search(r"<text [^>]*>(.*)</text>|$", (out / entry["file"]).read_text())
+        assert html.unescape(caption.group(1) or "") == expected, entry["frame_id"]

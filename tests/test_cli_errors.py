@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from formcoach import assessment, cli, sttf
 from formcoach.alignment import WarpPath
+from formcoach.kinematics import pair_dots
 from formcoach.normalize import DegenerateSkeletonError, normalize_sequence
 from formcoach.skeleton import (JOINT_NAMES, JointId, ValidationError, save_annotation,
                                 save_sequence)
@@ -518,6 +519,20 @@ def test_broken_warp_path_invariant_escapes(tmp_path, monkeypatch):
     monkeypatch.setattr(assessment, "dtw_align", align)
     write_inputs(tmp_path)
     with pytest.raises(ValueError, match="invalid warp step") as err:
+        cli.main(assess_argv(tmp_path))
+    assert not isinstance(err.value, ValidationError)
+
+
+def test_unscorable_warp_path_invariant_escapes(tmp_path, monkeypatch):
+    """A warp path with no common joint pair along it can only come from a
+    bug, since dtw_align refuses such a cell, so it escapes rather than
+    blaming the candidate."""
+    def no_common_pairs(a, a_valid, b, b_valid):
+        dots, both = pair_dots(a, a_valid, b, b_valid)
+        return dots, np.zeros_like(both)
+    monkeypatch.setattr(assessment, "pair_dots", no_common_pairs)
+    write_inputs(tmp_path)
+    with pytest.raises(ValueError, match="no usable targeted joint pairs") as err:
         cli.main(assess_argv(tmp_path))
     assert not isinstance(err.value, ValidationError)
 

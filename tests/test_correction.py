@@ -137,8 +137,8 @@ class TestBuildAid:
         ref_pts[J.LEFT_ELBOW] += 40.0
         ref_pts[J.LEFT_WRIST] -= 40.0
         aid = aid_for(f, frame_from_points(ref_pts), [J.LEFT_WRIST, J.LEFT_ELBOW],
-                      captions={J.LEFT_ELBOW: "raise elbow",
-                                J.LEFT_WRIST: "drop wrist"})
+                      captions={(f.frame_id, J.LEFT_ELBOW): "raise elbow",
+                                (f.frame_id, J.LEFT_WRIST): "drop wrist"})
         assert aid.caption == "raise elbow; drop wrist"  # sorted by joint
 
     def test_captions_follow_roots_and_arrows_follow_joints(self):
@@ -147,7 +147,8 @@ class TestBuildAid:
         ref_pts = f.points.copy()
         ref_pts[[J.RIGHT_EYE, J.LEFT_EAR]] += 40.0
         aid = aid_for(f, frame_from_points(ref_pts), [J.RIGHT_EYE, J.LEFT_EAR],
-                      captions={J.RIGHT_EYE: "eye", J.LEFT_EAR: "ear"})
+                      captions={(f.frame_id, J.RIGHT_EYE): "eye",
+                                (f.frame_id, J.LEFT_EAR): "ear"})
         assert [a.joint for a in aid.arrows] == [J.RIGHT_EYE, J.LEFT_EAR]
         assert aid.caption == "ear; eye"
 

@@ -3,9 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from formcoach.alignment import WarpPath, pace_profile
 from formcoach.kinematics import interior_angles
 from formcoach.skeleton import JointId, ValidationError
-from formcoach.synth import (InjectedError, MotionSpec, TEMPLATES,
+from formcoach.synth import (InjectedError, MotionSpec, TEMPLATES, _frame_phases,
                              exercise_config, generate)
 
 J = JointId
@@ -137,6 +138,22 @@ class TestGenerate:
         diffs = np.concatenate([(f.points - g.points).ravel()
                                 for f, g in zip(noisy.frames, clean.frames)])
         assert 1.0 < diffs.std() < 2.0
+
+    @pytest.mark.parametrize("n_frames", [48, 150, 300])
+    @pytest.mark.parametrize("template", ["squat", "press", "pull"])
+    def test_phase_labels_agree_with_pace_profile(self, template, n_frames):
+        """An injected error's phase covers the frames that pace_profile
+        names alike: inside each phase of a clean reference against itself,
+        every frame carries that phase's label."""
+        seq, _ = generate(MotionSpec(template=template, n_frames=n_frames), seed=0)
+        spec = TEMPLATES[template]
+        labels = _frame_phases(spec, np.linspace(0.0, 1.0, n_frames))
+        path = WarpPath(pairs=tuple((i, i) for i in range(n_frames)), cost=0.0)
+        profile = pace_profile(seq, seq, path, angles(seq, spec.primary),
+                               spec.eccentric_direction)
+        for phase in profile.phases:
+            start, end = phase.ref_range
+            assert set(labels[start + 1:end]) == {phase.name}, phase
 
 
 class TestExerciseConfigHelper:
